@@ -1,9 +1,16 @@
 """Stationary Stokes solves, Leray projection and diffusion (Helmholtz)
 solves on the staggered grid.
 
-Dirichlet mode assembles sparse operators acting on the interior faces only
-(boundary faces are no-penetration data, pinned to zero) and factorizes them
-once per grid with SuperLU; factorizations are cached.  The saddle system is
+Every operator acts on the interior faces only in Dirichlet mode (boundary
+faces are no-penetration data, pinned to zero).  The Helmholtz and projection
+operators are separable under their closures, so each mode inverts them
+exactly by dividing by the stencil's symbol in a diagonalising transform:
+periodic mode uses the FFT; Dirichlet mode uses DST-I along pinned faces,
+DST-II across mirror ghosts and DCT-II for the zero-flux pressure Poisson
+problem (Schumann & Sweet 1976; Swarztrauber 1977).
+
+The stationary Stokes saddle system (Dirichlet mode) is not separable: it is
+assembled sparse, factorized once per grid with SuperLU and cached.  It is
 bordered with the exact cell-measure row/column so that the pressure is
 determined with zero weighted mean and the matrix is nonsingular:
 
@@ -16,21 +23,20 @@ G^T u = 0 is *identically* the statement div u = 0 on every cell, and
 <G p, u> = -<p, div u> is exact; together with the summation-by-parts
 Laplacian this gives the discrete energy identity |grad v|^2 = <f, v> to
 solver precision.
-
-Periodic mode uses FFT diagonalization of the same stencils (exact inverses,
-deterministic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.fft import dctn, dst, idctn, idst
 
 from .fields import (
+    CELL,
     MAC,
     NODE,
     FieldError,
@@ -62,8 +68,7 @@ class SolverError(RuntimeError):
 
 def _chain(m: int, end: float) -> sp.csr_matrix:
     """Tridiagonal (-1, 2, -1) row pattern with ``end`` on the two diagonal
-    ends: end=2 pinned-zero neighbours, end=3 odd mirror ghosts, end=1
-    zero-flux (Neumann) closure.
+    ends: end=2 pinned-zero neighbours, end=3 odd mirror ghosts.
     """
     main = np.full(m, 2.0)
     main[0] = main[-1] = end
@@ -108,13 +113,15 @@ def _embed_faces(g: GridSpec, ux_int: np.ndarray, uy_int: np.ndarray) -> VectorF
 
 
 _STOKES_CACHE: dict[GridSpec, tuple] = {}
-_POISSON_CACHE: dict[GridSpec, spla.SuperLU] = {}
-_HELMHOLTZ_CACHE: dict[tuple, spla.SuperLU] = {}
 
 
 def _stokes_factorization(g: GridSpec):
     if g in _STOKES_CACHE:
         return _STOKES_CACHE[g]
+    # deferred: only the saddle solve needs SuperLU, and importing it at
+    # module level would add to the start-up of every command
+    import scipy.sparse.linalg as spla
+
     n = g.nx
     a = sp.block_diag((_neg_laplacian_ux(g), _neg_laplacian_uy(g)))
     gx, gy = _gradient_blocks(g)
@@ -178,26 +185,19 @@ def solve_stationary_stokes(f: VectorField, tol: float = 1e-9) -> StokesSolution
 
 
 # ---------------------------------------------------------------------------
-# Leray projection
+# Diagonalised solves: Leray projection and Helmholtz
 # ---------------------------------------------------------------------------
 
 
-def _poisson_factorization(g: GridSpec) -> spla.SuperLU:
-    if g in _POISSON_CACHE:
-        return _POISSON_CACHE[g]
-    n = g.nx
-    t = _chain(n, 1.0)
-    lap = (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)) / g.h**2
-    m = sp.csr_matrix(np.full((n * n, 1), g.h**2))
-    k = sp.bmat([[lap, m], [m.T, None]], format="csc")
-    _POISSON_CACHE[g] = spla.splu(k)
-    return _POISSON_CACHE[g]
-
-
-def _fft_symbol(g: GridSpec) -> np.ndarray:
-    k = np.arange(g.nx)
-    lam = (4.0 / g.h**2) * np.sin(np.pi * k / g.nx) ** 2
-    return lam[:, None] + lam[None, :]
+def _symbol(g: GridSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the five-point -laplacian in a separable transform
+    basis: (4/h^2) sin^2(k pi / 2n) per axis, for the wavenumbers k of that
+    axis's transform over n cells.  Periodic: k = 0, 2, ..., 2n-2 (FFT);
+    zero-flux ends: k = 0..n-1 (DCT-II); odd mirror ghosts: k = 1..n
+    (DST-II); the n-1 faces between pinned ones: k = 1..n-1 (DST-I).
+    """
+    lx, ly = ((4.0 / g.h**2) * np.sin(np.pi * k / (2 * g.nx)) ** 2 for k in (kx, ky))
+    return lx[:, None] + ly[None, :]
 
 
 def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
@@ -207,47 +207,51 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     (zero weighted mean, Neumann closure) with u_proj = u - grad(phi).
     In Dirichlet mode the boundary faces are pinned to zero first; a field
     that is already divergence-free is returned unchanged to roundoff.
+    The Poisson problem div grad phi = div u is inverted by the FFT
+    (periodic) or by DCT-II along both axes (Dirichlet).
     """
     g = u.grid
     if u.placement != MAC:
         raise FieldError("leray_project expects a MAC-staggered field")
     if g.periodic:
-        d = div(u).data
-        dh = np.fft.fft2(d)
-        lam = _fft_symbol(g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ph = -dh / lam
-        ph[0, 0] = 0.0
-        phi = np.real(np.fft.ifft2(ph))
-        gx = (phi - np.roll(phi, 1, axis=0)) / g.h
-        gy = (phi - np.roll(phi, 1, axis=1)) / g.h
-        proj = VectorField(g, MAC, u.ux - gx, u.uy - gy)
-        return proj, ScalarField(g, "cell-center", phi)
-    work = u.copy()
-    work.ux[0, :] = work.ux[-1, :] = 0.0
-    work.uy[:, 0] = work.uy[:, -1] = 0.0
-    d = div(work).data
-    lu = _poisson_factorization(g)
-    n = g.nx
-    rhs = np.concatenate([-d.ravel(), [0.0]])
-    sol = lu.solve(rhs)
-    if not np.all(np.isfinite(sol)):
+        k = 2 * np.arange(g.nx)
+        work, lam = u, _symbol(g, k, k)
+        forward, inverse = np.fft.fft2, lambda a: np.real(np.fft.ifft2(a))
+    else:
+        work = u.copy()
+        work.ux[0, :] = work.ux[-1, :] = 0.0
+        work.uy[:, 0] = work.uy[:, -1] = 0.0
+        lam = _symbol(g, np.arange(g.nx), np.arange(g.nx))
+        forward = partial(dctn, type=2, norm="ortho")
+        inverse = partial(idctn, type=2, norm="ortho")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ph = -forward(div(work).data) / lam
+    ph[0, 0] = 0.0  # the constant mode: zero-mean potential
+    phi = inverse(ph)
+    if not np.all(np.isfinite(phi)):
         raise SolverError("projection Poisson solve produced non-finite values")
-    phi = sol[:-1].reshape(n, n)
-    gphi = grad(ScalarField(g, "cell-center", phi))
+    gphi = grad(ScalarField(g, CELL, phi))
     proj = VectorField(g, MAC, work.ux - gphi.ux, work.uy - gphi.uy)
-    return proj, ScalarField(g, "cell-center", phi)
+    return proj, ScalarField(g, CELL, phi)
 
 
-# ---------------------------------------------------------------------------
-# Helmholtz (implicit diffusion) solves
-# ---------------------------------------------------------------------------
+def _helmholtz_xfaces(a: np.ndarray, g: GridSpec, coef: float) -> np.ndarray:
+    """Solve (I - coef * laplacian) x = a on the interior x faces, shape
+    (n-1, n): pinned boundary faces along x (DST-I), odd mirror ghosts along
+    y (DST-II).  The interior y-face problem is this one transposed.
+    """
+    n = g.nx
+    lam = _symbol(g, np.arange(1, n), np.arange(1, n + 1))
+    hat = dst(dst(a, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+    hat /= 1.0 + coef * lam
+    return idst(idst(hat, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
 
 
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     """Solve (I - coef * laplacian) out = v componentwise on MAC faces with
     the no-slip closures (pinned boundary faces, mirror ghosts).  ``coef``
-    is kappa * dt >= 0.  Factorizations are cached per (grid, coef).
+    is kappa * dt >= 0.  The operator is inverted exactly by the FFT
+    (periodic) or by DST-I x DST-II on the interior faces (Dirichlet).
     """
     g = v.grid
     if v.placement != MAC:
@@ -257,26 +261,17 @@ def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     if coef == 0.0:
         return v.copy()
     if g.periodic:
-        sym = 1.0 + coef * _fft_symbol(g)
+        k = 2 * np.arange(g.nx)
+        sym = 1.0 + coef * _symbol(g, k, k)
         ux = np.real(np.fft.ifft2(np.fft.fft2(v.ux) / sym))
         uy = np.real(np.fft.ifft2(np.fft.fft2(v.uy) / sym))
         return VectorField(g, MAC, ux, uy)
-    out = []
-    for comp, build in (("ux", _neg_laplacian_ux), ("uy", _neg_laplacian_uy)):
-        key = (g, comp, float(coef))
-        if key not in _HELMHOLTZ_CACHE:
-            a = build(g)
-            m = sp.identity(a.shape[0], format="csc") + coef * a.tocsc()
-            _HELMHOLTZ_CACHE[key] = spla.splu(m.tocsc())
-        out.append(_HELMHOLTZ_CACHE[key])
-    lux, luy = out
-    n = g.nx
     fx, fy = _interior_faces(v)
-    sx = lux.solve(fx.ravel())
-    sy = luy.solve(fy.ravel())
+    sx = _helmholtz_xfaces(fx, g, coef)
+    sy = _helmholtz_xfaces(fy.T, g, coef).T
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise SolverError("helmholtz solve produced non-finite values")
-    return _embed_faces(g, sx.reshape(n - 1, n), sy.reshape(n, n - 1))
+    return _embed_faces(g, sx, sy)
 
 
 # ---------------------------------------------------------------------------

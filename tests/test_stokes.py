@@ -1,12 +1,23 @@
 """Stokes-layer oracles: an independently assembled dense saddle system with
 its own bordering convention, energy and orthogonality identities, Helmholtz
-residual checks through the matrix-free Laplacian, and probe determinism.
+residual checks through the matrix-free Laplacian, sparse direct solves of
+the Dirichlet Helmholtz and pressure-Poisson operators, bounded module
+state, and probe determinism.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
+
+import mmps
+import mmps.stokes as stokes_module
 
 from mmps.fields import (
     CELL,
@@ -30,6 +41,8 @@ from mmps.fields import (
 )
 from mmps.stokes import (
     StokesSolution,
+    _neg_laplacian_ux,
+    _neg_laplacian_uy,
     aux_field_v,
     compose_g,
     helmholtz_solve,
@@ -217,6 +230,85 @@ def test_helmholtz_zero_coef_is_identity():
     v = _random_mac(grid, np.random.default_rng(17), interior_only=False)
     out = helmholtz_solve(v, 0.0)
     assert np.array_equal(out.ux, v.ux) and np.array_equal(out.uy, v.uy)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet transform solves against sparse direct solves
+# ---------------------------------------------------------------------------
+
+
+def _sparse_neumann_potential(grid: GridSpec, d: np.ndarray) -> np.ndarray:
+    """Zero-mean potential of -laplacian(phi) = -d with zero-flux walls,
+    from the cell-measure bordered sparse system and a direct solve.
+    """
+    n = grid.nx
+    main = np.full(n, 2.0)
+    main[0] = main[-1] = 1.0
+    t = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1])
+    lap = (sp.kron(t, sp.identity(n)) + sp.kron(sp.identity(n), t)) / grid.h**2
+    m = sp.csr_matrix(np.full((n * n, 1), grid.h**2))
+    k = sp.bmat([[lap, m], [m.T, None]], format="csc")
+    sol = spsolve(k, np.concatenate([-d.ravel(), [0.0]]))
+    return sol[:-1].reshape(n, n)
+
+
+@pytest.mark.parametrize("nx", [8, 9, 17, 64])
+def test_dirichlet_solves_match_sparse_direct(nx):
+    grid = GridSpec(nx, nx)
+    v = _random_mac(grid, np.random.default_rng(20 + nx), interior_only=False)
+    for coef in (1e-6, 3.7e-3, 10.0):
+        out = helmholtz_solve(v, coef)
+        for got, rhs, build in (
+            (out.ux[1:-1, :], v.ux[1:-1, :], _neg_laplacian_ux),
+            (out.uy[:, 1:-1], v.uy[:, 1:-1], _neg_laplacian_uy),
+        ):
+            a = build(grid)
+            ref = spsolve((sp.identity(a.shape[0]) + coef * a).tocsc(), rhs.ravel())
+            ref = ref.reshape(rhs.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not out.ux[[0, -1], :].any() and not out.uy[:, [0, -1]].any()
+    pu, phi = leray_project(v)
+    pinned = v.copy()
+    pinned.ux[[0, -1], :] = 0.0
+    pinned.uy[:, [0, -1]] = 0.0
+    phi_ref = _sparse_neumann_potential(grid, div(pinned).data)
+    assert np.max(np.abs(phi.data - phi_ref)) <= 1e-12 * np.max(np.abs(phi_ref))
+    g_ref = grad(ScalarField(grid, CELL, phi_ref))
+    scale = max(np.max(np.abs(pinned.ux)), np.max(np.abs(pinned.uy)))
+    assert np.max(np.abs(pu.ux - (pinned.ux - g_ref.ux))) <= 1e-12 * scale
+    assert np.max(np.abs(pu.uy - (pinned.uy - g_ref.uy))) <= 1e-12 * scale
+
+
+def _module_container_sizes(module) -> dict[str, int]:
+    return {
+        name: len(obj)
+        for name, obj in vars(module).items()
+        if not name.startswith("__") and isinstance(obj, (dict, list, set))
+    }
+
+
+def test_solves_leave_module_state_bounded():
+    before = _module_container_sizes(stokes_module)
+    rng = np.random.default_rng(19)
+    for mode in ("dirichlet-square", MODE_PERIODIC):
+        v = _random_mac(GridSpec(16, 16, mode), rng)
+        for k in range(20):
+            helmholtz_solve(v, 1e-3 * (1.0 + 0.37 * k))
+        for nx in (8, 16, 24):
+            leray_project(_random_mac(GridSpec(nx, nx, mode), rng))
+    assert _module_container_sizes(stokes_module) == before
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # only the saddle solve needs SuperLU; importing it would add to every
+    # command's start-up time
+    src = os.path.dirname(os.path.dirname(mmps.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mmps; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
