@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -591,26 +592,38 @@ def gn_probe(
 # ---------------------------------------------------------------------------
 
 
-def _bump_derivatives(cx: float, cy: float, r: float) -> dict[str, Callable]:
-    """Closed-form derivative evaluators (orders 0-3) of the compactly
-    supported C^4 bump ((1 - s^2)_+)^5 with s^2 = ((x-cx)^2+(y-cy)^2)/r^2."""
+@lru_cache(maxsize=1)
+def _bump_family() -> dict[str, Callable]:
+    """Derivatives (orders 0-3) of (1 - s^2)^5, s^2 = ((x-cx)^2+(y-cy)^2)/r^2,
+    as numpy callables of (x, y, cx, cy, r), keyed by the differentiation
+    axes ("" is the bump itself).  Derived once, and left in the chain-rule
+    form sympy produces: expanding it into monomials of x and y cancels
+    terms of size r^-k against each other and loses about 1e-7 relative.
+    """
     import sympy
 
-    x, y = sympy.symbols("x y", real=True)
-    s2 = ((x - cx) ** 2 + (y - cy) ** 2) / (r * r)
-    core = (1 - s2) ** 5
-    keys = ("", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy")
+    x, y, cx, cy, r = sympy.symbols("x y cx cy r", real=True)
+    exprs = {"": (1 - ((x - cx) ** 2 + (y - cy) ** 2) / r**2) ** 5}
+    for key in ("x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy"):
+        exprs[key] = sympy.diff(exprs[key[:-1]], x if key[-1] == "x" else y)
+    return {
+        key: sympy.lambdify((x, y, cx, cy, r), expr, modules="numpy")
+        for key, expr in exprs.items()
+    }
+
+
+def _bump_derivatives(cx: float, cy: float, r: float) -> dict[str, Callable]:
+    """Derivative evaluators (orders 0-3) of the compactly supported C^4
+    bump ((1 - s^2)_+)^5 centred at (cx, cy) with radius r: the shared
+    ``_bump_family`` bound to this centre and radius, zero outside the disc.
+    """
     out = {}
-    for key in keys:
-        expr = core
-        for axis in key:
-            expr = sympy.diff(expr, x if axis == "x" else y)
-        fn = sympy.lambdify((x, y), sympy.expand(expr), modules="numpy")
+    for key, fn in _bump_family().items():
 
         def masked(X, Y, _fn=fn):
             inside = ((X - cx) ** 2 + (Y - cy) ** 2) / (r * r) < 1.0
             vals = np.zeros_like(X)
-            vals[inside] = np.asarray(_fn(X[inside], Y[inside]), dtype=float)
+            vals[inside] = np.asarray(_fn(X[inside], Y[inside], cx, cy, r), dtype=float)
             return vals
 
         out[key] = masked
@@ -714,6 +727,21 @@ def weak_form_residual(
             ("x", 2): bump["xx"](Xc, Yc),
             ("y", 2): bump["xy"](Xc, Yc),
         }
+
+        def transport(a1, a2, c1, c2) -> float:
+            # cell quadrature of c . ((a . grad) Phi)
+            return float(
+                np.sum(
+                    cell_w
+                    * (
+                        a1 * c1 * d_phi[("x", 1)]
+                        + a2 * c1 * d_phi[("y", 1)]
+                        + a1 * c2 * d_phi[("x", 2)]
+                        + a2 * c2 * d_phi[("y", 2)]
+                    )
+                )
+            )
+
         lap_b = bump["xx"](Xc, Yc) + bump["yy"](Xc, Yc)
         lap_phi1 = -(bump["xxy"](Xc, Yc) + bump["yyy"](Xc, Yc))
         lap_phi2 = bump["xxx"](Xc, Yc) + bump["xyy"](Xc, Yc)
@@ -748,50 +776,10 @@ def weak_form_residual(
             b_dot_phi = float(np.sum(cell_w * (bx_c * phi1 + by_c * phi2)))
             u_lap_phi = float(np.sum(cell_w * (ux_c * lap_phi1 + uy_c * lap_phi2)))
             b_lap_phi = float(np.sum(cell_w * (bx_c * lap_phi1 + by_c * lap_phi2)))
-            uu = float(
-                np.sum(
-                    cell_w
-                    * (
-                        ux_c * ux_c * d_phi[("x", 1)]
-                        + uy_c * ux_c * d_phi[("y", 1)]
-                        + ux_c * uy_c * d_phi[("x", 2)]
-                        + uy_c * uy_c * d_phi[("y", 2)]
-                    )
-                )
-            )
-            bb = float(
-                np.sum(
-                    cell_w
-                    * (
-                        bx_c * bx_c * d_phi[("x", 1)]
-                        + by_c * bx_c * d_phi[("y", 1)]
-                        + bx_c * by_c * d_phi[("x", 2)]
-                        + by_c * by_c * d_phi[("y", 2)]
-                    )
-                )
-            )
-            ub = float(
-                np.sum(
-                    cell_w
-                    * (
-                        ux_c * bx_c * d_phi[("x", 1)]
-                        + uy_c * bx_c * d_phi[("y", 1)]
-                        + ux_c * by_c * d_phi[("x", 2)]
-                        + uy_c * by_c * d_phi[("y", 2)]
-                    )
-                )
-            )
-            bu = float(
-                np.sum(
-                    cell_w
-                    * (
-                        bx_c * ux_c * d_phi[("x", 1)]
-                        + by_c * ux_c * d_phi[("y", 1)]
-                        + bx_c * uy_c * d_phi[("x", 2)]
-                        + by_c * uy_c * d_phi[("y", 2)]
-                    )
-                )
-            )
+            uu = transport(ux_c, uy_c, ux_c, uy_c)
+            bb = transport(bx_c, by_c, bx_c, by_c)
+            ub = transport(ux_c, uy_c, bx_c, by_c)
+            bu = transport(bx_c, by_c, ux_c, uy_c)
             w_lap = float(np.sum(cell_w * _node_to_cell(s_k.w.data, grid) * lap_b))
             mom_terms.append(
                 eta_t(t_k) * u_dot_phi

@@ -569,7 +569,7 @@ def manufactured_forcing(
 ) -> ForcingHandle:
     """Forcing handle for a catalog solution; rejects unknown recipes up
     front."""
-    recipes.mms_forcing(0.0, recipe, params, grid)  # validates recipe/grid
+    recipes._require_mms(recipe, grid)
 
     def handle(t: float) -> tuple[VectorField, ScalarField, VectorField]:
         return recipes.mms_forcing(t, recipe, params, grid)

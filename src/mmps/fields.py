@@ -58,8 +58,6 @@ NODE = "node"
 SCALAR_PLACEMENTS = (CELL, NODE)
 
 MAC = "mac-staggered"
-COLOCATED = "colocated"
-VECTOR_PLACEMENTS = (MAC, COLOCATED)
 
 
 class FieldError(ValueError):
@@ -194,45 +192,33 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector samples: MAC-staggered (ux on x faces, uy on y faces) or
-    colocated (both components on a single lattice, default cell centers).
+    """MAC-staggered vector samples: ``ux`` on x faces, ``uy`` on y faces.
+
+    ``placement`` must be ``mac-staggered``, the only vector placement; any
+    other value is rejected at construction.
     """
 
     grid: GridSpec
     placement: str
     ux: np.ndarray
     uy: np.ndarray
-    lattice: str = "cell"  # colocated only: "cell" or "node"
 
     def __post_init__(self) -> None:
-        if self.placement not in VECTOR_PLACEMENTS:
-            raise FieldError(f"unknown vector placement {self.placement!r}")
-        if self.placement == MAC:
-            ex, ey = (
-                self.grid.lattice_shape("xface"),
-                self.grid.lattice_shape("yface"),
-            )
-        else:
-            if self.lattice not in ("cell", "node"):
-                raise FieldError(f"bad colocated lattice {self.lattice!r}")
-            ex = ey = self.grid.lattice_shape(self.lattice)
-        if self.ux.shape != ex or self.uy.shape != ey:
+        ex, ey = self.grid.lattice_shape("xface"), self.grid.lattice_shape("yface")
+        if (self.placement, self.ux.shape, self.uy.shape) != (MAC, ex, ey):
             raise FieldError(
-                f"vector shapes {self.ux.shape}/{self.uy.shape} do not match "
-                f"{self.placement} lattices {ex}/{ey}"
+                f"vector placement {self.placement!r} with shapes {self.ux.shape}/"
+                f"{self.uy.shape} does not match {MAC} lattices {ex}/{ey}"
             )
 
     @classmethod
-    def zeros(cls, grid: GridSpec, placement: str = MAC, lattice: str = "cell") -> "VectorField":
-        if placement == MAC:
-            return cls(
-                grid,
-                MAC,
-                np.zeros(grid.lattice_shape("xface")),
-                np.zeros(grid.lattice_shape("yface")),
-            )
-        shape = grid.lattice_shape(lattice)
-        return cls(grid, COLOCATED, np.zeros(shape), np.zeros(shape), lattice)
+    def zeros(cls, grid: GridSpec, placement: str = MAC) -> "VectorField":
+        return cls(
+            grid,
+            placement,
+            np.zeros(grid.lattice_shape("xface")),
+            np.zeros(grid.lattice_shape("yface")),
+        )
 
     @classmethod
     def sample_mac(cls, grid: GridSpec, fx, fy) -> "VectorField":
@@ -247,12 +233,7 @@ class VectorField:
         )
 
     def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.placement, self.ux.copy(), self.uy.copy(), self.lattice)
-
-    def component_lattices(self) -> tuple[str, str]:
-        if self.placement == MAC:
-            return ("xface", "yface")
-        return (self.lattice, self.lattice)
+        return VectorField(self.grid, self.placement, self.ux.copy(), self.uy.copy())
 
 
 @dataclass(frozen=True)
@@ -293,8 +274,6 @@ class State:
         for f in (self.w, self.b, self.p):
             if f.grid != g:
                 raise FieldError("state fields must share one grid")
-        if self.u.placement != MAC or self.b.placement != MAC:
-            raise FieldError("u and b must be MAC-staggered")
         if self.w.placement != NODE:
             raise FieldError("w must be node-placed")
         if self.p.placement != CELL:
@@ -329,75 +308,34 @@ def _dy_wrap(a: np.ndarray, h: float) -> np.ndarray:
 
 
 def grad(s: ScalarField) -> VectorField:
-    """Discrete gradient.
-
-    cell-center input -> MAC output (face-normal differences).  In Dirichlet
-    mode the boundary faces receive 0, the homogeneous-Neumann closure that
-    matches the pressure-projection use of this operator.
-
-    node input -> colocated output on the node lattice (central differences,
-    second-order one-sided rows at the walls).
+    """Discrete gradient: cell-center scalar -> MAC vector (face-normal
+    differences).  In Dirichlet mode the boundary faces receive 0, the
+    homogeneous-Neumann closure that matches the pressure-projection use of
+    this operator.  Node scalars are rejected; their derivatives are taken
+    by ``perp_grad``.
     """
-    g, h = s.grid, s.grid.h
-    a = s.data
-    if s.placement == CELL:
-        if g.periodic:
-            return VectorField(g, MAC, _dx_wrap(a, h), _dy_wrap(a, h))
-        gx = np.zeros(g.lattice_shape("xface"))
-        gy = np.zeros(g.lattice_shape("yface"))
-        gx[1:-1, :] = (a[1:, :] - a[:-1, :]) / h
-        gy[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / h
-        return VectorField(g, MAC, gx, gy)
+    if s.placement != CELL:
+        raise FieldError("grad expects a cell-centered scalar")
+    g, h, a = s.grid, s.grid.h, s.data
     if g.periodic:
-        gx = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) / (2 * h)
-        gy = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2 * h)
-        return VectorField(g, COLOCATED, gx, gy, "node")
-    gx = np.empty_like(a)
-    gy = np.empty_like(a)
-    gx[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2 * h)
-    gx[0, :] = (-3 * a[0, :] + 4 * a[1, :] - a[2, :]) / (2 * h)
-    gx[-1, :] = (3 * a[-1, :] - 4 * a[-2, :] + a[-3, :]) / (2 * h)
-    gy[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2 * h)
-    gy[:, 0] = (-3 * a[:, 0] + 4 * a[:, 1] - a[:, 2]) / (2 * h)
-    gy[:, -1] = (3 * a[:, -1] - 4 * a[:, -2] + a[:, -3]) / (2 * h)
-    return VectorField(g, COLOCATED, gx, gy, "node")
+        return VectorField(g, MAC, _dx_wrap(a, h), _dy_wrap(a, h))
+    gx = np.zeros(g.lattice_shape("xface"))
+    gy = np.zeros(g.lattice_shape("yface"))
+    gx[1:-1, :] = (a[1:, :] - a[:-1, :]) / h
+    gy[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / h
+    return VectorField(g, MAC, gx, gy)
 
 
 def div(v: VectorField) -> ScalarField:
-    """Discrete divergence.
-
-    MAC input -> cell-center output using all faces (boundary faces enter
-    with their stored values).  Colocated input -> same-lattice output via
-    central differences (one-sided at Dirichlet walls).
+    """Discrete divergence: MAC vector -> cell-center scalar, using all
+    faces (boundary faces enter with their stored values).
     """
     g, h = v.grid, v.grid.h
-    if v.placement == MAC:
-        if g.periodic:
-            d = (np.roll(v.ux, -1, axis=0) - v.ux) / h + (np.roll(v.uy, -1, axis=1) - v.uy) / h
-        else:
-            d = (v.ux[1:, :] - v.ux[:-1, :]) / h + (v.uy[:, 1:] - v.uy[:, :-1]) / h
-        return ScalarField(g, CELL, d)
-    gx = grad(ScalarField(g, NODE if v.lattice == "node" else CELL, v.ux))
-    gy = grad(ScalarField(g, NODE if v.lattice == "node" else CELL, v.uy))
-    if v.lattice == "node":
-        return ScalarField(g, NODE, gx.ux + gy.uy)
-    # cell-lattice colocated: reuse the node one-sided formulas on cells
-    a, b = v.ux, v.uy
-    out = np.empty_like(a)
     if g.periodic:
-        out = (np.roll(a, -1, 0) - np.roll(a, 1, 0)) / (2 * h) + (
-            np.roll(b, -1, 1) - np.roll(b, 1, 1)
-        ) / (2 * h)
-        return ScalarField(g, CELL, out)
-    dxa = np.empty_like(a)
-    dxa[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2 * h)
-    dxa[0, :] = (-3 * a[0, :] + 4 * a[1, :] - a[2, :]) / (2 * h)
-    dxa[-1, :] = (3 * a[-1, :] - 4 * a[-2, :] + a[-3, :]) / (2 * h)
-    dyb = np.empty_like(b)
-    dyb[:, 1:-1] = (b[:, 2:] - b[:, :-2]) / (2 * h)
-    dyb[:, 0] = (-3 * b[:, 0] + 4 * b[:, 1] - b[:, 2]) / (2 * h)
-    dyb[:, -1] = (3 * b[:, -1] - 4 * b[:, -2] + b[:, -3]) / (2 * h)
-    return ScalarField(g, CELL, dxa + dyb)
+        d = (np.roll(v.ux, -1, axis=0) - v.ux) / h + (np.roll(v.uy, -1, axis=1) - v.uy) / h
+    else:
+        d = (v.ux[1:, :] - v.ux[:-1, :]) / h + (v.uy[:, 1:] - v.uy[:, :-1]) / h
+    return ScalarField(g, CELL, d)
 
 
 def perp_grad(s: ScalarField) -> VectorField:
@@ -426,45 +364,24 @@ def curl2(v: VectorField) -> ScalarField:
     derivative along the wall.  For a no-slip velocity this yields the
     standard wall-vorticity rows 2*u_t/h; for a general MAC field it makes
     ``curl2(perp_grad(s)) = laplacian(s)`` exact at every node.
-
-    Colocated input -> same-lattice output (central / one-sided rows).
     """
     g, h = v.grid, v.grid.h
-    if v.placement == MAC:
-        ux, uy = v.ux, v.uy
-        if g.periodic:
-            c = (uy - np.roll(uy, 1, axis=0)) / h - (ux - np.roll(ux, 1, axis=1)) / h
-            return ScalarField(g, NODE, c)
-        n = g.nx
-        c = np.zeros((n + 1, n + 1))
-        # d(uy)/dx: interior columns, mirror at i = 0 and i = n
-        dyx = np.empty((n + 1, n + 1))
-        dyx[1:-1, :] = (uy[1:, :] - uy[:-1, :]) / h
-        dyx[0, :] = 2.0 * uy[0, :] / h
-        dyx[-1, :] = -2.0 * uy[-1, :] / h
-        # d(ux)/dy: interior rows, mirror at j = 0 and j = n
-        dxy = np.empty((n + 1, n + 1))
-        dxy[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / h
-        dxy[:, 0] = 2.0 * ux[:, 0] / h
-        dxy[:, -1] = -2.0 * ux[:, -1] / h
-        c = dyx - dxy
-        return ScalarField(g, NODE, c)
-    a, b = v.ux, v.uy
-    placement = NODE if v.lattice == "node" else CELL
+    ux, uy = v.ux, v.uy
     if g.periodic:
-        c = (np.roll(b, -1, 0) - np.roll(b, 1, 0)) / (2 * h) - (
-            np.roll(a, -1, 1) - np.roll(a, 1, 1)
-        ) / (2 * h)
-        return ScalarField(g, placement, c)
-    dxb = np.empty_like(b)
-    dxb[1:-1, :] = (b[2:, :] - b[:-2, :]) / (2 * h)
-    dxb[0, :] = (-3 * b[0, :] + 4 * b[1, :] - b[2, :]) / (2 * h)
-    dxb[-1, :] = (3 * b[-1, :] - 4 * b[-2, :] + b[-3, :]) / (2 * h)
-    dya = np.empty_like(a)
-    dya[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2 * h)
-    dya[:, 0] = (-3 * a[:, 0] + 4 * a[:, 1] - a[:, 2]) / (2 * h)
-    dya[:, -1] = (3 * a[:, -1] - 4 * a[:, -2] + a[:, -3]) / (2 * h)
-    return ScalarField(g, placement, dxb - dya)
+        c = (uy - np.roll(uy, 1, axis=0)) / h - (ux - np.roll(ux, 1, axis=1)) / h
+        return ScalarField(g, NODE, c)
+    n = g.nx
+    # d(uy)/dx: interior columns, mirror at i = 0 and i = n
+    dyx = np.empty((n + 1, n + 1))
+    dyx[1:-1, :] = (uy[1:, :] - uy[:-1, :]) / h
+    dyx[0, :] = 2.0 * uy[0, :] / h
+    dyx[-1, :] = -2.0 * uy[-1, :] / h
+    # d(ux)/dy: interior rows, mirror at j = 0 and j = n
+    dxy = np.empty((n + 1, n + 1))
+    dxy[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / h
+    dxy[:, 0] = 2.0 * ux[:, 0] / h
+    dxy[:, -1] = -2.0 * ux[:, -1] / h
+    return ScalarField(g, NODE, dyx - dxy)
 
 
 def _laplacian_cell(g: GridSpec, a: np.ndarray) -> np.ndarray:
@@ -538,16 +455,11 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
         if f.placement == CELL:
             return ScalarField(f.grid, CELL, _laplacian_cell(f.grid, f.data))
         return ScalarField(f.grid, NODE, _laplacian_node(f.grid, f.data))
-    if f.placement == MAC:
-        return VectorField(
-            f.grid,
-            MAC,
-            _laplacian_mac_component(f.grid, f.ux, pinned_axis=0),
-            _laplacian_mac_component(f.grid, f.uy, pinned_axis=1),
-        )
-    lap = _laplacian_node if f.lattice == "node" else _laplacian_cell
     return VectorField(
-        f.grid, COLOCATED, lap(f.grid, f.ux), lap(f.grid, f.uy), f.lattice
+        f.grid,
+        MAC,
+        _laplacian_mac_component(f.grid, f.ux, pinned_axis=0),
+        _laplacian_mac_component(f.grid, f.uy, pinned_axis=1),
     )
 
 
@@ -567,11 +479,10 @@ def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> floa
             raise FieldError("inner product needs matching scalar placements")
         return float(np.sum(_scalar_weights(a) * a.data * b.data))
     if isinstance(a, VectorField) and isinstance(b, VectorField):
-        if a.placement != b.placement or a.grid != b.grid or a.lattice != b.lattice:
-            raise FieldError("inner product needs matching vector placements")
-        lx, ly = a.component_lattices()
-        wx = lattice_weights(a.grid, lx)
-        wy = lattice_weights(a.grid, ly)
+        if a.grid != b.grid:
+            raise FieldError("inner product needs vector fields on one grid")
+        wx = lattice_weights(a.grid, "xface")
+        wy = lattice_weights(a.grid, "yface")
         return float(np.sum(wx * a.ux * b.ux) + np.sum(wy * a.uy * b.uy))
     raise FieldError("cannot pair a scalar with a vector")
 
@@ -600,11 +511,10 @@ def lq_norm(f: ScalarField | VectorField, q: float) -> float:
             raise FieldError(f"norm order q must be in [1, inf], got {q}")
     if isinstance(f, ScalarField):
         return _weighted_lq([(f.data, _scalar_weights(f))], q)
-    lx, ly = f.component_lattices()
     return _weighted_lq(
         [
-            (f.ux, lattice_weights(f.grid, lx)),
-            (f.uy, lattice_weights(f.grid, ly)),
+            (f.ux, lattice_weights(f.grid, "xface")),
+            (f.uy, lattice_weights(f.grid, "yface")),
         ],
         q,
     )
@@ -666,9 +576,8 @@ def _mirror_normal_derivative(
     """
     h = g.h
     if g.periodic:
-        d = (a - np.roll(a, 1, axis=axis)) / h
         # positions shift onto the node lattice
-        return DerivativeSamples(g, np.roll(d, 0), 0.0, 0.0)
+        return DerivativeSamples(g, (a - np.roll(a, 1, axis=axis)) / h, 0.0, 0.0)
     if axis == 1:  # d(ux)/dy on the node lattice
         n1 = a.shape[0]
         out = np.empty((n1, a.shape[1] + 1))
@@ -695,19 +604,13 @@ def gradient_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
     if isinstance(f, ScalarField):
         s = _samples_of_scalar(f)
         return [s.dx(), s.dy()]
-    if f.placement == MAC:
-        g = f.grid
-        x0 = 0.5 * g.h
-        dxux = DerivativeSamples(g, f.ux, 0.0, x0).dx()
-        dyuy = DerivativeSamples(g, f.uy, x0, 0.0).dy()
-        dyux = _mirror_normal_derivative(g, f.ux, axis=1)
-        dxuy = _mirror_normal_derivative(g, f.uy, axis=0)
-        return [dxux, dyux, dxuy, dyuy]
-    lx, _ = f.component_lattices()
-    x0, y0 = f.grid.lattice_origin(lx)
-    sx = DerivativeSamples(f.grid, f.ux, x0, y0)
-    sy = DerivativeSamples(f.grid, f.uy, x0, y0)
-    return [sx.dx(), sx.dy(), sy.dx(), sy.dy()]
+    g = f.grid
+    x0 = 0.5 * g.h
+    dxux = DerivativeSamples(g, f.ux, 0.0, x0).dx()
+    dyuy = DerivativeSamples(g, f.uy, x0, 0.0).dy()
+    dyux = _mirror_normal_derivative(g, f.ux, axis=1)
+    dxuy = _mirror_normal_derivative(g, f.uy, axis=0)
+    return [dxux, dyux, dxuy, dyuy]
 
 
 def hessian_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
@@ -717,19 +620,11 @@ def hessian_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
     blocks: list[DerivativeSamples] = []
     if isinstance(f, ScalarField):
         components = [_samples_of_scalar(f)]
-    elif f.placement == MAC:
-        g = f.grid
-        x0 = 0.5 * g.h
-        components = [
-            DerivativeSamples(g, f.ux, 0.0, x0),
-            DerivativeSamples(g, f.uy, x0, 0.0),
-        ]
     else:
-        lx, _ = f.component_lattices()
-        x0, y0 = f.grid.lattice_origin(lx)
+        x0 = 0.5 * f.grid.h
         components = [
-            DerivativeSamples(f.grid, f.ux, x0, y0),
-            DerivativeSamples(f.grid, f.uy, x0, y0),
+            DerivativeSamples(f.grid, f.ux, 0.0, x0),
+            DerivativeSamples(f.grid, f.uy, x0, 0.0),
         ]
     for s in components:
         dx, dy = s.dx(), s.dy()

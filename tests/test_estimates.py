@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from mmps.estimates import (
+    _GOLDEN,
     DiagnosticsRecord,
     EstimateError,
     EstimateLedger,
+    _bump_derivatives,
     diagnostics_record,
     energy_audit,
     gn_probe,
@@ -390,6 +392,30 @@ def test_weak_form_residual_validates_inputs():
     traj = _smooth_traj(nx=16, t_end=2e-3, dt=1e-3)
     with pytest.raises(EstimateError):
         weak_form_residual(traj, 0, PARAMS)
+
+
+def test_bump_derivatives_match_high_precision_oracle():
+    # every derivative the weak-form tests use, against 40-digit sympy
+    # evaluation of the same bump at 40 points inside its disc
+    sympy = pytest.importorskip("sympy")
+    cx, cy, r = 0.4, 0.55, 0.2
+    bump = _bump_derivatives(cx, cy, r)
+    k = np.arange(40)
+    rho = r * np.sqrt((k + 0.5) / 40)
+    theta = 2.0 * np.pi * _GOLDEN * k
+    X, Y = cx + rho * np.cos(theta), cy + rho * np.sin(theta)
+    x, y = sympy.symbols("x y", real=True)
+    F = lambda v: sympy.Float(v, 40)
+    core = (1 - ((x - F(cx)) ** 2 + (y - F(cy)) ** 2) / F(r) ** 2) ** 5
+    for key in ("", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy"):
+        expr = core
+        for axis in key:
+            expr = sympy.diff(expr, x if axis == "x" else y)
+        exact = np.array(
+            [float(expr.evalf(40, subs={x: F(a), y: F(b)})) for a, b in zip(X, Y)]
+        )
+        err = np.max(np.abs(bump[key](X, Y) - exact))
+        assert err <= 1e-12 * np.max(np.abs(exact)), key
 
 
 # ---------------------------------------------------------------------------

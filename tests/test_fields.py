@@ -84,6 +84,10 @@ def test_placement_mismatch_raises():
         perp_grad(ScalarField.zeros(g, CELL))
     with pytest.raises(FieldError):
         lq_norm(ScalarField.zeros(g, NODE), 0.5)
+    with pytest.raises(FieldError):
+        grad(ScalarField.zeros(g, NODE))
+    with pytest.raises(FieldError):
+        VectorField(g, "colocated", np.zeros(g.lattice_shape("xface")), np.zeros(g.lattice_shape("yface")))
 
 
 # ---------------------------------------------------------------------------
