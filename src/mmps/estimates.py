@@ -133,7 +133,6 @@ def diagnostics_record(
     prev: State | None = None,
     prev_record: DiagnosticsRecord | None = None,
     forcing_work: float = 0.0,
-    q: float = 4.0,
 ) -> DiagnosticsRecord:
     """Measure one state (optionally against its predecessor).
 
@@ -161,7 +160,9 @@ def diagnostics_record(
     hess_u_l2 = samples_lq(hess_u, 2.0)
     hess_b_l2 = samples_lq(hessian_samples(b), 2.0)
     hess_u_l4 = samples_lq(hess_u, 4.0)
-    z_l2 = lq_norm(z_field(state, params), 2.0)
+    curl_u = curl2(u)
+    ratio = params.chi / (params.mu + params.chi)
+    z_l2 = lq_norm(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0)
 
     dt_w_l2 = dt_w_l4 = 0.0
     energy_residual = 0.0
@@ -180,7 +181,7 @@ def diagnostics_record(
             e_prev = lq_norm(prev.u, 2.0) ** 2 + lq_norm(prev.w, 2.0) ** 2 + lq_norm(prev.b, 2.0) ** 2
             w_prev_l4 = lq_norm(prev.w, 4.0)
         e_new = u_l2**2 + w_l2**2 + b_l2**2
-        coupling = l2_inner(curl2(u), w)
+        coupling = l2_inner(curl_u, w)
         mu_chi = params.mu + params.chi
         energy_residual = (
             0.5 * (e_new - e_prev) / dt
@@ -190,11 +191,9 @@ def diagnostics_record(
             - 2.0 * params.chi * coupling
             - forcing_work
         )
-        grad_u_lq = samples_lq(grad_u, q)
-        w_lq = lq_norm(w, q)
-        w_prev_lq = w_prev_l4 if q == 4.0 else lq_norm(prev.w, q)
-        lhs = (w_lq**q - w_prev_lq**q) / (q * dt) + 2.0 * params.chi * w_lq**q
-        lq_margin = params.chi * grad_u_lq * w_lq ** (q - 1.0) - lhs
+        q = 4.0
+        lhs = (w_l4**q - w_prev_l4**q) / (q * dt) + 2.0 * params.chi * w_l4**q
+        lq_margin = params.chi * samples_lq(grad_u, q) * w_l4 ** (q - 1.0) - lhs
 
     return DiagnosticsRecord(
         t=state.t,
@@ -695,14 +694,11 @@ def weak_form_residual(
         raise EstimateError("weak-form audit needs at least one step")
     t_end = snaps[-1][0]
     grid = snaps[0][1].grid
-    h = grid.h
     mu_chi = params.mu + params.chi
-
-    cx_lattice = grid.mesh("cell")
-    node_lattice = grid.mesh("node")
-    xf_lattice = grid.mesh("xface")
-    yf_lattice = grid.mesh("yface")
-    cell_w = h * h
+    cell_w = grid.h * grid.h
+    node_w = lattice_weights(grid, "node")
+    Xc, Yc = grid.mesh("cell")
+    Xn, Yn = grid.mesh("node")
 
     def eta(t: float) -> float:
         return (1.0 - t / t_end) ** 3
@@ -710,91 +706,74 @@ def weak_form_residual(
     def eta_t(t: float) -> float:
         return -3.0 * (1.0 - t / t_end) ** 2 / t_end
 
-    bank = _test_bank(test_bank_size)
-    mom_res, rot_res, ind_res = [], [], []
-    sol_max = 0.0
-    node_w = None
+    def time_quad(values: list[float]) -> float:
+        total = 0.0
+        for k in range(1, len(values)):
+            step = snaps[k][0] - snaps[k - 1][0]
+            total += 0.5 * step * (values[k] + values[k - 1])
+        return total
 
-    for bump in bank:
-        Xc, Yc = cx_lattice
+    def transport(a1, a2, c1, c2, d_phi) -> float:
+        # cell quadrature of c . ((a . grad) Phi), d_phi = (d_x Phi, d_y Phi)
+        (x1, x2), (y1, y2) = d_phi
+        return float(
+            np.sum(cell_w * (a1 * c1 * x1 + a2 * c1 * y1 + a1 * c2 * x2 + a2 * c2 * y2))
+        )
+
+    tests = []
+    for bump in _test_bank(test_bank_size):
         # test vector Phi = perp_grad(B): (-B_y, B_x); its gradient and
         # vector laplacian come from B's higher derivatives.
-        phi1 = bump["y"](Xc, Yc) * -1.0
-        phi2 = bump["x"](Xc, Yc)
-        d_phi = {
-            ("x", 1): -bump["xy"](Xc, Yc),
-            ("y", 1): -bump["yy"](Xc, Yc),
-            ("x", 2): bump["xx"](Xc, Yc),
-            ("y", 2): bump["xy"](Xc, Yc),
-        }
-
-        def transport(a1, a2, c1, c2) -> float:
-            # cell quadrature of c . ((a . grad) Phi)
-            return float(
-                np.sum(
-                    cell_w
-                    * (
-                        a1 * c1 * d_phi[("x", 1)]
-                        + a2 * c1 * d_phi[("y", 1)]
-                        + a1 * c2 * d_phi[("x", 2)]
-                        + a2 * c2 * d_phi[("y", 2)]
-                    )
-                )
-            )
-
-        lap_b = bump["xx"](Xc, Yc) + bump["yy"](Xc, Yc)
-        lap_phi1 = -(bump["xxy"](Xc, Yc) + bump["yyy"](Xc, Yc))
-        lap_phi2 = bump["xxx"](Xc, Yc) + bump["xyy"](Xc, Yc)
-        Xn, Yn = node_lattice
-        b_node = bump[""](Xn, Yn)
-        bx_node = bump["x"](Xn, Yn)
-        by_node = bump["y"](Xn, Yn)
-        lap_b_node = bump["xx"](Xn, Yn) + bump["yy"](Xn, Yn)
-        pgb = VectorField(
-            grid,
-            MAC,
-            -bump["y"](*xf_lattice),
-            bump["x"](*yf_lattice),
+        phi = (bump["y"](Xc, Yc) * -1.0, bump["x"](Xc, Yc))
+        d_phi = (
+            (-bump["xy"](Xc, Yc), bump["xx"](Xc, Yc)),  # d_x Phi
+            (-bump["yy"](Xc, Yc), bump["xy"](Xc, Yc)),  # d_y Phi
         )
-        theta_cell = ScalarField(grid, CELL, bump[""](Xc, Yc))
-        grad_theta = grad(theta_cell)
-        if node_w is None:
-            node_w = lattice_weights(grid, "node")
+        lap_phi = (
+            -(bump["xxy"](Xc, Yc) + bump["yyy"](Xc, Yc)),
+            bump["xxx"](Xc, Yc) + bump["xyy"](Xc, Yc),
+        )
+        lap_b = bump["xx"](Xc, Yc) + bump["yy"](Xc, Yc)
+        b_node = (bump[""](Xn, Yn), bump["x"](Xn, Yn), bump["y"](Xn, Yn))
+        pgb = VectorField(
+            grid, MAC, -bump["y"](*grid.mesh("xface")), bump["x"](*grid.mesh("yface"))
+        )
+        grad_theta = grad(ScalarField(grid, CELL, bump[""](Xc, Yc)))
+        tests.append((phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta))
 
-        def time_quad(values: list[float]) -> float:
-            total = 0.0
-            for k in range(1, len(values)):
-                step = snaps[k][0] - snaps[k - 1][0]
-                total += 0.5 * step * (values[k] + values[k - 1])
-            return total
-
-        mom_terms, rot_terms, ind_terms = [], [], []
-        for t_k, s_k in snaps:
-            ux_c, uy_c = _cell_average(s_k.u)
-            bx_c, by_c = _cell_average(s_k.b)
+    # one pass over the snapshots: each one's averages are built once, shared
+    # by every bump, and dropped before the next snapshot
+    initial = []
+    mom_terms, rot_terms, ind_terms = ([[] for _ in tests] for _ in range(3))
+    sol_max = 0.0
+    for k, (t_k, s_k) in enumerate(snaps):
+        ux_c, uy_c = _cell_average(s_k.u)
+        bx_c, by_c = _cell_average(s_k.b)
+        w_cell = _node_to_cell(s_k.w.data, grid)
+        ax_n, ay_n = _node_average(s_k.u)
+        for i, (phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta) in enumerate(tests):
+            (phi1, phi2), (lap_phi1, lap_phi2) = phi, lap_phi
+            b_n, bx_n, by_n = b_node
             u_dot_phi = float(np.sum(cell_w * (ux_c * phi1 + uy_c * phi2)))
             b_dot_phi = float(np.sum(cell_w * (bx_c * phi1 + by_c * phi2)))
             u_lap_phi = float(np.sum(cell_w * (ux_c * lap_phi1 + uy_c * lap_phi2)))
             b_lap_phi = float(np.sum(cell_w * (bx_c * lap_phi1 + by_c * lap_phi2)))
-            uu = transport(ux_c, uy_c, ux_c, uy_c)
-            bb = transport(bx_c, by_c, bx_c, by_c)
-            ub = transport(ux_c, uy_c, bx_c, by_c)
-            bu = transport(bx_c, by_c, ux_c, uy_c)
-            w_lap = float(np.sum(cell_w * _node_to_cell(s_k.w.data, grid) * lap_b))
-            mom_terms.append(
+            uu = transport(ux_c, uy_c, ux_c, uy_c, d_phi)
+            bb = transport(bx_c, by_c, bx_c, by_c, d_phi)
+            ub = transport(ux_c, uy_c, bx_c, by_c, d_phi)
+            bu = transport(bx_c, by_c, ux_c, uy_c, d_phi)
+            w_lap = float(np.sum(cell_w * w_cell * lap_b))
+            mom_terms[i].append(
                 eta_t(t_k) * u_dot_phi
                 + eta(t_k) * (mu_chi * u_lap_phi + uu - bb + params.chi * w_lap)
             )
-            ind_terms.append(
+            ind_terms[i].append(
                 eta_t(t_k) * b_dot_phi + eta(t_k) * (params.nu * b_lap_phi + ub - bu)
             )
-            ax_n, ay_n = _node_average(s_k.u)
-            w_b = float(np.sum(node_w * s_k.w.data * b_node))
-            adv_pair = float(
-                np.sum(node_w * s_k.w.data * (ax_n * bx_node + ay_n * by_node))
-            )
+            w_b = float(np.sum(node_w * s_k.w.data * b_n))
+            adv_pair = float(np.sum(node_w * s_k.w.data * (ax_n * bx_n + ay_n * by_n)))
             curl_pair = l2_inner(s_k.u, pgb)
-            rot_terms.append(
+            rot_terms[i].append(
                 eta_t(t_k) * w_b
                 + eta(t_k)
                 * (-2.0 * params.chi * w_b + adv_pair - params.chi * curl_pair)
@@ -804,21 +783,13 @@ def weak_form_residual(
                 abs(l2_inner(s_k.u, grad_theta)),
                 abs(l2_inner(s_k.b, grad_theta)),
             )
+            if k == 0:
+                initial.append((u_dot_phi, w_b, b_dot_phi))
 
-        t0, s0 = snaps[0]
-        ux0, uy0 = _cell_average(s0.u)
-        bx0, by0 = _cell_average(s0.b)
-        mom_res.append(
-            float(np.sum(cell_w * (ux0 * phi1 + uy0 * phi2))) * eta(t0)
-            + time_quad(mom_terms)
-        )
-        ind_res.append(
-            float(np.sum(cell_w * (bx0 * phi1 + by0 * phi2))) * eta(t0)
-            + time_quad(ind_terms)
-        )
-        rot_res.append(
-            float(np.sum(node_w * s0.w.data * b_node)) * eta(t0) + time_quad(rot_terms)
-        )
+    t0 = snaps[0][0]
+    mom_res = [u0 * eta(t0) + time_quad(v) for (u0, _, _), v in zip(initial, mom_terms)]
+    rot_res = [w0 * eta(t0) + time_quad(v) for (_, w0, _), v in zip(initial, rot_terms)]
+    ind_res = [b0 * eta(t0) + time_quad(v) for (_, _, b0), v in zip(initial, ind_terms)]
 
     return {
         "momentum_max": max(abs(v) for v in mom_res),

@@ -2,21 +2,23 @@
 
 Format: one ASCII header line
 
-    MMPS 1 <nx> <ny> <mode> <t-as-hex-float>\n
+    MMPS 2 <nx> <ny> <mode> <t-as-hex-float>\n
 
 followed by the six field arrays ``ux, uy, w, bx, by, p`` as raw
-little-endian 64-bit floats in row-major order, then the 64-bit FNV-1a
-checksum of that payload (little-endian).  Write followed by read restores
-the state bit for bit; any payload corruption is caught by the checksum.
+little-endian 64-bit floats in row-major order, then the 8-byte BLAKE2b
+digest of the header line and that payload.  Write followed by read
+restores the state bit for bit; any corruption of the header or the payload
+is caught by the checksum.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import numpy as np
 
-from .fields import CELL, MAC, MODES, NODE, GridSpec, ScalarField, State, VectorField
+from .fields import FieldError, GridSpec, State
 
 __all__ = [
     "SnapshotError",
@@ -28,11 +30,8 @@ __all__ = [
 ]
 
 _MAGIC = "MMPS"
-_VERSION = "1"
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x00000100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
+_VERSION = "2"
+_DIGEST_SIZE = 8
 
 
 class SnapshotError(ValueError):
@@ -44,21 +43,19 @@ class SnapshotFormatError(SnapshotError):
 
 
 class SnapshotChecksumError(SnapshotError):
-    """Payload bytes do not match the stored checksum."""
+    """Header or payload bytes do not match the stored checksum."""
 
 
 class SnapshotTruncatedError(SnapshotError):
     """File ends before the declared payload and checksum."""
 
 
-def _fnv1a(payload: bytes) -> int:
-    acc = _FNV_OFFSET
-    for byte in payload:
-        acc = ((acc ^ byte) * _FNV_PRIME) & _MASK
-    return acc
+def _checksum(data: bytes | memoryview) -> bytes:
+    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
 def _field_arrays(state: State) -> tuple[np.ndarray, ...]:
+    """The six payload arrays in file order."""
     return (state.u.ux, state.u.uy, state.w.data, state.b.ux, state.b.uy, state.p.data)
 
 
@@ -66,25 +63,23 @@ def write_snapshot(state: State, path: str | os.PathLike) -> None:
     """Serialize a state; overwrites ``path``."""
     g = state.grid
     header = f"{_MAGIC} {_VERSION} {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n"
-    payload = b"".join(
+    blob = header.encode("ascii") + b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _field_arrays(state)
     )
-    checksum = _fnv1a(payload)
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
-        fh.write(checksum.to_bytes(8, "little"))
+        fh.write(blob)
+        fh.write(_checksum(blob))
 
 
 def read_snapshot(path: str | os.PathLike) -> State:
-    """Deserialize a state, verifying shape and checksum."""
+    """Deserialize a state, verifying header, size and checksum."""
     with open(path, "rb") as fh:
         raw = fh.read()
     newline = raw.find(b"\n")
     if newline < 0:
         raise SnapshotFormatError(f"{path}: missing header line")
     try:
-        header = raw[: newline].decode("ascii")
+        header = raw[:newline].decode("ascii")
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(f"{path}: header is not ASCII") from exc
     parts = header.split(" ")
@@ -93,53 +88,36 @@ def read_snapshot(path: str | os.PathLike) -> State:
     if parts[1] != _VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {parts[1]!r}")
     try:
-        nx, ny = int(parts[2]), int(parts[3])
-        mode = parts[4]
+        grid = GridSpec(int(parts[2]), int(parts[3]), parts[4])
         t = float.fromhex(parts[5])
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: malformed header fields") from exc
-    if mode not in MODES:
-        raise SnapshotFormatError(f"{path}: unknown grid mode {mode!r}")
-    grid = GridSpec(nx, ny, mode)
+    except (ValueError, FieldError) as exc:
+        raise SnapshotFormatError(f"{path}: malformed header fields: {exc}") from exc
+    # each of the six lattices holds at least nx * ny floats; checked before
+    # allocating, so a header cannot demand memory the file does not back
+    if len(raw) < 48 * grid.nx * grid.ny:
+        raise SnapshotTruncatedError(f"{path}: too short for a {grid.nx}x{grid.ny} grid")
 
-    shapes = (
-        grid.lattice_shape("xface"),
-        grid.lattice_shape("yface"),
-        grid.lattice_shape("node"),
-        grid.lattice_shape("xface"),
-        grid.lattice_shape("yface"),
-        grid.lattice_shape("cell"),
-    )
-    payload_len = sum(8 * s[0] * s[1] for s in shapes)
-    body = raw[newline + 1 :]
-    if len(body) < payload_len + 8:
+    state = State.zeros(grid, t)
+    arrays = _field_arrays(state)
+    end = newline + 1 + sum(arr.nbytes for arr in arrays)
+    if len(raw) < end + _DIGEST_SIZE:
         raise SnapshotTruncatedError(
-            f"{path}: payload needs {payload_len + 8} bytes after the header, "
-            f"found {len(body)}"
+            f"{path}: needs {end + _DIGEST_SIZE} bytes for its header, payload and "
+            f"checksum, found {len(raw)}"
         )
-    payload = body[:payload_len]
-    stored = int.from_bytes(body[payload_len : payload_len + 8], "little")
-    actual = _fnv1a(payload)
+    if len(raw) > end + _DIGEST_SIZE:
+        raise SnapshotFormatError(
+            f"{path}: {len(raw) - end - _DIGEST_SIZE} bytes after the checksum"
+        )
+    view = memoryview(raw)
+    stored, actual = raw[end:], _checksum(view[:end])
     if stored != actual:
         raise SnapshotChecksumError(
-            f"{path}: checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
+            f"{path}: checksum mismatch (stored {stored.hex()}, computed {actual.hex()})"
         )
 
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = 8 * shape[0] * shape[1]
-        arrays.append(
-            np.frombuffer(payload[offset : offset + size], dtype="<f8")
-            .reshape(shape)
-            .copy()
-        )
-        offset += size
-    ux, uy, w, bx, by, p = arrays
-    return State(
-        t=t,
-        u=VectorField(grid, MAC, ux, uy),
-        w=ScalarField(grid, NODE, w),
-        b=VectorField(grid, MAC, bx, by),
-        p=ScalarField(grid, CELL, p),
-    )
+    offset = newline + 1
+    for arr in arrays:
+        arr[...] = np.frombuffer(view, "<f8", arr.size, offset).reshape(arr.shape)
+        offset += arr.nbytes
+    return state

@@ -10,7 +10,8 @@ DST-II across mirror ghosts and DCT-II for the zero-flux pressure Poisson
 problem (Schumann & Sweet 1976; Swarztrauber 1977).
 
 The stationary Stokes saddle system (Dirichlet mode) is not separable: it is
-assembled sparse, factorized once per grid with SuperLU and cached.  It is
+assembled sparse and factorized with SuperLU; the factorizations of the two
+most recently used grids are kept.  It is
 bordered with the exact cell-measure row/column so that the pressure is
 determined with zero weighted mean and the matrix is nonsingular:
 
@@ -28,7 +29,7 @@ solver precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -112,12 +113,9 @@ def _embed_faces(g: GridSpec, ux_int: np.ndarray, uy_int: np.ndarray) -> VectorF
     return VectorField(g, MAC, ux, uy)
 
 
-_STOKES_CACHE: dict[GridSpec, tuple] = {}
-
-
+# every caller visits its grids in order, at most two per command
+@lru_cache(maxsize=2)
 def _stokes_factorization(g: GridSpec):
-    if g in _STOKES_CACHE:
-        return _STOKES_CACHE[g]
     # deferred: only the saddle solve needs SuperLU, and importing it at
     # module level would add to the start-up of every command
     import scipy.sparse.linalg as spla
@@ -137,8 +135,7 @@ def _stokes_factorization(g: GridSpec):
     )
     lu = spla.splu(k)
     sizes = ((n - 1) * n, n * (n - 1), n * n)
-    _STOKES_CACHE[g] = (lu, k, sizes)
-    return _STOKES_CACHE[g]
+    return lu, k, sizes
 
 
 @dataclass(frozen=True)

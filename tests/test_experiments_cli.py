@@ -7,11 +7,14 @@ subcommand.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmps.cli import main
 from mmps.config import ConfigError, RunConfig, load_config, parse_config, with_seed
@@ -164,7 +167,10 @@ def test_snapshot_round_trip_is_bit_exact(short_traj, tmp_path):
     assert np.array_equal(back.p.data, state.p.data)
 
     write_snapshot(state, tmp_path / "again.mmps")
-    assert (tmp_path / "again.mmps").read_bytes() == path.read_bytes()
+    raw = path.read_bytes()
+    assert (tmp_path / "again.mmps").read_bytes() == raw
+    # the trailer digests the header line and the payload
+    assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
 
 
 def test_snapshot_rejects_corruption(short_traj, tmp_path):
@@ -200,8 +206,69 @@ def test_snapshot_rejects_corruption(short_traj, tmp_path):
     with pytest.raises(SnapshotFormatError):
         read_snapshot(versioned)
 
+    header[1] = "1"
+    version_one = tmp_path / "v1.mmps"
+    version_one.write_bytes((" ".join(header) + "\n").encode("ascii") + raw[header_end:])
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(version_one)
+
+    header[1] = "2"
+    for nx, ny in (("4", "4"), ("8", "9")):
+        header[2], header[3] = nx, ny
+        resized = tmp_path / "resized.mmps"
+        resized.write_bytes((" ".join(header) + "\n").encode("ascii") + raw[header_end:])
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(resized)
+
+    header[2] = header[3] = str(10**8)  # rejected before any allocation
+    huge = tmp_path / "huge.mmps"
+    huge.write_bytes((" ".join(header) + "\n").encode("ascii") + raw[header_end:])
+    with pytest.raises(SnapshotTruncatedError):
+        read_snapshot(huge)
+
+    trailing = tmp_path / "trailing.mmps"
+    trailing.write_bytes(raw + b"\x00")
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(trailing)
+
+    flipped = bytearray(raw)
+    flipped[-1] ^= 0x01  # one trailer bit
+    bad_trailer = tmp_path / "trailer.mmps"
+    bad_trailer.write_bytes(bytes(flipped))
+    with pytest.raises(SnapshotChecksumError):
+        read_snapshot(bad_trailer)
+
     for exc_type in (SnapshotTruncatedError, SnapshotChecksumError, SnapshotFormatError):
         assert issubclass(exc_type, SnapshotError)
+
+
+@pytest.fixture(scope="module")
+def snapshot_bytes(short_traj, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "state.mmps"
+    write_snapshot(short_traj[0].final_state, path)
+    return path.read_bytes(), path.with_name("mutant.mmps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_snapshot_fuzzed_corruption_never_reads(snapshot_bytes, data):
+    raw, path = snapshot_bytes
+    kind = data.draw(st.sampled_from(("truncate", "flip", "header")))
+    if kind == "truncate":
+        mutant = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        flipped = bytearray(raw)
+        flipped[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        mutant = bytes(flipped)
+    else:
+        header_end = raw.index(b"\n")
+        fields = raw[:header_end].decode("ascii").split(" ")
+        i = data.draw(st.integers(0, len(fields) - 1))
+        fields[i] = data.draw(st.text(max_size=24).filter(lambda s, old=fields[i]: s != old))
+        mutant = " ".join(fields).encode("utf-8") + raw[header_end:]
+    path.write_bytes(mutant)
+    with pytest.raises(SnapshotError):
+        read_snapshot(path)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,11 @@ def test_solves_leave_module_state_bounded():
             helmholtz_solve(v, 1e-3 * (1.0 + 0.37 * k))
         for nx in (8, 16, 24):
             leray_project(_random_mac(GridSpec(nx, nx, mode), rng))
+    factorization = stokes_module._stokes_factorization
+    maxsize = factorization.cache_parameters()["maxsize"]
+    for nx in range(8, 8 + 2 * (maxsize + 1), 2):
+        assert solve_stationary_stokes(_random_mac(GridSpec(nx, nx), rng)).converged
+        assert factorization.cache_info().currsize <= maxsize
     assert _module_container_sizes(stokes_module) == before
 
 
