@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config, with_seed
 from .estimates import EstimateError, energy_audit, gn_probe, gronwall_budget, w_lq_audit
 from .evolution import StepError, Trajectory
@@ -160,6 +158,34 @@ def _cmd_gn_probe(cfg: RunConfig, out: Path) -> int:
     return 1 if report["unstable"] else 0
 
 
+def _run_mismatch(cfg: RunConfig, grid: GridSpec, records, states) -> str | None:
+    """How the run on disk differs from the one ``cfg`` describes, or None.
+
+    A completed run has ``round(t_end/dt) + 1`` diagnostics rows spaced
+    ``dt`` and ending at ``t_end``, and every snapshot on the config's grid;
+    an aborted run stops short of ``t_end``.
+    """
+    steps = int(round(cfg.t_end / cfg.dt))
+    times = [r.t for r in records]
+    if len(times) != steps + 1:
+        return (
+            f"diagnostics.csv has {len(times)} rows, but time.t_end = {cfg.t_end:g} "
+            f"with time.dt = {cfg.dt:g} needs {steps + 1}"
+        )
+    if abs(times[-1] - cfg.t_end) > 1e-8 * max(cfg.t_end, cfg.dt):
+        return f"the last row is at t = {times[-1]:g}, not time.t_end = {cfg.t_end:g}"
+    for a, b in zip(times, times[1:]):
+        if abs((b - a) - cfg.dt) > 1e-6 * cfg.dt:
+            return f"rows at t = {a:g} and {b:g} are not time.dt = {cfg.dt:g} apart"
+    for t, state in states:
+        if state.grid != grid:
+            return (
+                f"the snapshot at t = {t:g} has nx = {state.grid.nx}, mode = {state.grid.mode}; "
+                f"the config has grid.nx = {grid.nx}, grid.mode = {grid.mode}"
+            )
+    return None
+
+
 def _cmd_audit(cfg: RunConfig, out: Path) -> int:
     csv_path = out / "diagnostics.csv"
     if not csv_path.exists():
@@ -169,6 +195,11 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
     snaps = sorted(out.glob("snap_*.mmps"))
     states = tuple((s.t, s) for s in (read_snapshot(p) for p in snaps))
     grid = grid_of(cfg)
+    mismatch = _run_mismatch(cfg, grid, records, states)
+    if mismatch is not None:
+        print(f"audit: the config does not describe the run under {out}: {mismatch}",
+              file=sys.stderr)
+        return 1
     params = params_of(cfg)
     traj = Trajectory(
         states=states,
@@ -194,8 +225,6 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
         )
     except EstimateError as exc:
         print(f"audit: L4 ledger skipped ({exc})")
-    if not np.all(np.isfinite([r.energy_residual for r in records])):
-        failed = True
     return 1 if failed else 0
 
 

@@ -31,6 +31,9 @@ from .fields import (
     ScalarField,
     State,
     VectorField,
+    _mean,
+    _to_cell,
+    _to_node,
     curl2,
     grad,
     gradient_samples,
@@ -643,31 +646,22 @@ def _test_bank(size: int) -> list[dict[str, Callable]]:
 
 
 def _cell_average(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
+    """Both MAC components averaged onto the cell centres."""
     g = v.grid
-    if g.periodic:
-        ax = 0.5 * (v.ux + np.roll(v.ux, -1, axis=0))
-        ay = 0.5 * (v.uy + np.roll(v.uy, -1, axis=1))
-    else:
-        ax = 0.5 * (v.ux[:-1, :] + v.ux[1:, :])
-        ay = 0.5 * (v.uy[:, :-1] + v.uy[:, 1:])
-    return ax, ay
+    return _mean(_to_cell(g, v.ux, 0), 0), _mean(_to_cell(g, v.uy, 1), 1)
 
 
 def _node_average(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    g, n = v.grid, v.grid.nx
-    if g.periodic:
-        ax = 0.5 * (v.ux + np.roll(v.ux, 1, axis=1))
-        ay = 0.5 * (v.uy + np.roll(v.uy, 1, axis=0))
-        return ax, ay
-    ax = np.empty((n + 1, n + 1))
-    ax[:, 1:-1] = 0.5 * (v.ux[:, :-1] + v.ux[:, 1:])
-    ax[:, 0] = v.ux[:, 0]
-    ax[:, -1] = v.ux[:, -1]
-    ay = np.empty((n + 1, n + 1))
-    ay[1:-1, :] = 0.5 * (v.uy[:-1, :] + v.uy[1:, :])
-    ay[0, :] = v.uy[0, :]
-    ay[-1, :] = v.uy[-1, :]
-    return ax, ay
+    """Both MAC components averaged onto the nodes; a wall node takes the
+    adjacent face value (even ghost)."""
+    g = v.grid
+    return _mean(_to_node(g, v.ux, 1), 1), _mean(_to_node(g, v.uy, 0), 0)
+
+
+def _node_to_cell(a: np.ndarray, g: GridSpec) -> np.ndarray:
+    """Four-node average of a node array onto the cell centres."""
+    e = _to_cell(g, _to_cell(g, a, 0), 1)
+    return 0.25 * (e[:-1, :-1] + e[1:, :-1] + e[:-1, 1:] + e[1:, 1:])
 
 
 def weak_form_residual(
@@ -805,14 +799,6 @@ def weak_form_residual(
         "microrotation": rot_res,
         "induction": ind_res,
     }
-
-
-def _node_to_cell(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    if grid.periodic:
-        return 0.25 * (
-            a + np.roll(a, -1, axis=0) + np.roll(a, -1, axis=1) + np.roll(np.roll(a, -1, axis=0), -1, axis=1)
-        )
-    return 0.25 * (a[:-1, :-1] + a[1:, :-1] + a[:-1, 1:] + a[1:, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,12 @@ from .fields import (
     ScalarField,
     State,
     VectorField,
+    _diff,
+    _mean,
+    _pairs,
+    _pin,
+    _to_cell,
+    _to_node,
     curl2,
     l2_inner,
     max_abs,
@@ -100,8 +106,12 @@ class StepConfig:
     ``scheme`` picks the explicit-term integrator (first-order IMEX Euler,
     or two-step Adams-Bashforth on the explicit terms with the same implicit
     diffusion).  ``advection`` selects the micro-rotation face interpolant.
-    ``forcing``, when set, is called once per step at the step's start time
-    and must return body forcings (fu, fw, fb) on the native lattices.
+    ``forcing``, when set, is called at the step's start time and must
+    return body forcings (fu, fw, fb) on the native lattices.  It is not
+    called once per step: ``run_simulation`` calls it again for
+    ``forcing_work``, and AB2 calls it again at the previous step's time, so
+    it runs twice per step, or three times under AB2 (carrying both forward
+    is open in ROADMAP.md, item 3).
     Snapshots are stored every ``snapshot_stride`` steps (the final state is
     always stored).
     """
@@ -180,49 +190,17 @@ def advect_mac(advecting: VectorField, a: VectorField) -> VectorField:
     Wall faces of the output are zero - they are pinned by the boundary
     condition and never updated.
     """
-    g = a.grid
-    h = g.h
-    ux, uy = advecting.ux, advecting.uy
-    ax, ay = a.ux, a.uy
-    if g.periodic:
-        # x component: cell fluxes and node fluxes, all lattices (n, n).
-        fc = 0.25 * (ux + np.roll(ux, -1, axis=0)) * (ax + np.roll(ax, -1, axis=0))
-        gn = 0.25 * (np.roll(uy, 1, axis=0) + uy) * (np.roll(ax, 1, axis=1) + ax)
-        out_x = (fc - np.roll(fc, 1, axis=0)) / h + (np.roll(gn, -1, axis=1) - gn) / h
-        # y component, mirrored.
-        fc = 0.25 * (uy + np.roll(uy, -1, axis=1)) * (ay + np.roll(ay, -1, axis=1))
-        gn = 0.25 * (np.roll(ux, 1, axis=1) + ux) * (np.roll(ay, 1, axis=0) + ay)
-        out_y = (fc - np.roll(fc, 1, axis=1)) / h + (np.roll(gn, -1, axis=0) - gn) / h
-        return VectorField(g, a.placement, out_x, out_y)
-
-    n = g.nx
-    # x component: flux through cell centers (x-direction) and nodes (y).
-    fc = 0.25 * (ux[:-1, :] + ux[1:, :]) * (ax[:-1, :] + ax[1:, :])  # (n, n)
-    m_uy = np.empty((n + 1, n + 1))
-    m_uy[1:-1, :] = 0.5 * (uy[:-1, :] + uy[1:, :])
-    m_uy[0, :] = uy[0, :]
-    m_uy[-1, :] = uy[-1, :]
-    m_ax = np.empty((n + 1, n + 1))
-    m_ax[:, 1:-1] = 0.5 * (ax[:, :-1] + ax[:, 1:])
-    m_ax[:, 0] = ax[:, 0]
-    m_ax[:, -1] = ax[:, -1]
-    gn = m_uy * m_ax
-    out_x = np.zeros((n + 1, n))
-    out_x[1:-1, :] = (fc[1:, :] - fc[:-1, :]) / h + (gn[1:-1, 1:] - gn[1:-1, :-1]) / h
-    # y component, mirrored across the diagonal.
-    fc = 0.25 * (uy[:, :-1] + uy[:, 1:]) * (ay[:, :-1] + ay[:, 1:])  # (n, n)
-    m_ux = np.empty((n + 1, n + 1))
-    m_ux[:, 1:-1] = 0.5 * (ux[:, :-1] + ux[:, 1:])
-    m_ux[:, 0] = ux[:, 0]
-    m_ux[:, -1] = ux[:, -1]
-    m_ay = np.empty((n + 1, n + 1))
-    m_ay[1:-1, :] = 0.5 * (ay[:-1, :] + ay[1:, :])
-    m_ay[0, :] = ay[0, :]
-    m_ay[-1, :] = ay[-1, :]
-    gn = m_ux * m_ay
-    out_y = np.zeros((n, n + 1))
-    out_y[:, 1:-1] = (fc[:, 1:] - fc[:, :-1]) / h + (gn[1:, 1:-1] - gn[:-1, 1:-1]) / h
-    return VectorField(g, a.placement, out_x, out_y)
+    g, h = a.grid, a.grid.h
+    u, c = (advecting.ux, advecting.uy), (a.ux, a.uy)
+    out = []
+    for axis, t in ((0, 1), (1, 0)):
+        # flux of component `axis` through the cell centres along its own
+        # axis and through the nodes along the transverse axis `t`
+        fc = _mean(_to_cell(g, u[axis], axis), axis) * _mean(_to_cell(g, c[axis], axis), axis)
+        fn = _mean(_to_node(g, u[t], axis), axis) * _mean(_to_node(g, c[axis], t), t)
+        div_f = _diff(_to_node(g, fc, axis), axis, h) + _diff(_to_cell(g, fn, t), t, h)
+        out.append(_pin(g, div_f, axis))
+    return VectorField(g, a.placement, *out)
 
 
 def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +208,10 @@ def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
 
     Interior faces average the four surrounding face samples; faces in the
     wall rows/columns (half-length) average the two available ones.
+
+    This keeps its own fork on the grid mode: the two modes sum the four
+    samples in different orders and the Dirichlet wall rows use two terms,
+    so one ghost-rule body would move the results at roundoff.
     """
     g = u.grid
     ux, uy = u.ux, u.uy
@@ -255,34 +237,16 @@ def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return hx, hy
 
 
-def _face_values_central(w: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return 0.5 * (w + np.roll(w, -1, axis=axis))
-    if axis == 0:
-        return 0.5 * (w[:-1, :] + w[1:, :])
-    return 0.5 * (w[:, :-1] + w[:, 1:])
-
-
 def _face_values_upwind(
-    w: np.ndarray, speed: np.ndarray, axis: int, periodic: bool
+    g: GridSpec, w: np.ndarray, speed: np.ndarray, axis: int
 ) -> np.ndarray:
     """Donor-node values with a minmod-limited half-slope toward the face;
-    the slope drops to zero where the next-to-donor neighbor is missing."""
-    if axis == 1:
-        return _face_values_upwind(w.T, speed.T, 0, periodic).T
-    if periodic:
-        dw = np.roll(w, -1, axis=0) - w
-        plus = w + 0.5 * _minmod(np.roll(dw, 1, axis=0), dw)
-        minus = np.roll(w, -1, axis=0) - 0.5 * _minmod(dw, np.roll(dw, -1, axis=0))
-    else:
-        dw = w[1:, :] - w[:-1, :]  # (m-1, cols)
-        slope_p = np.zeros_like(dw)
-        slope_p[1:, :] = _minmod(dw[:-1, :], dw[1:, :])
-        plus = w[:-1, :] + 0.5 * slope_p
-        slope_m = np.zeros_like(dw)
-        slope_m[:-1, :] = _minmod(dw[:-1, :], dw[1:, :])
-        minus = w[1:, :] - 0.5 * slope_m
-    return np.where(speed >= 0.0, plus, minus)
+    the slope drops to zero where the next-to-donor neighbor is missing
+    (the odd wall ghost of the node differences makes minmod vanish)."""
+    e = _to_cell(g, w, axis)
+    slope = _minmod(*_pairs(_to_node(g, np.diff(e, axis=axis), axis, -1.0), axis))
+    (w_lo, w_hi), (s_lo, s_hi) = _pairs(e, axis), _pairs(_to_cell(g, slope, axis), axis)
+    return np.where(speed >= 0.0, w_lo + 0.5 * s_lo, w_hi - 0.5 * s_hi)
 
 
 def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
@@ -296,30 +260,16 @@ def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
     """
     if method not in ADVECTION_SCHEMES:
         raise StepError(f"unknown advection {method!r}; choose from {ADVECTION_SCHEMES}")
-    g = w.grid
-    h = g.h
-    data = w.data
-    hx, hy = _dual_face_speeds(u)
-    if method == "central":
-        wx = _face_values_central(data, 0, g.periodic)
-        wy = _face_values_central(data, 1, g.periodic)
-    else:
-        wx = _face_values_upwind(data, hx, 0, g.periodic)
-        wy = _face_values_upwind(data, hy, 1, g.periodic)
-    fx = hx * wx
-    fy = hy * wy
-    if g.periodic:
-        out = (fx - np.roll(fx, 1, axis=0)) / h + (fy - np.roll(fy, 1, axis=1)) / h
-        return ScalarField(g, NODE, out)
-    n = g.nx
-    out = np.empty((n + 1, n + 1))
-    out[1:-1, :] = (fx[1:, :] - fx[:-1, :]) / h
-    out[0, :] = 2.0 * fx[0, :] / h
-    out[-1, :] = -2.0 * fx[-1, :] / h
-    out[:, 1:-1] += (fy[:, 1:] - fy[:, :-1]) / h
-    out[:, 0] += 2.0 * fy[:, 0] / h
-    out[:, -1] += -2.0 * fy[:, -1] / h
-    return ScalarField(g, NODE, out)
+    g, h = w.grid, w.grid.h
+    parts = []
+    for axis, speed in enumerate(_dual_face_speeds(u)):
+        if method == "central":
+            face = _mean(_to_cell(g, w.data, axis), axis)
+        else:
+            face = _face_values_upwind(g, w.data, speed, axis)
+        # the odd ghost closes the half dual cells at the walls: rows 2*f/h
+        parts.append(_diff(_to_node(g, speed * face, axis, -1.0), axis, h))
+    return ScalarField(g, NODE, parts[0] + parts[1])
 
 
 # ---------------------------------------------------------------------------

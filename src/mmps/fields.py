@@ -22,6 +22,22 @@ no-penetration values and are pinned to zero by the solvers; tangential
 wall behaviour is realized through mirror ghosts (ghost = -interior), which
 imposes the wall value 0 with an O(h^2) boundary-condition perturbation.
 
+Every staggered stencil is written once, for both modes, as a difference
+or mean of adjacent pairs of its operand extended by ghost slices.  The
+ghost rules (``_to_cell``, ``_to_node``, ``_pad``, ``_pin``) are the one
+place where the boundary mode enters a stencil:
+
+* toward the cell-like lattice, periodic appends the first slice and
+  Dirichlet adds nothing;
+* toward the node-like lattice, periodic prepends the last slice and
+  Dirichlet adds a wall ghost at each end: ``+edge`` for even closures,
+  ``-edge`` for odd mirror closures;
+* the five-point Laplacian pads both ends: periodic wraps, Dirichlet takes
+  the wall ghosts (the even reflection on node-like axes);
+* Dirichlet MAC components are zeroed on their own wall faces.
+
+Lattice shapes and quadrature weights keep their own mode forks.
+
 Quadrature is the midpoint rule over each sample's control cell clipped to
 the domain: cell samples weigh h^2; face samples lying on a wall weigh
 h^2/2; node weights are h^2 halved once per wall contact (corners h^2/4).
@@ -295,16 +311,83 @@ class State:
 
 
 # ---------------------------------------------------------------------------
+# Ghost rules: the one place where the boundary mode enters a stencil
+# ---------------------------------------------------------------------------
+#
+# Along each axis a lattice is cell-like (samples at (i+1/2)h) or node-like
+# (samples at ih).  A stencil extends its operand by ghost slices and then
+# takes the difference or mean of every adjacent pair; each pair lands on
+# the other lattice.
+
+
+def _to_cell(g: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
+    """Extend node-like ``a`` so that its adjacent pairs are the cells:
+    periodic appends the first slice; Dirichlet adds nothing (the edge
+    samples lie on the walls)."""
+    if not g.periodic:
+        return a
+    if axis:
+        return _to_cell(g, a.T, 0).T
+    return np.concatenate((a, a[:1]))
+
+
+def _to_node(g: GridSpec, a: np.ndarray, axis: int, sign: float = 1.0) -> np.ndarray:
+    """Extend cell-like ``a`` so that its adjacent pairs are the nodes:
+    periodic prepends the last slice; Dirichlet adds a wall ghost at each end,
+    ``sign`` times the mirror image of the ghost across its wall: ``+edge``
+    for even closures, ``-edge`` for odd ones.  (When ``_pad`` passes a
+    node-like axis, the edge sample lies on the wall and the mirror image is
+    the next sample: the even reflection of the node Laplacian.)"""
+    if axis:
+        return _to_node(g, a.T, 0, sign).T
+    if g.periodic:
+        return np.concatenate((a[-1:], a))
+    k = len(a) - g.nx  # 1 when the edge samples lie on the walls
+    lo, hi = a[k : k + 1], a[len(a) - 1 - k : len(a) - k]
+    if sign < 0.0:
+        lo, hi = -lo, -hi
+    return np.concatenate((lo, a, hi))
+
+
+def _pad(g: GridSpec, a: np.ndarray, axis: int, sign: float) -> np.ndarray:
+    """Ghosts at both ends of ``axis`` for the five-point stencil: periodic
+    wraps; Dirichlet takes the ``_to_node`` wall ghosts."""
+    if not g.periodic:
+        return _to_node(g, a, axis, sign)
+    if axis:
+        return _pad(g, a.T, 0, sign).T
+    return np.concatenate((a[-1:], a, a[:1]))
+
+
+def _pin(g: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
+    """Zero, in place, the wall samples of a MAC component along its own
+    ``axis``: they are boundary data, not unknowns.  Periodic has none."""
+    if not g.periodic:
+        wall = a.T if axis else a
+        wall[0] = wall[-1] = 0.0
+    return a
+
+
+def _pairs(e: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper members of the adjacent pairs of ``e`` along ``axis``."""
+    if axis == 0:
+        return e[:-1], e[1:]
+    return e[:, :-1], e[:, 1:]
+
+
+def _diff(e: np.ndarray, axis: int, h: float) -> np.ndarray:
+    lo, hi = _pairs(e, axis)
+    return (hi - lo) / h
+
+
+def _mean(e: np.ndarray, axis: int) -> np.ndarray:
+    lo, hi = _pairs(e, axis)
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # First-order difference operators
 # ---------------------------------------------------------------------------
-
-
-def _dx_wrap(a: np.ndarray, h: float) -> np.ndarray:
-    return (a - np.roll(a, 1, axis=0)) / h
-
-
-def _dy_wrap(a: np.ndarray, h: float) -> np.ndarray:
-    return (a - np.roll(a, 1, axis=1)) / h
 
 
 def grad(s: ScalarField) -> VectorField:
@@ -317,13 +400,7 @@ def grad(s: ScalarField) -> VectorField:
     if s.placement != CELL:
         raise FieldError("grad expects a cell-centered scalar")
     g, h, a = s.grid, s.grid.h, s.data
-    if g.periodic:
-        return VectorField(g, MAC, _dx_wrap(a, h), _dy_wrap(a, h))
-    gx = np.zeros(g.lattice_shape("xface"))
-    gy = np.zeros(g.lattice_shape("yface"))
-    gx[1:-1, :] = (a[1:, :] - a[:-1, :]) / h
-    gy[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / h
-    return VectorField(g, MAC, gx, gy)
+    return VectorField(g, MAC, _diff(_to_node(g, a, 0), 0, h), _diff(_to_node(g, a, 1), 1, h))
 
 
 def div(v: VectorField) -> ScalarField:
@@ -331,10 +408,7 @@ def div(v: VectorField) -> ScalarField:
     faces (boundary faces enter with their stored values).
     """
     g, h = v.grid, v.grid.h
-    if g.periodic:
-        d = (np.roll(v.ux, -1, axis=0) - v.ux) / h + (np.roll(v.uy, -1, axis=1) - v.uy) / h
-    else:
-        d = (v.ux[1:, :] - v.ux[:-1, :]) / h + (v.uy[:, 1:] - v.uy[:, :-1]) / h
+    d = _diff(_to_cell(g, v.ux, 0), 0, h) + _diff(_to_cell(g, v.uy, 1), 1, h)
     return ScalarField(g, CELL, d)
 
 
@@ -347,13 +421,7 @@ def perp_grad(s: ScalarField) -> VectorField:
     if s.placement != NODE:
         raise FieldError("perp_grad expects a node-placed scalar")
     g, h, a = s.grid, s.grid.h, s.data
-    if g.periodic:
-        px = -(np.roll(a, -1, axis=1) - a) / h
-        py = (np.roll(a, -1, axis=0) - a) / h
-        return VectorField(g, MAC, px, py)
-    px = -(a[:, 1:] - a[:, :-1]) / h
-    py = (a[1:, :] - a[:-1, :]) / h
-    return VectorField(g, MAC, px, py)
+    return VectorField(g, MAC, -_diff(_to_cell(g, a, 1), 1, h), _diff(_to_cell(g, a, 0), 0, h))
 
 
 def curl2(v: VectorField) -> ScalarField:
@@ -365,81 +433,15 @@ def curl2(v: VectorField) -> ScalarField:
     standard wall-vorticity rows 2*u_t/h; for a general MAC field it makes
     ``curl2(perp_grad(s)) = laplacian(s)`` exact at every node.
     """
-    g, h = v.grid, v.grid.h
-    ux, uy = v.ux, v.uy
-    if g.periodic:
-        c = (uy - np.roll(uy, 1, axis=0)) / h - (ux - np.roll(ux, 1, axis=1)) / h
-        return ScalarField(g, NODE, c)
-    n = g.nx
-    # d(uy)/dx: interior columns, mirror at i = 0 and i = n
-    dyx = np.empty((n + 1, n + 1))
-    dyx[1:-1, :] = (uy[1:, :] - uy[:-1, :]) / h
-    dyx[0, :] = 2.0 * uy[0, :] / h
-    dyx[-1, :] = -2.0 * uy[-1, :] / h
-    # d(ux)/dy: interior rows, mirror at j = 0 and j = n
-    dxy = np.empty((n + 1, n + 1))
-    dxy[:, 1:-1] = (ux[:, 1:] - ux[:, :-1]) / h
-    dxy[:, 0] = 2.0 * ux[:, 0] / h
-    dxy[:, -1] = -2.0 * ux[:, -1] / h
+    g = v.grid
+    dyx = _mirror_normal_derivative(g, v.uy, axis=0).data
+    dxy = _mirror_normal_derivative(g, v.ux, axis=1).data
     return ScalarField(g, NODE, dyx - dxy)
 
 
-def _laplacian_cell(g: GridSpec, a: np.ndarray) -> np.ndarray:
-    h2 = g.h * g.h
-    if g.periodic:
-        return (
-            np.roll(a, 1, 0) + np.roll(a, -1, 0) + np.roll(a, 1, 1) + np.roll(a, -1, 1) - 4 * a
-        ) / h2
-    p = np.pad(a, 1, mode="edge")
-    # odd mirror: ghost = -interior realizes the wall value 0
-    p[0, 1:-1] = -a[0, :]
-    p[-1, 1:-1] = -a[-1, :]
-    p[1:-1, 0] = -a[:, 0]
-    p[1:-1, -1] = -a[:, -1]
-    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * a) / h2
-
-
-def _laplacian_node(g: GridSpec, a: np.ndarray) -> np.ndarray:
-    h2 = g.h * g.h
-    if g.periodic:
-        return (
-            np.roll(a, 1, 0) + np.roll(a, -1, 0) + np.roll(a, 1, 1) + np.roll(a, -1, 1) - 4 * a
-        ) / h2
-    # even reflection about the wall samples: matches curl2(perp_grad(.))
-    p = np.pad(a, 1, mode="reflect")
-    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * a) / h2
-
-
-def _laplacian_mac_component(
-    g: GridSpec, a: np.ndarray, pinned_axis: int
-) -> np.ndarray:
-    """Five-point Laplacian of one MAC component.
-
-    Along ``pinned_axis`` the extreme samples are boundary faces: they are
-    used as stored neighbours but their own output rows are zero (they are
-    not unknowns).  Along the other axis the wall closure is the odd mirror
-    ghost = -interior.
-    """
-    h2 = g.h * g.h
-    if g.periodic:
-        return (
-            np.roll(a, 1, 0) + np.roll(a, -1, 0) + np.roll(a, 1, 1) + np.roll(a, -1, 1) - 4 * a
-        ) / h2
-    p = np.pad(a, 1, mode="edge")
-    if pinned_axis == 0:
-        p[1:-1, 0] = -a[:, 0]
-        p[1:-1, -1] = -a[:, -1]
-    else:
-        p[0, 1:-1] = -a[0, :]
-        p[-1, 1:-1] = -a[-1, :]
-    out = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * a) / h2
-    if pinned_axis == 0:
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-    else:
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-    return out
+def _five_point(g: GridSpec, a: np.ndarray, sign_x: float, sign_y: float) -> np.ndarray:
+    px, py = _pad(g, a, 0, sign_x), _pad(g, a, 1, sign_y)
+    return (px[:-2] + px[2:] + py[:, :-2] + py[:, 2:] - 4 * a) / (g.h * g.h)
 
 
 def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
@@ -451,16 +453,14 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
     MAC vectors: pinned boundary faces along the component's own axis, odd
     mirror ghosts transversally (no-slip); output is zero on pinned faces.
     """
+    g = f.grid
     if isinstance(f, ScalarField):
-        if f.placement == CELL:
-            return ScalarField(f.grid, CELL, _laplacian_cell(f.grid, f.data))
-        return ScalarField(f.grid, NODE, _laplacian_node(f.grid, f.data))
-    return VectorField(
-        f.grid,
-        MAC,
-        _laplacian_mac_component(f.grid, f.ux, pinned_axis=0),
-        _laplacian_mac_component(f.grid, f.uy, pinned_axis=1),
-    )
+        sign = -1.0 if f.placement == CELL else 1.0
+        return ScalarField(g, f.placement, _five_point(g, f.data, sign, sign))
+    # the ghosts along a component's own axis reach only its pinned faces
+    lx = _pin(g, _five_point(g, f.ux, 1.0, -1.0), 0)
+    ly = _pin(g, _five_point(g, f.uy, -1.0, 1.0), 1)
+    return VectorField(g, MAC, lx, ly)
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +544,14 @@ class DerivativeSamples:
         return self.multiplicity * np.outer(wx, wy)
 
     def dx(self) -> "DerivativeSamples":
-        h = self.grid.h
-        if self.grid.periodic:
-            d = (np.roll(self.data, -1, axis=0) - self.data) / h
-            x0 = 0.0 if abs(self.x0 - 0.5 * h) < 1e-15 else 0.5 * h
-            return DerivativeSamples(self.grid, d, x0, self.y0, self.multiplicity)
-        d = (self.data[1:, :] - self.data[:-1, :]) / h
-        return DerivativeSamples(self.grid, d, self.x0 + 0.5 * h, self.y0, self.multiplicity)
+        d = _diff(_to_cell(self.grid, self.data, 0), 0, self.grid.h)
+        x0 = self.x0 + 0.5 * self.grid.h
+        return DerivativeSamples(self.grid, d, x0, self.y0, self.multiplicity)
 
     def dy(self) -> "DerivativeSamples":
-        h = self.grid.h
-        if self.grid.periodic:
-            d = (np.roll(self.data, -1, axis=1) - self.data) / h
-            y0 = 0.0 if abs(self.y0 - 0.5 * h) < 1e-15 else 0.5 * h
-            return DerivativeSamples(self.grid, d, self.x0, y0, self.multiplicity)
-        d = (self.data[:, 1:] - self.data[:, :-1]) / h
-        return DerivativeSamples(self.grid, d, self.x0, self.y0 + 0.5 * h, self.multiplicity)
+        d = _diff(_to_cell(self.grid, self.data, 1), 1, self.grid.h)
+        y0 = self.y0 + 0.5 * self.grid.h
+        return DerivativeSamples(self.grid, d, self.x0, y0, self.multiplicity)
 
 
 def _samples_of_scalar(f: ScalarField) -> DerivativeSamples:
@@ -574,22 +566,8 @@ def _mirror_normal_derivative(
     to the full node lattice with the mirror-ghost wall rows 2*a/h (the rows
     whose squares complete the exact summation-by-parts identity).
     """
-    h = g.h
-    if g.periodic:
-        # positions shift onto the node lattice
-        return DerivativeSamples(g, (a - np.roll(a, 1, axis=axis)) / h, 0.0, 0.0)
-    if axis == 1:  # d(ux)/dy on the node lattice
-        n1 = a.shape[0]
-        out = np.empty((n1, a.shape[1] + 1))
-        out[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / h
-        out[:, 0] = 2.0 * a[:, 0] / h
-        out[:, -1] = -2.0 * a[:, -1] / h
-        return DerivativeSamples(g, out, 0.0, 0.0)
-    out = np.empty((a.shape[0] + 1, a.shape[1]))
-    out[1:-1, :] = (a[1:, :] - a[:-1, :]) / h
-    out[0, :] = 2.0 * a[0, :] / h
-    out[-1, :] = -2.0 * a[-1, :] / h
-    return DerivativeSamples(g, out, 0.0, 0.0)
+    d = _diff(_to_node(g, a, axis, -1.0), axis, g.h)
+    return DerivativeSamples(g, d, 0.0, 0.0)
 
 
 def gradient_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:

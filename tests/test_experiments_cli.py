@@ -453,6 +453,33 @@ def test_cli_simulate_then_audit(tmp_path, capsys):
     assert main(["audit", "--config", cfg_path, "--out", str(empty)]) == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, code, named",
+    [
+        ("grid.nx = 16", "grid.nx = 32", 1, "grid"),
+        ("grid.nx = 16", "grid.nx = 16\ngrid.mode = periodic", 1, "grid"),
+        ("time.t_end = 3e-3", "time.t_end = 0.5", 1, "t_end"),
+        ("time.dt = 1e-3", "time.dt = 1.5e-3", 1, "dt"),
+        ("init.seed", "init.seed", 0, None),
+    ],
+)
+def test_cli_audit_refuses_a_run_its_config_does_not_describe(
+    tmp_path, capsys, old, new, code, named
+):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert old in SMALL_TEXT or old == "init.seed"
+    audit_cfg = _write_cfg(tmp_path, SMALL_TEXT.replace(old, new), name="audit.cfg")
+    assert main(["audit", "--config", audit_cfg, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if named is None:
+        assert "envelope_ok = 1" in captured.out and not captured.err
+    else:
+        assert "does not describe the run" in captured.err and named in captured.err
+        assert "envelope_ok" not in captured.out
+
+
 def test_cli_rejects_bad_configs(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.cfg")
     assert main(["simulate", "--config", missing]) == 2

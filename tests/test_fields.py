@@ -32,6 +32,8 @@ from mmps.fields import (
     samples_lq,
     sobolev_norms,
 )
+from mmps.estimates import _cell_average, _node_average, _node_to_cell
+from mmps.evolution import advect_mac, advect_node
 
 RNG = np.random.default_rng(20260816)
 
@@ -160,6 +162,163 @@ def test_curl2_perp_grad_equals_node_laplacian(mode):
     rhs = laplacian(s).data
     scale = np.max(np.abs(rhs)) + 1.0
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# Bitwise stencil oracle: textbook periodic forms and Dirichlet wall rows
+# ---------------------------------------------------------------------------
+
+
+def _minmod(a, b):
+    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+
+
+def _periodic_roll_forms(op, g, c, w, u, b):
+    """(operator result, textbook np.roll form) pairs on a periodic grid."""
+    h, R = g.h, np.roll
+    s, n, ux, uy = c.data, w.data, u.ux, u.uy
+
+    def lap(a):
+        return (R(a, 1, 0) + R(a, -1, 0) + R(a, 1, 1) + R(a, -1, 1) - 4 * a) / (h * h)
+
+    def upwind(speed, axis):
+        dw = R(n, -1, axis) - n
+        plus = n + 0.5 * _minmod(R(dw, 1, axis), dw)
+        minus = R(n, -1, axis) - 0.5 * _minmod(dw, R(dw, -1, axis))
+        return np.where(speed >= 0.0, plus, minus)
+
+    if op == "grad":
+        gv = grad(c)
+        return [(gv.ux, (s - R(s, 1, 0)) / h), (gv.uy, (s - R(s, 1, 1)) / h)]
+    if op == "div":
+        return [(div(u).data, (R(ux, -1, 0) - ux) / h + (R(uy, -1, 1) - uy) / h)]
+    if op == "perp_grad":
+        pg = perp_grad(w)
+        return [(pg.ux, -(R(n, -1, 1) - n) / h), (pg.uy, (R(n, -1, 0) - n) / h)]
+    if op == "curl2":
+        return [(curl2(u).data, (uy - R(uy, 1, 0)) / h - (ux - R(ux, 1, 1)) / h)]
+    if op == "laplacian":
+        lv = laplacian(u)
+        return [
+            (laplacian(c).data, lap(s)),
+            (laplacian(w).data, lap(n)),
+            (lv.ux, lap(ux)),
+            (lv.uy, lap(uy)),
+        ]
+    if op == "derivative_samples":
+        blocks = gradient_samples(u) + gradient_samples(w)
+        forms = [
+            (R(ux, -1, 0) - ux) / h,
+            (ux - R(ux, 1, 1)) / h,
+            (uy - R(uy, 1, 0)) / h,
+            (R(uy, -1, 1) - uy) / h,
+            (R(n, -1, 0) - n) / h,
+            (R(n, -1, 1) - n) / h,
+        ]
+        return [(blk.data, form) for blk, form in zip(blocks, forms)]
+    if op == "advect_mac":
+        got = advect_mac(u, b)
+        bx, by = b.ux, b.uy
+        fc = 0.25 * (ux + R(ux, -1, 0)) * (bx + R(bx, -1, 0))
+        gn = 0.25 * (R(uy, 1, 0) + uy) * (R(bx, 1, 1) + bx)
+        out_x = (fc - R(fc, 1, 0)) / h + (R(gn, -1, 1) - gn) / h
+        fc = 0.25 * (uy + R(uy, -1, 1)) * (by + R(by, -1, 1))
+        gn = 0.25 * (R(ux, 1, 1) + ux) * (R(by, 1, 0) + by)
+        out_y = (fc - R(fc, 1, 1)) / h + (R(gn, -1, 0) - gn) / h
+        return [(got.ux, out_x), (got.uy, out_y)]
+    if op.startswith("advect_node"):
+        method = op.split("-")[1]
+        hx = 0.25 * (ux + R(ux, -1, 0) + R(ux, 1, 1) + R(R(ux, -1, 0), 1, 1))
+        hy = 0.25 * (uy + R(uy, 1, 0) + R(uy, -1, 1) + R(R(uy, 1, 0), -1, 1))
+        if method == "central":
+            fx = hx * (0.5 * (n + R(n, -1, 0)))
+            fy = hy * (0.5 * (n + R(n, -1, 1)))
+        else:
+            fx, fy = hx * upwind(hx, 0), hy * upwind(hy, 1)
+        form = (fx - R(fx, 1, 0)) / h + (fy - R(fy, 1, 1)) / h
+        return [(advect_node(u, w, method).data, form)]
+    assert op == "averages"
+    cell, node = _cell_average(u), _node_average(u)
+    corners = n + R(n, -1, 0) + R(n, -1, 1) + R(R(n, -1, 0), -1, 1)
+    return [
+        (cell[0], 0.5 * (ux + R(ux, -1, 0))),
+        (cell[1], 0.5 * (uy + R(uy, -1, 1))),
+        (node[0], 0.5 * (ux + R(ux, 1, 1))),
+        (node[1], 0.5 * (uy + R(uy, 1, 0))),
+        (_node_to_cell(n, g), 0.25 * corners),
+    ]
+
+
+def _dirichlet_wall_rows(op, g, c, w, u, b):
+    """(operator output, closed form) pairs for the Dirichlet wall closures."""
+    h = g.h
+    if op == "grad":
+        gv = grad(c)
+        return [(gv.ux[[0, -1], :], 0.0), (gv.uy[:, [0, -1]], 0.0)]
+    if op == "curl2":
+        # mirror ghosts: one component alone gives the wall rows +-2 a / h
+        only_uy = VectorField(g, MAC, np.zeros_like(u.ux), u.uy)
+        only_ux = VectorField(g, MAC, u.ux, np.zeros_like(u.uy))
+        cy, cx = curl2(only_uy).data, curl2(only_ux).data
+        return [
+            (cy[0], 2 * u.uy[0] / h),
+            (cy[-1], -2 * u.uy[-1] / h),
+            (cx[:, 0], -(2 * u.ux[:, 0] / h)),
+            (cx[:, -1], 2 * u.ux[:, -1] / h),
+        ]
+    if op == "laplacian":
+        # node scalars: even reflection about the wall samples
+        p = np.pad(w.data, 1, mode="reflect")
+        form = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4 * w.data) / (h * h)
+        return [(laplacian(w).data, form)]
+    if op == "advect_mac":
+        am = advect_mac(u, b)
+        return [(am.ux[[0, -1], :], 0.0), (am.uy[:, [0, -1]], 0.0)]
+    if op.startswith("advect_node"):
+        # uniform speed +-1 along x: the dual-face speeds are exactly +-1 and
+        # the wall rows are +-2 f / h of the wall dual-face flux f
+        method, n = op.split("-")[1], w.data
+        rows = []
+        for speed in (1.0, -1.0):
+            v = VectorField(g, MAC, np.full_like(u.ux, speed), np.zeros_like(u.uy))
+            out = advect_node(v, w, method).data
+            if method == "central":
+                f_lo, f_hi = 0.5 * (n[0] + n[1]), -(0.5 * (n[-2] + n[-1]))
+                rows += [(out[0], 2 * (speed * f_lo) / h), (out[-1], 2 * (speed * f_hi) / h)]
+            else:  # the donor at the wall has no limited slope
+                rows.append((out[0], 2 * n[0] / h) if speed > 0 else (out[-1], 2 * n[-1] / h))
+        return rows
+    return []
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        "grad",
+        "div",
+        "perp_grad",
+        "curl2",
+        "laplacian",
+        "derivative_samples",
+        "advect_mac",
+        "advect_node-central",
+        "advect_node-upwind2",
+        "averages",
+    ],
+)
+def test_stencils_match_bitwise_oracles(op):
+    for mode, cases in (
+        (MODE_PERIODIC, _periodic_roll_forms),
+        (MODE_DIRICHLET, _dirichlet_wall_rows),
+    ):
+        g = GridSpec(16, 16, mode)
+        rng = np.random.default_rng(17)
+        c, w = random_scalar(g, CELL, rng), random_scalar(g, NODE, rng)
+        u, b = random_mac(g, rng), random_mac(g, rng)
+        for got, want in cases(op, g, c, w, u, b):
+            want = np.broadcast_to(want, got.shape)
+            assert np.array_equal(got, want), f"{op} ({mode})"
+            assert not np.any(np.signbit(got) != np.signbit(want)), f"{op} ({mode})"
 
 
 # ---------------------------------------------------------------------------
