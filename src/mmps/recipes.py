@@ -177,7 +177,7 @@ def _trig1_expressions() -> dict[str, sympy.Expr]:
 def _trig1_callables() -> dict[str, Callable]:
     args = (_X, _Y, _T, _MU, _CHI, _NU)
     return {
-        name: sympy.lambdify(args, expr, modules="numpy")
+        name: sympy.lambdify(args, expr, modules="numpy", cse=True)
         for name, expr in _trig1_expressions().items()
     }
 
