@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -594,38 +593,40 @@ def gn_probe(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _bump_family() -> dict[str, Callable]:
-    """Derivatives (orders 0-3) of (1 - s^2)^5, s^2 = ((x-cx)^2+(y-cy)^2)/r^2,
-    as numpy callables of (x, y, cx, cy, r), keyed by the differentiation
-    axes ("" is the bump itself).  Derived once, and left in the chain-rule
-    form sympy produces: expanding it into monomials of x and y cancels
-    terms of size r^-k against each other and loses about 1e-7 relative.
-    """
-    import sympy
-
-    x, y, cx, cy, r = sympy.symbols("x y cx cy r", real=True)
-    exprs = {"": (1 - ((x - cx) ** 2 + (y - cy) ** 2) / r**2) ** 5}
-    for key in ("x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy"):
-        exprs[key] = sympy.diff(exprs[key[:-1]], x if key[-1] == "x" else y)
-    return {
-        key: sympy.lambdify((x, y, cx, cy, r), expr, modules="numpy")
-        for key, expr in exprs.items()
-    }
+# Derivatives (orders 0-3) of the bump q^5, q = 1 - s^2, keyed by the
+# differentiation axes ("" is the bump itself): chain-rule sums in q,
+# q_x = a = -2 (x - cx) / r^2, q_y = b and q_xx = q_yy = k = -2 / r^2 (q_xy
+# and all third derivatives of q vanish).  Monomials in x and y would lose
+# about 1e-7 relative to cancellation between terms of size r^-k.
+_BUMP_FAMILY: dict[str, Callable] = {
+    "": lambda q, a, b, k: q**5,
+    "x": lambda q, a, b, k: 5.0 * q**4 * a,
+    "y": lambda q, a, b, k: 5.0 * q**4 * b,
+    "xx": lambda q, a, b, k: 20.0 * q**3 * a * a + 5.0 * q**4 * k,
+    "xy": lambda q, a, b, k: 20.0 * q**3 * a * b,
+    "yy": lambda q, a, b, k: 20.0 * q**3 * b * b + 5.0 * q**4 * k,
+    "xxx": lambda q, a, b, k: 60.0 * q**2 * a**3 + 60.0 * q**3 * a * k,
+    "xxy": lambda q, a, b, k: 60.0 * q**2 * a * a * b + 20.0 * q**3 * b * k,
+    "xyy": lambda q, a, b, k: 60.0 * q**2 * a * b * b + 20.0 * q**3 * a * k,
+    "yyy": lambda q, a, b, k: 60.0 * q**2 * b**3 + 60.0 * q**3 * b * k,
+}
 
 
 def _bump_derivatives(cx: float, cy: float, r: float) -> dict[str, Callable]:
     """Derivative evaluators (orders 0-3) of the compactly supported C^4
-    bump ((1 - s^2)_+)^5 centred at (cx, cy) with radius r: the shared
-    ``_bump_family`` bound to this centre and radius, zero outside the disc.
+    bump ((1 - s^2)_+)^5, s^2 = ((x-cx)^2 + (y-cy)^2) / r^2, centred at
+    (cx, cy) with radius r: the closed forms of ``_BUMP_FAMILY`` bound to
+    this centre and radius, zero outside the disc.
     """
+    k = -2.0 / (r * r)
     out = {}
-    for key, fn in _bump_family().items():
+    for key, fn in _BUMP_FAMILY.items():
 
         def masked(X, Y, _fn=fn):
             inside = ((X - cx) ** 2 + (Y - cy) ** 2) / (r * r) < 1.0
+            dx, dy = X[inside] - cx, Y[inside] - cy
             vals = np.zeros_like(X)
-            vals[inside] = np.asarray(_fn(X[inside], Y[inside], cx, cy, r), dtype=float)
+            vals[inside] = _fn(1.0 - (dx * dx + dy * dy) / (r * r), k * dx, k * dy, k)
             return vals
 
         out[key] = masked

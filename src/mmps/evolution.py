@@ -111,7 +111,7 @@ class StepConfig:
     called once per step: ``run_simulation`` calls it again for
     ``forcing_work``, and AB2 calls it again at the previous step's time, so
     it runs twice per step, or three times under AB2 (carrying both forward
-    is open in ROADMAP.md, item 3).
+    is open in ROADMAP.md, item 2).
     Snapshots are stored every ``snapshot_stride`` steps (the final state is
     always stored).
     """

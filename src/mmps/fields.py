@@ -61,6 +61,7 @@ cancellations to roundoff relative to the stencil scale ``max|s| / h^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -144,24 +145,30 @@ class GridSpec:
         return np.meshgrid(x, y, indexing="ij")
 
 
-def _axis_weights(grid: GridSpec, m: int, origin: float) -> np.ndarray:
-    """Per-axis quadrature weights (length m) for samples origin + i*h."""
-    w = np.full(m, grid.h)
-    if not grid.periodic:
-        if abs(origin) < 1e-14:
-            w[0] *= 0.5
-        if abs(origin + (m - 1) * grid.h - 1.0) < 1e-14:
-            w[-1] *= 0.5
-    return w
+@lru_cache(maxsize=64)
+def _product_weights(
+    grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]
+) -> np.ndarray:
+    """Read-only midpoint-rule weights, clipped to the domain, for samples at
+    origin + (i*h, j*h); built once per block layout and shared by every norm."""
+    axes = []
+    for m, z0 in zip(shape, origin):
+        w = np.full(m, grid.h)
+        if not grid.periodic:
+            if abs(z0) < 1e-14:
+                w[0] *= 0.5
+            if abs(z0 + (m - 1) * grid.h - 1.0) < 1e-14:
+                w[-1] *= 0.5
+        axes.append(w)
+    weights = np.outer(*axes)
+    weights.flags.writeable = False
+    return weights
 
 
 def lattice_weights(grid: GridSpec, lattice: str) -> np.ndarray:
-    """Midpoint-rule quadrature weights over clipped control cells."""
-    shape = grid.lattice_shape(lattice)
-    x0, y0 = grid.lattice_origin(lattice)
-    wx = _axis_weights(grid, shape[0], x0)
-    wy = _axis_weights(grid, shape[1], y0)
-    return np.outer(wx, wy)
+    """Midpoint-rule quadrature weights over clipped control cells
+    (read-only, shared between callers)."""
+    return _product_weights(grid, grid.lattice_shape(lattice), grid.lattice_origin(lattice))
 
 
 @dataclass(frozen=True)
@@ -539,9 +546,8 @@ class DerivativeSamples:
     multiplicity: float = 1.0
 
     def weights(self) -> np.ndarray:
-        wx = _axis_weights(self.grid, self.data.shape[0], self.x0)
-        wy = _axis_weights(self.grid, self.data.shape[1], self.y0)
-        return self.multiplicity * np.outer(wx, wy)
+        w = _product_weights(self.grid, self.data.shape, (self.x0, self.y0))
+        return w if self.multiplicity == 1.0 else self.multiplicity * w
 
     def dx(self) -> "DerivativeSamples":
         d = _diff(_to_cell(self.grid, self.data, 0), 0, self.grid.h)

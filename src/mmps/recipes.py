@@ -1,5 +1,5 @@
 """Analytic field catalog: initial data, manufactured solutions with exact
-residual forcings, mollification, and perturbation generators.
+residual forcings in NumPy closed form, mollification and perturbations.
 
 Conventions shared with :mod:`mmps.fields`:
 
@@ -21,13 +21,12 @@ second order in the measured error.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable
+from dataclasses import replace
+from functools import cache
+from typing import Callable, Sequence
 
 import numpy as np
-import sympy
 from numpy.random import SeedSequence, default_rng
-from scipy import ndimage
 
 from .fields import (
     CELL,
@@ -97,100 +96,110 @@ def stream_velocity(grid: GridSpec, psi_fn: Callable) -> VectorField:
 # Manufactured solution "trig-1"
 # ---------------------------------------------------------------------------
 
-_X, _Y, _T = sympy.symbols("x y t", real=True)
-_MU, _CHI, _NU = sympy.symbols("mu chi nu", real=True)
+
+def _sin_cos_table(a: int, b: int) -> np.ndarray:
+    """Coefficients ``C[k, i, j]`` of ``s^i c^j`` in ``d^k/dz^k s^a c^b`` for
+    k = 0..3, where ``s = sin(pi z)``, ``c = cos(pi z)`` and, by the chain
+    rule, ``d(s^i c^j) = pi (i s^(i-1) c^(j+1) - j s^(i+1) c^(j-1))``."""
+    table = np.zeros((4, 6, 6))
+    table[0, a, b] = 1.0
+    for k in range(3):
+        for i, j in zip(*np.nonzero(table[k])):
+            if i:
+                table[k + 1, i - 1, j + 1] += np.pi * i * table[k, i, j]
+            if j:
+                table[k + 1, i + 1, j - 1] -= np.pi * j * table[k, i, j]
+    return table
 
 
-def _trig1_expressions() -> dict[str, sympy.Expr]:
-    """Closed forms of the manufactured solution and its residual forcings.
+# The 1-D factors of ``_trig1_fields`` as powers (a, b) of sin and cos: the
+# envelopes S = sin^4 and G = sin^4 cos, the micro-rotation factors s = sin
+# and H = sin cos, and the pressure factor c = cos.
+_TRIG1_FACTORS = {"S": (4, 0), "G": (4, 1), "s": (1, 0), "H": (1, 1), "c": (0, 1)}
+_TRIG1_TABLE = np.stack([_sin_cos_table(*ab) for ab in _TRIG1_FACTORS.values()]).reshape(20, 36)
 
-    The forcings are the exact residuals of the coupled system, so the
-    catalog fields solve the forced equations with zero error:
+
+def _trig1_factors(z: np.ndarray) -> dict[str, np.ndarray]:
+    """Each factor of ``_TRIG1_FACTORS`` and its first three derivatives at z,
+    stacked along a new leading axis."""
+    powers = np.ones((2, 6, np.size(z)))
+    powers[:, 1:] = np.stack([np.sin(np.pi * z), np.cos(np.pi * z)]).reshape(2, 1, -1)
+    s, c = np.cumprod(powers, axis=1)
+    monomials = (s[:, None, :] * c[None, :, :]).reshape(36, -1)
+    values = (_TRIG1_TABLE @ monomials).reshape(5, 4, *np.shape(z))
+    return dict(zip(_TRIG1_FACTORS, values))
+
+
+def _trig1_fields(
+    x: np.ndarray, y: np.ndarray, t: float, params: FluidParams, names: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """The named fields of trig-1 and its exact residual forcings at (x, y),
+    which broadcast (a column and a row give a lattice).  With the amplitudes
+    below, ``S = sin^4(pi z)``, ``G = S cos(pi z)``, ``s = sin(pi z)``, ``H = s cos(pi z)``:
+
+    * ``u = perp_grad(psi_u)``, ``psi_u = a_u S(x) S(y)``;
+    * ``b = perp_grad(psi_b)``, ``psi_b = a_b S S (1 + cos(pi x) cos(pi y)) = a_b [S S + G G]``;
+    * ``w = a_w s s (1 + cos(pi x) cos(pi y)) = a_w [s s + H H]``, ``p = a_p cos(pi x) cos(pi y)``.
+
+    The cross factor keeps w off the level sets of psi_u (and psi_b off
+    psi_u's): without it u.grad w would vanish identically.  Under
+    ``(x, y) -> (y, x)`` the scalars are symmetric and ``u1(y, x) = -u2(x, y)``
+    (same for b); the forcings mix both parities.  They are the exact
+    residuals of the coupled system, so the fields solve it with zero error:
 
     * ``fu = u_t + (u.grad)u + grad p - (mu+chi) lap u - (b.grad)b + chi perp_grad(w)``
     * ``fw = w_t + u.grad w + 2 chi w - chi (d(u2)/dx - d(u1)/dy)``
     * ``fb = b_t + (u.grad)b - nu lap b - (b.grad)u``
 
-    Documented symmetry of the solution under the coordinate swap
-    ``(x, y) -> (y, x)``: the scalars obey ``w(y, x) = w(x, y)`` and
-    ``p(y, x) = p(x, y)``, and the vectors pair antisymmetrically,
-    ``u1(y, x) = -u2(x, y)`` (same for b).  The residual forcings mix terms
-    of both parities (linear terms flip with the fields, quadratic ones do
-    not), so only the solution fields carry the clean symmetry.
-    """
-    pi = sympy.pi
-    x, y, t = _X, _Y, _T
-    mu, chi, nu = _MU, _CHI, _NU
-
-    def s4(z: sympy.Symbol) -> sympy.Expr:
-        return sympy.sin(pi * z) ** 4
-
-    half = sympy.Rational(1, 2)
-    amp_u = sympy.Rational(2, 25) * (1 + half * sympy.sin(3 * t))
-    amp_w = sympy.Rational(7, 20) * (1 + half * sympy.cos(2 * t))
-    amp_b = sympy.Rational(3, 50) * (1 + half * sympy.sin(2 * t + sympy.Rational(7, 10)))
-    amp_p = sympy.Rational(1, 10) * (1 + half * sympy.sin(t))
-
-    cross = 1 + sympy.cos(pi * x) * sympy.cos(pi * y)
-    psi_u = amp_u * s4(x) * s4(y)
-    psi_b = amp_b * s4(x) * s4(y) * cross
-    # The cross factor keeps w off the level sets of psi_u (and psi_b off
-    # psi_u's): without it u.grad w would vanish identically and the scheme's
-    # transport of w would go unexercised.
-    w = amp_w * sympy.sin(pi * x) * sympy.sin(pi * y) * cross
-    p = amp_p * sympy.cos(pi * x) * sympy.cos(pi * y)
-
-    u1, u2 = -sympy.diff(psi_u, y), sympy.diff(psi_u, x)
-    b1, b2 = -sympy.diff(psi_b, y), sympy.diff(psi_b, x)
-
-    def lap(f: sympy.Expr) -> sympy.Expr:
-        return sympy.diff(f, x, 2) + sympy.diff(f, y, 2)
-
-    def advect(f: sympy.Expr) -> sympy.Expr:
-        return u1 * sympy.diff(f, x) + u2 * sympy.diff(f, y)
-
-    def stretch(f: sympy.Expr) -> sympy.Expr:
-        return b1 * sympy.diff(f, x) + b2 * sympy.diff(f, y)
-
-    fu1 = (
-        sympy.diff(u1, t) + advect(u1) + sympy.diff(p, x)
-        - (mu + chi) * lap(u1) - stretch(b1) + chi * (-sympy.diff(w, y))
-    )
-    fu2 = (
-        sympy.diff(u2, t) + advect(u2) + sympy.diff(p, y)
-        - (mu + chi) * lap(u2) - stretch(b2) + chi * sympy.diff(w, x)
-    )
-    fw = (
-        sympy.diff(w, t) + advect(w) + 2 * chi * w
-        - chi * (sympy.diff(u2, x) - sympy.diff(u1, y))
-    )
-    fb1 = sympy.diff(b1, t) + advect(b1) - nu * lap(b1) - stretch(u1)
-    fb2 = sympy.diff(b2, t) + advect(b2) - nu * lap(b2) - stretch(u2)
-
-    return {
-        "u1": u1, "u2": u2, "w": w, "b1": b1, "b2": b2, "p": p,
-        "fu1": fu1, "fu2": fu2, "fw": fw, "fb1": fb1, "fb2": fb2,
+    Each derivative is a sum of products of 1-D factor derivatives, formed
+    once and only if a named field needs it."""
+    mu, chi, nu = params.mu, params.chi, params.nu
+    fx, fy = _trig1_factors(x), _trig1_factors(y)
+    a_u, a_w = 0.08 * (1.0 + 0.5 * math.sin(3.0 * t)), 0.35 * (1.0 + 0.5 * math.cos(2.0 * t))
+    a_b, a_p = 0.06 * (1.0 + 0.5 * math.sin(2.0 * t + 0.7)), 0.1 * (1.0 + 0.5 * math.sin(t))
+    # each field: amplitude, factors, and the derivative orders it adds in x and y
+    spec = {
+        "u1": (-a_u, "S", 0, 1), "u2": (a_u, "S", 1, 0), "w": (a_w, "sH", 0, 0),
+        "b1": (-a_b, "SG", 0, 1), "b2": (a_b, "SG", 1, 0), "p": (a_p, "c", 0, 0),
     }
+    # d/dt of a field is its amplitude's logarithmic rate times the field
+    rate_u, rate_w = 0.12 * math.cos(3.0 * t) / a_u, -0.35 * math.sin(2.0 * t) / a_w
+    rate_b = 0.06 * math.cos(2.0 * t + 0.7) / a_b
 
+    @cache
+    def d(name: str, i: int = 0, j: int = 0) -> np.ndarray:
+        """``d^i/dx^i d^j/dy^j`` of the named field."""
+        amp, factors, di, dj = spec[name]
+        first, *rest = ((amp * fx[f][i + di]) * fy[f][j + dj] for f in factors)
+        return sum(rest, first)
 
-@lru_cache(maxsize=None)
-def _trig1_callables() -> dict[str, Callable]:
-    args = (_X, _Y, _T, _MU, _CHI, _NU)
-    return {
-        name: sympy.lambdify(args, expr, modules="numpy", cse=True)
-        for name, expr in _trig1_expressions().items()
+    def advect(name: str) -> np.ndarray:
+        return d("u1") * d(name, 1, 0) + d("u2") * d(name, 0, 1)
+
+    def stretch(name: str) -> np.ndarray:
+        return d("b1") * d(name, 1, 0) + d("b2") * d(name, 0, 1)
+
+    def lap(name: str) -> np.ndarray:
+        return d(name, 2, 0) + d(name, 0, 2)
+
+    forcings = {
+        "fu1": lambda: rate_u * d("u1") + advect("u1") + d("p", 1, 0) - (mu + chi) * lap("u1")
+        - stretch("b1") - chi * d("w", 0, 1),
+        "fu2": lambda: rate_u * d("u2") + advect("u2") + d("p", 0, 1) - (mu + chi) * lap("u2")
+        - stretch("b2") + chi * d("w", 1, 0),
+        "fw": lambda: rate_w * d("w") + advect("w") + 2.0 * chi * d("w")
+        - chi * (d("u2", 1, 0) - d("u1", 0, 1)),
+        "fb1": lambda: rate_b * d("b1") + advect("b1") - nu * lap("b1") - stretch("u1"),
+        "fb2": lambda: rate_b * d("b2") + advect("b2") - nu * lap("b2") - stretch("u2"),
     }
+    return {name: d(name) if name in spec else forcings[name]() for name in names}
 
 
-def _eval_field(fn: Callable, X: np.ndarray, Y: np.ndarray, t: float, params: FluidParams) -> np.ndarray:
-    out = np.empty_like(X)
-    out[...] = fn(X, Y, t, params.mu, params.chi, params.nu)
-    return out
-
-
-def _trig1_sampler(name: str, t: float, params: FluidParams) -> Callable:
-    fn = _trig1_callables()[name]
-    return lambda X, Y: _eval_field(fn, X, Y, t, params)
+def _trig1_on(grid: GridSpec, lattice: str, t: float, params: FluidParams, *names: str) -> list:
+    """The named ``_trig1_fields`` on one lattice, from its row and column
+    coordinates."""
+    X, Y = grid.mesh(lattice)
+    return list(_trig1_fields(X[:, :1], Y[:1, :], t, params, names).values())
 
 
 def _require_mms(recipe: str, grid: GridSpec) -> None:
@@ -205,17 +214,12 @@ def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> Sta
     _require_mms(recipe, grid)
     if recipe == "zero":
         return State.zeros(grid, t)
-    return State(
-        t=t,
-        u=VectorField.sample_mac(
-            grid, _trig1_sampler("u1", t, params), _trig1_sampler("u2", t, params)
-        ),
-        w=ScalarField.sample(grid, NODE, _trig1_sampler("w", t, params)),
-        b=VectorField.sample_mac(
-            grid, _trig1_sampler("b1", t, params), _trig1_sampler("b2", t, params)
-        ),
-        p=ScalarField.sample(grid, CELL, _trig1_sampler("p", t, params)),
-    )
+    u1, b1 = _trig1_on(grid, "xface", t, params, "u1", "b1")
+    u2, b2 = _trig1_on(grid, "yface", t, params, "u2", "b2")
+    [w] = _trig1_on(grid, "node", t, params, "w")
+    [p] = _trig1_on(grid, "cell", t, params, "p")
+    return State(t, VectorField(grid, MAC, u1, u2), ScalarField(grid, NODE, w),
+                 VectorField(grid, MAC, b1, b2), ScalarField(grid, CELL, p))
 
 
 def mms_forcing(
@@ -223,23 +227,18 @@ def mms_forcing(
 ) -> tuple[VectorField, ScalarField, VectorField]:
     """Exact residual forcings (fu, fw, fb) for the catalog solution.
 
-    Evaluated from closed-form derivatives, not by differencing.
+    Evaluated from the closed-form derivatives of ``_trig1_fields`` (NumPy
+    only, no symbolic algebra at run time), not by differencing.
     """
     _require_mms(recipe, grid)
     if recipe == "zero":
-        return (
-            VectorField.zeros(grid),
-            ScalarField.zeros(grid, NODE),
-            VectorField.zeros(grid),
-        )
-    fu = VectorField.sample_mac(
-        grid, _trig1_sampler("fu1", t, params), _trig1_sampler("fu2", t, params)
-    )
-    fw = ScalarField.sample(grid, NODE, _trig1_sampler("fw", t, params))
-    fb = VectorField.sample_mac(
-        grid, _trig1_sampler("fb1", t, params), _trig1_sampler("fb2", t, params)
-    )
-    return fu, fw, fb
+        zero = State.zeros(grid)
+        return zero.u, zero.w, zero.b
+    fu1, fb1 = _trig1_on(grid, "xface", t, params, "fu1", "fb1")
+    fu2, fb2 = _trig1_on(grid, "yface", t, params, "fu2", "fb2")
+    [fw] = _trig1_on(grid, "node", t, params, "fw")
+    fu, fb = VectorField(grid, MAC, fu1, fu2), VectorField(grid, MAC, fb1, fb2)
+    return fu, ScalarField(grid, NODE, fw), fb
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +261,7 @@ def taylor_green_state(grid: GridSpec, amplitude: float = TAYLOR_GREEN_AMPLITUDE
     def psi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return -(amplitude / two_pi) * np.sin(two_pi * X) * np.sin(two_pi * Y)
 
-    state = State.zeros(grid)
-    return State(t=0.0, u=stream_velocity(grid, psi), w=state.w, b=state.b, p=state.p)
+    return replace(State.zeros(grid), u=stream_velocity(grid, psi))
 
 
 def taylor_green_rate(params: FluidParams) -> float:
@@ -285,14 +283,8 @@ def _smooth1_state(grid: GridSpec) -> State:
     def w_fn(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return 0.4 * np.sin(np.pi * X) * np.sin(np.pi * Y)
 
-    zero = State.zeros(grid)
-    return State(
-        t=0.0,
-        u=stream_velocity(grid, psi_u),
-        w=ScalarField.sample(grid, NODE, w_fn),
-        b=stream_velocity(grid, psi_b),
-        p=zero.p,
-    )
+    u, b = stream_velocity(grid, psi_u), stream_velocity(grid, psi_b)
+    return replace(State.zeros(grid), u=u, w=ScalarField.sample(grid, NODE, w_fn), b=b)
 
 
 def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable:
@@ -324,17 +316,6 @@ def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable
     return psi
 
 
-def _rough_state(grid: GridSpec, seed: int) -> State:
-    zero = State.zeros(grid)
-    return State(
-        t=0.0,
-        u=zero.u,
-        w=zero.w,
-        b=stream_velocity(grid, _rough_psi_fn(grid, seed)),
-        p=zero.p,
-    )
-
-
 def initial_state(name: str, grid: GridSpec, params: FluidParams, seed: int = 0) -> State:
     """Catalog dispatcher; every recipe yields discretely divergence-free
     u and b with zero boundary faces (where the recipe is wall-bounded)."""
@@ -345,7 +326,7 @@ def initial_state(name: str, grid: GridSpec, params: FluidParams, seed: int = 0)
     if name == "smooth-1":
         return _smooth1_state(grid)
     if name == "rough-h1":
-        return _rough_state(grid, seed)
+        return replace(State.zeros(grid), b=stream_velocity(grid, _rough_psi_fn(grid, seed)))
     if name == "trig-1":
         return mms_state("trig-1", 0.0, grid, params)
     raise RecipeError(f"unknown initial-data recipe {name!r}")
@@ -370,6 +351,10 @@ def mollify(f: ScalarField, eps: float) -> ScalarField:
     radius = int(math.ceil(3.0 * eps / h))
     if radius < 1:
         return f.copy()
+    # deferred: mollify is its only user, and importing it at module level
+    # would add to the start-up of every command
+    from scipy import ndimage
+
     offsets = np.arange(-radius, radius + 1) * h
     dist_sq = offsets[:, None] ** 2 + offsets[None, :] ** 2
     kernel = np.exp(-dist_sq / (2.0 * eps * eps))

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dctn, dst, idctn, idst
 
 from .fields import (
@@ -55,6 +54,9 @@ from .fields import (
     samples_lq,
 )
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be set up or produces non-finite
@@ -65,12 +67,15 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Sparse building blocks (Dirichlet mode)
 # ---------------------------------------------------------------------------
+# Each imports scipy.sparse itself: only the stationary Stokes solve reaches
+# them, and importing it at module level would add to every command's start-up.
 
 
 def _chain(m: int, end: float) -> sp.csr_matrix:
     """Tridiagonal (-1, 2, -1) row pattern with ``end`` on the two diagonal
     ends: end=2 pinned-zero neighbours, end=3 odd mirror ghosts.
     """
+    import scipy.sparse as sp
     main = np.full(m, 2.0)
     main[0] = main[-1] = end
     off = -np.ones(m - 1)
@@ -79,6 +84,7 @@ def _chain(m: int, end: float) -> sp.csr_matrix:
 
 def _neg_laplacian_ux(g: GridSpec) -> sp.csr_matrix:
     """-laplacian on interior x faces, shape ((n-1)*n,) unknowns [i-1, j]."""
+    import scipy.sparse as sp
     n = g.nx
     ax = _chain(n - 1, 2.0)
     ay = _chain(n, 3.0)
@@ -86,6 +92,7 @@ def _neg_laplacian_ux(g: GridSpec) -> sp.csr_matrix:
 
 
 def _neg_laplacian_uy(g: GridSpec) -> sp.csr_matrix:
+    import scipy.sparse as sp
     n = g.nx
     ax = _chain(n, 3.0)
     ay = _chain(n - 1, 2.0)
@@ -94,6 +101,7 @@ def _neg_laplacian_uy(g: GridSpec) -> sp.csr_matrix:
 
 def _gradient_blocks(g: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Cell-pressure gradient onto interior x and y faces."""
+    import scipy.sparse as sp
     n = g.nx
     s = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
     gx = sp.kron(s, sp.identity(n)) / g.h
@@ -116,8 +124,8 @@ def _embed_faces(g: GridSpec, ux_int: np.ndarray, uy_int: np.ndarray) -> VectorF
 # every caller visits its grids in order, at most two per command
 @lru_cache(maxsize=2)
 def _stokes_factorization(g: GridSpec):
-    # deferred: only the saddle solve needs SuperLU, and importing it at
-    # module level would add to the start-up of every command
+    # deferred, as in the assembly above
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n = g.nx

@@ -5,10 +5,13 @@ consistency measured by Richardson ratios.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import mmps.fields as fields_module
 from mmps.fields import (
     CELL,
     MAC,
@@ -102,6 +105,29 @@ def test_placement_mismatch_raises():
 def test_weights_sum_to_unit_area(mode, lattice):
     g = GridSpec(16, 16, mode)
     assert np.sum(lattice_weights(g, lattice)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_quadrature_weights_shared_read_only_and_bounded():
+    g = GridSpec(16, 16)
+    h = g.h
+    w = lattice_weights(g, "node")
+    assert w is lattice_weights(g, "node") and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    # derivative samples of a node scalar: x derivatives sit on interior
+    # half-steps (weight h), y keeps the node lattice (half weight on walls)
+    edge = np.full(g.nx + 1, h)
+    edge[[0, -1]] *= 0.5
+    dx = gradient_samples(ScalarField.sample(g, NODE, lambda x, y: x * y))[0]
+    assert np.array_equal(dx.weights(), np.outer(np.full(g.nx, h), edge))
+    assert np.array_equal(
+        replace(dx, multiplicity=2.0).weights(), 2.0 * np.outer(np.full(g.nx, h), edge)
+    )
+    cache = fields_module._product_weights
+    maxsize = cache.cache_parameters()["maxsize"]
+    for nx in range(8, 8 + maxsize + 1):
+        lattice_weights(GridSpec(nx, nx), "cell")
+    assert cache.cache_info().currsize <= maxsize
 
 
 def test_midpoint_rule_exact_discrete_sum():

@@ -7,9 +7,14 @@ cross-grid nesting), and mollifier/perturbation contracts.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import mmps
 
 from mmps.fields import (
     CELL,
@@ -39,6 +44,7 @@ from mmps.recipes import (
     stream_velocity,
     taylor_green_rate,
     taylor_green_state,
+    _trig1_fields,
 )
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
@@ -217,6 +223,113 @@ def test_mms_forcing_matches_equation_residual_oracle():
     assert gaps[0] <= 5e-2
     assert gaps[1] <= 1.5e-2
     assert gaps[0] / gaps[1] >= 3.0
+
+
+# ---------------------------------------------------------------------------
+# Symbolic oracle for the closed forms (the derivation the package once ran)
+# ---------------------------------------------------------------------------
+
+
+def _trig1_sympy_callables(sympy) -> dict:
+    """``trig-1`` and its residual forcings differentiated symbolically,
+    lambdified as numpy callables of (x, y, t, mu, chi, nu)."""
+    x, y, t, mu, chi, nu = sympy.symbols("x y t mu chi nu", real=True)
+    pi, half = sympy.pi, sympy.Rational(1, 2)
+    s4 = lambda z: sympy.sin(pi * z) ** 4
+    amp_u = sympy.Rational(2, 25) * (1 + half * sympy.sin(3 * t))
+    amp_w = sympy.Rational(7, 20) * (1 + half * sympy.cos(2 * t))
+    amp_b = sympy.Rational(3, 50) * (1 + half * sympy.sin(2 * t + sympy.Rational(7, 10)))
+    amp_p = sympy.Rational(1, 10) * (1 + half * sympy.sin(t))
+    cross = 1 + sympy.cos(pi * x) * sympy.cos(pi * y)
+    psi_u = amp_u * s4(x) * s4(y)
+    psi_b = amp_b * s4(x) * s4(y) * cross
+    w = amp_w * sympy.sin(pi * x) * sympy.sin(pi * y) * cross
+    p = amp_p * sympy.cos(pi * x) * sympy.cos(pi * y)
+    u1, u2 = -sympy.diff(psi_u, y), sympy.diff(psi_u, x)
+    b1, b2 = -sympy.diff(psi_b, y), sympy.diff(psi_b, x)
+    dx, dy = (lambda f: sympy.diff(f, x)), (lambda f: sympy.diff(f, y))
+    lap = lambda f: sympy.diff(f, x, 2) + sympy.diff(f, y, 2)
+    advect = lambda f: u1 * dx(f) + u2 * dy(f)
+    stretch = lambda f: b1 * dx(f) + b2 * dy(f)
+    exprs = {
+        "u1": u1, "u2": u2, "w": w, "b1": b1, "b2": b2, "p": p,
+        "fu1": sympy.diff(u1, t) + advect(u1) + dx(p) - (mu + chi) * lap(u1) - stretch(b1) - chi * dy(w),
+        "fu2": sympy.diff(u2, t) + advect(u2) + dy(p) - (mu + chi) * lap(u2) - stretch(b2) + chi * dx(w),
+        "fw": sympy.diff(w, t) + advect(w) + 2 * chi * w - chi * (dx(u2) - dy(u1)),
+        "fb1": sympy.diff(b1, t) + advect(b1) - nu * lap(b1) - stretch(u1),
+        "fb2": sympy.diff(b2, t) + advect(b2) - nu * lap(b2) - stretch(u2),
+    }
+    return {
+        name: sympy.lambdify((x, y, t, mu, chi, nu), e, modules="numpy", cse=True)
+        for name, e in exprs.items()
+    }
+
+
+def _scaled_error(got: np.ndarray, exact: np.ndarray) -> float:
+    return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+
+
+def test_trig1_closed_forms_match_symbolic_oracle():
+    sympy = pytest.importorskip("sympy")
+    oracle = _trig1_sympy_callables(sympy)
+    rng = np.random.default_rng(2024)
+    x, y = rng.random(400), rng.random(400)
+    param_sets = (PARAMS, FluidParams(mu=0.3, chi=0.0, nu=0.7), FluidParams(mu=0.01, chi=0.5, nu=0.2))
+    for params in param_sets:
+        for t in (0.0, 0.13, 0.77, 2.4):
+            got = _trig1_fields(x, y, t, params, tuple(oracle))
+            for name, fn in oracle.items():
+                exact = np.broadcast_to(fn(x, y, t, params.mu, params.chi, params.nu), x.shape)
+                assert _scaled_error(got[name], exact) <= 1e-13, (name, t, params)
+    # the packaged fields sit on their native lattices
+    g, t = GridSpec(24, 24), 0.31
+    state, (fu, fw, fb) = mms_state("trig-1", t, g, PARAMS), mms_forcing(t, "trig-1", PARAMS, g)
+    for name, lattice, arr in (
+        ("u1", "xface", state.u.ux), ("u2", "yface", state.u.uy), ("w", "node", state.w.data),
+        ("b1", "xface", state.b.ux), ("b2", "yface", state.b.uy), ("p", "cell", state.p.data),
+        ("fu1", "xface", fu.ux), ("fu2", "yface", fu.uy), ("fw", "node", fw.data),
+        ("fb1", "xface", fb.ux), ("fb2", "yface", fb.uy),
+    ):
+        X, Y = g.mesh(lattice)
+        exact = oracle[name](X, Y, t, PARAMS.mu, PARAMS.chi, PARAMS.nu)
+        assert _scaled_error(arr, exact) <= 1e-13, name
+
+
+def _fresh_interpreter(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(mmps.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_import_leaves_symbolic_and_optional_scipy_modules_unloaded():
+    # each would add to every command's start-up time
+    code = (
+        "import sys, mmps; "
+        "print([m for m in ('sympy', 'scipy.ndimage', 'scipy.sparse') if m in sys.modules])"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_forced_run_and_weak_form_audit_never_import_sympy():
+    # the closed forms replace the symbolic derivation at run time too, not
+    # only at import
+    code = """
+import sys
+from mmps import FluidParams, GridSpec, StepConfig, initial_state, run_simulation
+from mmps import manufactured_forcing, weak_form_residual
+params = FluidParams(mu=0.04, chi=0.02, nu=0.01)
+grid = GridSpec(16, 16)
+cfg = StepConfig(dt=1e-3, forcing=manufactured_forcing("trig-1", params, grid))
+forced = run_simulation(initial_state("trig-1", grid, params), 0.003, cfg, params)
+smooth = run_simulation(initial_state("smooth-1", grid, params), 0.003, StepConfig(dt=1e-3), params)
+assert forced.failure is None and smooth.failure is None
+weak_form_residual(smooth, 2, params)
+print("sympy" in sys.modules)
+"""
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_mms_state_components_nonzero_and_time_varying():
