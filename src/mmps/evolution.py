@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,7 @@ __all__ = [
     "step_coupled",
     "manufactured_forcing",
     "forcing_work",
+    "march",
     "run_simulation",
 ]
 
@@ -96,7 +97,9 @@ class NonFiniteError(StepError):
 SCHEMES = ("imex-euler", "imex-ab2")
 ADVECTION_SCHEMES = ("upwind2", "central")
 
-ForcingHandle = Callable[[float], tuple[VectorField, ScalarField, VectorField]]
+Forcing = tuple[VectorField, ScalarField, VectorField]
+ForcingHandle = Callable[[float], Forcing]
+Step = tuple[State, State, Forcing | None]  # (prev, new, forcing) of one march step
 
 
 @dataclass(frozen=True)
@@ -107,11 +110,10 @@ class StepConfig:
     or two-step Adams-Bashforth on the explicit terms with the same implicit
     diffusion).  ``advection`` selects the micro-rotation face interpolant.
     ``forcing``, when set, is called at the step's start time and must
-    return body forcings (fu, fw, fb) on the native lattices.  It is not
-    called once per step: ``run_simulation`` calls it again for
-    ``forcing_work``, and AB2 calls it again at the previous step's time, so
-    it runs twice per step, or three times under AB2 (carrying both forward
-    is open in ROADMAP.md, item 2).
+    return body forcings (fu, fw, fb) on the native lattices.  ``march``
+    calls it once per step and hands the triple to the step and to
+    ``forcing_work``; under AB2 the previous step's explicit terms, forcing
+    included, are carried forward instead of being recomputed.
     Snapshots are stored every ``snapshot_stride`` steps (the final state is
     always stored).
     """
@@ -306,7 +308,7 @@ def _mhd_explicit(
     b: VectorField,
     f: ScalarField,
     params: FluidParams,
-    forcing: tuple[VectorField, VectorField] | None,
+    forcing: Forcing | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Explicit right-hand sides (momentum x/y, induction x/y) as raw arrays.
 
@@ -333,7 +335,7 @@ def _mhd_explicit(
         ex = ex - params.chi * pg.ux
         ey = ey - params.chi * pg.uy
     if forcing is not None:
-        fu, fb = forcing
+        fu, _, fb = forcing
         ex = ex + fu.ux
         ey = ey + fu.uy
         gx = gx + fb.ux
@@ -345,20 +347,33 @@ def _w_explicit(
     w: ScalarField,
     u: VectorField,
     params: FluidParams,
-    fw: ScalarField | None,
+    forcing: Forcing | None,
     advection: str,
 ) -> np.ndarray:
     active = bool(u.ux.any() or u.uy.any())
     src = -advect_node(u, w, advection).data if active else np.zeros_like(w.data)
     if params.chi != 0.0:
         src = src + params.chi * curl2(u).data
-    if fw is not None:
-        src = src + fw.data
+    if forcing is not None:
+        src = src + forcing[1].data
     return src
 
 
-def _ab2_combine(current: Sequence[np.ndarray], previous: Sequence[np.ndarray]):
-    return [1.5 * c - 0.5 * p for c, p in zip(current, previous)]
+def _explicit_terms(
+    state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None
+) -> tuple[np.ndarray, ...]:
+    """Raw explicit right-hand sides of a state (momentum x/y, induction
+    x/y, spin), before any AB2 combination."""
+    mhd = _mhd_explicit(state.u, state.b, state.w, params, forcing)
+    return (*mhd, _w_explicit(state.w, state.u, params, forcing, cfg.advection))
+
+
+@dataclass
+class _Carry:
+    """The raw explicit terms of the last step a march took, which the next
+    AB2 step combines with its own instead of recomputing them."""
+
+    terms: tuple[np.ndarray, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +381,14 @@ def _ab2_combine(current: Sequence[np.ndarray], previous: Sequence[np.ndarray]):
 # ---------------------------------------------------------------------------
 
 
-def _mhd_step(
+def _mhd_solve(
     u: VectorField,
     b: VectorField,
-    f: ScalarField,
+    terms: Sequence[np.ndarray],
     cfg: StepConfig,
     params: FluidParams,
-    forcing: tuple[VectorField, VectorField] | None = None,
-    prev: tuple[VectorField, VectorField, ScalarField, tuple | None] | None = None,
 ) -> tuple[VectorField, VectorField, ScalarField]:
     dt = cfg.dt
-    terms = _mhd_explicit(u, b, f, params, forcing)
-    if cfg.scheme == "imex-ab2" and prev is not None:
-        prev_terms = _mhd_explicit(prev[0], prev[1], prev[2], params, prev[3])
-        terms = _ab2_combine(terms, prev_terms)
     ex, ey, gx, gy = terms
     u_star = VectorField(u.grid, u.placement, u.ux + dt * ex, u.uy + dt * ey)
     u_star = helmholtz_solve(u_star, (params.mu + params.chi) * dt)
@@ -390,8 +399,7 @@ def _mhd_step(
         b_new, _ = leray_project(b_star)
     else:
         b_new = b_star
-    pressure = ScalarField(phi.grid, phi.placement, phi.data / dt)
-    return u_new, b_new, pressure
+    return u_new, b_new, ScalarField(phi.grid, phi.placement, phi.data / dt)
 
 
 def step_mhd_forced(
@@ -409,24 +417,13 @@ def step_mhd_forced(
     _check_finite("input velocity", t, u.ux, u.uy)
     _check_finite("input magnetic field", t, b.ux, b.uy)
     _check_cfl(u, b, cfg, t)
-    u_new, b_new, _ = _mhd_step(u, b, f, cfg, params)
+    u_new, b_new, _ = _mhd_solve(u, b, _mhd_explicit(u, b, f, params, None), cfg, params)
     _check_finite("velocity", t + cfg.dt, u_new.ux, u_new.uy)
     _check_finite("magnetic field", t + cfg.dt, b_new.ux, b_new.uy)
     return u_new, b_new
 
 
-def _w_step(
-    w: ScalarField,
-    u: VectorField,
-    cfg: StepConfig,
-    params: FluidParams,
-    fw: ScalarField | None = None,
-    prev: tuple[ScalarField, VectorField, ScalarField | None] | None = None,
-) -> ScalarField:
-    src = _w_explicit(w, u, params, fw, cfg.advection)
-    if cfg.scheme == "imex-ab2" and prev is not None:
-        src_prev = _w_explicit(prev[0], prev[1], params, prev[2], cfg.advection)
-        src = 1.5 * src - 0.5 * src_prev
+def _w_update(w: ScalarField, src: np.ndarray, cfg: StepConfig, params: FluidParams) -> ScalarField:
     if not src.any():
         # Nothing to add: apply the bare damping factor (exact decay; a
         # plain copy when chi = 0, preserving constants bit for bit).
@@ -453,7 +450,7 @@ def step_w_transport(
     """
     _check_finite("input micro-rotation", 0.0, w.data)
     _check_cfl(u, VectorField.zeros(u.grid), cfg, 0.0)
-    w_new = _w_step(w, u, cfg, params)
+    w_new = _w_update(w, _w_explicit(w, u, params, None, cfg.advection), cfg, params)
     _check_finite("micro-rotation", cfg.dt, w_new.data)
     return w_new
 
@@ -463,12 +460,18 @@ def step_coupled(
     cfg: StepConfig,
     params: FluidParams,
     prev: State | None = None,
+    *,
+    forcing: Forcing | None = None,
+    carry: _Carry | None = None,
 ) -> State:
     """One coupled IMEX step.  All couplings are explicit in the previous
     state, so the step is exactly the frozen-spin magnetic step composed
     with the frozen-velocity spin step.  ``prev`` supplies the earlier state
     for the two-step scheme; without it the step falls back to the one-step
     scheme (the bootstrap step of a two-step run).
+
+    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.  Under AB2
+    ``carry`` replaces ``prev``: it holds the last step's raw explicit terms.
     """
     t = state.t
     _check_finite("input velocity", t, state.u.ux, state.u.uy)
@@ -476,31 +479,21 @@ def step_coupled(
     _check_finite("input magnetic field", t, state.b.ux, state.b.uy)
     _check_cfl(state.u, state.b, cfg, t)
 
-    forcing_now = cfg.forcing(t) if cfg.forcing is not None else None
-    fu = fb = fw = None
-    if forcing_now is not None:
-        fu, fw, fb = forcing_now
+    if forcing is None and cfg.forcing is not None:
+        forcing = cfg.forcing(t)
+    terms = _explicit_terms(state, cfg, params, forcing)
+    earlier = None
+    if cfg.scheme == "imex-ab2":
+        if carry is not None:
+            earlier, carry.terms = carry.terms, terms
+        elif prev is not None:
+            earlier = _explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t))
+    if earlier is not None:
+        terms = [1.5 * c - 0.5 * p for c, p in zip(terms, earlier)]
+        del earlier  # frees the previous terms before the solves (peak memory)
 
-    use_ab2 = cfg.scheme == "imex-ab2" and prev is not None
-    prev_mhd = prev_w = None
-    if use_ab2:
-        prev_forcing = cfg.forcing(prev.t) if cfg.forcing is not None else None
-        pfu = pfb = pfw = None
-        if prev_forcing is not None:
-            pfu, pfw, pfb = prev_forcing
-        prev_mhd = (prev.u, prev.b, prev.w, (pfu, pfb) if pfu is not None else None)
-        prev_w = (prev.w, prev.u, pfw)
-
-    u_new, b_new, p_new = _mhd_step(
-        state.u,
-        state.b,
-        state.w,
-        cfg,
-        params,
-        forcing=(fu, fb) if fu is not None else None,
-        prev=prev_mhd,
-    )
-    w_new = _w_step(state.w, state.u, cfg, params, fw=fw, prev=prev_w)
+    u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg, params)
+    w_new = _w_update(state.w, terms[4], cfg, params)
 
     t_new = t + cfg.dt
     _check_finite("velocity", t_new, u_new.ux, u_new.uy)
@@ -514,22 +507,18 @@ def step_coupled(
 # ---------------------------------------------------------------------------
 
 
-def manufactured_forcing(
-    recipe: str, params: FluidParams, grid: GridSpec
-) -> ForcingHandle:
+def manufactured_forcing(recipe: str, params: FluidParams, grid: GridSpec) -> ForcingHandle:
     """Forcing handle for a catalog solution; rejects unknown recipes up
     front."""
     recipes._require_mms(recipe, grid)
 
-    def handle(t: float) -> tuple[VectorField, ScalarField, VectorField]:
+    def handle(t: float) -> Forcing:
         return recipes.mms_forcing(t, recipe, params, grid)
 
     return handle
 
 
-def forcing_work(
-    forcing: tuple[VectorField, ScalarField, VectorField], state: State
-) -> float:
+def forcing_work(forcing: Forcing, state: State) -> float:
     """Power input <fu, u> + <fw, w> + <fb, b> of a forcing triple against a
     state (used to keep forced energy balances comparable)."""
     fu, fw, fb = forcing
@@ -541,6 +530,34 @@ def forcing_work(
 # ---------------------------------------------------------------------------
 
 
+def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
+    """Step from ``init`` to ``t_end`` (a whole number of steps away),
+    yielding ``(prev, new, forcing)`` per step, with the forcing triple the
+    step used (None if unforced).  Nothing is recorded or kept.
+
+    A bad ``t_end`` raises StepError from this call, before any step; a
+    failing step (CFL, lost finiteness) raises its StepError from the
+    iteration.  Step times are exact multiples of dt from ``init.t``.
+    """
+    horizon = t_end - init.t
+    if horizon < 0.0:
+        raise StepError(f"t_end {t_end} precedes the initial time {init.t}")
+    steps = int(round(horizon / cfg.dt))
+    if abs(steps * cfg.dt - horizon) > 1e-8 * max(horizon, cfg.dt):
+        raise StepError(f"horizon {horizon} is not a whole number of steps of dt={cfg.dt}")
+    return _march(init, steps, cfg, params)
+
+
+def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
+    state, carry = init, _Carry()
+    for k in range(1, steps + 1):
+        forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
+        new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)
+        new = replace(new, t=init.t + k * cfg.dt)
+        yield state, new, forcing
+        state = new
+
+
 def run_simulation(
     init: State,
     t_end: float,
@@ -549,54 +566,29 @@ def run_simulation(
 ) -> Trajectory:
     """March from ``init`` to ``t_end`` (which must be a whole number of
     steps away) recording diagnostics every step and snapshots at the
-    configured stride.
+    configured stride: a fold over :func:`march`, whose forcing triple
+    also gives each record's ``forcing_work``.
 
     A step failure (CFL, lost finiteness) aborts the march and returns the
-    completed prefix with ``failure`` set; ``t_end == init.t`` returns just
-    the initial snapshot.  Reruns with identical inputs produce identical
-    trajectories.
+    completed prefix with ``failure`` set; a bad horizon raises StepError.
+    ``t_end == init.t`` returns just the initial snapshot.  Reruns with
+    identical inputs produce identical trajectories.
     """
-    horizon = t_end - init.t
-    if horizon < 0.0:
-        raise StepError(f"t_end {t_end} precedes the initial time {init.t}")
-    steps = int(round(horizon / cfg.dt))
-    if abs(steps * cfg.dt - horizon) > 1e-8 * max(horizon, cfg.dt):
-        raise StepError(
-            f"horizon {horizon} is not a whole number of steps of dt={cfg.dt}"
-        )
-
+    steps = march(init, t_end, cfg, params)
     records = [diagnostics_record(init, params)]
     snaps: list[tuple[float, State]] = [(init.t, init)]
-    state = init
-    prev: State | None = None
     failure: str | None = None
-    for k in range(1, steps + 1):
-        try:
-            new_state = step_coupled(state, cfg, params, prev=prev)
-        except StepError as exc:
-            failure = str(exc)
-            break
-        new_state = replace(new_state, t=init.t + k * cfg.dt)
-        work = 0.0
-        if cfg.forcing is not None:
-            work = forcing_work(cfg.forcing(state.t), new_state)
-        records.append(
-            diagnostics_record(
-                new_state,
-                params,
-                prev=state,
-                prev_record=records[-1],
-                forcing_work=work,
-            )
-        )
-        prev = state
-        state = new_state
-        if k % cfg.snapshot_stride == 0 or k == steps:
-            snaps.append((new_state.t, new_state))
-    return Trajectory(
-        states=tuple(snaps),
-        records=tuple(records),
-        cfg=cfg,
-        params=params,
-        failure=failure,
-    )
+    k, new = 0, init
+    try:
+        for k, (prev, new, forcing) in enumerate(steps, 1):
+            work = forcing_work(forcing, new) if forcing is not None else 0.0
+            records.append(diagnostics_record(new, params, prev=prev, prev_record=records[-1],
+                                              forcing_work=work))
+            if k % cfg.snapshot_stride == 0:
+                snaps.append((new.t, new))
+    except StepError as exc:
+        failure = str(exc)
+    else:
+        if k % cfg.snapshot_stride:
+            snaps.append((new.t, new))  # the final state is always stored
+    return Trajectory(tuple(snaps), tuple(records), cfg, params, failure)

@@ -11,7 +11,7 @@ import csv
 import math
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .evolution import (
     StepError,
     Trajectory,
     manufactured_forcing,
+    march,
     run_simulation,
     step_mhd_forced,
     step_w_transport,
@@ -141,6 +142,24 @@ def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
     return traj
 
 
+def _failing_as(label: str, steps: Iterator) -> Iterator:
+    """A march's steps; a failed step raises ExperimentError "<label> failed: ..."."""
+    try:
+        yield from steps
+    except StepError as exc:
+        raise ExperimentError(f"{label} failed: {exc}") from exc
+
+
+def _final_state(
+    init: State, t_end: float, cfg: StepConfig, params: FluidParams, label: str
+) -> State:
+    """The last state of a record-free march (a bad horizon raises StepError)."""
+    final = init
+    for _, final, _ in _failing_as(label, march(init, t_end, cfg, params)):
+        pass
+    return final
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point construction
 # ---------------------------------------------------------------------------
@@ -212,7 +231,6 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
         ratios: list[float] = []
         iterate_norms: list[float] = [_x_norm(f_slices)]
         converged = False
-        contraction_failed = False
         try:
             for _ in range(cfg.schauder_max_iterations):
                 f_next = _apply_spin_map(f_slices, init, steps, base_cfg, params, eps)
@@ -224,7 +242,6 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
                     ratio = diffs[-1] / diffs[-2]
                     ratios.append(ratio)
                     if ratio >= 1.0:
-                        contraction_failed = True
                         break
                 if diff <= cfg.schauder_tol:
                     converged = True
@@ -241,14 +258,8 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
             }
         )
         if converged:
-            coupled = run_simulation(init, horizon, base_cfg, params)
-            if coupled.failure is not None:
-                raise ExperimentError(f"coupled comparison run failed: {coupled.failure}")
-            w_star = f_slices[-1]
-            w_coupled = coupled.final_state.w
-            gap = lq_norm(
-                ScalarField(grid, NODE, w_star.data - w_coupled.data), 2.0
-            )
+            coupled = _final_state(init, horizon, base_cfg, params, "coupled comparison run")
+            gap = lq_norm(ScalarField(grid, NODE, f_slices[-1].data - coupled.w.data), 2.0)
             return {
                 "converged": True,
                 "t_end": horizon,
@@ -282,17 +293,12 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _difference_series(a: Trajectory, b: Trajectory) -> tuple[list[float], list[float]]:
-    times, values = [], []
-    for (t1, s1), (t2, s2) in zip(a.states, b.states):
-        if t1 != t2:
-            raise ExperimentError("trajectories disagree on snapshot times")
-        du = VectorField(s1.grid, MAC, s2.u.ux - s1.u.ux, s2.u.uy - s1.u.uy)
-        dw = ScalarField(s1.grid, NODE, s2.w.data - s1.w.data)
-        db = VectorField(s1.grid, MAC, s2.b.ux - s1.b.ux, s2.b.uy - s1.b.uy)
-        times.append(t1)
-        values.append(lq_norm(du, 2.0) ** 2 + lq_norm(dw, 2.0) ** 2 + lq_norm(db, 2.0) ** 2)
-    return times, values
+def _separation(a: State, b: State) -> float:
+    """Squared L^2 distance between two states (u, w and b)."""
+    du = VectorField(a.grid, MAC, b.u.ux - a.u.ux, b.u.uy - a.u.uy)
+    dw = ScalarField(a.grid, NODE, b.w.data - a.w.data)
+    db = VectorField(a.grid, MAC, b.b.ux - a.b.ux, b.b.uy - a.b.uy)
+    return lq_norm(du, 2.0) ** 2 + lq_norm(dw, 2.0) ** 2 + lq_norm(db, 2.0) ** 2
 
 
 def _fit_log_rate(times: Sequence[float], values: Sequence[float]) -> float:
@@ -320,33 +326,39 @@ def uniqueness_probe(cfg: RunConfig, delta: float) -> dict:
     init = build_initial_state(cfg, grid)
     step_cfg = step_config_of(cfg, grid)
 
-    base = run_simulation(init, cfg.t_end, step_cfg, params)
-    if base.failure is not None:
-        raise ExperimentError(f"base run failed: {base.failure}")
+    # the three runs march in lockstep and keep no trajectory: separations
+    # are taken at the snapshot stride and at the final time
+    labels = ("base run", "perturbed run (delta)", "perturbed run (half)")
+    starts = (init, perturbed_state(init, delta), perturbed_state(init, 0.5 * delta))
+    runs = zip(*(_failing_as(label, march(s, cfg.t_end, step_cfg, params))
+                 for label, s in zip(labels, starts)))
 
-    report: dict = {"delta": delta}
-    series = {}
-    for label, amount in (("delta", delta), ("half", 0.5 * delta)):
-        pert = run_simulation(
-            perturbed_state(init, amount), cfg.t_end, step_cfg, params
-        )
-        if pert.failure is not None:
-            raise ExperimentError(f"perturbed run ({label}) failed: {pert.failure}")
-        times, values = _difference_series(base, pert)
-        series[label] = values
-        report[f"d_{label}"] = values
-        report[f"rate_{label}"] = _fit_log_rate(times, values)
-        report.setdefault("times", times)
-    ratios = [
-        a / b if b > 0.0 else math.nan
-        for a, b in zip(series["delta"], series["half"])
-    ]
-    report["ratios"] = ratios
-    report["identically_zero"] = all(v == 0.0 for v in series["delta"])
+    def sampled() -> Iterator[tuple[State, ...]]:
+        yield starts
+        k, states = 0, starts
+        for k, steps in enumerate(runs, 1):
+            states = tuple(new for _, new, _ in steps)
+            if k % step_cfg.snapshot_stride == 0:
+                yield states
+        if k % step_cfg.snapshot_stride:
+            yield states
+
+    rows = [(a.t, _separation(a, b), _separation(a, c)) for a, b, c in sampled()]
+    times, d_delta, d_half = (list(column) for column in zip(*rows))
+    ratios = [a / b if b > 0.0 else math.nan for a, b in zip(d_delta, d_half)]
     finite = [r for r in ratios if math.isfinite(r)]
-    report["ratio_min"] = min(finite, default=math.nan)
-    report["ratio_max"] = max(finite, default=math.nan)
-    return report
+    return {
+        "delta": delta,
+        "d_delta": d_delta,
+        "rate_delta": _fit_log_rate(times, d_delta),
+        "times": times,
+        "d_half": d_half,
+        "rate_half": _fit_log_rate(times, d_half),
+        "ratios": ratios,
+        "identically_zero": all(v == 0.0 for v in d_delta),
+        "ratio_min": min(finite, default=math.nan),
+        "ratio_max": max(finite, default=math.nan),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +413,9 @@ def convergence_study(cfg: RunConfig) -> dict:
         grid = grid_of(cfg, nx)
         init = mms_state(recipe, 0.0, grid, params)
         step_cfg = step_config_of(cfg, grid)
-        traj = run_simulation(init, cfg.t_end, step_cfg, params)
-        if traj.failure is not None:
-            raise ExperimentError(f"spatial run nx={nx} failed: {traj.failure}")
+        final = _final_state(init, cfg.t_end, step_cfg, params, f"spatial run nx={nx}")
         exact = mms_state(recipe, cfg.t_end, grid, params)
-        spatial_errors.append(_field_errors(traj.final_state, exact))
+        spatial_errors.append(_field_errors(final, exact))
 
     grid = grid_of(cfg)
     init = mms_state(recipe, 0.0, grid, params)
@@ -413,18 +423,13 @@ def convergence_study(cfg: RunConfig) -> dict:
     factor = dts[0] / dts[1]
     if any(abs(a / b - factor) > 1e-9 * factor for a, b in zip(dts[1:], dts[2:])):
         raise ExperimentError("temporal dt ladder must refine by a fixed factor")
-    dt_ref = min(dts) / 8.0
-    ref_cfg = step_config_of(cfg, grid, dt=dt_ref)
-    ref = run_simulation(init, cfg.t_end, ref_cfg, params)
-    if ref.failure is not None:
-        raise ExperimentError(f"temporal reference run failed: {ref.failure}")
+    ref_cfg = step_config_of(cfg, grid, dt=min(dts) / 8.0)
+    ref = _final_state(init, cfg.t_end, ref_cfg, params, "temporal reference run")
     temporal_errors: list[dict[str, float]] = []
     for dt in dts:
         step_cfg = step_config_of(cfg, grid, dt=dt)
-        traj = run_simulation(init, cfg.t_end, step_cfg, params)
-        if traj.failure is not None:
-            raise ExperimentError(f"temporal run dt={dt} failed: {traj.failure}")
-        temporal_errors.append(_field_errors(traj.final_state, ref.final_state))
+        final = _final_state(init, cfg.t_end, step_cfg, params, f"temporal run dt={dt}")
+        temporal_errors.append(_field_errors(final, ref))
 
     report = {
         "spatial": {

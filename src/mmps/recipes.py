@@ -198,8 +198,9 @@ def _trig1_fields(
 def _trig1_on(grid: GridSpec, lattice: str, t: float, params: FluidParams, *names: str) -> list:
     """The named ``_trig1_fields`` on one lattice, from its row and column
     coordinates."""
-    X, Y = grid.mesh(lattice)
-    return list(_trig1_fields(X[:, :1], Y[:1, :], t, params, names).values())
+    (m, n), (x0, y0) = grid.lattice_shape(lattice), grid.lattice_origin(lattice)
+    x, y = x0 + grid.h * np.arange(m), y0 + grid.h * np.arange(n)
+    return list(_trig1_fields(x[:, None], y[None, :], t, params, names).values())
 
 
 def _require_mms(recipe: str, grid: GridSpec) -> None:

@@ -30,7 +30,7 @@ from mmps.estimates import (
     w_lq_audit,
     weak_form_residual,
 )
-from mmps.evolution import StepConfig, run_simulation, step_w_transport
+from mmps.evolution import StepConfig, StepError, march, run_simulation, step_w_transport
 from mmps.experiments import (
     build_initial_state,
     convergence_study,
@@ -81,6 +81,18 @@ class _Budget:
             elapsed = time.monotonic() - self.start
             assert elapsed < self.limit, f"runtime {elapsed:.1f}s over {self.limit}s budget"
         return False
+
+
+def _march_to(init, t_end, cfg, params):
+    """Final state of a record-free march, and the step failure that stopped
+    it (None when it completed)."""
+    final = init
+    try:
+        for _, final, _ in march(init, t_end, cfg, params):
+            pass
+    except StepError as exc:
+        return final, str(exc)
+    return final, None
 
 
 def _run(recipe, nx, dt, t_end, params, advection="central", seed=0, stride=1,
@@ -156,9 +168,8 @@ def test_criterion_03_taylor_green_analytic_decay_orders():
             g = GridSpec(nx, nx, MODE_PERIODIC)
             cfg = StepConfig(dt=1.25e-4, scheme="imex-euler", advection="central",
                              snapshot_stride=10**9)
-            traj = run_simulation(taylor_green_state(g), t_end, cfg, params)
-            assert traj.failure is None
-            final = traj.final_state
+            final, failure = _march_to(taylor_green_state(g), t_end, cfg, params)
+            assert failure is None
             assert not final.w.data.any() and not final.b.ux.any()  # stays decoupled
             exact = taylor_green_state(g, 0.5 * math.exp(-rate * t_end))
             diff = VectorField(g, final.u.placement,
@@ -176,9 +187,8 @@ def test_criterion_03_taylor_green_analytic_decay_orders():
         for dt in (8e-3, 4e-3, 2e-3):
             cfg = StepConfig(dt=dt, scheme="imex-euler", advection="central",
                              snapshot_stride=10**9)
-            traj = run_simulation(taylor_green_state(g), t_end_t, cfg, params_t)
-            assert traj.failure is None
-            final = traj.final_state
+            final, failure = _march_to(taylor_green_state(g), t_end_t, cfg, params_t)
+            assert failure is None
             diff = VectorField(g, final.u.placement,
                                final.u.ux - exact_t.u.ux, final.u.uy - exact_t.u.uy)
             temporal_errors.append(lq_norm(diff, 2.0))
@@ -288,15 +298,14 @@ def test_criterion_09_fixed_point_construction():
         grid = grid_of(cfg)
         params = params_of(cfg)
         init = build_initial_state(cfg, grid)
-        fine = run_simulation(
+        b, _ = _march_to(
             init, report["t_end"],
             step_config_of(cfg, grid, dt=cfg.dt / 2, with_forcing=False), params,
         )
-        coarse = run_simulation(
+        a, _ = _march_to(
             init, report["t_end"],
             step_config_of(cfg, grid, with_forcing=False), params,
         )
-        a, b = coarse.final_state, fine.final_state
         selfconv = max(
             lq_norm(VectorField(grid, a.u.placement, a.u.ux - b.u.ux, a.u.uy - b.u.uy), 2.0),
             lq_norm(ScalarField(grid, NODE, a.w.data - b.w.data), 2.0),

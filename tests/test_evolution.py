@@ -7,10 +7,12 @@ errors, and trajectory bookkeeping.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mmps.estimates import diagnostics_record
 from mmps.evolution import (
     ADVECTION_SCHEMES,
     SCHEMES,
@@ -23,6 +25,7 @@ from mmps.evolution import (
     advect_node,
     forcing_work,
     manufactured_forcing,
+    march,
     run_simulation,
     step_coupled,
     step_mhd_forced,
@@ -447,6 +450,100 @@ def test_run_simulation_captures_step_failure_as_prefix():
     traj = run_simulation(init, 0.05, cfg, PARAMS)
     assert traj.failure is not None and "cfl" in traj.failure.lower()
     assert len(traj.states) == 1  # only the initial snapshot completed
+
+
+def test_march_checks_the_horizon_before_any_step():
+    g = GridSpec(16, 16)
+    init = mms_state("trig-1", 0.0, g, PARAMS)
+    handle = _CountingForcing(manufactured_forcing("trig-1", PARAMS, g))
+    cfg = StepConfig(dt=1e-3, forcing=handle)
+    for bad in (0.00105, -1e-3):
+        with pytest.raises(StepError):
+            march(init, bad, cfg, PARAMS)  # the call raises, not the iteration
+        with pytest.raises(StepError):
+            run_simulation(init, bad, cfg, PARAMS)
+    assert handle.calls == 0
+    assert list(march(init, 0.0, cfg, PARAMS)) == []
+
+
+def test_march_raises_a_failing_step_from_the_iteration():
+    g = GridSpec(16, 16)
+    fast = VectorField.sample_mac(g, lambda x, y: 0 * x + 50.0, lambda x, y: 0 * x)
+    fast.ux[0, :] = fast.ux[-1, :] = 0.0
+    init = replace(State.zeros(g, 0.0), u=fast)
+    steps = march(init, 0.05, StepConfig(dt=1e-2), PARAMS)
+    with pytest.raises(CflError) as exc:
+        next(steps)
+    assert str(exc.value) == run_simulation(init, 0.05, StepConfig(dt=1e-2), PARAMS).failure
+
+
+class _CountingForcing:
+    """A forcing handle that counts its calls."""
+
+    def __init__(self, handle):
+        self.handle, self.calls = handle, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.handle(t)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_march_and_run_simulation_evaluate_the_forcing_once_per_step(scheme):
+    g = GridSpec(16, 16)
+    handle = _CountingForcing(manufactured_forcing("trig-1", PARAMS, g))
+    cfg = StepConfig(dt=5e-4, scheme=scheme, advection="central", forcing=handle)
+    init = mms_state("trig-1", 0.0, g, PARAMS)
+    traj = run_simulation(init, 6 * cfg.dt, cfg, PARAMS)
+    assert traj.failure is None and len(traj.records) == 7
+    assert handle.calls == 6
+    handle.calls = 0
+    assert len(list(march(init, 6 * cfg.dt, cfg, PARAMS))) == 6
+    assert handle.calls == 6
+
+
+def _oracle_loop(init, t_end, cfg, params):
+    """Records and states of the per-step loop built from public pieces:
+    ``step_coupled(..., prev=...)`` recomputes the AB2 history, and the
+    forcing is evaluated again for ``forcing_work``."""
+    records, states = [diagnostics_record(init, params)], [init]
+    prev = None
+    for k in range(1, int(round((t_end - init.t) / cfg.dt)) + 1):
+        state = states[-1]
+        new = replace(step_coupled(state, cfg, params, prev=prev), t=init.t + k * cfg.dt)
+        work = forcing_work(cfg.forcing(state.t), new) if cfg.forcing is not None else 0.0
+        records.append(diagnostics_record(new, params, prev=state, prev_record=records[-1],
+                                          forcing_work=work))
+        prev = state
+        states.append(new)
+    return records, states
+
+
+def _same_state(a: State, b: State) -> bool:
+    pairs = zip((a.u.ux, a.u.uy, a.w.data, a.b.ux, a.b.uy, a.p.data),
+                (b.u.ux, b.u.uy, b.w.data, b.b.ux, b.b.uy, b.p.data))
+    return a.t == b.t and all(x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("case", ["forced trig-1", "periodic rough-h1"])
+def test_march_and_run_simulation_match_the_per_step_oracle_bitwise(scheme, case):
+    if case == "forced trig-1":
+        g = GridSpec(16, 16)
+        init = mms_state("trig-1", 0.0, g, PARAMS)
+        forcing = manufactured_forcing("trig-1", PARAMS, g)
+    else:
+        g = GridSpec(16, 16, MODE_PERIODIC)
+        init, forcing = initial_state("rough-h1", g, PARAMS, seed=5), None
+    cfg = StepConfig(dt=5e-4, scheme=scheme, advection="central", forcing=forcing)
+    t_end = 7 * cfg.dt
+    records, states = _oracle_loop(init, t_end, cfg, PARAMS)
+    traj = run_simulation(init, t_end, cfg, PARAMS)
+    assert traj.failure is None and repr(traj.records) == repr(tuple(records))
+    assert all(_same_state(s, o) for (_, s), o in zip(traj.states, states, strict=True))
+    for k, (prev, new, step_forcing) in enumerate(march(init, t_end, cfg, PARAMS), 1):
+        assert _same_state(prev, states[k - 1]) and _same_state(new, states[k])
+        assert (step_forcing is None) == (forcing is None)
 
 
 def test_run_simulation_is_deterministic_bitwise():

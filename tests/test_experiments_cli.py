@@ -27,10 +27,13 @@ from mmps.experiments import (
     read_diagnostics_csv,
     schauder_fixed_point,
     simulate_run,
+    step_config_of,
     uniqueness_probe,
     write_diagnostics_csv,
 )
+from mmps.evolution import StepError, run_simulation
 from mmps.fields import MODE_PERIODIC
+from mmps.recipes import mms_state
 from mmps.snapshots import (
     SnapshotChecksumError,
     SnapshotError,
@@ -417,6 +420,47 @@ def test_convergence_study_validates_inputs():
     )
     with pytest.raises(ExperimentError):
         convergence_study(bad_ladder)
+
+
+def _failure_of(cfg: RunConfig, nx: int, dt: float) -> str:
+    """The failure string of the same run under ``run_simulation``."""
+    grid, params = grid_of(cfg, nx), params_of(cfg)
+    init = mms_state("trig-1", 0.0, grid, params)
+    traj = run_simulation(init, cfg.t_end, step_config_of(cfg, grid, dt=dt), params)
+    assert traj.failure is not None
+    return traj.failure
+
+
+def test_convergence_study_names_the_run_a_step_failure_aborted():
+    # trig-1 moves at about 0.33, so a CFL cap of 1e-3 stops the first step
+    spatial = RunConfig(nx=16, dt=1e-3, t_end=2e-3, recipe="trig-1", forcing_recipe="trig-1",
+                        cfl_limit=1e-3, spatial_grids=(16, 24, 32))
+    with pytest.raises(ExperimentError) as exc:
+        convergence_study(spatial)
+    assert str(exc.value) == f"spatial run nx=16 failed: {_failure_of(spatial, 16, 1e-3)}"
+    # a cap of 5e-3 passes the spatial ladder and the reference, not dt = 2e-3
+    temporal = replace(spatial, dt=1e-4, cfl_limit=5e-3)
+    with pytest.raises(ExperimentError) as exc:
+        convergence_study(temporal)
+    assert str(exc.value) == f"temporal run dt=0.002 failed: {_failure_of(temporal, 16, 2e-3)}"
+
+
+def test_convergence_study_raises_a_bad_horizon_as_a_step_error():
+    cfg = RunConfig(nx=16, dt=1e-3, t_end=1.5e-3, recipe="trig-1", forcing_recipe="trig-1",
+                    spatial_grids=(16, 24, 32))
+    with pytest.raises(StepError, match="whole number of steps"):
+        convergence_study(cfg)
+
+
+def test_uniqueness_names_the_run_a_step_failure_aborted():
+    cfg = replace(SMALL, cfl_limit=1e-6)
+    grid, params = grid_of(cfg), params_of(cfg)
+    base = run_simulation(build_initial_state(cfg, grid), cfg.t_end,
+                          step_config_of(cfg, grid), params)
+    assert base.failure is not None
+    with pytest.raises(ExperimentError) as exc:
+        uniqueness_probe(cfg, 1e-6)
+    assert str(exc.value) == f"base run failed: {base.failure}"
 
 
 # ---------------------------------------------------------------------------
