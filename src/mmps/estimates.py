@@ -148,6 +148,10 @@ def diagnostics_record(
     with all spatial terms at the new state; ``forcing_work`` is the power
     input of any external forcing so forced runs stay comparably balanced.
     The margin is the L^4 ledger's rhs - lhs (see :func:`w_lq_audit`).
+
+    Each derivative block is built once per state: the blocks of ``grad u``
+    give its norms and ``curl2(u)``, the difference of its two transverse
+    blocks (the arrays ``curl2`` itself differences).
     """
     u, w, b = state.u, state.w, state.b
     u_l2 = lq_norm(u, 2.0)
@@ -162,7 +166,7 @@ def diagnostics_record(
     hess_u_l2 = samples_lq(hess_u, 2.0)
     hess_b_l2 = samples_lq(hessian_samples(b), 2.0)
     hess_u_l4 = samples_lq(hess_u, 4.0)
-    curl_u = curl2(u)
+    curl_u = ScalarField(state.grid, NODE, grad_u[2].data - grad_u[1].data)
     ratio = params.chi / (params.mu + params.chi)
     z_l2 = lq_norm(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0)
 

@@ -60,7 +60,7 @@ cancellations to roundoff relative to the stencil scale ``max|s| / h^2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
@@ -494,37 +494,38 @@ def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> floa
     raise FieldError("cannot pair a scalar with a vector")
 
 
-def _weighted_lq(pieces: Iterable[tuple[np.ndarray, np.ndarray]], q: float) -> float:
-    """L^q norm of a collection of (values, weights) sample blocks.
+def _weighted_lq(pieces: Iterable[tuple[np.ndarray, np.ndarray, float]], q: float) -> float:
+    """L^q norm of a collection of (values, weights, multiplicity) sample blocks.
 
     Vector collections are measured componentwise: the q-th power sums the
     q-th powers of every component sample (for q = 2 this is the usual
     Euclidean L2 norm; for general q it is an equivalent product-space norm,
     the fixed convention of this package for staggered components).
+
+    q = 2 and q = 4 form their powers by multiplication (``v*v`` and its
+    square; no ``abs``).  A block's multiplicity (1 or 2) scales its weighted
+    sum: exactly the sum over scaled weights, without allocating them.
     """
     if q == np.inf:
-        return float(max(np.max(np.abs(v)) if v.size else 0.0 for v, _ in pieces))
+        return float(max(np.max(np.abs(v)) if v.size else 0.0 for v, _, _ in pieces))
+    q = float(q)
+    if not np.isfinite(q) or q < 1.0:
+        raise FieldError(f"norm order q must be in [1, inf], got {q}")
     acc = 0.0
-    for values, weights in pieces:
-        acc += float(np.sum(weights * np.abs(values) ** q))
+    for values, weights, multiplicity in pieces:
+        power = values * values if q in (2.0, 4.0) else np.abs(values) ** q
+        if q == 4.0:
+            power *= power
+        acc += multiplicity * float(np.sum(weights * power))
     return acc ** (1.0 / q)
 
 
 def lq_norm(f: ScalarField | VectorField, q: float) -> float:
     """Discrete L^q norm (midpoint rule on the native placement), q in [1, inf]."""
-    if q != np.inf:
-        q = float(q)
-        if not np.isfinite(q) or q < 1.0:
-            raise FieldError(f"norm order q must be in [1, inf], got {q}")
     if isinstance(f, ScalarField):
-        return _weighted_lq([(f.data, _scalar_weights(f))], q)
-    return _weighted_lq(
-        [
-            (f.ux, lattice_weights(f.grid, "xface")),
-            (f.uy, lattice_weights(f.grid, "yface")),
-        ],
-        q,
-    )
+        return _weighted_lq([(f.data, _scalar_weights(f), 1.0)], q)
+    wx, wy = lattice_weights(f.grid, "xface"), lattice_weights(f.grid, "yface")
+    return _weighted_lq([(f.ux, wx, 1.0), (f.uy, wy, 1.0)], q)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +613,7 @@ def hessian_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
         ]
     for s in components:
         dx, dy = s.dx(), s.dy()
-        blocks.append(dx.dx())
-        mixed = dx.dy()
-        blocks.append(
-            DerivativeSamples(mixed.grid, mixed.data, mixed.x0, mixed.y0, 2.0)
-        )
-        blocks.append(dy.dy())
+        blocks += [dx.dx(), replace(dx.dy(), multiplicity=2.0), dy.dy()]
     return blocks
 
 
@@ -637,11 +633,8 @@ def third_derivative_samples(f: ScalarField | VectorField) -> list[DerivativeSam
 
 def samples_lq(blocks: Iterable[DerivativeSamples], q: float) -> float:
     """L^q norm over derivative sample blocks (multiplicity-aware)."""
-    if q != np.inf:
-        q = float(q)
-        if not np.isfinite(q) or q < 1.0:
-            raise FieldError(f"norm order q must be in [1, inf], got {q}")
-    return _weighted_lq([(b.data, b.weights()) for b in blocks], q)
+    weighted = ((b, _product_weights(b.grid, b.data.shape, (b.x0, b.y0))) for b in blocks)
+    return _weighted_lq([(b.data, w, b.multiplicity) for b, w in weighted], q)
 
 
 def sobolev_norms(f: ScalarField | VectorField) -> dict[str, float]:

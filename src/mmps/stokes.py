@@ -5,7 +5,7 @@ Every operator acts on the interior faces only in Dirichlet mode (boundary
 faces are no-penetration data, pinned to zero).  The Helmholtz and projection
 operators are separable under their closures, so each mode inverts them
 exactly by dividing by the stencil's symbol in a diagonalising transform:
-periodic mode uses the FFT; Dirichlet mode uses DST-I along pinned faces,
+periodic mode uses the real FFT; Dirichlet mode uses DST-I along pinned faces,
 DST-II across mirror ghosts and DCT-II for the zero-flux pressure Poisson
 problem (Schumann & Sweet 1976; Swarztrauber 1977).
 
@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.fft import dctn, dst, idctn, idst
+from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
 
 from .fields import (
     CELL,
@@ -195,7 +195,8 @@ def solve_stationary_stokes(f: VectorField, tol: float = 1e-9) -> StokesSolution
 def _symbol(g: GridSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     """Eigenvalues of the five-point -laplacian in a separable transform
     basis: (4/h^2) sin^2(k pi / 2n) per axis, for the wavenumbers k of that
-    axis's transform over n cells.  Periodic: k = 0, 2, ..., 2n-2 (FFT);
+    axis's transform over n cells.  Periodic: k = 0, 2, ..., 2n-2 (FFT; the
+    real FFT's last axis keeps the first n//2 + 1);
     zero-flux ends: k = 0..n-1 (DCT-II); odd mirror ghosts: k = 1..n
     (DST-II); the n-1 faces between pinned ones: k = 1..n-1 (DST-I).
     """
@@ -210,14 +211,13 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     (zero weighted mean, Neumann closure) with u_proj = u - grad(phi).
     In Dirichlet mode the boundary faces are pinned to zero first; a field
     that is already divergence-free is returned unchanged to roundoff.
-    The Poisson problem div grad phi = div u is inverted by the FFT
+    The Poisson problem div grad phi = div u is inverted by the real FFT
     (periodic) or by DCT-II along both axes (Dirichlet).
     """
     g = u.grid
     if g.periodic:
-        k = 2 * np.arange(g.nx)
-        work, lam = u, _symbol(g, k, k)
-        forward, inverse = np.fft.fft2, lambda a: np.real(np.fft.ifft2(a))
+        work, lam = u, _symbol(g, 2 * np.arange(g.nx), 2 * np.arange(g.nx // 2 + 1))
+        forward, inverse = rfft2, partial(irfft2, s=u.ux.shape)
     else:
         work = u.copy()
         work.ux[0, :] = work.ux[-1, :] = 0.0
@@ -236,38 +236,37 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     return proj, ScalarField(g, CELL, phi)
 
 
-def _helmholtz_xfaces(a: np.ndarray, g: GridSpec, coef: float) -> np.ndarray:
+def _helmholtz_xfaces(a: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """Solve (I - coef * laplacian) x = a on the interior x faces, shape
-    (n-1, n): pinned boundary faces along x (DST-I), odd mirror ghosts along
-    y (DST-II).  The interior y-face problem is this one transposed.
+    (n-1, n), given its symbol ``sym = 1 + coef * lam``: pinned boundary
+    faces along x (DST-I), odd mirror ghosts along y (DST-II).  The interior
+    y-face problem is this one transposed, with the same symbol.
     """
-    n = g.nx
-    lam = _symbol(g, np.arange(1, n), np.arange(1, n + 1))
     hat = dst(dst(a, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-    hat /= 1.0 + coef * lam
+    hat /= sym
     return idst(idst(hat, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
 
 
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     """Solve (I - coef * laplacian) out = v componentwise on MAC faces with
     the no-slip closures (pinned boundary faces, mirror ghosts).  ``coef``
-    is kappa * dt >= 0.  The operator is inverted exactly by the FFT
-    (periodic) or by DST-I x DST-II on the interior faces (Dirichlet).
+    is kappa * dt >= 0.  The operator is inverted exactly by the real FFT
+    (periodic) or by DST-I x DST-II on the interior faces (Dirichlet); the
+    symbol is formed once and serves both components.
     """
     g = v.grid
     if coef < 0:
         raise SolverError(f"helmholtz coefficient must be >= 0, got {coef}")
     if coef == 0.0:
         return v.copy()
+    n = g.nx
     if g.periodic:
-        k = 2 * np.arange(g.nx)
-        sym = 1.0 + coef * _symbol(g, k, k)
-        ux = np.real(np.fft.ifft2(np.fft.fft2(v.ux) / sym))
-        uy = np.real(np.fft.ifft2(np.fft.fft2(v.uy) / sym))
-        return VectorField(g, MAC, ux, uy)
+        sym = 1.0 + coef * _symbol(g, 2 * np.arange(n), 2 * np.arange(n // 2 + 1))
+        return VectorField(g, MAC, *(irfft2(rfft2(a) / sym, s=a.shape) for a in (v.ux, v.uy)))
+    sym = 1.0 + coef * _symbol(g, np.arange(1, n), np.arange(1, n + 1))
     fx, fy = _interior_faces(v)
-    sx = _helmholtz_xfaces(fx, g, coef)
-    sy = _helmholtz_xfaces(fy.T, g, coef).T
+    sx = _helmholtz_xfaces(fx, sym)
+    sy = _helmholtz_xfaces(fy.T, sym).T
     if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
         raise SolverError("helmholtz solve produced non-finite values")
     return _embed_faces(g, sx, sy)

@@ -31,7 +31,7 @@ from mmps.estimates import (
     z_diagnostic,
     z_field,
 )
-from mmps.evolution import StepConfig, manufactured_forcing, run_simulation
+from mmps.evolution import StepConfig, manufactured_forcing, run_simulation, step_coupled
 from mmps.fields import (
     CELL,
     NODE,
@@ -40,9 +40,13 @@ from mmps.fields import (
     ScalarField,
     State,
     VectorField,
+    MODE_DIRICHLET,
+    MODE_PERIODIC,
     curl2,
     gradient_samples,
+    hessian_samples,
     l2_inner,
+    lattice_weights,
     lq_norm,
     samples_lq,
 )
@@ -120,6 +124,105 @@ def test_diagnostics_record_step_entries_match_hand_formulas():
     lhs = (rec1.w_l4**q - rec0.w_l4**q) / (q * dt) + 2.0 * PARAMS.chi * rec1.w_l4**q
     margin = PARAMS.chi * gu_q * rec1.w_l4 ** (q - 1.0) - lhs
     assert rec1.lq_margin == pytest.approx(margin, rel=1e-10, abs=1e-14)
+
+
+def _record_oracle(state, params, prev=None, prev_oracle=None):
+    """Reference record: every block from the public sample functions,
+    curl2 on its own, and the norms through the inline
+    ``sum(w * abs(v)**q)`` kernel."""
+
+    def lq(pieces, q):
+        acc = 0.0
+        for values, weights in pieces:
+            acc += float(np.sum(weights * np.abs(values) ** q))
+        return acc ** (1.0 / q)
+
+    def field_lq(f, q):
+        if isinstance(f, ScalarField):
+            return lq([(f.data, lattice_weights(f.grid, f.lattice))], q)
+        g = f.grid
+        return lq([(f.ux, lattice_weights(g, "xface")), (f.uy, lattice_weights(g, "yface"))], q)
+
+    def blocks_lq(blocks, q):
+        return lq([(b.data, b.weights()) for b in blocks], q)
+
+    u, w, b = state.u, state.w, state.b
+    grad_u, hess_u = gradient_samples(u), hessian_samples(u)
+    curl_u = curl2(u)
+    ratio = params.chi / (params.mu + params.chi)
+    out = {
+        "t": state.t, "u_l2": field_lq(u, 2.0), "grad_u_l2": blocks_lq(grad_u, 2.0),
+        "w_l2": field_lq(w, 2.0), "w_l4": field_lq(w, 4.0),
+        "grad_w_l4": blocks_lq(gradient_samples(w), 4.0), "b_l2": field_lq(b, 2.0),
+        "grad_b_l2": blocks_lq(gradient_samples(b), 2.0), "hess_u_l2": blocks_lq(hess_u, 2.0),
+        "hess_b_l2": blocks_lq(hessian_samples(b), 2.0), "hess_u_l4": blocks_lq(hess_u, 4.0),
+        "dt_w_l2": 0.0, "dt_w_l4": 0.0, "energy_residual": 0.0, "lq_margin": 0.0,
+        "z_l2": field_lq(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0),
+        "margin_scale": 0.0,
+    }
+    if prev is None:
+        return out
+    dt = state.t - prev.t
+    dw = ScalarField(state.grid, NODE, (w.data - prev.w.data) / dt)
+    out["dt_w_l2"], out["dt_w_l4"] = field_lq(dw, 2.0), field_lq(dw, 4.0)
+    if prev_oracle is not None:
+        e_prev = prev_oracle["u_l2"] ** 2 + prev_oracle["w_l2"] ** 2 + prev_oracle["b_l2"] ** 2
+        w_prev_l4 = prev_oracle["w_l4"]
+    else:
+        e_prev = field_lq(prev.u, 2.0) ** 2 + field_lq(prev.w, 2.0) ** 2 + field_lq(prev.b, 2.0) ** 2
+        w_prev_l4 = field_lq(prev.w, 4.0)
+    e_new = out["u_l2"] ** 2 + out["w_l2"] ** 2 + out["b_l2"] ** 2
+    out["energy_residual"] = (
+        0.5 * (e_new - e_prev) / dt
+        + (params.mu + params.chi) * out["grad_u_l2"] ** 2
+        + 2.0 * params.chi * out["w_l2"] ** 2
+        + params.nu * out["grad_b_l2"] ** 2
+        - 2.0 * params.chi * l2_inner(curl_u, w)
+        - 0.0  # forcing_work
+    )
+    w_l4 = out["w_l4"]
+    terms = (
+        (w_l4**4 - w_prev_l4**4) / (4.0 * dt),
+        2.0 * params.chi * w_l4**4,
+        params.chi * blocks_lq(grad_u, 4.0) * w_l4**3,
+    )
+    out["lq_margin"] = terms[2] - (terms[0] + terms[1])
+    out["margin_scale"] = max(abs(x) for x in terms)
+    return out
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_diagnostics_record_matches_the_reference_formula(mode):
+    g = GridSpec(24, 24, mode)
+    cfg = StepConfig(dt=5e-4, scheme="imex-euler", advection="upwind2")
+    states = [initial_state("rough-h1", g, PARAMS, seed=5)]
+    for _ in range(3):
+        states.append(step_coupled(states[-1], cfg, PARAMS))
+    prev, state = states[-2], states[-1]
+    assert lq_norm(state.u, 2.0) > 0.0 and lq_norm(state.w, 2.0) > 0.0
+    prev_oracle = _record_oracle(prev, PARAMS)
+    cases = {
+        "no prev": (diagnostics_record(state, PARAMS), _record_oracle(state, PARAMS)),
+        "prev and prev_record": (
+            diagnostics_record(state, PARAMS, prev=prev, prev_record=diagnostics_record(prev, PARAMS)),
+            _record_oracle(state, PARAMS, prev, prev_oracle),
+        ),
+        "prev alone": (
+            diagnostics_record(state, PARAMS, prev=prev),
+            _record_oracle(state, PARAMS, prev),
+        ),
+    }
+    exact = ("t", "u_l2", "grad_u_l2", "w_l2", "b_l2", "grad_b_l2", "hess_u_l2", "hess_b_l2",
+             "dt_w_l2", "energy_residual", "z_l2")
+    quartic = ("w_l4", "grad_w_l4", "hess_u_l4", "dt_w_l4")
+    assert set(exact + quartic + ("lq_margin",)) == set(RECORD_NAMES)
+    for case, (rec, oracle) in cases.items():
+        for name in exact:
+            assert getattr(rec, name) == oracle[name], (case, name)
+        for name in quartic:
+            assert getattr(rec, name) == pytest.approx(oracle[name], rel=1e-13, abs=0.0), (case, name)
+        assert abs(rec.lq_margin - oracle["lq_margin"]) <= 1e-12 * oracle["margin_scale"], case
+    assert cases["prev alone"][0].dt_w_l4 > 0.0 and cases["prev alone"][0].lq_margin != 0.0
 
 
 def test_diagnostics_record_rejects_bad_entries():

@@ -21,6 +21,7 @@ from mmps.evolution import (
     StepConfig,
     StepError,
     Trajectory,
+    _mhd_explicit,
     advect_mac,
     advect_node,
     forcing_work,
@@ -114,6 +115,55 @@ def test_advect_mac_zero_inputs():
     z = VectorField.zeros(g)
     out = advect_mac(z, _random_pinned_mac(g, np.random.default_rng(23)))
     assert not out.ux.any() and not out.uy.any()
+
+
+def _four_transport_terms(u: VectorField, b: VectorField) -> tuple[np.ndarray, ...]:
+    """The quadratic MHD terms as four conservative transports, the form the
+    Elsaesser pair replaces: momentum -A(u,u) + A(b,b), induction
+    A(b,u) - A(u,b)."""
+    uu, bb, ub, bu = advect_mac(u, u), advect_mac(b, b), advect_mac(u, b), advect_mac(b, u)
+    return (-uu.ux + bb.ux, -uu.uy + bb.uy, bu.ux - ub.ux, bu.uy - ub.uy)
+
+
+def _quadratic_terms(u: VectorField, b: VectorField) -> tuple[np.ndarray, ...]:
+    no_spin = FluidParams(mu=0.04, chi=0.0, nu=0.01)
+    return _mhd_explicit(u, b, ScalarField.zeros(u.grid, NODE), no_spin, None)
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_elsasser_transport_matches_the_four_transport_form(mode):
+    g = GridSpec(24, 24, mode)
+    rng = np.random.default_rng(24)
+    for u, b in (
+        (_random_pinned_mac(g, rng), _random_pinned_mac(g, rng, scale=0.3)),
+        (_random_divfree(g, rng, scale=0.2), _random_divfree(g, rng, scale=3.0)),
+    ):
+        oracle = _four_transport_terms(u, b)
+        scale = max(np.max(np.abs(term)) for term in oracle)
+        for got, want in zip(_quadratic_terms(u, b), oracle):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_elsasser_transport_is_the_four_transport_form_bitwise_without_velocity(mode):
+    g = GridSpec(24, 24, mode)
+    b = _random_pinned_mac(g, np.random.default_rng(25))
+    u = VectorField.zeros(g)
+    for got, want in zip(_quadratic_terms(u, b), _four_transport_terms(u, b)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_elsasser_transport_exchanges_energy_exactly(mode):
+    # <momentum, u> + <induction, b> = 0 for divergence-free, wall-pinned u, b
+    g = GridSpec(24, 24, mode)
+    rng = np.random.default_rng(26)
+    u, b = _random_divfree(g, rng), _random_divfree(g, rng, scale=0.7)
+    ex, ey, gx, gy = _quadratic_terms(u, b)
+    exchange = l2_inner(VectorField(g, MAC, ex, ey), u) + l2_inner(VectorField(g, MAC, gx, gy), b)
+    speed = max(lq_norm(u, np.inf), lq_norm(b, np.inf))
+    scale = speed * (lq_norm(u, 2) ** 2 + lq_norm(b, 2) ** 2) / g.h
+    assert abs(exchange) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])

@@ -27,6 +27,7 @@ from mmps.fields import (
     div,
     grad,
     gradient_samples,
+    hessian_samples,
     l2_inner,
     laplacian,
     lattice_weights,
@@ -151,6 +152,47 @@ def test_linf_norm_and_mac_vector_norm():
     u = VectorField.sample_mac(g, lambda x, y: 0 * x + 1.0, lambda x, y: 0 * x)
     assert lq_norm(u, 2) == pytest.approx(1.0, abs=1e-14)
     assert lq_norm(u, np.inf) == pytest.approx(1.0)
+
+
+def _inline_lq(pieces, q):
+    """Reference L^q kernel: sum(w * abs(v)**q) over (values, weights)
+    pieces, with a block's multiplicity folded into its weights."""
+    if q == np.inf:
+        return float(max(np.max(np.abs(v)) for v, _ in pieces))
+    acc = 0.0
+    for values, weights in pieces:
+        acc += float(np.sum(weights * np.abs(values) ** q))
+    return acc ** (1.0 / q)
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_norm_kernels_match_the_inline_power_oracle(mode):
+    g = GridSpec(20, 20, mode)
+    rng = np.random.default_rng(41)
+    s = random_scalar(g, NODE, rng)
+    s.data[3, 4], s.data[5, 6] = 0.0, -0.0
+    v = random_mac(g, rng)
+    blocks = hessian_samples(v)
+    assert sorted(b.multiplicity for b in blocks) == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+    cases = {
+        "node scalar": (lambda q: lq_norm(s, q), [(s.data, lattice_weights(g, "node"))]),
+        "mac vector": (
+            lambda q: lq_norm(v, q),
+            [(v.ux, lattice_weights(g, "xface")), (v.uy, lattice_weights(g, "yface"))],
+        ),
+        "hessian blocks": (lambda q: samples_lq(blocks, q), [(b.data, b.weights()) for b in blocks]),
+    }
+    for name, (norm, pieces) in cases.items():
+        # q = 2 multiplies instead of squaring abs: the same bits
+        assert norm(2.0) == _inline_lq(pieces, 2.0), name
+        assert norm(2) == _inline_lq(pieces, 2.0), name
+        # q = 4 squares the square: roundoff only
+        assert norm(4.0) == pytest.approx(_inline_lq(pieces, 4.0), rel=1e-15, abs=0.0), name
+        # every other order keeps the power kernel bit for bit
+        for q in (1.0, 3.0, 2.5, np.inf):
+            assert norm(q) == _inline_lq(pieces, q), (name, q)
+        with pytest.raises(FieldError):
+            norm(0.5)
 
 
 # ---------------------------------------------------------------------------
