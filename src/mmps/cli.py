@@ -163,7 +163,9 @@ def _run_mismatch(cfg: RunConfig, grid: GridSpec, records, states) -> str | None
 
     A completed run has ``round(t_end/dt) + 1`` diagnostics rows spaced
     ``dt`` and ending at ``t_end``, and every snapshot on the config's grid;
-    an aborted run stops short of ``t_end``.
+    an aborted run stops short of ``t_end``.  The snapshots sit at row times
+    in increasing order, and the last holds the last row's state (the final
+    state is always stored), so files left by another run are refused.
     """
     steps = int(round(cfg.t_end / cfg.dt))
     times = [r.t for r in records]
@@ -177,12 +179,21 @@ def _run_mismatch(cfg: RunConfig, grid: GridSpec, records, states) -> str | None
     for a, b in zip(times, times[1:]):
         if abs((b - a) - cfg.dt) > 1e-6 * cfg.dt:
             return f"rows at t = {a:g} and {b:g} are not time.dt = {cfg.dt:g} apart"
+    row_times = set(times)
+    last = None
     for t, state in states:
         if state.grid != grid:
             return (
                 f"the snapshot at t = {t:g} has nx = {state.grid.nx}, mode = {state.grid.mode}; "
                 f"the config has grid.nx = {grid.nx}, grid.mode = {grid.mode}"
             )
+        if t not in row_times:
+            return f"a snapshot is at t = {t!r}, which is no diagnostics row's time"
+        if last is not None and t <= last:
+            return f"the snapshot at t = {t!r} follows one at t = {last!r}"
+        last = t
+    if last != times[-1]:
+        return f"no snapshot holds the last row's state (t = {times[-1]!r})"
     return None
 
 

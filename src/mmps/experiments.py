@@ -38,7 +38,7 @@ from .fields import (
     lq_norm,
 )
 from .recipes import initial_state, mms_state, mollify, perturbed_state
-from .snapshots import write_snapshot
+from .snapshots import atomic_open, write_snapshot
 
 __all__ = [
     "ExperimentError",
@@ -102,9 +102,10 @@ def build_initial_state(cfg: RunConfig, grid: GridSpec) -> State:
 
 
 def write_diagnostics_csv(records: Sequence[DiagnosticsRecord], path: str | os.PathLike) -> None:
-    """Header then one row per record, shortest round-trip decimals."""
+    """Header then one row per record, shortest round-trip decimals; atomically
+    replaces ``path``."""
     names = record_fields()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         for record in records:
@@ -128,7 +129,8 @@ def read_diagnostics_csv(path: str | os.PathLike) -> tuple[DiagnosticsRecord, ..
 
 def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
     """Run the configured simulation; write ``diagnostics.csv`` plus one
-    ``snap_XXXXXX.mmps`` per stored snapshot under ``out_dir``."""
+    ``snap_XXXXXX.mmps`` per stored snapshot under ``out_dir``, after removing
+    the snapshots of any earlier run there (an audit would read them in)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = grid_of(cfg)
@@ -136,6 +138,8 @@ def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
     init = build_initial_state(cfg, grid)
     step_cfg = step_config_of(cfg, grid)
     traj = run_simulation(init, cfg.t_end, step_cfg, params)
+    for stale in out.glob("snap_*.mmps"):
+        stale.unlink()
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
     for index, (_, state) in enumerate(traj.states):
         write_snapshot(state, out / f"snap_{index:06d}.mmps")

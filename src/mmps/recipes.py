@@ -7,9 +7,12 @@ Conventions shared with :mod:`mmps.fields`:
   curl is ``curl2(v) = d(vy)/dx - d(vx)/dy``;
 * divergence-free initial data is built as ``perp_grad`` of a node-sampled
   streamfunction, which makes ``div u`` vanish identically on every cell;
-* all randomness is drawn through ``numpy.random.SeedSequence`` keyed by
-  ``(seed, k, m)`` per spectral mode, so coefficient families are
-  reproducible and nest across grid resolutions.
+* every random spectral coefficient is the first standard normal of
+  ``default_rng(SeedSequence((seed, k, m)))`` for its mode (k, m), so
+  coefficient families are reproducible and nest across grid resolutions.
+  :func:`_mode_normals` computes those seed hashes for all modes at once and
+  seeds one reused ``PCG64`` per mode; it relies on NumPy keeping the
+  ``SeedSequence`` and ``PCG64`` streams stable across releases (NEP 19).
 
 The manufactured solution ``trig-1`` carries ``sin^4`` wall envelopes on both
 streamfunctions: the first three derivatives vanish on the walls, so every
@@ -21,12 +24,13 @@ second order in the measured error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator
 
 from .fields import (
     CELL,
@@ -288,23 +292,110 @@ def _smooth1_state(grid: GridSpec) -> State:
     return replace(State.zeros(grid), u=u, w=ScalarField.sample(grid, NODE, w_fn), b=b)
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding of pcg64_set_seed (numpy/random/src/pcg64); all 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT, _POOL_SIZE = 16, 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of an entropy int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
+    """``out[k-1, m-1] = default_rng(SeedSequence((*prefix, k, m))).standard_normal()``
+    for k, m = 1..kmax, bit for bit.
+
+    The SeedSequence entropy mix and ``generate_state(4, uint64)`` run once,
+    in wrapping uint32 array arithmetic over the (k, m) lattice; the hash
+    constants are the same for every mode, so they stay Python ints.  Each
+    mode's PCG64 state follows from its four state words as in
+    ``pcg64_set_seed`` and is set on one reused generator, which then draws
+    with NumPy's own ziggurat.
+    """
+    shape = (kmax, kmax)
+    ks = np.arange(1, kmax + 1, dtype=np.uint32)
+    entropy = [np.full(shape, w, np.uint32) for n in prefix for w in _uint32_words(n)]
+    entropy += [np.broadcast_to(ks[:, None], shape), np.broadcast_to(ks, shape)]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(shape, np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight uint32 words per mode, read pairwise as
+    # little-endian uint64 words: initstate = (w0, w1), initseq = (w2, w3),
+    # high word first
+    hash_const = _INIT_B
+    words = np.empty((*shape, 8), "<u4")
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value *= hash_const
+        words[..., i] = value ^ (value >> _XSHIFT)
+    words = words.view("<u8")
+
+    bitgen = PCG64(0)
+    rng = Generator(bitgen)
+    out = np.empty(shape)
+    for k in range(kmax):  # one row of Python ints at a time keeps memory flat
+        for m, (w0, w1, w2, w3) in enumerate(words[k].tolist()):
+            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+            state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            out[k, m] = rng.standard_normal()
+    return out
+
+
 def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable:
     """Streamfunction with algebraically decaying random spectral content.
 
     Mode (k, m) carries coefficient ``xi_km / (k^2 + m^2)**ROUGH_SPECTRUM_DECAY``
-    with xi_km standard normal from ``SeedSequence((seed, k, m))``; the cutoff
-    grows with resolution (K = nx/2 - 1), so refining the grid reveals more of
-    one fixed infinite family instead of redrawing it.  A ``sin^2`` envelope
-    pins the streamfunction's first derivatives on the walls, which zeroes the
-    boundary faces of the induced field.
+    with xi_km the standard normal of ``SeedSequence((seed, k, m))``, drawn for
+    all modes by one :func:`_mode_normals` hash; the cutoff grows with
+    resolution (K = nx/2 - 1), so refining the grid reveals more of one fixed
+    infinite family instead of redrawing it.  A ``sin^2`` envelope pins the
+    streamfunction's first derivatives on the walls, which zeroes the boundary
+    faces of the induced field.
     """
     kmax = grid.nx // 2 - 1
     ks = np.arange(1, kmax + 1)
-    coeff = np.empty((kmax, kmax))
-    for k in ks:
-        for m in ks:
-            xi = default_rng(SeedSequence((seed, int(k), int(m)))).standard_normal()
-            coeff[k - 1, m - 1] = xi / float(k * k + m * m) ** ROUGH_SPECTRUM_DECAY
+    # the decay in Python floats: NumPy's vectorised ``**`` differs from libm
+    # in the last bit for some modes
+    modes = range(1, kmax + 1)
+    decay = np.fromiter((float(k * k + m * m) ** ROUGH_SPECTRUM_DECAY for k in modes for m in modes),
+                        float, kmax * kmax)
+    coeff = _mode_normals((seed,), kmax) / decay.reshape(kmax, kmax)
 
     def psi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         x, y = X[:, 0], Y[0, :]

@@ -8,13 +8,16 @@ followed by the six field arrays ``ux, uy, w, bx, by, p`` as raw
 little-endian 64-bit floats in row-major order, then the 8-byte BLAKE2b
 digest of the header line and that payload.  Write followed by read
 restores the state bit for bit; any corruption of the header or the payload
-is caught by the checksum.
+is caught by the checksum.  Files are written through :func:`atomic_open`, so
+a reader sees the old file or the whole new one, never a partial write.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "SnapshotTruncatedError",
     "write_snapshot",
     "read_snapshot",
+    "atomic_open",
 ]
 
 _MAGIC = "MMPS"
@@ -59,14 +63,31 @@ def _field_arrays(state: State) -> tuple[np.ndarray, ...]:
     return (state.u.ux, state.u.uy, state.w.data, state.b.ux, state.b.uy, state.p.data)
 
 
+@contextmanager
+def atomic_open(path: str | os.PathLike, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing; a clean exit moves it
+    onto ``path`` with ``os.replace``, an exception removes it.  The temporary
+    name starts with a dot, so no ``snap_*.mmps`` glob ever matches it."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_snapshot(state: State, path: str | os.PathLike) -> None:
-    """Serialize a state; overwrites ``path``."""
+    """Serialize a state; atomically replaces ``path``."""
     g = state.grid
     header = f"{_MAGIC} {_VERSION} {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n"
     blob = header.encode("ascii") + b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _field_arrays(state)
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(blob)
         fh.write(_checksum(blob))
 

@@ -53,6 +53,7 @@ from .fields import (
     perp_grad,
     samples_lq,
 )
+from .recipes import _mode_normals
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -314,16 +315,18 @@ def compose_g(u: VectorField, v: VectorField | StokesSolution) -> VectorField:
 
 
 def probe_scalar(grid: GridSpec, seed: int, sample: int, smoothness: float, kmax: int = 7) -> ScalarField:
-    """Truncated sine-eigenfunction expansion with coefficients drawn per
-    wavenumber pair from SeedSequence((seed, sample, k, m)), so the same
-    (seed, sample) produces the same leading modes on every grid.
+    """Truncated sine-eigenfunction expansion whose (k, m) coefficient is the
+    standard normal of ``SeedSequence((seed, sample, k, m))``, drawn for all
+    wavenumber pairs by one :func:`mmps.recipes._mode_normals` hash (which
+    relies on NumPy's stream stability), so the same (seed, sample) produces
+    the same leading modes on every grid.
     """
     X, Y = grid.mesh("node")
     data = np.zeros_like(X)
+    xis = _mode_normals((seed, sample), kmax)
     for k in range(1, kmax + 1):
         for m in range(1, kmax + 1):
-            xi = np.random.default_rng(np.random.SeedSequence((seed, sample, k, m))).standard_normal()
-            amp = xi / (k * k + m * m) ** (smoothness / 2.0)
+            amp = xis[k - 1, m - 1] / (k * k + m * m) ** (smoothness / 2.0)
             data += amp * np.sin(k * np.pi * X) * np.sin(m * np.pi * Y)
     return ScalarField(grid, NODE, data)
 

@@ -39,6 +39,7 @@ from mmps.snapshots import (
     SnapshotError,
     SnapshotFormatError,
     SnapshotTruncatedError,
+    atomic_open,
     read_snapshot,
     write_snapshot,
 )
@@ -332,6 +333,22 @@ def test_simulate_run_writes_deterministic_outputs(short_traj, tmp_path):
         assert (rerun_dir / snap.name).read_bytes() == snap.read_bytes()
 
 
+def test_snapshot_and_csv_writes_are_atomic(short_traj, tmp_path):
+    traj, _ = short_traj
+    path = tmp_path / "snap_000000.mmps"
+    write_snapshot(traj.states[0][1], path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted write")
+    assert path.read_bytes() == before  # the old file stays whole
+    write_diagnostics_csv(traj.records, tmp_path / "diagnostics.csv")
+    write_snapshot(traj.final_state, path)
+    assert read_snapshot(path).t == traj.final_state.t
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diagnostics.csv", "snap_000000.mmps"]
+
+
 def test_build_initial_state_honors_recipe_grid_and_seed():
     cfg = replace(SMALL, recipe="rough-h1", seed=4)
     grid = grid_of(cfg)
@@ -522,6 +539,58 @@ def test_cli_audit_refuses_a_run_its_config_does_not_describe(
     else:
         assert "does not describe the run" in captured.err and named in captured.err
         assert "envelope_ok" not in captured.out
+
+
+ROUGH_TEXT = """\
+grid.nx = 16
+grid.mode = periodic
+init.recipe = rough-h1
+time.dt = 1e-3
+time.t_end = 6e-3
+output.stride = 1
+"""
+
+
+def test_cli_simulate_rerun_into_a_longer_runs_directory_audits_as_fresh(tmp_path, capsys):
+    long_cfg = _write_cfg(tmp_path, ROUGH_TEXT, name="long.cfg")
+    short_cfg = _write_cfg(tmp_path, ROUGH_TEXT.replace("6e-3", "3e-3"), name="short.cfg")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert main(["simulate", "--config", long_cfg, "--out", str(reused)]) == 0
+    assert main(["simulate", "--config", short_cfg, "--out", str(reused)]) == 0
+    assert main(["simulate", "--config", short_cfg, "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert len(list(reused.glob("snap_*.mmps"))) == 4
+    code = main(["audit", "--config", short_cfg, "--out", str(reused)])
+    reused_out = capsys.readouterr()
+    assert main(["audit", "--config", short_cfg, "--out", str(fresh)]) == 0
+    fresh_out = capsys.readouterr()
+    assert code == 1 or (code == 0 and reused_out.out == fresh_out.out)
+    assert "L4 ledger min margin" in fresh_out.out
+
+
+@pytest.mark.parametrize(
+    "copied, planted, named",
+    [
+        ("snap_000005.mmps", "snap_000005.mmps", "no diagnostics row"),  # t = 5e-3 has no row
+        ("snap_000001.mmps", "snap_000009.mmps", "follows"),  # a row time, out of order
+        (None, "snap_000003.mmps", "last row's state"),  # the final state is gone
+    ],
+)
+def test_cli_audit_refuses_snapshots_of_another_run(tmp_path, capsys, copied, planted, named):
+    long_cfg = _write_cfg(tmp_path, ROUGH_TEXT, name="long.cfg")
+    short_cfg = _write_cfg(tmp_path, ROUGH_TEXT.replace("6e-3", "3e-3"), name="short.cfg")
+    long, short = tmp_path / "long", tmp_path / "short"
+    assert main(["simulate", "--config", long_cfg, "--out", str(long)]) == 0
+    assert main(["simulate", "--config", short_cfg, "--out", str(short)]) == 0
+    capsys.readouterr()
+    if copied is None:
+        (short / planted).unlink()
+    else:
+        (short / planted).write_bytes((long / copied).read_bytes())
+    assert main(["audit", "--config", short_cfg, "--out", str(short)]) == 1
+    captured = capsys.readouterr()
+    assert "does not describe the run" in captured.err and named in captured.err
+    assert "envelope_ok" not in captured.out
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):

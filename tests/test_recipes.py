@@ -19,6 +19,7 @@ import mmps
 from mmps.fields import (
     CELL,
     MAC,
+    MODE_DIRICHLET,
     MODE_PERIODIC,
     NODE,
     FluidParams,
@@ -34,6 +35,7 @@ from mmps.fields import (
 from mmps.recipes import (
     INITIAL_RECIPES,
     MMS_RECIPES,
+    ROUGH_SPECTRUM_DECAY,
     RecipeError,
     initial_state,
     mms_forcing,
@@ -44,6 +46,7 @@ from mmps.recipes import (
     stream_velocity,
     taylor_green_rate,
     taylor_green_state,
+    _mode_normals,
     _trig1_fields,
 )
 
@@ -385,6 +388,47 @@ def test_rough_data_h1_bounded_h2_growing():
     assert h1[2] <= 1.25 * h1[0]  # first-derivative energy saturates
     assert h2[2] >= 2.0 * h2[0]  # curvature energy keeps growing
     assert h2[1] >= 1.2 * h2[0]
+
+
+@pytest.mark.parametrize("prefix", [(0,), (5,), (2**32 + 7,), (3, 2)])
+def test_mode_normals_equal_seed_sequence_draws(prefix):
+    # (2**32 + 7,) takes two entropy words, so the hash mixes five words into
+    # its pool of four; (3, 2) is the (seed, sample) prefix of probe_scalar
+    xi = _mode_normals(prefix, 8)
+    assert xi.shape == (8, 8)
+    for k in range(1, 9):
+        for m in range(1, 9):
+            want = np.random.default_rng(np.random.SeedSequence((*prefix, k, m))).standard_normal()
+            assert xi[k - 1, m - 1] == want, (k, m)
+
+
+def _rough_psi_per_mode(grid, seed, amplitude=0.3):
+    """The rough-h1 streamfunction as one generator per mode builds it."""
+    kmax = grid.nx // 2 - 1
+    ks = np.arange(1, kmax + 1)
+    coeff = np.empty((kmax, kmax))
+    for k in ks:
+        for m in ks:
+            seq = np.random.SeedSequence((seed, int(k), int(m)))
+            xi = np.random.default_rng(seq).standard_normal()
+            coeff[k - 1, m - 1] = xi / float(k * k + m * m) ** ROUGH_SPECTRUM_DECAY
+
+    def psi(X, Y):
+        sx = np.sin(np.pi * np.outer(ks, X[:, 0]))
+        sy = np.sin(np.pi * np.outer(ks, Y[0, :]))
+        env = (np.sin(np.pi * X) * np.sin(np.pi * Y)) ** 2
+        return amplitude * env * (sx.T @ coeff @ sy)
+
+    return psi
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_rough_data_is_bitwise_the_per_mode_generator_draw(mode):
+    g = GridSpec(32, 32, mode)
+    got = initial_state("rough-h1", g, PARAMS, seed=3)
+    want = stream_velocity(g, _rough_psi_per_mode(g, 3))
+    assert got.b.ux.tobytes() == want.ux.tobytes()
+    assert got.b.uy.tobytes() == want.uy.tobytes()
 
 
 def test_rough_data_seed_determinism():
