@@ -281,23 +281,37 @@ def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _check_cfl(u: VectorField, b: VectorField, cfg: StepConfig, t: float) -> None:
-    speed = max(max_abs(u), max_abs(b))
+def _guard(
+    t: float,
+    cfg: StepConfig | None,
+    u: VectorField | None = None,
+    w: ScalarField | None = None,
+    b: VectorField | None = None,
+) -> None:
+    """Raise NonFiniteError for the first non-finite field given, in the
+    order velocity, micro-rotation, magnetic field.  With ``cfg`` the fields
+    are a step's inputs, named so, and CflError follows when the transport
+    speed max(|u|, |b|) exceeds the CFL limit; without it they are results.
+    """
+    prefix = "" if cfg is None else "input "
+    for label, field in (("velocity", u), ("micro-rotation", w), ("magnetic field", b)):
+        if field is None:
+            continue
+        for arr in (field.data,) if isinstance(field, ScalarField) else (field.ux, field.uy):
+            if not np.all(np.isfinite(arr)):
+                idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                raise NonFiniteError(
+                    f"non-finite value in {prefix}{label} at t={t:.6g}, first at index {idx}"
+                )
+    if cfg is None:
+        return
+    speed = max(max_abs(v) for v in (u, b) if v is not None)
     h = u.grid.h
     if cfg.dt * speed / h > cfg.cfl_limit:
         raise CflError(
             f"CFL violation at t={t:.6g}: transport speed {speed:.4g} on h={h:.4g} "
             f"allows dt <= {cfg.cfl_limit * h / speed:.4g}, configured dt={cfg.dt:.4g}"
         )
-
-
-def _check_finite(label: str, t: float, *arrays: np.ndarray) -> None:
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-            raise NonFiniteError(
-                f"non-finite value in {label} at t={t:.6g}, first at index {idx}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +429,9 @@ def step_mhd_forced(
     the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in the momentum
     equation).  With chi = 0 the result is bit-identical for every f.
     """
-    t = 0.0
-    _check_finite("input velocity", t, u.ux, u.uy)
-    _check_finite("input magnetic field", t, b.ux, b.uy)
-    _check_cfl(u, b, cfg, t)
+    _guard(0.0, cfg, u=u, b=b)
     u_new, b_new, _ = _mhd_solve(u, b, _mhd_explicit(u, b, f, params, None), cfg, params)
-    _check_finite("velocity", t + cfg.dt, u_new.ux, u_new.uy)
-    _check_finite("magnetic field", t + cfg.dt, b_new.ux, b_new.uy)
+    _guard(cfg.dt, None, u=u_new, b=b_new)
     return u_new, b_new
 
 
@@ -450,10 +460,9 @@ def step_w_transport(
     With u = 0 the step reduces to exact exponential decay (bit-exact
     constancy when additionally chi = 0).
     """
-    _check_finite("input micro-rotation", 0.0, w.data)
-    _check_cfl(u, VectorField.zeros(u.grid), cfg, 0.0)
+    _guard(0.0, cfg, u=u, w=w)
     w_new = _w_update(w, _w_explicit(w, u, params, None, cfg.advection), cfg, params)
-    _check_finite("micro-rotation", cfg.dt, w_new.data)
+    _guard(cfg.dt, None, w=w_new)
     return w_new
 
 
@@ -476,10 +485,7 @@ def step_coupled(
     ``carry`` replaces ``prev``: it holds the last step's raw explicit terms.
     """
     t = state.t
-    _check_finite("input velocity", t, state.u.ux, state.u.uy)
-    _check_finite("input micro-rotation", t, state.w.data)
-    _check_finite("input magnetic field", t, state.b.ux, state.b.uy)
-    _check_cfl(state.u, state.b, cfg, t)
+    _guard(t, cfg, u=state.u, w=state.w, b=state.b)
 
     if forcing is None and cfg.forcing is not None:
         forcing = cfg.forcing(t)
@@ -498,9 +504,7 @@ def step_coupled(
     w_new = _w_update(state.w, terms[4], cfg, params)
 
     t_new = t + cfg.dt
-    _check_finite("velocity", t_new, u_new.ux, u_new.uy)
-    _check_finite("micro-rotation", t_new, w_new.data)
-    _check_finite("magnetic field", t_new, b_new.ux, b_new.uy)
+    _guard(t_new, None, u=u_new, w=w_new, b=b_new)
     return State(t=t_new, u=u_new, w=w_new, b=b_new, p=p_new)
 
 

@@ -9,28 +9,28 @@ periodic mode uses the real FFT; Dirichlet mode uses DST-I along pinned faces,
 DST-II across mirror ghosts and DCT-II for the zero-flux pressure Poisson
 problem (Schumann & Sweet 1976; Swarztrauber 1977).
 
-The stationary Stokes saddle system (Dirichlet mode) is not separable: it is
-assembled sparse and factorized with SuperLU; the factorizations of the two
-most recently used grids are kept.  It is
-bordered with the exact cell-measure row/column so that the pressure is
-determined with zero weighted mean and the matrix is nonsingular:
+The stationary Stokes saddle system (Dirichlet mode) is not separable, but
+its velocity block is: with A = -laplacian on the interior faces (inverted by
+the same DST-I x DST-II transforms) and G the cell-to-face gradient, the
+pressure solves the Schur complement system
 
-    [ A   G   0 ] [u]   [f]
-    [ G^T 0   m ] [p] = [0]        A = -laplacian (SPD on interior faces),
-    [ 0   m^T 0 ] [l]   [0]        G = cell-to-face gradient, m = h^2 per cell.
+    S p = G^T A^{-1} G p = G^T A^{-1} f,        v = A^{-1} (f - G p),
 
-Because the face and cell quadratures are uniform on the unknowns involved,
-G^T u = 0 is *identically* the statement div u = 0 on every cell, and
-<G p, u> = -<p, div u> is exact; together with the summation-by-parts
-Laplacian this gives the discrete energy identity |grad v|^2 = <f, v> to
-solver precision.
+by conjugate gradients.  On the interior faces G^T = -div exactly, so the
+Schur residual of a pressure is -div of the velocity it yields; S is
+spectrally equivalent to the identity on zero-mean pressures, so the
+iteration count does not grow with the grid (Verfuerth 1984; Elman,
+Silvester & Wathen 2014).  Nothing is assembled or kept between solves.
+The pressure is shifted to zero weighted mean.  Because <G p, u> =
+-<p, div u> is exact and the Laplacian sums by parts, the discrete energy
+identity |grad v|^2 = <f, v> holds to solver precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
@@ -47,6 +47,7 @@ from .fields import (
     div,
     grad,
     gradient_samples,
+    laplacian,
     lattice_weights,
     lq_norm,
     max_abs,
@@ -55,9 +56,6 @@ from .fields import (
 )
 from .recipes import _mode_normals
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 
 class SolverError(RuntimeError):
     """Raised when a linear solve cannot be set up or produces non-finite
@@ -65,127 +63,8 @@ class SolverError(RuntimeError):
     """
 
 
-# ---------------------------------------------------------------------------
-# Sparse building blocks (Dirichlet mode)
-# ---------------------------------------------------------------------------
-# Each imports scipy.sparse itself: only the stationary Stokes solve reaches
-# them, and importing it at module level would add to every command's start-up.
-
-
-def _chain(m: int, end: float) -> sp.csr_matrix:
-    """Tridiagonal (-1, 2, -1) row pattern with ``end`` on the two diagonal
-    ends: end=2 pinned-zero neighbours, end=3 odd mirror ghosts.
-    """
-    import scipy.sparse as sp
-    main = np.full(m, 2.0)
-    main[0] = main[-1] = end
-    off = -np.ones(m - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _neg_laplacian_ux(g: GridSpec) -> sp.csr_matrix:
-    """-laplacian on interior x faces, shape ((n-1)*n,) unknowns [i-1, j]."""
-    import scipy.sparse as sp
-    n = g.nx
-    ax = _chain(n - 1, 2.0)
-    ay = _chain(n, 3.0)
-    return (sp.kron(ax, sp.identity(n)) + sp.kron(sp.identity(n - 1), ay)) / g.h**2
-
-
-def _neg_laplacian_uy(g: GridSpec) -> sp.csr_matrix:
-    import scipy.sparse as sp
-    n = g.nx
-    ax = _chain(n, 3.0)
-    ay = _chain(n - 1, 2.0)
-    return (sp.kron(ax, sp.identity(n - 1)) + sp.kron(sp.identity(n), ay)) / g.h**2
-
-
-def _gradient_blocks(g: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Cell-pressure gradient onto interior x and y faces."""
-    import scipy.sparse as sp
-    n = g.nx
-    s = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n), format="csr")
-    gx = sp.kron(s, sp.identity(n)) / g.h
-    gy = sp.kron(sp.identity(n), s) / g.h
-    return gx.tocsr(), gy.tocsr()
-
-
 def _interior_faces(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
     return v.ux[1:-1, :], v.uy[:, 1:-1]
-
-
-def _embed_faces(g: GridSpec, ux_int: np.ndarray, uy_int: np.ndarray) -> VectorField:
-    ux = np.zeros(g.lattice_shape("xface"))
-    uy = np.zeros(g.lattice_shape("yface"))
-    ux[1:-1, :] = ux_int
-    uy[:, 1:-1] = uy_int
-    return VectorField(g, MAC, ux, uy)
-
-
-# every caller visits its grids in order, at most two per command
-@lru_cache(maxsize=2)
-def _stokes_factorization(g: GridSpec):
-    # deferred, as in the assembly above
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = g.nx
-    a = sp.block_diag((_neg_laplacian_ux(g), _neg_laplacian_uy(g)))
-    gx, gy = _gradient_blocks(g)
-    grad_blk = sp.vstack([gx, gy])
-    m = sp.csr_matrix(np.full((n * n, 1), g.h**2))
-    k = sp.bmat(
-        [
-            [a, grad_blk, None],
-            [grad_blk.T, None, m],
-            [None, m.T, None],
-        ],
-        format="csc",
-    )
-    lu = spla.splu(k)
-    sizes = ((n - 1) * n, n * (n - 1), n * n)
-    return lu, k, sizes
-
-
-@dataclass(frozen=True)
-class StokesSolution:
-    """Velocity/pressure pair with the solver's own residual report.
-
-    ``residual`` is the max-norm residual of the saddle system scaled by
-    (1 + max|rhs|); ``converged`` records whether it met the requested
-    tolerance.  Failures are reported here, never silently dropped.
-    """
-
-    v: VectorField
-    p: ScalarField
-    residual: float
-    converged: bool
-
-
-def solve_stationary_stokes(f: VectorField, tol: float = 1e-9) -> StokesSolution:
-    """Solve -laplacian(v) + grad(p) = f, div v = 0, v = 0 on the walls.
-
-    ``f`` is sampled on MAC faces; its boundary-face values are irrelevant
-    (those velocities are pinned).  Dirichlet mode only.
-    """
-    g = f.grid
-    if g.periodic:
-        raise FieldError("stationary Stokes solve is defined in Dirichlet mode only")
-    lu, k, sizes = _stokes_factorization(g)
-    nux, nuy, npr = sizes
-    fx, fy = _interior_faces(f)
-    rhs = np.concatenate([fx.ravel(), fy.ravel(), np.zeros(npr), [0.0]])
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("stationary Stokes solve produced non-finite values")
-    n = g.nx
-    v = _embed_faces(g, x[:nux].reshape(n - 1, n), x[nux : nux + nuy].reshape(n, n - 1))
-    p_data = x[nux + nuy : nux + nuy + npr].reshape(n, n)
-    w = lattice_weights(g, "cell")
-    p_data = p_data - np.sum(w * p_data) / np.sum(w)
-    p = ScalarField(g, "cell-center", p_data)
-    res = float(np.max(np.abs(k @ x - rhs)) / (1.0 + np.max(np.abs(rhs))))
-    return StokesSolution(v=v, p=p, residual=res, converged=bool(res <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +127,18 @@ def _helmholtz_xfaces(a: np.ndarray, sym: np.ndarray) -> np.ndarray:
     return idst(idst(hat, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
 
 
+def _solve_faces(v: VectorField, sym: np.ndarray) -> VectorField:
+    """Divide the interior faces of ``v`` by ``sym`` in the DST-I x DST-II
+    basis of :func:`_helmholtz_xfaces` (the y faces transposed); the
+    boundary faces of the result are pinned to zero.
+    """
+    fx, fy = _interior_faces(v)
+    out = VectorField.zeros(v.grid)
+    out.ux[1:-1, :] = _helmholtz_xfaces(fx, sym)
+    out.uy[:, 1:-1] = _helmholtz_xfaces(fy.T, sym).T
+    return out
+
+
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     """Solve (I - coef * laplacian) out = v componentwise on MAC faces with
     the no-slip closures (pinned boundary faces, mirror ghosts).  ``coef``
@@ -264,13 +155,76 @@ def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     if g.periodic:
         sym = 1.0 + coef * _symbol(g, 2 * np.arange(n), 2 * np.arange(n // 2 + 1))
         return VectorField(g, MAC, *(irfft2(rfft2(a) / sym, s=a.shape) for a in (v.ux, v.uy)))
-    sym = 1.0 + coef * _symbol(g, np.arange(1, n), np.arange(1, n + 1))
-    fx, fy = _interior_faces(v)
-    sx = _helmholtz_xfaces(fx, sym)
-    sy = _helmholtz_xfaces(fy.T, sym).T
-    if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
+    out = _solve_faces(v, 1.0 + coef * _symbol(g, np.arange(1, n), np.arange(1, n + 1)))
+    if not (np.all(np.isfinite(out.ux)) and np.all(np.isfinite(out.uy))):
         raise SolverError("helmholtz solve produced non-finite values")
-    return _embed_faces(g, sx, sy)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Stationary Stokes (Dirichlet mode)
+# ---------------------------------------------------------------------------
+
+_CG_RTOL = 1e-12  # relative Schur residual at which conjugate gradients stop
+_TOL = 1e-9  # operator residual up to which a solve counts as converged
+
+
+@dataclass(frozen=True)
+class StokesSolution:
+    """Velocity/pressure pair with the solver's own residual report.
+
+    ``residual`` is the larger of max|-laplacian(v) + grad(p) - f| over the
+    interior faces and max|div v| over the cells, computed with the field
+    operators from the returned pair and scaled by (1 + max|f|) over the
+    interior faces; ``converged`` records whether it is at most 1e-9.
+    Failures are reported here, never silently dropped.
+    """
+
+    v: VectorField
+    p: ScalarField
+    residual: float
+    converged: bool
+
+
+def solve_stationary_stokes(f: VectorField) -> StokesSolution:
+    """Solve -laplacian(v) + grad(p) = f, div v = 0, v = 0 on the walls.
+
+    ``f`` is sampled on MAC faces; its boundary-face values are irrelevant
+    (those velocities are pinned).  Dirichlet mode only.  Conjugate
+    gradients on the pressure Schur complement, at most one step per
+    pressure unknown; see the module docstring.
+    """
+    g = f.grid
+    if g.periodic:
+        raise FieldError("stationary Stokes solve is defined in Dirichlet mode only")
+    n = g.nx
+    lam = _symbol(g, np.arange(1, n), np.arange(1, n + 1))
+    p = np.zeros((n, n))
+    r = -div(_solve_faces(f, lam)).data  # G^T A^{-1} f, the residual at p = 0
+    d, rr = r.copy(), float(np.vdot(r, r))
+    stop = _CG_RTOL**2 * rr
+    for _ in range(p.size):
+        if not rr > stop:  # converged, or non-finite data (caught below)
+            break
+        sd = -div(_solve_faces(grad(ScalarField(g, CELL, d)), lam)).data
+        alpha = rr / float(np.vdot(d, sd))
+        p += alpha * d
+        r -= alpha * sd
+        rr, rr_old = float(np.vdot(r, r)), rr
+        d = r + (rr / rr_old) * d
+    w = lattice_weights(g, "cell")
+    pf = ScalarField(g, CELL, p - np.sum(w * p) / np.sum(w))
+    gp = grad(pf)
+    rhs = VectorField(g, MAC, f.ux - gp.ux, f.uy - gp.uy)
+    v = _solve_faces(rhs, lam)
+    if not all(np.all(np.isfinite(a)) for a in (v.ux, v.uy, pf.data)):
+        raise SolverError("stationary Stokes solve produced non-finite values")
+    lap = laplacian(v)
+    mx, my = _interior_faces(VectorField(g, MAC, lap.ux + rhs.ux, lap.uy + rhs.uy))
+    fx, fy = _interior_faces(f)
+    worst = max(np.max(np.abs(mx)), np.max(np.abs(my)), np.max(np.abs(div(v).data)))
+    res = float(worst / (1.0 + max(np.max(np.abs(fx)), np.max(np.abs(fy)))))
+    return StokesSolution(v=v, p=pf, residual=res, converged=bool(res <= _TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +232,7 @@ def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def aux_field_v(w: ScalarField, params: FluidParams, tol: float = 1e-9) -> StokesSolution:
+def aux_field_v(w: ScalarField, params: FluidParams) -> StokesSolution:
     """Stationary Stokes response to the micro-rotation forcing
     -chi/(mu+chi) * perp_grad(w).  With chi = 0 the forcing vanishes and the
     zero solution is returned exactly (bit-for-bit), converged.
@@ -296,7 +250,7 @@ def aux_field_v(w: ScalarField, params: FluidParams, tol: float = 1e-9) -> Stoke
     c = params.chi / (params.mu + params.chi)
     pg = perp_grad(w)
     f = VectorField(g, MAC, -c * pg.ux, -c * pg.uy)
-    return solve_stationary_stokes(f, tol=tol)
+    return solve_stationary_stokes(f)
 
 
 def compose_g(u: VectorField, v: VectorField | StokesSolution) -> VectorField:
