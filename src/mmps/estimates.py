@@ -33,7 +33,6 @@ from .fields import (
     _mean,
     _to_cell,
     _to_node,
-    curl2,
     grad,
     gradient_samples,
     hessian_samples,
@@ -55,7 +54,6 @@ __all__ = [
     "EstimateLedger",
     "diagnostics_record",
     "record_fields",
-    "z_field",
     "energy_audit",
     "w_lq_audit",
     "gronwall_budget",
@@ -63,7 +61,6 @@ __all__ = [
     "gn_probe",
     "gn_ratios",
     "weak_form_residual",
-    "z_diagnostic",
     "refinement_stable",
     "refinement_order",
 ]
@@ -120,13 +117,6 @@ def record_fields() -> tuple[str, ...]:
 
 def _energy(record: DiagnosticsRecord) -> float:
     return record.u_l2**2 + record.w_l2**2 + record.b_l2**2
-
-
-def z_field(state: State, params: FluidParams) -> ScalarField:
-    """Combined node scalar curl2(u) - chi/(mu+chi) * w."""
-    zc = curl2(state.u)
-    ratio = params.chi / (params.mu + params.chi)
-    return ScalarField(state.grid, NODE, zc.data - ratio * state.w.data)
 
 
 def diagnostics_record(
@@ -804,20 +794,6 @@ def weak_form_residual(
         "microrotation": rot_res,
         "induction": ind_res,
     }
-
-
-# ---------------------------------------------------------------------------
-# Combined-quantity diagnostic
-# ---------------------------------------------------------------------------
-
-
-def z_diagnostic(traj: "Trajectory", params: FluidParams) -> tuple[tuple[float, float], ...]:
-    """L^2 size of the combined node scalar curl2(u) - chi/(mu+chi) w at
-    every stored snapshot — descriptive only."""
-    out = []
-    for t_k, s_k in traj.states:
-        out.append((t_k, lq_norm(z_field(s_k, params), 2.0)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,9 @@ def _w_explicit(
     forcing: Forcing | None,
     advection: str,
 ) -> np.ndarray:
-    active = bool(u.ux.any() or u.uy.any())
+    # transport by u = 0 or of w = +0 vanishes exactly and is skipped; a
+    # negative zero in w can pass its sign on through the step
+    active = bool((w.data.any() or np.signbit(w.data).any()) and (u.ux.any() or u.uy.any()))
     src = -advect_node(u, w, advection).data if active else np.zeros_like(w.data)
     if params.chi != 0.0:
         src = src + params.chi * curl2(u).data
@@ -470,19 +472,18 @@ def step_coupled(
     state: State,
     cfg: StepConfig,
     params: FluidParams,
-    prev: State | None = None,
     *,
     forcing: Forcing | None = None,
     carry: _Carry | None = None,
 ) -> State:
     """One coupled IMEX step.  All couplings are explicit in the previous
     state, so the step is exactly the frozen-spin magnetic step composed
-    with the frozen-velocity spin step.  ``prev`` supplies the earlier state
-    for the two-step scheme; without it the step falls back to the one-step
-    scheme (the bootstrap step of a two-step run).
+    with the frozen-velocity spin step.
 
     ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.  Under AB2
-    ``carry`` replaces ``prev``: it holds the last step's raw explicit terms.
+    ``carry`` holds the last step's raw explicit terms and takes this step's;
+    without it, or with no terms in it yet, the step falls back to the
+    one-step scheme (the bootstrap step of a two-step run).
     """
     t = state.t
     _guard(t, cfg, u=state.u, w=state.w, b=state.b)
@@ -491,11 +492,8 @@ def step_coupled(
         forcing = cfg.forcing(t)
     terms = _explicit_terms(state, cfg, params, forcing)
     earlier = None
-    if cfg.scheme == "imex-ab2":
-        if carry is not None:
-            earlier, carry.terms = carry.terms, terms
-        elif prev is not None:
-            earlier = _explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t))
+    if cfg.scheme == "imex-ab2" and carry is not None:
+        earlier, carry.terms = carry.terms, terms
     if earlier is not None:
         terms = [1.5 * c - 0.5 * p for c, p in zip(terms, earlier)]
         del earlier  # frees the previous terms before the solves (peak memory)
@@ -515,11 +513,13 @@ def step_coupled(
 
 def manufactured_forcing(recipe: str, params: FluidParams, grid: GridSpec) -> ForcingHandle:
     """Forcing handle for a catalog solution; rejects unknown recipes up
-    front."""
-    recipes._require_mms(recipe, grid)
+    front.  The handle builds the recipe's 1-D factor tables
+    (:func:`recipes.forcing_tables`) once, so a call does no closed-form work
+    beyond the time amplitudes: one small matrix product per component."""
+    tables = recipes.forcing_tables(recipe, params, grid)
 
     def handle(t: float) -> Forcing:
-        return recipes.mms_forcing(t, recipe, params, grid)
+        return recipes.mms_forcing(t, recipe, params, grid, tables)
 
     return handle
 

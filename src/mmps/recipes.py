@@ -18,7 +18,12 @@ The manufactured solution ``trig-1`` carries ``sin^4`` wall envelopes on both
 streamfunctions: the first three derivatives vanish on the walls, so every
 first-order wall closure of the discrete operators (mirror ghosts, one-sided
 rows) sees vanishing Taylor coefficients and the scheme keeps its interior
-second order in the measured error.
+second order in the measured error.  Each of its fields and forcings is a
+sum of separable terms ``c_k(t) X_k(x) Y_k(y)`` (:func:`_trig1_terms`) with
+sin/cos monomials X_k, Y_k; only the scalars c_k, formed from the time
+amplitudes and mu, chi, nu, depend on t.  A lattice tabulates the 1-D rows
+once as an (m, K) and a (K, n) table, so a value at time t is one matrix
+product; no 2-D basis is stored.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import replace
-from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -57,6 +61,7 @@ __all__ = [
     "stream_velocity",
     "mms_state",
     "mms_forcing",
+    "forcing_tables",
     "mollify",
     "perturbation_fields",
     "perturbed_state",
@@ -101,45 +106,79 @@ def stream_velocity(grid: GridSpec, psi_fn: Callable) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _sin_cos_table(a: int, b: int) -> np.ndarray:
-    """Coefficients ``C[k, i, j]`` of ``s^i c^j`` in ``d^k/dz^k s^a c^b`` for
-    k = 0..3, where ``s = sin(pi z)``, ``c = cos(pi z)`` and, by the chain
-    rule, ``d(s^i c^j) = pi (i s^(i-1) c^(j+1) - j s^(i+1) c^(j-1))``."""
-    table = np.zeros((4, 6, 6))
-    table[0, a, b] = 1.0
-    for k in range(3):
-        for i, j in zip(*np.nonzero(table[k])):
-            if i:
-                table[k + 1, i - 1, j + 1] += np.pi * i * table[k, i, j]
-            if j:
-                table[k + 1, i + 1, j - 1] -= np.pi * j * table[k, i, j]
-    return table
+def _trig1_factors(z: np.ndarray) -> np.ndarray:
+    """``sin^i(pi z)`` and ``cos^i(pi z)`` at the points z for i = 0..10, a
+    (2, 11, len(z)) array: products of one of each are the 1-D rows of every
+    trig-1 term (a field has degree at most 5 per axis, a forcing term 10)."""
+    rows = np.ones((2, 11, len(z)))
+    rows[:, 1:] = np.stack([np.sin(np.pi * z), np.cos(np.pi * z)])[:, None]
+    return np.cumprod(rows, axis=1)
 
 
-# The 1-D factors of ``_trig1_fields`` as powers (a, b) of sin and cos: the
-# envelopes S = sin^4 and G = sin^4 cos, the micro-rotation factors s = sin
-# and H = sin cos, and the pressure factor c = cos.
-_TRIG1_FACTORS = {"S": (4, 0), "G": (4, 1), "s": (1, 0), "H": (1, 1), "c": (0, 1)}
-_TRIG1_TABLE = np.stack([_sin_cos_table(*ab) for ab in _TRIG1_FACTORS.values()]).reshape(20, 36)
+def _slope(i: int, j: int) -> list[tuple[tuple[int, int], float]]:
+    """``d/dz s^i c^j = pi i s^(i-1) c^(j+1) - pi j s^(i+1) c^(j-1)`` with
+    ``s = sin(pi z)`` and ``c = cos(pi z)``, as (powers, constant) pairs."""
+    pairs = (((i - 1, j + 1), math.pi * i), ((i + 1, j - 1), -math.pi * j))
+    return [(powers, c) for powers, c in pairs if c]
 
 
-def _trig1_factors(z: np.ndarray) -> dict[str, np.ndarray]:
-    """Each factor of ``_TRIG1_FACTORS`` and its first three derivatives at z,
-    stacked along a new leading axis."""
-    powers = np.ones((2, 6, np.size(z)))
-    powers[:, 1:] = np.stack([np.sin(np.pi * z), np.cos(np.pi * z)]).reshape(2, 1, -1)
-    s, c = np.cumprod(powers, axis=1)
-    monomials = (s[:, None, :] * c[None, :, :]).reshape(36, -1)
-    values = (_TRIG1_TABLE @ monomials).reshape(5, 4, *np.shape(z))
-    return dict(zip(_TRIG1_FACTORS, values))
+def _trig1_amplitudes(t: float) -> dict[str, float]:
+    """The amplitudes of trig-1's fields at time t and, primed, their time
+    derivatives: all that depends on t in trig-1."""
+    return {
+        "u": 0.08 * (1.0 + 0.5 * math.sin(3.0 * t)), "u'": 0.12 * math.cos(3.0 * t),
+        "w": 0.35 * (1.0 + 0.5 * math.cos(2.0 * t)), "w'": -0.35 * math.sin(2.0 * t),
+        "b": 0.06 * (1.0 + 0.5 * math.sin(2.0 * t + 0.7)), "b'": 0.06 * math.cos(2.0 * t + 0.7),
+        "p": 0.1 * (1.0 + 0.5 * math.sin(t)),
+    }
 
 
-def _trig1_fields(
-    x: np.ndarray, y: np.ndarray, t: float, params: FluidParams, names: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """The named fields of trig-1 and its exact residual forcings at (x, y),
-    which broadcast (a column and a row give a lattice).  With the amplitudes
-    below, ``S = sin^4(pi z)``, ``G = S cos(pi z)``, ``s = sin(pi z)``, ``H = s cos(pi z)``:
+def _collect(terms: Iterable[tuple[tuple, float]]) -> _Terms:
+    """Sum (key, constant) pairs, merging equal keys."""
+    out = _Terms()
+    for key, c in terms:
+        out[key] = out.get(key, 0.0) + c
+    return out
+
+
+class _Terms(dict):
+    """A sum of separable terms ``c * A(t) * X(x) * Y(y)``: maps the key
+    (amplitude names, x powers, y powers) to the constant c.  ``A`` is the
+    product of the named amplitudes (names sorted), and powers (i, j) stand
+    for ``sin^i(pi z) cos^j(pi z)``, so like terms merge."""
+
+    def __add__(self, other: _Terms) -> _Terms:
+        return _collect([*self.items(), *other.items()])
+
+    def __sub__(self, other: _Terms) -> _Terms:
+        return self + -1.0 * other
+
+    def __rmul__(self, scale: float) -> _Terms:
+        return _Terms({key: scale * c for key, c in self.items()})
+
+    def __mul__(self, other: _Terms) -> _Terms:
+        return _collect(((tuple(sorted(a1 + a2)), (i1 + i2, j1 + j2), (k1 + k2, l1 + l2)), c1 * c2)
+                        for (a1, (i1, j1), (k1, l1)), c1 in self.items()
+                        for (a2, (i2, j2), (k2, l2)), c2 in other.items())
+
+    def d(self, i: int, j: int) -> _Terms:
+        """``d^i/dx^i d^j/dy^j``, one :func:`_slope` at a time."""
+        out = self
+        for _ in range(i):
+            out = _collect(((a, m, y), c * dc) for (a, x, y), c in out.items() for m, dc in _slope(*x))
+        for _ in range(j):
+            out = _collect(((a, x, m), c * dc) for (a, x, y), c in out.items() for m, dc in _slope(*y))
+        return out
+
+    def dt(self) -> _Terms:
+        """``d/dt`` of a sum with one amplitude in each term."""
+        return _Terms({((a + "'",), x, y): c for ((a,), x, y), c in self.items()})
+
+
+def _trig1_terms(params: FluidParams) -> dict[str, _Terms]:
+    """trig-1's fields and exact residual forcings as separable term sums.
+    With the amplitudes ``a_u, a_w, a_b, a_p`` of :func:`_trig1_amplitudes`
+    and ``S = sin^4(pi z)``, ``G = S cos(pi z)``, ``s = sin(pi z)``, ``H = s cos(pi z)``:
 
     * ``u = perp_grad(psi_u)``, ``psi_u = a_u S(x) S(y)``;
     * ``b = perp_grad(psi_b)``, ``psi_b = a_b S S (1 + cos(pi x) cos(pi y)) = a_b [S S + G G]``;
@@ -155,56 +194,83 @@ def _trig1_fields(
     * ``fw = w_t + u.grad w + 2 chi w - chi (d(u2)/dx - d(u1)/dy)``
     * ``fb = b_t + (u.grad)b - nu lap b - (b.grad)u``
 
-    Each derivative is a sum of products of 1-D factor derivatives, formed
-    once and only if a named field needs it."""
+    Derivatives and products of sin/cos monomials are sin/cos monomials, so
+    every sum keeps the separable form."""
     mu, chi, nu = params.mu, params.chi, params.nu
-    fx, fy = _trig1_factors(x), _trig1_factors(y)
-    a_u, a_w = 0.08 * (1.0 + 0.5 * math.sin(3.0 * t)), 0.35 * (1.0 + 0.5 * math.cos(2.0 * t))
-    a_b, a_p = 0.06 * (1.0 + 0.5 * math.sin(2.0 * t + 0.7)), 0.1 * (1.0 + 0.5 * math.sin(t))
-    # each field: amplitude, factors, and the derivative orders it adds in x and y
-    spec = {
-        "u1": (-a_u, "S", 0, 1), "u2": (a_u, "S", 1, 0), "w": (a_w, "sH", 0, 0),
-        "b1": (-a_b, "SG", 0, 1), "b2": (a_b, "SG", 1, 0), "p": (a_p, "c", 0, 0),
+
+    def base(amp: str, *pairs: tuple[tuple[int, int], tuple[int, int]]) -> _Terms:
+        return _Terms({((amp,), x, y): 1.0 for x, y in pairs})
+
+    S, G, s, H, c = (4, 0), (4, 1), (1, 0), (1, 1), (0, 1)  # (sin, cos) powers
+    psi_u, psi_b = base("u", (S, S)), base("b", (S, S), (G, G))
+    w, p = base("w", (s, s), (H, H)), base("p", (c, c))
+    u1, u2, b1, b2 = -1.0 * psi_u.d(0, 1), psi_u.d(1, 0), -1.0 * psi_b.d(0, 1), psi_b.d(1, 0)
+
+    def advect(q: _Terms) -> _Terms:
+        return u1 * q.d(1, 0) + u2 * q.d(0, 1)
+
+    def stretch(q: _Terms) -> _Terms:
+        return b1 * q.d(1, 0) + b2 * q.d(0, 1)
+
+    def lap(q: _Terms) -> _Terms:
+        return q.d(2, 0) + q.d(0, 2)
+
+    return {
+        "u1": u1, "u2": u2, "w": w, "b1": b1, "b2": b2, "p": p,
+        "fu1": u1.dt() + advect(u1) + p.d(1, 0) - (mu + chi) * lap(u1) - stretch(b1) - chi * w.d(0, 1),
+        "fu2": u2.dt() + advect(u2) + p.d(0, 1) - (mu + chi) * lap(u2) - stretch(b2) + chi * w.d(1, 0),
+        "fw": w.dt() + advect(w) + 2.0 * chi * w - chi * (u2.d(1, 0) - u1.d(0, 1)),
+        "fb1": b1.dt() + advect(b1) - nu * lap(b1) - stretch(u1),
+        "fb2": b2.dt() + advect(b2) - nu * lap(b2) - stretch(u2),
     }
-    # d/dt of a field is its amplitude's logarithmic rate times the field
-    rate_u, rate_w = 0.12 * math.cos(3.0 * t) / a_u, -0.35 * math.sin(2.0 * t) / a_w
-    rate_b = 0.06 * math.cos(2.0 * t + 0.7) / a_b
-
-    @cache
-    def d(name: str, i: int = 0, j: int = 0) -> np.ndarray:
-        """``d^i/dx^i d^j/dy^j`` of the named field."""
-        amp, factors, di, dj = spec[name]
-        first, *rest = ((amp * fx[f][i + di]) * fy[f][j + dj] for f in factors)
-        return sum(rest, first)
-
-    def advect(name: str) -> np.ndarray:
-        return d("u1") * d(name, 1, 0) + d("u2") * d(name, 0, 1)
-
-    def stretch(name: str) -> np.ndarray:
-        return d("b1") * d(name, 1, 0) + d("b2") * d(name, 0, 1)
-
-    def lap(name: str) -> np.ndarray:
-        return d(name, 2, 0) + d(name, 0, 2)
-
-    forcings = {
-        "fu1": lambda: rate_u * d("u1") + advect("u1") + d("p", 1, 0) - (mu + chi) * lap("u1")
-        - stretch("b1") - chi * d("w", 0, 1),
-        "fu2": lambda: rate_u * d("u2") + advect("u2") + d("p", 0, 1) - (mu + chi) * lap("u2")
-        - stretch("b2") + chi * d("w", 1, 0),
-        "fw": lambda: rate_w * d("w") + advect("w") + 2.0 * chi * d("w")
-        - chi * (d("u2", 1, 0) - d("u1", 0, 1)),
-        "fb1": lambda: rate_b * d("b1") + advect("b1") - nu * lap("b1") - stretch("u1"),
-        "fb2": lambda: rate_b * d("b2") + advect("b2") - nu * lap("b2") - stretch("u2"),
-    }
-    return {name: d(name) if name in spec else forcings[name]() for name in names}
 
 
-def _trig1_on(grid: GridSpec, lattice: str, t: float, params: FluidParams, *names: str) -> list:
-    """The named ``_trig1_fields`` on one lattice, from its row and column
-    coordinates."""
-    (m, n), (x0, y0) = grid.lattice_shape(lattice), grid.lattice_origin(lattice)
-    x, y = x0 + grid.h * np.arange(m), y0 + grid.h * np.arange(n)
-    return list(_trig1_fields(x[:, None], y[None, :], t, params, names).values())
+# A term sum tabulated on a lattice: amplitudes -> values (see _tabulate).
+_Table = Callable[[dict[str, float]], np.ndarray]
+
+
+def _tabulate(terms: _Terms, x: np.ndarray, y: np.ndarray) -> _Table:
+    """``terms`` on the lattice of the 1-D points x (m) and y (n).  The 1-D
+    rows of its K nonzero terms go into an (m, K) table X and a (K, n) table
+    Y once; the returned map takes the amplitudes to ``(X * c) @ Y``, with c
+    each term's constant times the product of its amplitudes."""
+    (sx, cx), (sy, cy) = _trig1_factors(x), _trig1_factors(y)
+    keys = [key for key, c in terms.items() if c]
+    X = np.stack([sx[i] * cx[j] for _, (i, j), _ in keys], axis=-1)
+    Y = np.stack([sy[k] * cy[l] for *_, (k, l) in keys])
+    coefficients = [(terms[key], key[0]) for key in keys]
+
+    def values(amp: dict[str, float]) -> np.ndarray:
+        return (X * [c * math.prod(map(amp.__getitem__, a)) for c, a in coefficients]) @ Y
+
+    return values
+
+
+# The lattice of each trig-1 field and forcing, by the last letter of its name.
+_TRIG1_LATTICE = {"1": "xface", "2": "yface", "w": "node", "p": "cell"}
+_TRIG1_FORCINGS = ("fu1", "fu2", "fw", "fb1", "fb2")
+
+
+def _trig1_tables(grid: GridSpec, params: FluidParams, names: Sequence[str]) -> dict[str, _Table]:
+    """The named ``_trig1_terms`` tabulated on their lattices' rows and columns."""
+    terms, tables = _trig1_terms(params), {}
+    for name in names:
+        X, Y = grid.mesh(_TRIG1_LATTICE[name[-1]])
+        tables[name] = _tabulate(terms[name], X[:, 0], Y[0])
+    return tables
+
+
+def _trig1_fields(
+    x: np.ndarray, y: np.ndarray, t: float, params: FluidParams, names: Sequence[str]
+) -> dict[str, np.ndarray]:
+    """The named trig-1 fields and forcings at the points (x, y), which
+    broadcast: the terms of :func:`_trig1_terms`, summed point by point."""
+    x, y = np.broadcast_arrays(x, y)
+    (sx, cx), (sy, cy) = _trig1_factors(x.ravel()), _trig1_factors(y.ravel())
+    terms, amp = _trig1_terms(params), _trig1_amplitudes(t)
+    return {name: sum(c * math.prod(map(amp.__getitem__, a)) * (sx[i] * cx[j]) * (sy[k] * cy[l])
+                      for (a, (i, j), (k, l)), c in terms[name].items()).reshape(x.shape)
+            for name in names}
 
 
 def _require_mms(recipe: str, grid: GridSpec) -> None:
@@ -219,29 +285,39 @@ def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> Sta
     _require_mms(recipe, grid)
     if recipe == "zero":
         return State.zeros(grid, t)
-    u1, b1 = _trig1_on(grid, "xface", t, params, "u1", "b1")
-    u2, b2 = _trig1_on(grid, "yface", t, params, "u2", "b2")
-    [w] = _trig1_on(grid, "node", t, params, "w")
-    [p] = _trig1_on(grid, "cell", t, params, "p")
+    amp = _trig1_amplitudes(t)
+    tables = _trig1_tables(grid, params, ("u1", "u2", "w", "b1", "b2", "p"))
+    u1, u2, w, b1, b2, p = (table(amp) for table in tables.values())
     return State(t, VectorField(grid, MAC, u1, u2), ScalarField(grid, NODE, w),
                  VectorField(grid, MAC, b1, b2), ScalarField(grid, CELL, p))
 
 
+def forcing_tables(recipe: str, params: FluidParams, grid: GridSpec) -> dict[str, _Table]:
+    """The 1-D tables :func:`mms_forcing` evaluates (none for ``zero``),
+    which a forcing handle builds once for all its calls."""
+    _require_mms(recipe, grid)
+    return _trig1_tables(grid, params, _TRIG1_FORCINGS) if recipe == "trig-1" else {}
+
+
 def mms_forcing(
-    t: float, recipe: str, params: FluidParams, grid: GridSpec
+    t: float, recipe: str, params: FluidParams, grid: GridSpec, tables: dict[str, _Table] | None = None
 ) -> tuple[VectorField, ScalarField, VectorField]:
     """Exact residual forcings (fu, fw, fb) for the catalog solution.
 
-    Evaluated from the closed-form derivatives of ``_trig1_fields`` (NumPy
-    only, no symbolic algebra at run time), not by differencing.
+    Each component is a sum of separable terms ``c_k(t) X_k(x) Y_k(y)`` from
+    :func:`_trig1_terms` (NumPy only, no symbolic algebra at run time, no
+    differencing), and only the c_k depend on t.  With the ``tables`` of
+    :func:`forcing_tables` a call forms one (m, K) by (K, n) product per
+    component; without them it builds them first, to the same bits.
     """
     _require_mms(recipe, grid)
     if recipe == "zero":
         zero = State.zeros(grid)
         return zero.u, zero.w, zero.b
-    fu1, fb1 = _trig1_on(grid, "xface", t, params, "fu1", "fb1")
-    fu2, fb2 = _trig1_on(grid, "yface", t, params, "fu2", "fb2")
-    [fw] = _trig1_on(grid, "node", t, params, "fw")
+    if tables is None:
+        tables = forcing_tables(recipe, params, grid)
+    amp = _trig1_amplitudes(t)
+    fu1, fu2, fw, fb1, fb2 = (tables[name](amp) for name in _TRIG1_FORCINGS)
     fu, fb = VectorField(grid, MAC, fu1, fu2), VectorField(grid, MAC, fb1, fb2)
     return fu, ScalarField(grid, NODE, fw), fb
 

@@ -7,6 +7,7 @@ errors, and trajectory bookkeeping.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,8 @@ from mmps.evolution import (
     StepConfig,
     StepError,
     Trajectory,
+    _Carry,
+    _explicit_terms,
     _mhd_explicit,
     advect_mac,
     advect_node,
@@ -52,7 +55,7 @@ from mmps.fields import (
     perp_grad,
     samples_lq,
 )
-from mmps.recipes import RecipeError, State, initial_state, mms_state
+from mmps.recipes import RecipeError, State, _trig1_factors, initial_state, mms_forcing, mms_state
 from mmps.stokes import helmholtz_solve, leray_project
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
@@ -309,6 +312,26 @@ def test_spin_is_plain_copy_without_coupling_or_velocity():
     assert np.array_equal(out.data, w.data)
 
 
+@pytest.mark.parametrize("method", ADVECTION_SCHEMES)
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_zero_spin_skips_its_transport_bitwise(method, mode, monkeypatch):
+    # w = +0 transports to zero: the step skips advect_node and still equals
+    # the step that takes it, signed zeros included.  A negative zero can
+    # decide a zero's sign in the step (at a corner where curl2(u) is -0),
+    # so w = -0 takes the transport.
+    g, dt = GridSpec(16, 16, mode), 1e-3
+    u = _random_divfree(g, np.random.default_rng(35), scale=0.1)
+    calls = []
+    monkeypatch.setattr("mmps.evolution.advect_node", lambda *a: calls.append(a) or advect_node(*a))
+    for fill, transports in ((0.0, 0), (-0.0, 1)):
+        w = ScalarField(g, NODE, np.full(g.lattice_shape("node"), fill))
+        src = -advect_node(u, w, method).data + PARAMS.chi * curl2(u).data
+        expected = math.exp(-2.0 * PARAMS.chi * dt) * (w.data + dt * src)
+        calls.clear()
+        out = step_w_transport(w, u, StepConfig(dt=dt, advection=method), PARAMS)
+        assert out.data.tobytes() == expected.tobytes() and len(calls) == transports
+
+
 # ---------------------------------------------------------------------------
 # Exact reductions on invariant subspaces
 # ---------------------------------------------------------------------------
@@ -455,6 +478,45 @@ def test_manufactured_forcing_validates_recipe():
     assert np.max(np.abs(fb.ux)) > 0.0
 
 
+def _forcing_bytes(forcing) -> list[bytes]:
+    fu, fw, fb = forcing
+    return [a.tobytes() for a in (fu.ux, fu.uy, fw.data, fb.ux, fb.uy)]
+
+
+@pytest.mark.parametrize("params", [PARAMS, FluidParams(mu=0.3, chi=0.0, nu=0.7)])
+def test_manufactured_forcing_equals_mms_forcing_bitwise(params):
+    g = GridSpec(20, 20)
+    handle = manufactured_forcing("trig-1", params, g)
+    for t in (0.0, 0.13, 0.77, 2.4):
+        assert _forcing_bytes(handle(t)) == _forcing_bytes(mms_forcing(t, "trig-1", params, g))
+
+
+def test_forced_march_does_no_closed_form_work(monkeypatch):
+    g = GridSpec(16, 16)
+    init = mms_state("trig-1", 0.0, g, PARAMS)
+    cfg = StepConfig(dt=5e-4, advection="central", forcing=manufactured_forcing("trig-1", PARAMS, g))
+    calls = []
+    monkeypatch.setattr("mmps.recipes._trig1_factors", lambda z: calls.append(z) or _trig1_factors(z))
+    assert len(list(march(init, 6 * cfg.dt, cfg, PARAMS))) == 6
+    assert calls == []
+    mms_forcing(0.0, "trig-1", PARAMS, g)  # the counter sees a fresh build
+    assert calls
+
+
+def test_forcing_handle_keeps_only_one_dimensional_tables():
+    # the 1-D tables of an nx=128 handle take about 0.18 MB; a 2-D array per
+    # time coefficient of each component (22 of them) would take about 2.9 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        handle = manufactured_forcing("trig-1", PARAMS, GridSpec(128, 128))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5e6
+    assert handle(0.0)[1].data.shape == (129, 129)
+
+
 # ---------------------------------------------------------------------------
 # Time marching
 # ---------------------------------------------------------------------------
@@ -552,15 +614,24 @@ def test_march_and_run_simulation_evaluate_the_forcing_once_per_step(scheme):
     assert handle.calls == 6
 
 
+def _history(prev, cfg, params) -> _Carry:
+    """The AB2 history of a step after ``prev``, recomputed from that state
+    (empty for the first step)."""
+    if prev is None:
+        return _Carry()
+    return _Carry(_explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t)))
+
+
 def _oracle_loop(init, t_end, cfg, params):
     """Records and states of the per-step loop built from public pieces:
-    ``step_coupled(..., prev=...)`` recomputes the AB2 history, and the
-    forcing is evaluated again for ``forcing_work``."""
+    the AB2 history is recomputed from the previous state, and the forcing
+    is evaluated again for ``forcing_work``."""
     records, states = [diagnostics_record(init, params)], [init]
     prev = None
     for k in range(1, int(round((t_end - init.t) / cfg.dt)) + 1):
         state = states[-1]
-        new = replace(step_coupled(state, cfg, params, prev=prev), t=init.t + k * cfg.dt)
+        new = replace(step_coupled(state, cfg, params, carry=_history(prev, cfg, params)),
+                      t=init.t + k * cfg.dt)
         work = forcing_work(cfg.forcing(state.t), new) if cfg.forcing is not None else 0.0
         records.append(diagnostics_record(new, params, prev=state, prev_record=records[-1],
                                           forcing_work=work))
@@ -634,8 +705,8 @@ def test_two_step_scheme_departs_from_single_step_after_startup():
     s1a = step_coupled(init, ab2, PARAMS)
     assert np.array_equal(s1e.u.ux, s1a.u.ux) and np.array_equal(s1e.w.data, s1a.w.data)
     # second step: the history-weighted combination must differ
-    s2e = step_coupled(s1e, euler, PARAMS, prev=init)
-    s2a = step_coupled(s1a, ab2, PARAMS, prev=init)
+    s2e = step_coupled(s1e, euler, PARAMS, carry=_history(init, euler, PARAMS))
+    s2a = step_coupled(s1a, ab2, PARAMS, carry=_history(init, ab2, PARAMS))
     assert not np.array_equal(s2e.u.ux, s2a.u.ux)
 
 
