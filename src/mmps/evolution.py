@@ -14,7 +14,10 @@ component); the zeroth-order damping ``2 chi w`` is an exact integrating
 factor ``exp(-2 chi dt)`` applied outside the explicit update; u and b are
 made divergence-free by a projection after their solves (which also
 re-imposes the no-slip boundary values), with ``p = phi / dt`` recovered
-from the projection potential.
+from the projection potential.  Both fields go through one stacked pass of
+a :class:`mmps.stokes.SolvePlan` that ``march`` builds once for its dt, and
+each state is checked once (finiteness and CFL speed from one max and min
+per array): the check of a step's result is the next step's input check.
 
 Advection is in conservative flux form.  For the velocity and magnetic
 components the fluxes use arithmetic face means, which makes the advection
@@ -45,6 +48,7 @@ import numpy as np
 from . import recipes
 from .estimates import DiagnosticsRecord, diagnostics_record
 from .fields import (
+    CELL,
     FluidParams,
     GridSpec,
     NODE,
@@ -59,10 +63,9 @@ from .fields import (
     _to_node,
     curl2,
     l2_inner,
-    max_abs,
     perp_grad,
 )
-from .stokes import helmholtz_solve, leray_project
+from .stokes import SolvePlan, helmholtz_solve, leray_project  # noqa: F401  (bound here too)
 
 __all__ = [
     "StepError",
@@ -281,32 +284,31 @@ def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _guard(
-    t: float,
-    cfg: StepConfig | None,
-    u: VectorField | None = None,
-    w: ScalarField | None = None,
-    b: VectorField | None = None,
-) -> None:
+def _check(t: float, prefix: str, u: VectorField | None = None, w: ScalarField | None = None,
+           b: VectorField | None = None) -> float:
     """Raise NonFiniteError for the first non-finite field given, in the
-    order velocity, micro-rotation, magnetic field.  With ``cfg`` the fields
-    are a step's inputs, named so, and CflError follows when the transport
-    speed max(|u|, |b|) exceeds the CFL limit; without it they are results.
+    order velocity, micro-rotation, magnetic field (``prefix`` is "input "
+    for a step's inputs, "" for its results), and return the transport
+    speed max(|u|, |b|).  One max and one min per array give both: NaN and
+    inf carry through them.  The first bad index is located only on failure.
     """
-    prefix = "" if cfg is None else "input "
+    speed = 0.0
     for label, field in (("velocity", u), ("micro-rotation", w), ("magnetic field", b)):
         if field is None:
             continue
         for arr in (field.data,) if isinstance(field, ScalarField) else (field.ux, field.uy):
-            if not np.all(np.isfinite(arr)):
+            hi, lo = float(arr.max()), float(arr.min())
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-                raise NonFiniteError(
-                    f"non-finite value in {prefix}{label} at t={t:.6g}, first at index {idx}"
-                )
-    if cfg is None:
-        return
-    speed = max(max_abs(v) for v in (u, b) if v is not None)
-    h = u.grid.h
+                raise NonFiniteError(f"non-finite value in {prefix}{label} at t={t:.6g}, "
+                                     f"first at index {idx}")
+            if field is not w:
+                speed = max(speed, hi, -lo)
+    return speed
+
+
+def _cfl(t: float, cfg: StepConfig, speed: float, h: float) -> None:
+    """Raise CflError when the transport speed breaks the CFL limit."""
     if cfg.dt * speed / h > cfg.cfl_limit:
         raise CflError(
             f"CFL violation at t={t:.6g}: transport speed {speed:.4g} on h={h:.4g} "
@@ -388,10 +390,18 @@ def _explicit_terms(
 
 @dataclass
 class _Carry:
-    """The raw explicit terms of the last step a march took, which the next
-    AB2 step combines with its own instead of recomputing them."""
+    """What a march hands from step to step: the last step's raw explicit
+    terms (AB2 combines them with its own), the transport speed of its
+    result (whose check is the next step's input check), and the solve plan."""
 
     terms: tuple[np.ndarray, ...] | None = None
+    speed: float | None = None
+    plan: SolvePlan | None = None
+
+
+def _solve_plan(grid: GridSpec, cfg: StepConfig, params: FluidParams) -> SolvePlan:
+    """The Helmholtz solves and projections of u and b for steps of ``cfg.dt``."""
+    return SolvePlan(grid, ((params.mu + params.chi) * cfg.dt, params.nu * cfg.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +409,16 @@ class _Carry:
 # ---------------------------------------------------------------------------
 
 
-def _mhd_solve(
-    u: VectorField,
-    b: VectorField,
-    terms: Sequence[np.ndarray],
-    cfg: StepConfig,
-    params: FluidParams,
-) -> tuple[VectorField, VectorField, ScalarField]:
-    dt = cfg.dt
+def _mhd_solve(u: VectorField, b: VectorField, terms: Sequence[np.ndarray], dt: float,
+               plan: SolvePlan) -> tuple[VectorField, VectorField, ScalarField]:
+    """Diffuse and project u and b in one stacked pass of ``plan``; b is
+    left out when its update is identically zero."""
     ex, ey, gx, gy = terms
     u_star = VectorField(u.grid, u.placement, u.ux + dt * ex, u.uy + dt * ey)
-    u_star = helmholtz_solve(u_star, (params.mu + params.chi) * dt)
-    u_new, phi = leray_project(u_star)
     b_star = VectorField(b.grid, b.placement, b.ux + dt * gx, b.uy + dt * gy)
-    if b_star.ux.any() or b_star.uy.any():
-        b_star = helmholtz_solve(b_star, params.nu * dt)
-        b_new, _ = leray_project(b_star)
-    else:
-        b_new = b_star
-    return u_new, b_new, ScalarField(phi.grid, phi.placement, phi.data / dt)
+    magnetic = bool(b_star.ux.any() or b_star.uy.any())
+    new, phi = plan.solve([u_star, b_star] if magnetic else [u_star])
+    return new[0], new[1] if magnetic else b_star, ScalarField(u.grid, CELL, phi / dt)
 
 
 def step_mhd_forced(
@@ -431,9 +432,10 @@ def step_mhd_forced(
     the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in the momentum
     equation).  With chi = 0 the result is bit-identical for every f.
     """
-    _guard(0.0, cfg, u=u, b=b)
-    u_new, b_new, _ = _mhd_solve(u, b, _mhd_explicit(u, b, f, params, None), cfg, params)
-    _guard(cfg.dt, None, u=u_new, b=b_new)
+    _cfl(0.0, cfg, _check(0.0, "input ", u=u, b=b), u.grid.h)
+    terms = _mhd_explicit(u, b, f, params, None)
+    u_new, b_new, _ = _mhd_solve(u, b, terms, cfg.dt, _solve_plan(u.grid, cfg, params))
+    _check(cfg.dt, "", u=u_new, b=b_new)
     return u_new, b_new
 
 
@@ -462,9 +464,9 @@ def step_w_transport(
     With u = 0 the step reduces to exact exponential decay (bit-exact
     constancy when additionally chi = 0).
     """
-    _guard(0.0, cfg, u=u, w=w)
+    _cfl(0.0, cfg, _check(0.0, "input ", u=u, w=w), u.grid.h)
     w_new = _w_update(w, _w_explicit(w, u, params, None, cfg.advection), cfg, params)
-    _guard(cfg.dt, None, w=w_new)
+    _check(cfg.dt, "", w=w_new)
     return w_new
 
 
@@ -480,29 +482,33 @@ def step_coupled(
     state, so the step is exactly the frozen-spin magnetic step composed
     with the frozen-velocity spin step.
 
-    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.  Under AB2
-    ``carry`` holds the last step's raw explicit terms and takes this step's;
-    without it, or with no terms in it yet, the step falls back to the
-    one-step scheme (the bootstrap step of a two-step run).
+    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.  ``carry``
+    is what a march hands from step to step (:class:`_Carry`); this step
+    puts its own terms and result speed in it.  Without one, or with its
+    fields unset, the step checks its input, builds its own plan and, under
+    AB2, falls back to the one-step scheme (a two-step run's bootstrap).
     """
-    t = state.t
-    _guard(t, cfg, u=state.u, w=state.w, b=state.b)
+    t, carry = state.t, carry or _Carry()
+    if carry.speed is None:
+        carry.speed = _check(t, "input ", state.u, state.w, state.b)
+    _cfl(t, cfg, carry.speed, state.u.grid.h)
 
     if forcing is None and cfg.forcing is not None:
         forcing = cfg.forcing(t)
     terms = _explicit_terms(state, cfg, params, forcing)
     earlier = None
-    if cfg.scheme == "imex-ab2" and carry is not None:
+    if cfg.scheme == "imex-ab2":
         earlier, carry.terms = carry.terms, terms
     if earlier is not None:
         terms = [1.5 * c - 0.5 * p for c, p in zip(terms, earlier)]
         del earlier  # frees the previous terms before the solves (peak memory)
 
-    u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg, params)
+    plan = carry.plan or _solve_plan(state.u.grid, cfg, params)
+    u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg.dt, plan)
     w_new = _w_update(state.w, terms[4], cfg, params)
 
     t_new = t + cfg.dt
-    _guard(t_new, None, u=u_new, w=w_new, b=b_new)
+    carry.speed = _check(t_new, "", u_new, w_new, b_new)
     return State(t=t_new, u=u_new, w=w_new, b=b_new, p=p_new)
 
 
@@ -555,7 +561,7 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> It
 
 
 def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
-    state, carry = init, _Carry()
+    state, carry = init, _Carry(plan=_solve_plan(init.u.grid, cfg, params))
     for k in range(1, steps + 1):
         forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
         new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)

@@ -28,10 +28,12 @@ product; no 2-D basis is stored.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import replace
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -175,7 +177,8 @@ class _Terms(dict):
         return _Terms({((a + "'",), x, y): c for ((a,), x, y), c in self.items()})
 
 
-def _trig1_terms(params: FluidParams) -> dict[str, _Terms]:
+@functools.lru_cache(maxsize=4)
+def _trig1_terms(params: FluidParams) -> MappingProxyType:
     """trig-1's fields and exact residual forcings as separable term sums.
     With the amplitudes ``a_u, a_w, a_b, a_p`` of :func:`_trig1_amplitudes`
     and ``S = sin^4(pi z)``, ``G = S cos(pi z)``, ``s = sin(pi z)``, ``H = s cos(pi z)``:
@@ -195,7 +198,8 @@ def _trig1_terms(params: FluidParams) -> dict[str, _Terms]:
     * ``fb = b_t + (u.grad)b - nu lap b - (b.grad)u``
 
     Derivatives and products of sin/cos monomials are sin/cos monomials, so
-    every sum keeps the separable form."""
+    every sum keeps the separable form.  The sums depend on the parameters
+    only, so a few are cached, as read-only views."""
     mu, chi, nu = params.mu, params.chi, params.nu
 
     def base(amp: str, *pairs: tuple[tuple[int, int], tuple[int, int]]) -> _Terms:
@@ -215,7 +219,7 @@ def _trig1_terms(params: FluidParams) -> dict[str, _Terms]:
     def lap(q: _Terms) -> _Terms:
         return q.d(2, 0) + q.d(0, 2)
 
-    return {
+    sums = {
         "u1": u1, "u2": u2, "w": w, "b1": b1, "b2": b2, "p": p,
         "fu1": u1.dt() + advect(u1) + p.d(1, 0) - (mu + chi) * lap(u1) - stretch(b1) - chi * w.d(0, 1),
         "fu2": u2.dt() + advect(u2) + p.d(0, 1) - (mu + chi) * lap(u2) - stretch(b2) + chi * w.d(1, 0),
@@ -223,13 +227,14 @@ def _trig1_terms(params: FluidParams) -> dict[str, _Terms]:
         "fb1": b1.dt() + advect(b1) - nu * lap(b1) - stretch(u1),
         "fb2": b2.dt() + advect(b2) - nu * lap(b2) - stretch(u2),
     }
+    return MappingProxyType({name: MappingProxyType(terms) for name, terms in sums.items()})
 
 
 # A term sum tabulated on a lattice: amplitudes -> values (see _tabulate).
 _Table = Callable[[dict[str, float]], np.ndarray]
 
 
-def _tabulate(terms: _Terms, x: np.ndarray, y: np.ndarray) -> _Table:
+def _tabulate(terms: Mapping, x: np.ndarray, y: np.ndarray) -> _Table:
     """``terms`` on the lattice of the 1-D points x (m) and y (n).  The 1-D
     rows of its K nonzero terms go into an (m, K) table X and a (K, n) table
     Y once; the returned map takes the amplitudes to ``(X * c) @ Y``, with c
@@ -258,19 +263,6 @@ def _trig1_tables(grid: GridSpec, params: FluidParams, names: Sequence[str]) -> 
         X, Y = grid.mesh(_TRIG1_LATTICE[name[-1]])
         tables[name] = _tabulate(terms[name], X[:, 0], Y[0])
     return tables
-
-
-def _trig1_fields(
-    x: np.ndarray, y: np.ndarray, t: float, params: FluidParams, names: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """The named trig-1 fields and forcings at the points (x, y), which
-    broadcast: the terms of :func:`_trig1_terms`, summed point by point."""
-    x, y = np.broadcast_arrays(x, y)
-    (sx, cx), (sy, cy) = _trig1_factors(x.ravel()), _trig1_factors(y.ravel())
-    terms, amp = _trig1_terms(params), _trig1_amplitudes(t)
-    return {name: sum(c * math.prod(map(amp.__getitem__, a)) * (sx[i] * cx[j]) * (sy[k] * cy[l])
-                      for (a, (i, j), (k, l)), c in terms[name].items()).reshape(x.shape)
-            for name in names}
 
 
 def _require_mms(recipe: str, grid: GridSpec) -> None:
@@ -477,7 +469,8 @@ def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable
         x, y = X[:, 0], Y[0, :]
         sx = np.sin(np.pi * np.outer(ks, x))
         sy = np.sin(np.pi * np.outer(ks, y))
-        core = sx.T @ coeff @ sy
+        # two einsum contractions, not BLAS: the same bits at every thread count
+        core = np.einsum("im,mj->ij", np.einsum("ki,km->im", sx, coeff), sy)
         env = (np.sin(np.pi * X) * np.sin(np.pi * Y)) ** 2
         return amplitude * env * core
 

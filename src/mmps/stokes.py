@@ -5,9 +5,13 @@ Every operator acts on the interior faces only in Dirichlet mode (boundary
 faces are no-penetration data, pinned to zero).  The Helmholtz and projection
 operators are separable under their closures, so each mode inverts them
 exactly by dividing by the stencil's symbol in a diagonalising transform:
-periodic mode uses the real FFT; Dirichlet mode uses DST-I along pinned faces,
-DST-II across mirror ghosts and DCT-II for the zero-flux pressure Poisson
-problem (Schumann & Sweet 1976; Swarztrauber 1977).
+the real FFT (periodic); DST-I along pinned faces, DST-II across mirror
+ghosts and DCT-II for the zero-flux pressure Poisson problem (Dirichlet;
+Schumann & Sweet 1976; Swarztrauber 1977).  :class:`SolvePlan` is the one
+path per mode: it forms the symbols once for a grid and its diffusion
+coefficients and solves several fields (u and b in a step) in one stacked
+transform pass; ``helmholtz_solve`` and ``leray_project`` are its one-field
+calls, and a march builds one plan for all of its steps.
 
 The stationary Stokes saddle system (Dirichlet mode) is not separable, but
 its velocity block is: with A = -laplacian on the interior faces (inverted by
@@ -29,7 +33,6 @@ identity |grad v|^2 = <f, v> holds to solver precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +43,10 @@ from .fields import (
     MAC,
     NODE,
     FieldError,
-    FluidParams,
     GridSpec,
     ScalarField,
     VectorField,
+    _pin,
     div,
     grad,
     gradient_samples,
@@ -63,10 +66,6 @@ class SolverError(RuntimeError):
     """
 
 
-def _interior_faces(v: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    return v.ux[1:-1, :], v.uy[:, 1:-1]
-
-
 # ---------------------------------------------------------------------------
 # Diagonalised solves: Leray projection and Helmholtz
 # ---------------------------------------------------------------------------
@@ -84,6 +83,96 @@ def _symbol(g: GridSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     return lx[:, None] + ly[None, :]
 
 
+def _finite(v: VectorField) -> bool:
+    return bool(np.all(np.isfinite(v.ux)) and np.all(np.isfinite(v.uy)))
+
+
+class SolvePlan:
+    """The diagonalised solves of one grid, run for several fields in one
+    stacked transform pass.  Field i diffuses with ``coefs[i]`` (kappa*dt):
+    its symbol ``1 + coefs[i] * lam`` and the Poisson eigenvalues are formed
+    here once; a plan without coefficients inverts -laplacian itself.  In
+    Dirichlet mode the plan owns one work buffer that every call reuses, and
+    the real-to-real transforms run in it in place; no field data stays in it.
+    """
+
+    def __init__(self, grid: GridSpec, coefs: Sequence[float] = ()) -> None:
+        n = grid.nx
+        if grid.periodic:
+            k = 2 * np.arange(n)
+            lam = self.poisson = _symbol(grid, k, k[: n // 2 + 1])
+        else:
+            lam = _symbol(grid, np.arange(1, n), np.arange(1, n + 1))
+            self.poisson = _symbol(grid, np.arange(n), np.arange(n))
+        self.grid = grid
+        self.symbols = tuple(1.0 + c * lam for c in coefs) or (lam,)
+        self._work = None if grid.periodic else np.empty((2 * len(self.symbols), n - 1, n))
+
+    def faces(self, fields: Sequence[VectorField]) -> list[VectorField]:
+        """New fields: field i divided by ``symbols[i]`` in the real FFT
+        basis (periodic), or in the DST-I x DST-II basis of the interior
+        faces, y faces transposed, with the boundary faces pinned to zero
+        (Dirichlet)."""
+        g, m = self.grid, len(fields)
+        if g.periodic:
+            hat = rfft2(np.stack([a for v in fields for a in (v.ux, v.uy)]))
+        else:
+            work = self._work[: 2 * m]
+            for i, v in enumerate(fields):
+                work[2 * i], work[2 * i + 1] = v.ux[1:-1, :], v.uy[:, 1:-1].T
+            hat = dst(work, type=1, axis=1, norm="ortho", overwrite_x=True)
+            hat = dst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
+        for i in range(m):
+            hat[2 * i : 2 * i + 2] /= self.symbols[i]
+        if g.periodic:
+            out = irfft2(hat, s=(g.nx, g.nx), overwrite_x=True)
+            return [VectorField(g, MAC, out[2 * i], out[2 * i + 1]) for i in range(m)]
+        out = idst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
+        out = idst(out, type=1, axis=1, norm="ortho", overwrite_x=True)
+        solved = [VectorField.zeros(g) for _ in fields]
+        for i, v in enumerate(solved):
+            v.ux[1:-1, :], v.uy[:, 1:-1] = out[2 * i], out[2 * i + 1].T
+        return solved
+
+    def project(self, fields: Sequence[VectorField]) -> np.ndarray:
+        """Subtract grad(phi) from each field in place, phi the zero-mean
+        potential of div grad phi = div v; Dirichlet wall faces must be zero.
+        Returns a copy of the first field's potential."""
+        g, n, m = self.grid, self.grid.nx, len(fields)
+        dct = {"type": 2, "axes": (1, 2), "norm": "ortho", "overwrite_x": True}  # in place
+        if g.periodic:
+            hat = rfft2(np.stack([div(v).data for v in fields]))
+        else:
+            pot = self._work.reshape(-1)[: m * n * n].reshape(m, n, n)
+            for i, v in enumerate(fields):
+                pot[i] = div(v).data
+            hat = dctn(pot, **dct)
+        np.negative(hat, out=hat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hat /= self.poisson
+        hat[:, 0, 0] = 0.0  # the constant mode: zero-mean potential
+        pot = irfft2(hat, s=(n, n), overwrite_x=True) if g.periodic else idctn(hat, **dct)
+        if not np.all(np.isfinite(pot)):
+            raise SolverError("projection Poisson solve produced non-finite values")
+        for v, phi in zip(fields, pot):
+            gphi = grad(ScalarField(g, CELL, phi))
+            np.subtract(v.ux, gphi.ux, out=v.ux)
+            np.subtract(v.uy, gphi.uy, out=v.uy)
+        return pot[0].copy()
+
+    def solve(self, fields: Sequence[VectorField]) -> tuple[list[VectorField], np.ndarray]:
+        """:meth:`faces`, then :meth:`project`.  A failure raises SolverError
+        in the order of one field at a time: Helmholtz of field 0 (Dirichlet
+        only), its projection, Helmholtz of field 1, and so on."""
+        solved = self.faces(fields)
+        ok = len(solved) if self.grid.periodic else next(
+            (i for i, v in enumerate(solved) if not _finite(v)), len(solved))
+        phi = self.project(solved[:ok]) if ok else None
+        if ok < len(solved):
+            raise SolverError("helmholtz solve produced non-finite values")
+        return solved, phi
+
+
 def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     """Project a MAC field onto the discretely divergence-free subspace.
 
@@ -91,72 +180,25 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     (zero weighted mean, Neumann closure) with u_proj = u - grad(phi).
     In Dirichlet mode the boundary faces are pinned to zero first; a field
     that is already divergence-free is returned unchanged to roundoff.
-    The Poisson problem div grad phi = div u is inverted by the real FFT
-    (periodic) or by DCT-II along both axes (Dirichlet).
+    A one-field :meth:`SolvePlan.project`.
     """
-    g = u.grid
-    if g.periodic:
-        work, lam = u, _symbol(g, 2 * np.arange(g.nx), 2 * np.arange(g.nx // 2 + 1))
-        forward, inverse = rfft2, partial(irfft2, s=u.ux.shape)
-    else:
-        work = u.copy()
-        work.ux[0, :] = work.ux[-1, :] = 0.0
-        work.uy[:, 0] = work.uy[:, -1] = 0.0
-        lam = _symbol(g, np.arange(g.nx), np.arange(g.nx))
-        forward = partial(dctn, type=2, norm="ortho")
-        inverse = partial(idctn, type=2, norm="ortho")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ph = -forward(div(work).data) / lam
-    ph[0, 0] = 0.0  # the constant mode: zero-mean potential
-    phi = inverse(ph)
-    if not np.all(np.isfinite(phi)):
-        raise SolverError("projection Poisson solve produced non-finite values")
-    gphi = grad(ScalarField(g, CELL, phi))
-    proj = VectorField(g, MAC, work.ux - gphi.ux, work.uy - gphi.uy)
-    return proj, ScalarField(g, CELL, phi)
-
-
-def _helmholtz_xfaces(a: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    """Solve (I - coef * laplacian) x = a on the interior x faces, shape
-    (n-1, n), given its symbol ``sym = 1 + coef * lam``: pinned boundary
-    faces along x (DST-I), odd mirror ghosts along y (DST-II).  The interior
-    y-face problem is this one transposed, with the same symbol.
-    """
-    hat = dst(dst(a, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-    hat /= sym
-    return idst(idst(hat, type=2, axis=1, norm="ortho"), type=1, axis=0, norm="ortho")
-
-
-def _solve_faces(v: VectorField, sym: np.ndarray) -> VectorField:
-    """Divide the interior faces of ``v`` by ``sym`` in the DST-I x DST-II
-    basis of :func:`_helmholtz_xfaces` (the y faces transposed); the
-    boundary faces of the result are pinned to zero.
-    """
-    fx, fy = _interior_faces(v)
-    out = VectorField.zeros(v.grid)
-    out.ux[1:-1, :] = _helmholtz_xfaces(fx, sym)
-    out.uy[:, 1:-1] = _helmholtz_xfaces(fy.T, sym).T
-    return out
+    g, work = u.grid, u.copy()
+    _pin(g, work.ux, 0)
+    _pin(g, work.uy, 1)
+    return work, ScalarField(g, CELL, SolvePlan(g).project([work]))
 
 
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     """Solve (I - coef * laplacian) out = v componentwise on MAC faces with
     the no-slip closures (pinned boundary faces, mirror ghosts).  ``coef``
-    is kappa * dt >= 0.  The operator is inverted exactly by the real FFT
-    (periodic) or by DST-I x DST-II on the interior faces (Dirichlet); the
-    symbol is formed once and serves both components.
+    is kappa * dt >= 0.  A one-field :meth:`SolvePlan.faces`.
     """
-    g = v.grid
     if coef < 0:
         raise SolverError(f"helmholtz coefficient must be >= 0, got {coef}")
     if coef == 0.0:
         return v.copy()
-    n = g.nx
-    if g.periodic:
-        sym = 1.0 + coef * _symbol(g, 2 * np.arange(n), 2 * np.arange(n // 2 + 1))
-        return VectorField(g, MAC, *(irfft2(rfft2(a) / sym, s=a.shape) for a in (v.ux, v.uy)))
-    out = _solve_faces(v, 1.0 + coef * _symbol(g, np.arange(1, n), np.arange(1, n + 1)))
-    if not (np.all(np.isfinite(out.ux)) and np.all(np.isfinite(out.uy))):
+    (out,) = SolvePlan(v.grid, (coef,)).faces([v])
+    if not (v.grid.periodic or _finite(out)):
         raise SolverError("helmholtz solve produced non-finite values")
     return out
 
@@ -197,16 +239,15 @@ def solve_stationary_stokes(f: VectorField) -> StokesSolution:
     g = f.grid
     if g.periodic:
         raise FieldError("stationary Stokes solve is defined in Dirichlet mode only")
-    n = g.nx
-    lam = _symbol(g, np.arange(1, n), np.arange(1, n + 1))
-    p = np.zeros((n, n))
-    r = -div(_solve_faces(f, lam)).data  # G^T A^{-1} f, the residual at p = 0
+    plan = SolvePlan(g)  # with no coefficient, its faces() is A^{-1}
+    p = np.zeros((g.nx, g.nx))
+    r = -div(plan.faces([f])[0]).data  # G^T A^{-1} f, the residual at p = 0
     d, rr = r.copy(), float(np.vdot(r, r))
     stop = _CG_RTOL**2 * rr
     for _ in range(p.size):
         if not rr > stop:  # converged, or non-finite data (caught below)
             break
-        sd = -div(_solve_faces(grad(ScalarField(g, CELL, d)), lam)).data
+        sd = -div(plan.faces([grad(ScalarField(g, CELL, d))])[0]).data
         alpha = rr / float(np.vdot(d, sd))
         p += alpha * d
         r -= alpha * sd
@@ -216,51 +257,15 @@ def solve_stationary_stokes(f: VectorField) -> StokesSolution:
     pf = ScalarField(g, CELL, p - np.sum(w * p) / np.sum(w))
     gp = grad(pf)
     rhs = VectorField(g, MAC, f.ux - gp.ux, f.uy - gp.uy)
-    v = _solve_faces(rhs, lam)
+    (v,) = plan.faces([rhs])
     if not all(np.all(np.isfinite(a)) for a in (v.ux, v.uy, pf.data)):
         raise SolverError("stationary Stokes solve produced non-finite values")
     lap = laplacian(v)
-    mx, my = _interior_faces(VectorField(g, MAC, lap.ux + rhs.ux, lap.uy + rhs.uy))
-    fx, fy = _interior_faces(f)
+    mx, my = (lap.ux + rhs.ux)[1:-1, :], (lap.uy + rhs.uy)[:, 1:-1]
+    fx, fy = f.ux[1:-1, :], f.uy[:, 1:-1]
     worst = max(np.max(np.abs(mx)), np.max(np.abs(my)), np.max(np.abs(div(v).data)))
     res = float(worst / (1.0 + max(np.max(np.abs(fx)), np.max(np.abs(fy)))))
     return StokesSolution(v=v, p=pf, residual=res, converged=bool(res <= _TOL))
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary Stokes field and its complement
-# ---------------------------------------------------------------------------
-
-
-def aux_field_v(w: ScalarField, params: FluidParams) -> StokesSolution:
-    """Stationary Stokes response to the micro-rotation forcing
-    -chi/(mu+chi) * perp_grad(w).  With chi = 0 the forcing vanishes and the
-    zero solution is returned exactly (bit-for-bit), converged.
-    """
-    if w.placement != NODE:
-        raise FieldError("aux_field_v expects the node-placed micro-rotation")
-    g = w.grid
-    if params.chi == 0.0:
-        return StokesSolution(
-            v=VectorField.zeros(g),
-            p=ScalarField.zeros(g, "cell-center"),
-            residual=0.0,
-            converged=True,
-        )
-    c = params.chi / (params.mu + params.chi)
-    pg = perp_grad(w)
-    f = VectorField(g, MAC, -c * pg.ux, -c * pg.uy)
-    return solve_stationary_stokes(f)
-
-
-def compose_g(u: VectorField, v: VectorField | StokesSolution) -> VectorField:
-    """The complement field g = u - v; with both inputs discretely
-    divergence-free the result is too (checked by the callers' audits).
-    """
-    vv = v.v if isinstance(v, StokesSolution) else v
-    if u.grid != vv.grid:
-        raise FieldError("compose_g expects two fields on one grid")
-    return VectorField(u.grid, MAC, u.ux - vv.ux, u.uy - vv.uy)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mmps.estimates import diagnostics_record
+import mmps.evolution as evolution_module
 from mmps.evolution import (
     ADVECTION_SCHEMES,
     SCHEMES,
@@ -423,7 +424,10 @@ def test_cfl_violation_raises_with_diagnostics():
     cfg = StepConfig(dt=1e-2, scheme="imex-euler", advection="upwind2", cfl_limit=0.5)
     with pytest.raises(CflError) as exc:
         step_coupled(state, cfg, PARAMS)
-    assert "0.01" in str(exc.value)  # the offending dt is reported
+    assert str(exc.value) == (  # the speed, its limit and the offending dt
+        "CFL violation at t=0: transport speed 50 on h=0.0625 allows dt <= 0.000625, "
+        "configured dt=0.01"
+    )
     assert isinstance(exc.value, StepError)
 
 
@@ -453,6 +457,108 @@ def test_non_finite_state_rejected_by_provenance():
         step_coupled(state, cfg, PARAMS)
     assert "micro-rotation" in str(exc.value)  # names the offending field
     assert isinstance(exc.value, StepError)
+
+
+_LABELS = {"u": "velocity", "w": "micro-rotation", "b": "magnetic field"}
+
+
+def _poison(u: VectorField, w: ScalarField, b: VectorField, names: str, value: float) -> None:
+    """Write ``value`` at index (3, 4) of u's y component, of w and of b's x
+    component, for each field named."""
+    arrays = {"u": u.uy, "w": w.data, "b": b.ux}
+    for name in names:
+        arrays[name][3, 4] = value
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("names", ["u", "w", "b", "wb", "ub", "uwb"])
+def test_non_finite_input_is_named_before_the_cfl_check(names, value):
+    # fast enough to break the CFL limit too: finiteness is checked first,
+    # and the first bad field in the order u, w, b is the one named
+    g = GridSpec(16, 16)
+    state = initial_state("smooth-1", g, PARAMS)
+    _poison(state.u, state.w, state.b, names, value)
+    with pytest.raises(NonFiniteError) as exc:
+        step_coupled(state, StepConfig(dt=1.0, cfl_limit=0.5), PARAMS)
+    assert str(exc.value) == (
+        f"non-finite value in input {_LABELS[names[0]]} at t=0, first at index (3, 4)"
+    )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("names", ["u", "w", "b", "wb", "uwb"])
+@pytest.mark.parametrize("at_step", [1, 2])
+def test_non_finite_result_is_named_by_its_step(monkeypatch, names, value, at_step):
+    # results are checked once, as results: the check of step k is also the
+    # input check of step k + 1, so a march reports a bad state with its
+    # result message and time, never as a later step's input
+    calls = {"mhd": 0, "w": 0}
+    mhd_solve, w_update = evolution_module._mhd_solve, evolution_module._w_update
+
+    def bad_mhd(*args):
+        u, b, p = mhd_solve(*args)
+        calls["mhd"] += 1
+        if calls["mhd"] == at_step:
+            _poison(u, ScalarField.zeros(u.grid, NODE), b, names.replace("w", ""), value)
+        return u, b, p
+
+    def bad_w(*args):
+        w = w_update(*args)
+        calls["w"] += 1
+        if calls["w"] == at_step and "w" in names:
+            w.data[3, 4] = value
+        return w
+
+    monkeypatch.setattr(evolution_module, "_mhd_solve", bad_mhd)
+    monkeypatch.setattr(evolution_module, "_w_update", bad_w)
+    g = GridSpec(16, 16)
+    init = initial_state("smooth-1", g, PARAMS)
+    cfg = StepConfig(dt=1e-3, scheme="imex-ab2")
+    with pytest.raises(NonFiniteError) as exc:
+        for _ in march(init, 4 * cfg.dt, cfg, PARAMS):
+            pass
+    assert str(exc.value) == (
+        f"non-finite value in {_LABELS[names[0]]} at t={at_step * cfg.dt:.6g}, first at index (3, 4)"
+    )
+    assert calls["mhd"] == at_step
+
+
+def test_march_checks_the_cfl_limit_on_the_carried_speed():
+    # a constant periodic forcing accelerates u past the CFL limit after one
+    # step; the march reports it exactly as a step that checks its own input
+    g = GridSpec(16, 16, MODE_PERIODIC)
+    push = VectorField.sample_mac(g, lambda x, y: 0 * x + 1e3, lambda x, y: 0 * x)
+    zero = State.zeros(g)
+
+    def forcing(t):
+        return push, zero.w, zero.b
+
+    cfg = StepConfig(dt=1e-2, forcing=forcing)
+    steps = march(zero, 3 * cfg.dt, cfg, PARAMS)
+    _, first, _ = next(steps)
+    with pytest.raises(CflError) as exc:
+        next(steps)
+    with pytest.raises(CflError) as alone:
+        step_coupled(first, cfg, PARAMS)
+    assert str(exc.value) == str(alone.value)
+    assert str(exc.value).startswith("CFL violation at t=0.01: transport speed 10 on h=0.0625")
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_march_checks_each_state_once(monkeypatch, mode):
+    checked = []
+    check = evolution_module._check
+
+    def counting(t, prefix, *fields, **named):
+        checked.append(prefix)
+        return check(t, prefix, *fields, **named)
+
+    monkeypatch.setattr(evolution_module, "_check", counting)
+    g = GridSpec(16, 16, mode)
+    cfg = StepConfig(dt=1e-3, scheme="imex-ab2")
+    init = initial_state("rough-h1", g, PARAMS, seed=2)
+    assert len(list(march(init, 5 * cfg.dt, cfg, PARAMS))) == 5
+    assert checked == ["input "] + [""] * 5
 
 
 def test_step_config_validation():

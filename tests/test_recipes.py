@@ -47,8 +47,11 @@ from mmps.recipes import (
     taylor_green_rate,
     taylor_green_state,
     _mode_normals,
-    _trig1_fields,
+    _trig1_amplitudes,
+    _trig1_factors,
+    _trig1_terms,
 )
+from mmps.evolution import manufactured_forcing
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
 
@@ -268,6 +271,17 @@ def _trig1_sympy_callables(sympy) -> dict:
     }
 
 
+def _trig1_fields(x, y, t, params, names):
+    """The named trig-1 fields and forcings at the points (x, y), which
+    broadcast: the terms of ``_trig1_terms``, summed point by point."""
+    x, y = np.broadcast_arrays(x, y)
+    (sx, cx), (sy, cy) = _trig1_factors(x.ravel()), _trig1_factors(y.ravel())
+    terms, amp = _trig1_terms(params), _trig1_amplitudes(t)
+    return {name: sum(c * math.prod(map(amp.__getitem__, a)) * (sx[i] * cx[j]) * (sy[k] * cy[l])
+                      for (a, (i, j), (k, l)), c in terms[name].items()).reshape(x.shape)
+            for name in names}
+
+
 def _scaled_error(got: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
 
@@ -298,9 +312,10 @@ def test_trig1_closed_forms_match_symbolic_oracle():
         assert _scaled_error(arr, exact) <= 1e-13, name
 
 
-def _fresh_interpreter(code: str) -> str:
+def _fresh_interpreter(code: str, **extra_env: str) -> str:
     src = os.path.dirname(os.path.dirname(mmps.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **extra_env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -333,6 +348,34 @@ weak_form_residual(smooth, 2, params)
 print("sympy" in sys.modules)
 """
     assert _fresh_interpreter(code) == "False"
+
+
+def test_trig1_terms_are_built_once_per_parameters_and_read_only():
+    _trig1_terms.cache_clear()
+    for nx in (8, 16, 32):
+        g = GridSpec(nx, nx)
+        mms_state("trig-1", 0.0, g, PARAMS)
+        manufactured_forcing("trig-1", PARAMS, g)(0.1)
+    assert _trig1_terms.cache_info().misses == 1
+    terms = _trig1_terms(PARAMS)
+    key = next(iter(terms["fu1"]))
+    with pytest.raises(TypeError):
+        terms["fu1"][key] = 0.0
+    with pytest.raises(TypeError):
+        terms["fu1"] = {}
+    for k in range(8):  # bounded: old parameter sets drop out
+        _trig1_terms(FluidParams(mu=0.01 * (k + 1), chi=0.0, nu=0.01))
+    assert _trig1_terms.cache_info().currsize <= _trig1_terms.cache_info().maxsize <= 8
+
+
+def test_rough_data_is_the_same_at_every_blas_thread_count():
+    code = (
+        "import hashlib; from mmps import FluidParams, GridSpec, initial_state; "
+        "s = initial_state('rough-h1', GridSpec(128, 128), FluidParams(0.04, 0.02, 0.01), seed=0); "
+        "print(hashlib.sha256(s.b.ux.tobytes() + s.b.uy.tobytes()).hexdigest())"
+    )
+    digests = {_fresh_interpreter(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")}
+    assert len(digests) == 1
 
 
 def test_mms_state_components_nonzero_and_time_varying():
@@ -417,7 +460,7 @@ def _rough_psi_per_mode(grid, seed, amplitude=0.3):
         sx = np.sin(np.pi * np.outer(ks, X[:, 0]))
         sy = np.sin(np.pi * np.outer(ks, Y[0, :]))
         env = (np.sin(np.pi * X) * np.sin(np.pi * Y)) ** 2
-        return amplitude * env * (sx.T @ coeff @ sy)
+        return amplitude * env * np.einsum("im,mj->ij", np.einsum("ki,km->im", sx, coeff), sy)
 
     return psi
 

@@ -14,9 +14,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dst, idst, irfft2, rfft2
 from scipy.sparse.linalg import spsolve
 
 import mmps
+import mmps.evolution as evolution_module
 import mmps.stokes as stokes_module
 
 from mmps.fields import (
@@ -39,10 +41,11 @@ from mmps.fields import (
     perp_grad,
     samples_lq,
 )
+from mmps.evolution import StepConfig, march
+from mmps.recipes import initial_state
 from mmps.stokes import (
+    SolvePlan,
     StokesSolution,
-    aux_field_v,
-    compose_g,
     helmholtz_solve,
     leray_project,
     probe_scalar,
@@ -312,7 +315,8 @@ def _module_container_sizes(module) -> dict[str, int]:
 
 
 def test_solves_leave_module_state_bounded():
-    before = _module_container_sizes(stokes_module)
+    modules = (stokes_module, evolution_module)
+    before = [_module_container_sizes(m) for m in modules]
     rng = np.random.default_rng(19)
     for mode in ("dirichlet-square", MODE_PERIODIC):
         v = _random_mac(GridSpec(16, 16, mode), rng)
@@ -320,9 +324,55 @@ def test_solves_leave_module_state_bounded():
             helmholtz_solve(v, 1e-3 * (1.0 + 0.37 * k))
         for nx in (8, 16, 24):
             leray_project(_random_mac(GridSpec(nx, nx, mode), rng))
+        params = FluidParams(mu=0.05, chi=0.02, nu=0.01)
+        for nx in (8, 12):
+            init = initial_state("smooth-1", GridSpec(nx, nx, mode), params)
+            for scheme in ("imex-euler", "imex-ab2"):
+                cfg = StepConfig(dt=1e-3 * (1.0 + nx / 10), scheme=scheme)
+                assert len(list(march(init, 3 * cfg.dt, cfg, params))) == 3
     for nx in (8, 10, 12, 14):
         assert solve_stationary_stokes(_random_mac(GridSpec(nx, nx), rng)).converged
-    assert _module_container_sizes(stokes_module) == before
+    assert [_module_container_sizes(m) for m in modules] == before
+    # a march builds its solve plan for itself: no module holds one
+    for module in modules:
+        assert not any(isinstance(obj, SolvePlan) for obj in vars(module).values())
+
+
+@pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
+@pytest.mark.parametrize("nx", [8, 9, 16, 33])
+def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
+    # one stacked pass over u and b gives the bits of helmholtz_solve then
+    # leray_project per field, the potential of u included; with b left out
+    # (b = 0 in a step) u is solved alone, to the same bits
+    grid = GridSpec(nx, nx, mode)
+    rng = np.random.default_rng(40 + nx)
+    fields = [_random_mac(grid, rng, interior_only=False) for _ in range(2)]
+    coefs = (3.7e-3, 1.1e-4)
+    plan = SolvePlan(grid, coefs)
+    for count in (2, 1, 2):  # the plan's buffer is reused across calls
+        got, phi = plan.solve(fields[:count])
+        assert len(got) == count
+        for v, coef, out in zip(fields, coefs, got):
+            want, want_phi = leray_project(helmholtz_solve(v, coef))
+            assert out.ux.tobytes() == want.ux.tobytes() and out.uy.tobytes() == want.uy.tobytes()
+            if v is fields[0]:
+                assert phi.tobytes() == want_phi.data.tobytes()
+    # and the stacked faces pass is the plane-at-a-time transform pair
+    for v, coef, out in zip(fields, coefs, plan.faces(fields)):
+        sym = 1.0 + coef * SolvePlan(grid).symbols[0]  # 1 + coef * lam
+        if grid.periodic:
+            planes = ((out.ux, v.ux), (out.uy, v.uy))
+            wants = [irfft2(rfft2(a) / sym, s=a.shape) for _, a in planes]
+        else:
+            planes = ((out.ux[1:-1, :], v.ux[1:-1, :]), (out.uy[:, 1:-1].T, v.uy[:, 1:-1].T))
+            wants = []
+            for _, a in planes:
+                hat = dst(dst(a, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+                hat /= sym
+                want = idst(hat, type=2, axis=1, norm="ortho")
+                wants.append(idst(want, type=1, axis=0, norm="ortho"))
+        for (got, _), want in zip(planes, wants):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_import_leaves_sparse_linalg_unloaded():
@@ -339,7 +389,7 @@ def test_import_leaves_sparse_linalg_unloaded():
         "f = VectorField.sample_mac(g, lambda x, y: x * y, lambda x, y: x - y * y)\n"
         "assert mmps.solve_stationary_stokes(f).converged\n"
         "w = probe_scalar(g, 0, 0, 1.3)\n"
-        "assert mmps.aux_field_v(w, FluidParams(mu=0.05, chi=0.15, nu=0.1)).converged\n"
+        "assert mmps.solve_stationary_stokes(mmps.perp_grad(w)).converged\n"
         "print(before, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
     )
     out = subprocess.run(
@@ -349,8 +399,29 @@ def test_import_leaves_sparse_linalg_unloaded():
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary field and complement
+# Auxiliary field and complement: the paper's split u = v + g
 # ---------------------------------------------------------------------------
+
+
+def aux_field_v(w: ScalarField, params: FluidParams) -> StokesSolution:
+    """Stationary Stokes response to the micro-rotation forcing
+    -chi/(mu+chi) * perp_grad(w).  With chi = 0 the forcing vanishes and the
+    zero solution is returned exactly (bit-for-bit), converged.
+    """
+    g = w.grid
+    if params.chi == 0.0:
+        return StokesSolution(
+            v=VectorField.zeros(g), p=ScalarField.zeros(g, CELL), residual=0.0, converged=True
+        )
+    c = params.chi / (params.mu + params.chi)
+    pg = perp_grad(w)
+    return solve_stationary_stokes(VectorField(g, MAC, -c * pg.ux, -c * pg.uy))
+
+
+def compose_g(u: VectorField, v: StokesSolution) -> VectorField:
+    """The complement field g = u - v; with both inputs discretely
+    divergence-free the result is too."""
+    return VectorField(u.grid, MAC, u.ux - v.v.ux, u.uy - v.v.uy)
 
 
 def test_aux_field_zero_coupling_returns_exact_zero():
