@@ -9,11 +9,21 @@ a run or audit fails its checks, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
-from .config import ConfigError, RunConfig, load_config, with_seed
-from .estimates import EstimateError, energy_audit, gn_probe, gronwall_budget, w_lq_audit
+from .config import ConfigError, RunConfig, config_items, load_config, with_seed
+from .estimates import (
+    BudgetFold,
+    EstimateError,
+    EstimateLedger,
+    LqLedgerFold,
+    energy_audit,
+    fold_stored_pairs,
+    gn_probe,
+)
 from .evolution import StepError, Trajectory
 from .experiments import (
     ExperimentError,
@@ -26,7 +36,7 @@ from .experiments import (
     step_config_of,
     uniqueness_probe,
 )
-from .fields import FieldError, GridSpec, VectorField, perp_grad
+from .fields import FieldError, GridSpec, State, VectorField, perp_grad
 from .recipes import RecipeError
 from .snapshots import SnapshotError, read_snapshot
 from .stokes import SolverError, probe_scalar, solve_stationary_stokes, stokes_regularity_probe
@@ -158,43 +168,86 @@ def _cmd_gn_probe(cfg: RunConfig, out: Path) -> int:
     return 1 if report["unstable"] else 0
 
 
-def _run_mismatch(cfg: RunConfig, grid: GridSpec, records, states) -> str | None:
-    """How the run on disk differs from the one ``cfg`` describes, or None.
+class _Mismatch(Exception):
+    """The run on disk is not the one the config describes."""
 
-    A completed run has ``round(t_end/dt) + 1`` diagnostics rows spaced
-    ``dt`` and ending at ``t_end``, and every snapshot on the config's grid;
-    an aborted run stops short of ``t_end``.  The snapshots sit at row times
-    in increasing order, and the last holds the last row's state (the final
-    state is always stored), so files left by another run are refused.
-    """
+
+def _check_manifest(cfg: RunConfig, out: Path) -> None:
+    """``run.json``, which ``simulate`` writes when a run ends, must hold
+    every key of ``cfg`` with the same value, and no failure."""
+    path = out / "run.json"
+    if not path.exists():
+        raise _Mismatch("there is no run.json (simulate writes it when a run ends)")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        stored, failure = dict(manifest["config"]), manifest["failure"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _Mismatch(f"run.json is not a run manifest ({exc!r})") from exc
+    for key, value in config_items(cfg).items():
+        if key not in stored or stored[key] != value:
+            have = repr(stored[key]) if key in stored else "no value"
+            raise _Mismatch(f"run.json has {key} = {have}, the config has {value!r}")
+    if failure is not None:
+        raise _Mismatch(f"the run aborted: {failure}")
+
+
+def _check_rows(cfg: RunConfig, records) -> None:
+    """A completed run has ``round(t_end/dt) + 1`` diagnostics rows spaced
+    ``dt`` and ending at ``t_end``; an aborted run stops short of ``t_end``."""
     steps = int(round(cfg.t_end / cfg.dt))
     times = [r.t for r in records]
     if len(times) != steps + 1:
-        return (
+        raise _Mismatch(
             f"diagnostics.csv has {len(times)} rows, but time.t_end = {cfg.t_end:g} "
             f"with time.dt = {cfg.dt:g} needs {steps + 1}"
         )
     if abs(times[-1] - cfg.t_end) > 1e-8 * max(cfg.t_end, cfg.dt):
-        return f"the last row is at t = {times[-1]:g}, not time.t_end = {cfg.t_end:g}"
+        raise _Mismatch(f"the last row is at t = {times[-1]:g}, not time.t_end = {cfg.t_end:g}")
     for a, b in zip(times, times[1:]):
         if abs((b - a) - cfg.dt) > 1e-6 * cfg.dt:
-            return f"rows at t = {a:g} and {b:g} are not time.dt = {cfg.dt:g} apart"
-    row_times = set(times)
+            raise _Mismatch(f"rows at t = {a:g} and {b:g} are not time.dt = {cfg.dt:g} apart")
+
+
+def _stored_states(paths, grid: GridSpec, records) -> Iterator[tuple[float, State]]:
+    """Read each snapshot once and check it before yielding it: on the
+    config's grid, at a row's time, after the one before.  The last must
+    hold the last row's state (the final state is always stored), so files
+    left by another run are refused."""
+    row_times = {r.t for r in records}
     last = None
-    for t, state in states:
+    for path in paths:
+        state = read_snapshot(path)
+        t = state.t
         if state.grid != grid:
-            return (
+            raise _Mismatch(
                 f"the snapshot at t = {t:g} has nx = {state.grid.nx}, mode = {state.grid.mode}; "
                 f"the config has grid.nx = {grid.nx}, grid.mode = {grid.mode}"
             )
         if t not in row_times:
-            return f"a snapshot is at t = {t!r}, which is no diagnostics row's time"
+            raise _Mismatch(f"a snapshot is at t = {t!r}, which is no diagnostics row's time")
         if last is not None and t <= last:
-            return f"the snapshot at t = {t!r} follows one at t = {last!r}"
+            raise _Mismatch(f"the snapshot at t = {t!r} follows one at t = {last!r}")
         last = t
-    if last != times[-1]:
-        return f"no snapshot holds the last row's state (t = {times[-1]!r})"
-    return None
+        yield t, state
+    if last != records[-1].t:
+        raise _Mismatch(f"no snapshot holds the last row's state (t = {records[-1].t!r})")
+
+
+def _fold_ledgers(
+    cfg: RunConfig, out: Path, records
+) -> tuple[dict, EstimateLedger | EstimateError]:
+    """The budget and the L^4 ledger (or why it is skipped) from one pass
+    over the snapshots under ``out``: each file is read once, checked, fed
+    to both folds and dropped after its pair."""
+    paths = sorted(out.glob("snap_*.mmps"))
+    folds: list = [BudgetFold(records)]
+    skipped = None
+    try:
+        folds.append(LqLedgerFold(records, len(paths), 4.0, cfg.advection, params_of(cfg)))
+    except EstimateError as exc:
+        skipped = exc
+    fold_stored_pairs(_stored_states(paths, grid_of(cfg), records), *folds)
+    return folds[0].result(), folds[1].result() if skipped is None else skipped
 
 
 def _cmd_audit(cfg: RunConfig, out: Path) -> int:
@@ -203,21 +256,17 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
         print(f"audit: no diagnostics.csv under {out}", file=sys.stderr)
         return 2
     records = read_diagnostics_csv(csv_path)
-    snaps = sorted(out.glob("snap_*.mmps"))
-    states = tuple((s.t, s) for s in (read_snapshot(p) for p in snaps))
-    grid = grid_of(cfg)
-    mismatch = _run_mismatch(cfg, grid, records, states)
-    if mismatch is not None:
-        print(f"audit: the config does not describe the run under {out}: {mismatch}",
+    try:
+        _check_manifest(cfg, out)
+        _check_rows(cfg, records)
+        budget, lq = _fold_ledgers(cfg, out, records)
+    except _Mismatch as exc:
+        print(f"audit: the config does not describe the run under {out}: {exc}",
               file=sys.stderr)
         return 1
     params = params_of(cfg)
-    traj = Trajectory(
-        states=states,
-        records=records,
-        cfg=step_config_of(cfg, grid),
-        params=params,
-    )
+    traj = Trajectory(states=(), records=records,
+                      cfg=step_config_of(cfg, grid_of(cfg)), params=params)
     ledger = energy_audit(traj, params)
     print(
         "audit: max|energy residual| = {max_abs_residual:.6g}, "
@@ -225,17 +274,15 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
             **ledger.summary
         )
     )
-    budget = gronwall_budget(traj, params)
     print(f"audit: budget total = {budget['total']:.6g}")
     failed = ledger.summary["envelope_checked"] == 1.0 and ledger.summary["envelope_ok"] != 1.0
-    try:
-        lq = w_lq_audit(traj, 4.0, params)
+    if isinstance(lq, EstimateError):
+        print(f"audit: L4 ledger skipped ({lq})")
+    else:
         print(
             "audit: L4 ledger min margin = {min_margin:.6g}, "
             "max slack = {max_scheme_slack:.6g}".format(**lq.summary)
         )
-    except EstimateError as exc:
-        print(f"audit: L4 ledger skipped ({exc})")
     return 1 if failed else 0
 
 

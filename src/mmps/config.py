@@ -15,7 +15,7 @@ from .evolution import ADVECTION_SCHEMES, SCHEMES
 from .fields import MODE_DIRICHLET, MODES
 from .recipes import INITIAL_RECIPES, MMS_RECIPES
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "with_seed"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "with_seed", "config_items"]
 
 
 class ConfigError(ValueError):
@@ -173,3 +173,13 @@ def with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
     if seed is None:
         return cfg
     return replace(cfg, seed=seed)
+
+
+def config_items(cfg: RunConfig) -> dict[str, object]:
+    """Every ``section.key`` of ``cfg`` with its value, in key-table order;
+    tuples become lists, so the mapping round-trips through JSON unchanged."""
+    items: dict[str, object] = {}
+    for key, (field, _) in _KEY_PARSERS.items():
+        value = getattr(cfg, field)
+        items[key] = list(value) if isinstance(value, tuple) else value
+    return items

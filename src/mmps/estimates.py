@@ -1,7 +1,10 @@
 """Runtime ledgers and audits for the solver's inequality ladder.
 
 Every audit is a pure function of a trajectory (plus parameters): auditing
-twice yields identical ledgers.  The discrete conventions mirror the scheme:
+twice yields identical ledgers.  The ledgers that difference stored states
+are folds over consecutive pairs (:func:`fold_stored_pairs`), so one pass
+over a stream of states, holding two at a time, feeds them all.  The discrete
+conventions mirror the scheme:
 
 * gradients/Hessians come from the one-sided/mirror derivative-sample sets of
   :mod:`mmps.fields`, so the energy pairing ``<laplacian(u), u>`` equals
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +58,10 @@ __all__ = [
     "diagnostics_record",
     "record_fields",
     "energy_audit",
+    "fold_stored_pairs",
+    "LqLedgerFold",
+    "BudgetFold",
+    "TWeightedFold",
     "w_lq_audit",
     "gronwall_budget",
     "tweighted_h2_audit",
@@ -251,6 +258,19 @@ def _uniform_dt(times: Sequence[float]) -> float:
     return dt
 
 
+def fold_stored_pairs(states: Iterable[tuple[float, State]], *folds) -> None:
+    """Feed each consecutive pair ``((t0, s0), (t1, s1))`` of stored states to
+    every fold's ``add``, in order.  Only the pair in hand is referenced, so
+    ``states`` may be a stream (``mmps audit`` reads snapshot files through
+    one): a pass holds two states however long the run."""
+    prev = None
+    for new in states:
+        if prev is not None:
+            for fold in folds:
+                fold.add(prev, new)
+        prev = new
+
+
 # ---------------------------------------------------------------------------
 # Energy balance audit
 # ---------------------------------------------------------------------------
@@ -321,6 +341,64 @@ def energy_audit(traj: "Trajectory", params: FluidParams) -> EstimateLedger:
 # ---------------------------------------------------------------------------
 
 
+class LqLedgerFold:
+    """:func:`w_lq_audit` as a fold over consecutive stored states.
+
+    ``stored`` is the number of states the pass will feed; the ledger needs
+    one per record (stride 1), which is checked here, before any work.
+    """
+
+    def __init__(self, records: Sequence[DiagnosticsRecord], stored: int, q: float,
+                 advection: str, params: FluidParams):
+        if q < 2.0 or not math.isfinite(q):
+            raise EstimateError(f"lq audit needs q in [2, inf), got {q}")
+        from .evolution import advect_node  # deferred: evolution imports us
+
+        if stored != len(records):
+            raise EstimateError("lq audit needs per-step snapshots (stride 1)")
+        self.times = tuple(r.t for r in records)
+        self.dt = _uniform_dt(self.times)
+        self.q, self.advection, self.chi = q, advection, params.chi
+        self._advect_node = advect_node
+        self.lhs: list[float] = []
+        self.rhs: list[float] = []
+        self.margin: list[float] = []
+        self.slack: list[float] = []
+
+    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
+        q, dt, chi = self.q, self.dt, self.chi
+        s_prev, s_new = prev[1], new[1]
+        wq_prev = lq_norm(s_prev.w, q)
+        wq_new = lq_norm(s_new.w, q)
+        left = (wq_new**q - wq_prev**q) / (q * dt) + 2.0 * chi * wq_new**q
+        gu_q = samples_lq(gradient_samples(s_new.u), q)
+        adv = self._advect_node(s_prev.u, s_prev.w, self.advection)
+        transported = ScalarField(s_prev.grid, NODE, s_prev.w.data - dt * adv.data)
+        slack = (lq_norm(transported, q) ** q - wq_prev**q) / (q * dt)
+        right = chi * gu_q * wq_new ** (q - 1.0) + slack
+        self.lhs.append(left)
+        self.rhs.append(right)
+        self.slack.append(slack)
+        self.margin.append(right - left)
+
+    def result(self) -> EstimateLedger:
+        return EstimateLedger(
+            name=f"w-l{self.q:g}-ledger",
+            times=self.times[1:],
+            series={
+                "lhs": tuple(self.lhs),
+                "rhs": tuple(self.rhs),
+                "margin": tuple(self.margin),
+                "scheme_slack": tuple(self.slack),
+            },
+            summary={
+                "q": self.q,
+                "min_margin": min(self.margin, default=0.0),
+                "max_scheme_slack": max(self.slack, default=0.0),
+            },
+        )
+
+
 def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLedger:
     """Discrete differential inequality for ||w||_{L^q}.
 
@@ -331,51 +409,12 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
 
     where ``scheme_slack_k`` is the measured L^q production rate of the
     advection sub-step alone (re-applied to the stored states); for the
-    upwind scheme it is dissipative (<= 0).  Margins are rhs - lhs.
+    upwind scheme it is dissipative (<= 0).  Margins are rhs - lhs.  One
+    :class:`LqLedgerFold` pass over ``traj.states``.
     """
-    if q < 2.0 or not math.isfinite(q):
-        raise EstimateError(f"lq audit needs q in [2, inf), got {q}")
-    from .evolution import advect_node  # deferred: evolution imports us
-
-    states = traj.states
-    records = traj.records
-    if len(states) != len(records):
-        raise EstimateError("lq audit needs per-step snapshots (stride 1)")
-    times = tuple(r.t for r in records)
-    dt = _uniform_dt(times)
-    chi = params.chi
-
-    lhs, rhs, margin, slack_series = [], [], [], []
-    for k in range(1, len(states)):
-        s_prev, s_new = states[k - 1][1], states[k][1]
-        wq_prev = lq_norm(s_prev.w, q)
-        wq_new = lq_norm(s_new.w, q)
-        left = (wq_new**q - wq_prev**q) / (q * dt) + 2.0 * chi * wq_new**q
-        gu_q = samples_lq(gradient_samples(s_new.u), q)
-        adv = advect_node(s_prev.u, s_prev.w, traj.cfg.advection)
-        transported = ScalarField(s_prev.grid, NODE, s_prev.w.data - dt * adv.data)
-        slack = (lq_norm(transported, q) ** q - wq_prev**q) / (q * dt)
-        right = chi * gu_q * wq_new ** (q - 1.0) + slack
-        lhs.append(left)
-        rhs.append(right)
-        slack_series.append(slack)
-        margin.append(right - left)
-
-    return EstimateLedger(
-        name=f"w-l{q:g}-ledger",
-        times=times[1:],
-        series={
-            "lhs": tuple(lhs),
-            "rhs": tuple(rhs),
-            "margin": tuple(margin),
-            "scheme_slack": tuple(slack_series),
-        },
-        summary={
-            "q": q,
-            "min_margin": min(margin, default=0.0),
-            "max_scheme_slack": max(slack_series, default=0.0),
-        },
-    )
+    fold = LqLedgerFold(traj.records, len(traj.states), q, traj.cfg.advection, params)
+    fold_stored_pairs(traj.states, fold)
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +426,65 @@ def _vector_diff(a: VectorField, b: VectorField, dt: float) -> VectorField:
     return VectorField(a.grid, MAC, (a.ux - b.ux) / dt, (a.uy - b.uy) / dt)
 
 
+class BudgetFold:
+    """:func:`gronwall_budget` as a fold: :meth:`add` sums ``int ||d_t u||^2``
+    and ``int ||d_t b||^2`` over consecutive stored states, :meth:`result`
+    adds the suprema and integrals read off the records."""
+
+    def __init__(self, records: Sequence[DiagnosticsRecord]):
+        self.records = records
+        times = tuple(r.t for r in records)
+        self.dt = _uniform_dt(times) if len(times) > 1 else 0.0
+        self.int_dtu_l2_sq = self.int_dtb_l2_sq = 0.0
+
+    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
+        (t_prev, s_prev), (t_new, s_new) = prev, new
+        step = t_new - t_prev
+        du = _vector_diff(s_new.u, s_prev.u, step)
+        db = _vector_diff(s_new.b, s_prev.b, step)
+        self.int_dtu_l2_sq += step * lq_norm(du, 2.0) ** 2
+        self.int_dtb_l2_sq += step * lq_norm(db, 2.0) ** 2
+
+    def result(self) -> dict[str, float]:
+        dt = self.dt
+        sup_state_sq = 0.0
+        sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
+        int_hess_u_l4_sq = int_hess_b_l2_sq = int_dtw_l4_sq = 0.0
+        for k, r in enumerate(self.records):
+            u_h1_sq = r.u_l2**2 + r.grad_u_l2**2
+            w_w14_sq = math.sqrt(r.w_l4**4 + r.grad_w_l4**4)
+            b_h1_sq = r.b_l2**2 + r.grad_b_l2**2
+            sup_u_h1_sq = max(sup_u_h1_sq, u_h1_sq)
+            sup_w_w14_sq = max(sup_w_w14_sq, w_w14_sq)
+            sup_b_h1_sq = max(sup_b_h1_sq, b_h1_sq)
+            sup_state_sq = max(sup_state_sq, u_h1_sq + w_w14_sq + b_h1_sq)
+            if k >= 1:
+                int_hess_u_l4_sq += dt * r.hess_u_l4**2
+                int_hess_b_l2_sq += dt * r.hess_b_l2**2
+                int_dtw_l4_sq += dt * r.dt_w_l4**2
+
+        budget = {
+            "sup_state_sq": sup_state_sq,
+            "sup_u_h1_sq": sup_u_h1_sq,
+            "sup_w_w14_sq": sup_w_w14_sq,
+            "sup_b_h1_sq": sup_b_h1_sq,
+            "int_hess_u_l4_sq": int_hess_u_l4_sq,
+            "int_hess_b_l2_sq": int_hess_b_l2_sq,
+            "int_dtu_l2_sq": self.int_dtu_l2_sq,
+            "int_dtw_l4_sq": int_dtw_l4_sq,
+            "int_dtb_l2_sq": self.int_dtb_l2_sq,
+        }
+        budget["total"] = (
+            sup_state_sq
+            + int_hess_u_l4_sq
+            + int_hess_b_l2_sq
+            + self.int_dtu_l2_sq
+            + int_dtw_l4_sq
+            + self.int_dtb_l2_sq
+        )
+        return budget
+
+
 def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
     """Every supremum and time integral of the global a priori budget:
 
@@ -396,65 +494,66 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
 
     Suprema come from the per-step records; the d_t u / d_t b integrals are
     formed from consecutive stored snapshots (step differences / dt), so a
-    stride-1 trajectory yields the per-step quantities.  Returns a flat
-    mapping of every component plus the grand total.
+    stride-1 trajectory yields the per-step quantities.  One
+    :class:`BudgetFold` pass over ``traj.states``.  Returns a flat mapping of
+    every component plus the grand total.
     """
-    records = traj.records
-    times = tuple(r.t for r in records)
-    dt = _uniform_dt(times) if len(times) > 1 else 0.0
-
-    sup_state_sq = 0.0
-    sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
-    int_hess_u_l4_sq = int_hess_b_l2_sq = int_dtw_l4_sq = 0.0
-    for k, r in enumerate(records):
-        u_h1_sq = r.u_l2**2 + r.grad_u_l2**2
-        w_w14_sq = math.sqrt(r.w_l4**4 + r.grad_w_l4**4)
-        b_h1_sq = r.b_l2**2 + r.grad_b_l2**2
-        sup_u_h1_sq = max(sup_u_h1_sq, u_h1_sq)
-        sup_w_w14_sq = max(sup_w_w14_sq, w_w14_sq)
-        sup_b_h1_sq = max(sup_b_h1_sq, b_h1_sq)
-        sup_state_sq = max(sup_state_sq, u_h1_sq + w_w14_sq + b_h1_sq)
-        if k >= 1:
-            int_hess_u_l4_sq += dt * r.hess_u_l4**2
-            int_hess_b_l2_sq += dt * r.hess_b_l2**2
-            int_dtw_l4_sq += dt * r.dt_w_l4**2
-
-    int_dtu_l2_sq = int_dtb_l2_sq = 0.0
-    snaps = traj.states
-    for k in range(1, len(snaps)):
-        t_prev, s_prev = snaps[k - 1]
-        t_new, s_new = snaps[k]
-        step = t_new - t_prev
-        du = _vector_diff(s_new.u, s_prev.u, step)
-        db = _vector_diff(s_new.b, s_prev.b, step)
-        int_dtu_l2_sq += step * lq_norm(du, 2.0) ** 2
-        int_dtb_l2_sq += step * lq_norm(db, 2.0) ** 2
-
-    budget = {
-        "sup_state_sq": sup_state_sq,
-        "sup_u_h1_sq": sup_u_h1_sq,
-        "sup_w_w14_sq": sup_w_w14_sq,
-        "sup_b_h1_sq": sup_b_h1_sq,
-        "int_hess_u_l4_sq": int_hess_u_l4_sq,
-        "int_hess_b_l2_sq": int_hess_b_l2_sq,
-        "int_dtu_l2_sq": int_dtu_l2_sq,
-        "int_dtw_l4_sq": int_dtw_l4_sq,
-        "int_dtb_l2_sq": int_dtb_l2_sq,
-    }
-    budget["total"] = (
-        sup_state_sq
-        + int_hess_u_l4_sq
-        + int_hess_b_l2_sq
-        + int_dtu_l2_sq
-        + int_dtw_l4_sq
-        + int_dtb_l2_sq
-    )
-    return budget
+    fold = BudgetFold(traj.records)
+    fold_stored_pairs(traj.states, fold)
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------
 # t-weighted smoothing audit
 # ---------------------------------------------------------------------------
+
+
+class TWeightedFold:
+    """:func:`tweighted_h2_audit` as a fold: :meth:`add` sums the t-weighted
+    ``||grad d_t u||^2`` and ``||grad d_t b||^2`` from the second stored pair
+    on (the first difference still touches the rough initial state)."""
+
+    def __init__(self, records: Sequence[DiagnosticsRecord]):
+        if len(records) < 5:
+            raise EstimateError("t-weighted audit needs at least 4 steps")
+        _uniform_dt(tuple(r.t for r in records))
+        self.records = records
+        self.pairs = 0
+        self.int_t_grad_dtu_sq = self.int_t_grad_dtb_sq = 0.0
+
+    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
+        self.pairs += 1
+        if self.pairs == 1:
+            return
+        (t_prev, s_prev), (t_new, s_new) = prev, new
+        step = t_new - t_prev
+        du = _vector_diff(s_new.u, s_prev.u, step)
+        db = _vector_diff(s_new.b, s_prev.b, step)
+        self.int_t_grad_dtu_sq += step * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
+        self.int_t_grad_dtb_sq += step * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
+
+    def result(self) -> dict[str, float]:
+        records = self.records
+        t_end = records[-1].t
+        sup_t_hess_sq = sup_t_hess_b_sq = 0.0
+        late_sup_t_hess_sq = late_sup_t_hess_b_sq = 0.0
+        for r in records:
+            weighted = r.t * (r.hess_u_l2**2 + r.hess_b_l2**2)
+            weighted_b = r.t * r.hess_b_l2**2
+            sup_t_hess_sq = max(sup_t_hess_sq, weighted)
+            sup_t_hess_b_sq = max(sup_t_hess_b_sq, weighted_b)
+            if r.t >= 0.5 * t_end:
+                late_sup_t_hess_sq = max(late_sup_t_hess_sq, weighted)
+                late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
+        return {
+            "sup_t_hess_sq": sup_t_hess_sq,
+            "sup_t_hess_b_sq": sup_t_hess_b_sq,
+            "late_sup_t_hess_sq": late_sup_t_hess_sq,
+            "late_sup_t_hess_b_sq": late_sup_t_hess_b_sq,
+            "first_step_hess_b_sq": records[1].hess_b_l2**2,
+            "int_t_grad_dtu_sq": self.int_t_grad_dtu_sq,
+            "int_t_grad_dtb_sq": self.int_t_grad_dtb_sq,
+        }
 
 
 def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
@@ -467,46 +566,12 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
     The t = 0 norms may diverge under refinement for H^1-only data; the
     weighted quantities are the stable objects.  Time derivatives are step
     differences of stored snapshots; their accumulation starts at the second
-    difference (the first one still touches the rough initial state).
+    difference (the first one still touches the rough initial state).  One
+    :class:`TWeightedFold` pass over ``traj.states``.
     """
-    records = traj.records
-    if len(records) < 5:
-        raise EstimateError("t-weighted audit needs at least 4 steps")
-    times = tuple(r.t for r in records)
-    _uniform_dt(times)
-    t_end = times[-1]
-
-    sup_t_hess_sq = sup_t_hess_b_sq = 0.0
-    late_sup_t_hess_sq = late_sup_t_hess_b_sq = 0.0
-    for r in records:
-        weighted = r.t * (r.hess_u_l2**2 + r.hess_b_l2**2)
-        weighted_b = r.t * r.hess_b_l2**2
-        sup_t_hess_sq = max(sup_t_hess_sq, weighted)
-        sup_t_hess_b_sq = max(sup_t_hess_b_sq, weighted_b)
-        if r.t >= 0.5 * t_end:
-            late_sup_t_hess_sq = max(late_sup_t_hess_sq, weighted)
-            late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
-
-    int_t_grad_dtu_sq = int_t_grad_dtb_sq = 0.0
-    snaps = traj.states
-    for k in range(2, len(snaps)):
-        t_prev, s_prev = snaps[k - 1]
-        t_new, s_new = snaps[k]
-        step = t_new - t_prev
-        du = _vector_diff(s_new.u, s_prev.u, step)
-        db = _vector_diff(s_new.b, s_prev.b, step)
-        int_t_grad_dtu_sq += step * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
-        int_t_grad_dtb_sq += step * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
-
-    return {
-        "sup_t_hess_sq": sup_t_hess_sq,
-        "sup_t_hess_b_sq": sup_t_hess_b_sq,
-        "late_sup_t_hess_sq": late_sup_t_hess_sq,
-        "late_sup_t_hess_b_sq": late_sup_t_hess_b_sq,
-        "first_step_hess_b_sq": records[1].hess_b_l2**2,
-        "int_t_grad_dtu_sq": int_t_grad_dtu_sq,
-        "int_t_grad_dtb_sq": int_t_grad_dtb_sq,
-    }
+    fold = TWeightedFold(traj.records)
+    fold_stored_pairs(traj.states, fold)
+    return fold.result()
 
 
 # ---------------------------------------------------------------------------

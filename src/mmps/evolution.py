@@ -77,6 +77,7 @@ __all__ = [
     "ADVECTION_SCHEMES",
     "advect_mac",
     "advect_node",
+    "solve_plan",
     "step_mhd_forced",
     "step_w_transport",
     "step_coupled",
@@ -150,6 +151,9 @@ class Trajectory:
     """Simulation output: snapshots at the configured stride plus the full
     per-step diagnostics stream.
 
+    ``states`` holds the stored snapshots when :func:`run_simulation`
+    collected them in memory; it is empty when they went to a sink (the
+    files of ``simulate_run``) or when the audit rebuilds a run from disk.
     ``failure`` is None for a completed run; on an aborted run it carries
     the step error message and the snapshots/records cover the completed
     prefix.  Times are strictly increasing and the record stream is
@@ -399,8 +403,9 @@ class _Carry:
     plan: SolvePlan | None = None
 
 
-def _solve_plan(grid: GridSpec, cfg: StepConfig, params: FluidParams) -> SolvePlan:
-    """The Helmholtz solves and projections of u and b for steps of ``cfg.dt``."""
+def solve_plan(grid: GridSpec, cfg: StepConfig, params: FluidParams) -> SolvePlan:
+    """The Helmholtz solves and projections of u and b for steps of ``cfg.dt``
+    (one per march; a driver that steps ``step_mhd_forced`` builds one too)."""
     return SolvePlan(grid, ((params.mu + params.chi) * cfg.dt, params.nu * cfg.dt))
 
 
@@ -427,14 +432,19 @@ def step_mhd_forced(
     f: ScalarField,
     cfg: StepConfig,
     params: FluidParams,
+    *,
+    plan: SolvePlan | None = None,
 ) -> tuple[VectorField, VectorField]:
     """One velocity/magnetic step with the rotational body force frozen at
     the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in the momentum
     equation).  With chi = 0 the result is bit-identical for every f.
+    ``plan`` is :func:`solve_plan` for ``cfg``; without one the step builds
+    its own, so a caller taking many steps should pass one.
     """
     _cfl(0.0, cfg, _check(0.0, "input ", u=u, b=b), u.grid.h)
     terms = _mhd_explicit(u, b, f, params, None)
-    u_new, b_new, _ = _mhd_solve(u, b, terms, cfg.dt, _solve_plan(u.grid, cfg, params))
+    plan = plan or solve_plan(u.grid, cfg, params)
+    u_new, b_new, _ = _mhd_solve(u, b, terms, cfg.dt, plan)
     _check(cfg.dt, "", u=u_new, b=b_new)
     return u_new, b_new
 
@@ -503,7 +513,7 @@ def step_coupled(
         terms = [1.5 * c - 0.5 * p for c, p in zip(terms, earlier)]
         del earlier  # frees the previous terms before the solves (peak memory)
 
-    plan = carry.plan or _solve_plan(state.u.grid, cfg, params)
+    plan = carry.plan or solve_plan(state.u.grid, cfg, params)
     u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg.dt, plan)
     w_new = _w_update(state.w, terms[4], cfg, params)
 
@@ -561,7 +571,7 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> It
 
 
 def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
-    state, carry = init, _Carry(plan=_solve_plan(init.u.grid, cfg, params))
+    state, carry = init, _Carry(plan=solve_plan(init.u.grid, cfg, params))
     for k in range(1, steps + 1):
         forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
         new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)
@@ -575,20 +585,28 @@ def run_simulation(
     t_end: float,
     cfg: StepConfig,
     params: FluidParams,
+    sink: Callable[[State], None] | None = None,
 ) -> Trajectory:
     """March from ``init`` to ``t_end`` (which must be a whole number of
-    steps away) recording diagnostics every step and snapshots at the
-    configured stride: a fold over :func:`march`, whose forcing triple
+    steps away) recording diagnostics every step and storing snapshots at
+    the configured stride: a fold over :func:`march`, whose forcing triple
     also gives each record's ``forcing_work``.
 
+    Each stored state goes to ``sink`` as soon as the march yields it.
+    Without a sink they are collected into ``Trajectory.states``; with one
+    (``simulate_run`` writes each to a file) ``states`` is empty and the
+    run holds only the step's two states and the records, however long.
+
     A step failure (CFL, lost finiteness) aborts the march and returns the
-    completed prefix with ``failure`` set; a bad horizon raises StepError.
-    ``t_end == init.t`` returns just the initial snapshot.  Reruns with
-    identical inputs produce identical trajectories.
+    completed prefix with ``failure`` set; a bad horizon raises StepError
+    before anything is stored.  ``t_end == init.t`` stores just the initial
+    state.  Reruns with identical inputs produce identical trajectories.
     """
     steps = march(init, t_end, cfg, params)
+    snaps: list[tuple[float, State]] = []
+    store = sink or (lambda state: snaps.append((state.t, state)))
     records = [diagnostics_record(init, params)]
-    snaps: list[tuple[float, State]] = [(init.t, init)]
+    store(init)
     failure: str | None = None
     k, new = 0, init
     try:
@@ -597,10 +615,10 @@ def run_simulation(
             records.append(diagnostics_record(new, params, prev=prev, prev_record=records[-1],
                                               forcing_work=work))
             if k % cfg.snapshot_stride == 0:
-                snaps.append((new.t, new))
+                store(new)
     except StepError as exc:
         failure = str(exc)
     else:
         if k % cfg.snapshot_stride:
-            snaps.append((new.t, new))  # the final state is always stored
+            store(new)  # the final state is always stored
     return Trajectory(tuple(snaps), tuple(records), cfg, params, failure)

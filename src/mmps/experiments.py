@@ -8,6 +8,8 @@ byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import itertools
+import json
 import math
 import os
 from pathlib import Path
@@ -15,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, config_items
 from .estimates import DiagnosticsRecord, record_fields, refinement_order
 from .evolution import (
     StepConfig,
@@ -24,6 +26,7 @@ from .evolution import (
     manufactured_forcing,
     march,
     run_simulation,
+    solve_plan,
     step_mhd_forced,
     step_w_transport,
 )
@@ -128,21 +131,38 @@ def read_diagnostics_csv(path: str | os.PathLike) -> tuple[DiagnosticsRecord, ..
 
 
 def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
-    """Run the configured simulation; write ``diagnostics.csv`` plus one
-    ``snap_XXXXXX.mmps`` per stored snapshot under ``out_dir``, after removing
-    the snapshots of any earlier run there (an audit would read them in)."""
+    """Run the configured simulation into ``out_dir``: one
+    ``snap_XXXXXX.mmps`` per stored state, written as the march yields it,
+    then ``diagnostics.csv`` and the ``run.json`` manifest (the config's
+    keys and values, the steps completed and the ``failure`` string).
+
+    The earlier run's snapshots, CSV and manifest there are removed first,
+    so an interrupted run never leaves files that audit as another run.  The
+    run holds two states at a time; the returned trajectory carries the
+    records and the failure, not the states (they are in the files).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in (*out.glob("snap_*.mmps"), out / "diagnostics.csv", out / "run.json"):
+        stale.unlink(missing_ok=True)
     grid = grid_of(cfg)
     params = params_of(cfg)
-    init = build_initial_state(cfg, grid)
-    step_cfg = step_config_of(cfg, grid)
-    traj = run_simulation(init, cfg.t_end, step_cfg, params)
-    for stale in out.glob("snap_*.mmps"):
-        stale.unlink()
+    index = itertools.count()
+
+    def store(state: State) -> None:
+        write_snapshot(state, out / f"snap_{next(index):06d}.mmps")
+
+    traj = run_simulation(build_initial_state(cfg, grid), cfg.t_end,
+                          step_config_of(cfg, grid), params, sink=store)
     write_diagnostics_csv(traj.records, out / "diagnostics.csv")
-    for index, (_, state) in enumerate(traj.states):
-        write_snapshot(state, out / f"snap_{index:06d}.mmps")
+    manifest = {
+        "config": config_items(cfg),
+        "steps_completed": len(traj.records) - 1,
+        "failure": traj.failure,
+    }
+    with atomic_open(out / "run.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
     return traj
 
 
@@ -194,11 +214,12 @@ def _apply_spin_map(
     along the resulting velocity.  At a fixed point this reproduces the
     coupled stepper with a mollified body force."""
     u, b, w = init.u, init.b, init.w
+    plan = solve_plan(init.grid, step_cfg, params)
     out = [w]
     for k in range(steps):
         f_eps = mollify(f_slices[k], eps)
         u_old = u
-        u, b = step_mhd_forced(u_old, b, f_eps, step_cfg, params)
+        u, b = step_mhd_forced(u_old, b, f_eps, step_cfg, params, plan=plan)
         w = step_w_transport(w, u_old, step_cfg, params)
         out.append(w)
     return out

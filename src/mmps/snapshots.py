@@ -81,15 +81,18 @@ def atomic_open(path: str | os.PathLike, mode: str = "wb", **kwargs) -> Iterator
 
 
 def write_snapshot(state: State, path: str | os.PathLike) -> None:
-    """Serialize a state; atomically replaces ``path``."""
+    """Serialize a state; atomically replaces ``path``.  The header and each
+    array go to the checksum and to the file in turn, with no joined copy."""
     g = state.grid
     header = f"{_MAGIC} {_VERSION} {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n"
-    blob = header.encode("ascii") + b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _field_arrays(state)
-    )
+    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    chunks = (header.encode("ascii"),
+              *(np.ascontiguousarray(arr, dtype="<f8") for arr in _field_arrays(state)))
     with atomic_open(path) as fh:
-        fh.write(blob)
-        fh.write(_checksum(blob))
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
 
 
 def read_snapshot(path: str | os.PathLike) -> State:

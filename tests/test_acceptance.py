@@ -379,7 +379,8 @@ def test_criterion_13_determinism_and_robust_io(tmp_path):
             assert snap.read_bytes() == (dir_b / snap.name).read_bytes()
         assert read_diagnostics_csv(dir_a / "diagnostics.csv") == traj.records
 
-        final = traj.final_state
+        final = read_snapshot(snaps[-1])  # simulate_run streams its states to files
+        assert final.t == traj.records[-1].t
         path = tmp_path / "final.mmps"
         write_snapshot(final, path)
         back = read_snapshot(path)

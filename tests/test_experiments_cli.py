@@ -8,8 +8,11 @@ subcommand.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from mmps.experiments import (
     uniqueness_probe,
     write_diagnostics_csv,
 )
+from mmps.estimates import gronwall_budget, w_lq_audit
 from mmps.evolution import StepError, run_simulation
 from mmps.fields import MODE_PERIODIC
 from mmps.recipes import mms_state
@@ -39,6 +43,7 @@ from mmps.snapshots import (
     SnapshotError,
     SnapshotFormatError,
     SnapshotTruncatedError,
+    _field_arrays,
     atomic_open,
     read_snapshot,
     write_snapshot,
@@ -58,9 +63,15 @@ init.recipe = smooth-1
 
 @pytest.fixture(scope="module")
 def short_traj(tmp_path_factory):
+    """SMALL's run collected in memory, and the directory that simulate_run
+    streamed the same run into (its returned trajectory keeps no states)."""
     out = tmp_path_factory.mktemp("short")
-    traj = simulate_run(SMALL, out)
-    assert traj.failure is None
+    streamed = simulate_run(SMALL, out)
+    grid = grid_of(SMALL)
+    traj = run_simulation(build_initial_state(SMALL, grid), SMALL.t_end,
+                          step_config_of(SMALL, grid), params_of(SMALL))
+    assert streamed.failure is None and traj.failure is None
+    assert streamed.states == () and streamed.records == traj.records
     return traj, out
 
 
@@ -175,6 +186,21 @@ def test_snapshot_round_trip_is_bit_exact(short_traj, tmp_path):
     assert (tmp_path / "again.mmps").read_bytes() == raw
     # the trailer digests the header line and the payload
     assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
+
+
+@pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
+def test_write_snapshot_bytes_equal_the_joined_construction(tmp_path, mode):
+    # the streamed write must give the bytes of header + payload + digest(both)
+    cfg = replace(SMALL, recipe="rough-h1", mode=mode, seed=2)
+    state = replace(build_initial_state(cfg, grid_of(cfg)), t=0.1 + 0.2)
+    g = state.grid
+    header = f"MMPS 2 {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n".encode("ascii")
+    blob = header + b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _field_arrays(state)
+    )
+    path = tmp_path / "state.mmps"
+    write_snapshot(state, path)
+    assert path.read_bytes() == blob + hashlib.blake2b(blob, digest_size=8).digest()
 
 
 def test_snapshot_rejects_corruption(short_traj, tmp_path):
@@ -323,6 +349,11 @@ def test_simulate_run_writes_deterministic_outputs(short_traj, tmp_path):
     back = read_snapshot(snaps[-1])
     assert back.t == traj.final_state.t
     assert read_diagnostics_csv(first_dir / "diagnostics.csv") == traj.records
+    for snap, (t, state) in zip(snaps, traj.states):  # the streamed files hold the states
+        back = read_snapshot(snap)
+        assert back.t == t
+        for mine, theirs in zip(_field_arrays(back), _field_arrays(state)):
+            assert np.array_equal(mine, theirs)
 
     rerun_dir = tmp_path / "rerun"
     simulate_run(SMALL, rerun_dir)
@@ -386,6 +417,30 @@ def test_schauder_without_coupling_converges_in_two_iterations():
     assert report["converged"] is True
     assert report["iterations"] == 2
     assert report["diffs"][-1] == 0.0
+
+
+def test_schauder_builds_one_solve_plan_per_map_application(monkeypatch):
+    import mmps.experiments as experiments
+    import mmps.stokes as stokes
+
+    plans, applications = [], []
+    plan_init, apply_map = stokes.SolvePlan.__init__, experiments._apply_spin_map
+
+    def counting_init(self, *args, **kwargs):
+        plans.append(args)
+        plan_init(self, *args, **kwargs)
+
+    def counting_apply(*args, **kwargs):
+        applications.append(args)
+        return apply_map(*args, **kwargs)
+
+    monkeypatch.setattr(stokes.SolvePlan, "__init__", counting_init)
+    monkeypatch.setattr(experiments, "_apply_spin_map", counting_apply)
+    cfg = RunConfig(nx=16, dt=1e-3, t_end=1e-2, recipe="smooth-1", chi=0.02)
+    report = schauder_fixed_point(cfg)
+    assert report["converged"] and len(applications) == report["iterations"] >= 2
+    # one per application of the map, plus one for the coupled comparison march
+    assert len(plans) <= len(applications) + 1
 
 
 def test_schauder_requires_whole_step_horizon():
@@ -591,6 +646,118 @@ def test_cli_audit_refuses_snapshots_of_another_run(tmp_path, capsys, copied, pl
     captured = capsys.readouterr()
     assert "does not describe the run" in captured.err and named in captured.err
     assert "envelope_ok" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("params.chi = 0.02", "params.chi = 0.5", "params.chi"),
+        ("params.chi = 0.02", "params.chi = 0.5\nparams.mu = 0.4", "params.mu"),  # first key
+        ("init.recipe = smooth-1", "init.recipe = smooth-1\nscheme.stepper = imex-ab2",
+         "scheme.stepper"),
+        ("init.recipe", "init.recipe", None),
+    ],
+)
+def test_cli_audit_refuses_a_run_made_with_other_parameters(tmp_path, capsys, old, new, named):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["params.chi"] == 0.02 and manifest["config"]["grid.nx"] == 16
+    assert manifest["steps_completed"] == 3 and manifest["failure"] is None
+    capsys.readouterr()
+    audit_cfg = _write_cfg(tmp_path, SMALL_TEXT.replace(old, new), name="audit.cfg")
+    code = main(["audit", "--config", audit_cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    if named is None:
+        assert code == 0 and "envelope_ok = 1" in captured.out and not captured.err
+    else:
+        assert code == 1 and "envelope_ok" not in captured.out
+        assert "does not describe the run" in captured.err
+        assert f"run.json has {named} = " in captured.err
+
+
+def test_cli_audit_refuses_a_run_without_a_clean_manifest(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    (out / "run.json").unlink()
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "no run.json" in captured.err and not captured.out
+
+    (out / "run.json").write_text("[1, 2]", encoding="utf-8")
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "not a run manifest" in capsys.readouterr().err
+
+    # smooth-1 moves faster than a CFL cap of 1e-3 allows: the first step fails
+    aborted_cfg = _write_cfg(tmp_path, SMALL_TEXT + "scheme.cfl_limit = 1e-3\n", name="abort.cfg")
+    aborted = tmp_path / "aborted"
+    assert main(["simulate", "--config", aborted_cfg, "--out", str(aborted)]) == 1
+    manifest = json.loads((aborted / "run.json").read_text(encoding="utf-8"))
+    assert manifest["steps_completed"] == 0 and manifest["failure"]
+    capsys.readouterr()
+    assert main(["audit", "--config", aborted_cfg, "--out", str(aborted)]) == 1
+    captured = capsys.readouterr()
+    assert f"the run aborted: {manifest['failure']}" in captured.err and not captured.out
+
+
+def _periodic_text(steps: int) -> str:
+    return (f"grid.nx = 48\ngrid.mode = periodic\ninit.recipe = rough-h1\n"
+            f"scheme.stepper = imex-ab2\nscheme.advection = central\n"
+            f"time.dt = 5e-4\ntime.t_end = {steps * 5e-4!r}\noutput.stride = 1\n")
+
+
+def _simulate_and_audit(tmp_path, steps: int) -> tuple[str, Path]:
+    cfg_path = _write_cfg(tmp_path, _periodic_text(steps), name=f"p{steps}.cfg")
+    out = tmp_path / f"p{steps}"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    return cfg_path, out
+
+
+def test_simulate_and_audit_hold_at_most_two_states(tmp_path, capsys):
+    _simulate_and_audit(tmp_path, 2)  # warm the module caches untraced
+    peaks = {}
+    for steps in (4, 12):
+        tracemalloc.start()
+        try:
+            _simulate_and_audit(tmp_path, steps)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    state = read_snapshot(tmp_path / "p4" / "snap_000000.mmps")
+    state_bytes = sum(arr.nbytes for arr in _field_arrays(state))
+    # eight more stored states may not cost one state's bytes
+    assert peaks[12] - peaks[4] < state_bytes, (peaks, state_bytes)
+
+
+def test_cli_audit_reads_each_snapshot_once(tmp_path, monkeypatch, capsys):
+    import mmps.cli
+
+    cfg_path, out = _simulate_and_audit(tmp_path, 5)
+    reads = []
+    read = mmps.cli.read_snapshot
+    monkeypatch.setattr(mmps.cli, "read_snapshot", lambda path: reads.append(path) or read(path))
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(reads) == sorted(out.glob("snap_*.mmps"))
+    assert len(reads) == 6
+
+
+def test_streamed_audit_ledgers_equal_the_in_memory_ledgers(tmp_path, capsys):
+    from mmps.cli import _fold_ledgers
+
+    cfg_path, out = _simulate_and_audit(tmp_path, 5)
+    cfg = load_config(cfg_path)
+    grid, params = grid_of(cfg), params_of(cfg)
+    traj = run_simulation(build_initial_state(cfg, grid), cfg.t_end,
+                          step_config_of(cfg, grid), params)
+    records = read_diagnostics_csv(out / "diagnostics.csv")
+    assert records == traj.records
+    budget, ledger = _fold_ledgers(cfg, out, records)
+    assert budget == gronwall_budget(traj, params)  # float equality: bit for bit
+    assert ledger == w_lq_audit(traj, 4.0, params)
+    assert budget["int_dtu_l2_sq"] > 0.0 and len(ledger.times) == 5
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
