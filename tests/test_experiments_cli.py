@@ -7,7 +7,9 @@ subcommand.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -700,6 +702,52 @@ def test_cli_audit_refuses_a_run_without_a_clean_manifest(tmp_path, capsys):
     assert main(["audit", "--config", aborted_cfg, "--out", str(aborted)]) == 1
     captured = capsys.readouterr()
     assert f"the run aborted: {manifest['failure']}" in captured.err and not captured.out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("manifest")
+    cfg_path = _write_cfg(base)
+    out = base / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    return cfg_path, out, (out / "run.json").read_text(encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_audit_refuses_fuzzed_manifests(manifest_run, data):
+    cfg_path, out, text = manifest_run
+    manifest = json.loads(text)
+    kind = data.draw(st.sampled_from(("replace", "value", "drop", "failure")))
+    if kind == "replace":
+        manifest = data.draw(JSON_VALUES)
+    elif kind == "failure":
+        manifest["failure"] = data.draw(JSON_VALUES.filter(lambda v: v is not None))
+    else:
+        key = data.draw(st.sampled_from(sorted(manifest["config"])))
+        if kind == "drop":
+            del manifest["config"][key]
+        else:
+            old = manifest["config"][key]
+            manifest["config"][key] = data.draw(JSON_VALUES.filter(lambda v: v != old))
+    (out / "run.json").write_text(json.dumps(manifest), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["audit", "--config", cfg_path, "--out", str(out)])
+    finally:
+        (out / "run.json").write_text(text, encoding="utf-8")
+    assert code == 1 and not stdout.getvalue()
+    assert "does not describe the run" in stderr.getvalue()
 
 
 def _periodic_text(steps: int) -> str:
