@@ -23,6 +23,8 @@ from .estimates import (
     energy_audit,
     fold_stored_pairs,
     gn_probe,
+    gronwall_budget,
+    w_lq_audit,
 )
 from .evolution import StepError, Trajectory
 from .experiments import (
@@ -234,20 +236,25 @@ def _stored_states(paths, grid: GridSpec, records) -> Iterator[tuple[float, Stat
 
 
 def _fold_ledgers(
-    cfg: RunConfig, out: Path, records
+    cfg: RunConfig, out: Path, traj: Trajectory
 ) -> tuple[dict, EstimateLedger | EstimateError]:
-    """The budget and the L^4 ledger (or why it is skipped) from one pass
-    over the snapshots under ``out``: each file is read once, checked, fed
-    to both folds and dropped after its pair."""
+    """The budget and the L^4 ledger (or why it is skipped) of the run under
+    ``out``.  One pass over the snapshots feeds both folds: each file is read
+    once, checked, and dropped after its pair.  ``gronwall_budget`` and
+    ``w_lq_audit`` then finish the folds they are handed."""
     paths = sorted(out.glob("snap_*.mmps"))
-    folds: list = [BudgetFold(records)]
-    skipped = None
+    records, params = traj.records, traj.params
+    budget = BudgetFold(records)
     try:
-        folds.append(LqLedgerFold(records, len(paths), 4.0, cfg.advection, params_of(cfg)))
+        lq: LqLedgerFold | EstimateError = LqLedgerFold(
+            records, len(paths), 4.0, cfg.advection, params)
     except EstimateError as exc:
-        skipped = exc
+        lq = exc
+    folds = (budget,) if isinstance(lq, EstimateError) else (budget, lq)
     fold_stored_pairs(_stored_states(paths, grid_of(cfg), records), *folds)
-    return folds[0].result(), folds[1].result() if skipped is None else skipped
+    if not isinstance(lq, EstimateError):
+        lq = w_lq_audit(traj, 4.0, params, fed=lq)
+    return gronwall_budget(traj, params, fed=budget), lq
 
 
 def _cmd_audit(cfg: RunConfig, out: Path) -> int:
@@ -256,17 +263,17 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
         print(f"audit: no diagnostics.csv under {out}", file=sys.stderr)
         return 2
     records = read_diagnostics_csv(csv_path)
+    params = params_of(cfg)
     try:
         _check_manifest(cfg, out)
         _check_rows(cfg, records)
-        budget, lq = _fold_ledgers(cfg, out, records)
+        traj = Trajectory(states=(), records=records,
+                          cfg=step_config_of(cfg, grid_of(cfg)), params=params)
+        budget, lq = _fold_ledgers(cfg, out, traj)
     except _Mismatch as exc:
         print(f"audit: the config does not describe the run under {out}: {exc}",
               file=sys.stderr)
         return 1
-    params = params_of(cfg)
-    traj = Trajectory(states=(), records=records,
-                      cfg=step_config_of(cfg, grid_of(cfg)), params=params)
     ledger = energy_audit(traj, params)
     print(
         "audit: max|energy residual| = {max_abs_residual:.6g}, "

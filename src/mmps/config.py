@@ -90,8 +90,9 @@ class RunConfig:
             raise ConfigError(f"uniqueness.delta must be >= 0, got {self.delta}")
         if len(self.spatial_grids) < 2 or any(n < 8 for n in self.spatial_grids):
             raise ConfigError("convergence.spatial_grids needs >= 2 entries, all >= 8")
-        if len(self.temporal_dts) < 2 or any(d <= 0 for d in self.temporal_dts):
-            raise ConfigError("convergence.temporal_dts needs >= 2 positive entries")
+        if len(self.temporal_dts) < 2 or not all(
+                d > 0.0 and math.isfinite(d) for d in self.temporal_dts):
+            raise ConfigError("convergence.temporal_dts needs >= 2 positive, finite entries")
 
 
 def _parse_int(key: str, raw: str) -> int:

@@ -1,10 +1,10 @@
 """Runtime ledgers and audits for the solver's inequality ladder.
 
 Every audit is a pure function of a trajectory (plus parameters): auditing
-twice yields identical ledgers.  The ledgers that difference stored states
-are folds over consecutive pairs (:func:`fold_stored_pairs`), so one pass
-over a stream of states, holding two at a time, feeds them all.  The discrete
-conventions mirror the scheme:
+twice yields identical ledgers.  The budget's ``d_t u``/``d_t b`` integrals
+and the ``L^q`` ledger are folds over consecutive stored pairs
+(:func:`fold_stored_pairs`), so one pass over a stream of states, holding
+two at a time, feeds both.  The discrete conventions mirror the scheme:
 
 * gradients/Hessians come from the one-sided/mirror derivative-sample sets of
   :mod:`mmps.fields`, so the energy pairing ``<laplacian(u), u>`` equals
@@ -61,7 +61,6 @@ __all__ = [
     "fold_stored_pairs",
     "LqLedgerFold",
     "BudgetFold",
-    "TWeightedFold",
     "w_lq_audit",
     "gronwall_budget",
     "tweighted_h2_audit",
@@ -356,6 +355,7 @@ class LqLedgerFold:
 
         if stored != len(records):
             raise EstimateError("lq audit needs per-step snapshots (stride 1)")
+        self.records = tuple(records)
         self.times = tuple(r.t for r in records)
         self.dt = _uniform_dt(self.times)
         self.q, self.advection, self.chi = q, advection, params.chi
@@ -399,7 +399,8 @@ class LqLedgerFold:
         )
 
 
-def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLedger:
+def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams,
+               fed: LqLedgerFold | None = None) -> EstimateLedger:
     """Discrete differential inequality for ||w||_{L^q}.
 
     Per step k the ledger tests
@@ -409,12 +410,20 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
 
     where ``scheme_slack_k`` is the measured L^q production rate of the
     advection sub-step alone (re-applied to the stored states); for the
-    upwind scheme it is dissipative (<= 0).  Margins are rhs - lhs.  One
-    :class:`LqLedgerFold` pass over ``traj.states``.
+    upwind scheme it is dissipative (<= 0).  Margins are rhs - lhs.
+
+    One :class:`LqLedgerFold` pass over ``traj.states``, unless ``fed`` is
+    that fold already fed every stored pair by a pass shared with other
+    folds (``mmps audit`` reads the snapshot files once for the budget and
+    this ledger); then ``traj.states`` is not read.
     """
-    fold = LqLedgerFold(traj.records, len(traj.states), q, traj.cfg.advection, params)
-    fold_stored_pairs(traj.states, fold)
-    return fold.result()
+    if fed is None:
+        fed = LqLedgerFold(traj.records, len(traj.states), q, traj.cfg.advection, params)
+        fold_stored_pairs(traj.states, fed)
+    elif (fed.records, fed.q, fed.advection, fed.chi) != (
+            tuple(traj.records), q, traj.cfg.advection, params.chi):
+        raise EstimateError("the fed L^q fold was built for another trajectory or exponent")
+    return fed.result()
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +438,16 @@ def _vector_diff(a: VectorField, b: VectorField, dt: float) -> VectorField:
 class BudgetFold:
     """:func:`gronwall_budget` as a fold: :meth:`add` sums ``int ||d_t u||^2``
     and ``int ||d_t b||^2`` over consecutive stored states, :meth:`result`
-    adds the suprema and integrals read off the records."""
+    adds the suprema and integrals read off the records.  A completed run of
+    more than one record stores at least two states, so :meth:`result`
+    refuses a fold that was fed no pair (a trajectory whose snapshots went
+    to files)."""
 
     def __init__(self, records: Sequence[DiagnosticsRecord]):
-        self.records = records
+        self.records = tuple(records)
         times = tuple(r.t for r in records)
         self.dt = _uniform_dt(times) if len(times) > 1 else 0.0
+        self.pairs = 0
         self.int_dtu_l2_sq = self.int_dtb_l2_sq = 0.0
 
     def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
@@ -442,10 +455,14 @@ class BudgetFold:
         step = t_new - t_prev
         du = _vector_diff(s_new.u, s_prev.u, step)
         db = _vector_diff(s_new.b, s_prev.b, step)
+        self.pairs += 1
         self.int_dtu_l2_sq += step * lq_norm(du, 2.0) ** 2
         self.int_dtb_l2_sq += step * lq_norm(db, 2.0) ** 2
 
     def result(self) -> dict[str, float]:
+        if len(self.records) > 1 and not self.pairs:
+            raise EstimateError("the budget's d_t integrals need the stored states, "
+                                "but no pair of them was fed")
         dt = self.dt
         sup_state_sq = 0.0
         sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
@@ -485,7 +502,8 @@ class BudgetFold:
         return budget
 
 
-def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
+def gronwall_budget(traj: "Trajectory", params: FluidParams,
+                    fed: BudgetFold | None = None) -> dict[str, float]:
     """Every supremum and time integral of the global a priori budget:
 
     * sup_t ( ||u||_{H^1}^2 + ||w||_{W^{1,4}}^2 + ||b||_{H^1}^2 )
@@ -494,66 +512,26 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
 
     Suprema come from the per-step records; the d_t u / d_t b integrals are
     formed from consecutive stored snapshots (step differences / dt), so a
-    stride-1 trajectory yields the per-step quantities.  One
-    :class:`BudgetFold` pass over ``traj.states``.  Returns a flat mapping of
-    every component plus the grand total.
+    stride-1 trajectory yields the per-step quantities.  Returns a flat
+    mapping of every component plus the grand total.
+
+    One :class:`BudgetFold` pass over ``traj.states``, unless ``fed`` is that
+    fold already fed every stored pair by a pass shared with other folds
+    (``mmps audit`` reads the snapshot files once for this budget and the
+    ``L^4`` ledger); then ``traj.states`` is not read.  A trajectory of more
+    than one record with no states (``simulate_run``'s) raises EstimateError.
     """
-    fold = BudgetFold(traj.records)
-    fold_stored_pairs(traj.states, fold)
-    return fold.result()
+    if fed is None:
+        fed = BudgetFold(traj.records)
+        fold_stored_pairs(traj.states, fed)
+    elif fed.records != tuple(traj.records):
+        raise EstimateError("the fed budget fold was built for another trajectory")
+    return fed.result()
 
 
 # ---------------------------------------------------------------------------
 # t-weighted smoothing audit
 # ---------------------------------------------------------------------------
-
-
-class TWeightedFold:
-    """:func:`tweighted_h2_audit` as a fold: :meth:`add` sums the t-weighted
-    ``||grad d_t u||^2`` and ``||grad d_t b||^2`` from the second stored pair
-    on (the first difference still touches the rough initial state)."""
-
-    def __init__(self, records: Sequence[DiagnosticsRecord]):
-        if len(records) < 5:
-            raise EstimateError("t-weighted audit needs at least 4 steps")
-        _uniform_dt(tuple(r.t for r in records))
-        self.records = records
-        self.pairs = 0
-        self.int_t_grad_dtu_sq = self.int_t_grad_dtb_sq = 0.0
-
-    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
-        self.pairs += 1
-        if self.pairs == 1:
-            return
-        (t_prev, s_prev), (t_new, s_new) = prev, new
-        step = t_new - t_prev
-        du = _vector_diff(s_new.u, s_prev.u, step)
-        db = _vector_diff(s_new.b, s_prev.b, step)
-        self.int_t_grad_dtu_sq += step * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
-        self.int_t_grad_dtb_sq += step * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
-
-    def result(self) -> dict[str, float]:
-        records = self.records
-        t_end = records[-1].t
-        sup_t_hess_sq = sup_t_hess_b_sq = 0.0
-        late_sup_t_hess_sq = late_sup_t_hess_b_sq = 0.0
-        for r in records:
-            weighted = r.t * (r.hess_u_l2**2 + r.hess_b_l2**2)
-            weighted_b = r.t * r.hess_b_l2**2
-            sup_t_hess_sq = max(sup_t_hess_sq, weighted)
-            sup_t_hess_b_sq = max(sup_t_hess_b_sq, weighted_b)
-            if r.t >= 0.5 * t_end:
-                late_sup_t_hess_sq = max(late_sup_t_hess_sq, weighted)
-                late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
-        return {
-            "sup_t_hess_sq": sup_t_hess_sq,
-            "sup_t_hess_b_sq": sup_t_hess_b_sq,
-            "late_sup_t_hess_sq": late_sup_t_hess_sq,
-            "late_sup_t_hess_b_sq": late_sup_t_hess_b_sq,
-            "first_step_hess_b_sq": records[1].hess_b_l2**2,
-            "int_t_grad_dtu_sq": self.int_t_grad_dtu_sq,
-            "int_t_grad_dtb_sq": self.int_t_grad_dtb_sq,
-        }
 
 
 def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
@@ -566,12 +544,46 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
     The t = 0 norms may diverge under refinement for H^1-only data; the
     weighted quantities are the stable objects.  Time derivatives are step
     differences of stored snapshots; their accumulation starts at the second
-    difference (the first one still touches the rough initial state).  One
-    :class:`TWeightedFold` pass over ``traj.states``.
+    difference (the first one still touches the rough initial state).
     """
-    fold = TWeightedFold(traj.records)
-    fold_stored_pairs(traj.states, fold)
-    return fold.result()
+    records = traj.records
+    if len(records) < 5:
+        raise EstimateError("t-weighted audit needs at least 4 steps")
+    times = tuple(r.t for r in records)
+    _uniform_dt(times)
+    t_end = times[-1]
+
+    sup_t_hess_sq = sup_t_hess_b_sq = 0.0
+    late_sup_t_hess_sq = late_sup_t_hess_b_sq = 0.0
+    for r in records:
+        weighted = r.t * (r.hess_u_l2**2 + r.hess_b_l2**2)
+        weighted_b = r.t * r.hess_b_l2**2
+        sup_t_hess_sq = max(sup_t_hess_sq, weighted)
+        sup_t_hess_b_sq = max(sup_t_hess_b_sq, weighted_b)
+        if r.t >= 0.5 * t_end:
+            late_sup_t_hess_sq = max(late_sup_t_hess_sq, weighted)
+            late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
+
+    int_t_grad_dtu_sq = int_t_grad_dtb_sq = 0.0
+    snaps = traj.states
+    for k in range(2, len(snaps)):
+        t_prev, s_prev = snaps[k - 1]
+        t_new, s_new = snaps[k]
+        step = t_new - t_prev
+        du = _vector_diff(s_new.u, s_prev.u, step)
+        db = _vector_diff(s_new.b, s_prev.b, step)
+        int_t_grad_dtu_sq += step * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
+        int_t_grad_dtb_sq += step * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
+
+    return {
+        "sup_t_hess_sq": sup_t_hess_sq,
+        "sup_t_hess_b_sq": sup_t_hess_b_sq,
+        "late_sup_t_hess_sq": late_sup_t_hess_sq,
+        "late_sup_t_hess_b_sq": late_sup_t_hess_b_sq,
+        "first_step_hess_b_sq": records[1].hess_b_l2**2,
+        "int_t_grad_dtu_sq": int_t_grad_dtu_sq,
+        "int_t_grad_dtb_sq": int_t_grad_dtb_sq,
+    }
 
 
 # ---------------------------------------------------------------------------

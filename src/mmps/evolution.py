@@ -180,6 +180,8 @@ class Trajectory:
 
     @property
     def final_state(self) -> State:
+        if not self.states:
+            raise StepError("the trajectory holds no states (its snapshots went to a sink)")
         return self.states[-1][1]
 
 

@@ -139,7 +139,9 @@ def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
     The earlier run's snapshots, CSV and manifest there are removed first,
     so an interrupted run never leaves files that audit as another run.  The
     run holds two states at a time; the returned trajectory carries the
-    records and the failure, not the states (they are in the files).
+    records and the failure, not the states (they are in the files), so
+    the audits that difference states refuse it and ``final_state`` raises
+    StepError: ``mmps audit`` reads the files instead.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -36,8 +36,8 @@ from mmps.experiments import (
     uniqueness_probe,
     write_diagnostics_csv,
 )
-from mmps.estimates import gronwall_budget, w_lq_audit
-from mmps.evolution import StepError, run_simulation
+from mmps.estimates import BudgetFold, EstimateError, LqLedgerFold, gronwall_budget, w_lq_audit
+from mmps.evolution import StepError, Trajectory, run_simulation
 from mmps.fields import MODE_PERIODIC
 from mmps.recipes import mms_state
 from mmps.snapshots import (
@@ -146,6 +146,8 @@ def test_parse_config_defaults_and_none_forcing():
         "uniqueness.delta = -1e-6",      # negative perturbation
         "convergence.spatial_grids = 16",        # too short a ladder
         "convergence.temporal_dts = 1e-3, -1e-3",  # negative dt entry
+        "convergence.temporal_dts = 1e-3, nan",    # NaN never equals its JSON round trip
+        "convergence.temporal_dts = inf, 1e-3",    # infinite dt entry
     ],
 )
 def test_parse_config_rejects_bad_input(line):
@@ -364,6 +366,23 @@ def test_simulate_run_writes_deterministic_outputs(short_traj, tmp_path):
     ).read_bytes()
     for snap in snaps:
         assert (rerun_dir / snap.name).read_bytes() == snap.read_bytes()
+
+
+def test_a_streamed_trajectory_refuses_the_audits_that_need_its_states(short_traj, tmp_path):
+    traj, _ = short_traj
+    params = params_of(SMALL)
+    streamed = simulate_run(SMALL, tmp_path)
+    with pytest.raises(EstimateError, match="no pair"):
+        gronwall_budget(streamed, params)
+    with pytest.raises(EstimateError, match="stride 1"):
+        w_lq_audit(streamed, 4.0, params)
+    with pytest.raises(StepError, match="no states"):
+        streamed.final_state
+    with pytest.raises(EstimateError, match="another trajectory"):
+        gronwall_budget(traj, params, fed=BudgetFold(traj.records[:-1]))
+    fed = LqLedgerFold(traj.records, len(traj.states), 4.0, traj.cfg.advection, params)
+    with pytest.raises(EstimateError, match="another trajectory or exponent"):
+        w_lq_audit(traj, 3.0, params, fed=fed)
 
 
 def test_snapshot_and_csv_writes_are_atomic(short_traj, tmp_path):
@@ -650,6 +669,43 @@ def test_cli_audit_refuses_snapshots_of_another_run(tmp_path, capsys, copied, pl
     assert "envelope_ok" not in captured.out
 
 
+def _plant_rows(out, times):
+    records = read_diagnostics_csv(out / "diagnostics.csv")
+    planted = [replace(r, t=t) for r, t in zip(records, times)]
+    write_diagnostics_csv(planted, out / "diagnostics.csv")
+
+
+@pytest.mark.parametrize(
+    "plant, named",
+    [
+        (lambda out, other: _plant_rows(out, (0.0, 1e-3, 2e-3)),
+         "diagnostics.csv has 3 rows, but time.t_end = 0.003 with time.dt = 0.001 needs 4"),
+        (lambda out, other: _plant_rows(out, (0.0, 1.5e-3, 3e-3, 4.5e-3)),
+         "the last row is at t = 0.0045, not time.t_end = 0.003"),
+        (lambda out, other: _plant_rows(out, (0.0, 1e-3, 2.5e-3, 3e-3)),
+         "rows at t = 0.001 and 0.0025 are not time.dt = 0.001 apart"),
+        (lambda out, other: (out / "snap_000000.mmps").write_bytes(
+            (other / "snap_000000.mmps").read_bytes()),
+         "the snapshot at t = 0 has nx = 32, mode = dirichlet-square; "
+         "the config has grid.nx = 16, grid.mode = dirichlet-square"),
+    ],
+    ids=["row-count", "last-row", "row-spacing", "snapshot-grid"],
+)
+def test_cli_audit_refuses_planted_files_under_a_matching_manifest(tmp_path, capsys, plant, named):
+    cfg_path = _write_cfg(tmp_path)
+    other_cfg = _write_cfg(tmp_path, SMALL_TEXT.replace("grid.nx = 16", "grid.nx = 32"),
+                           name="other.cfg")
+    out, other = tmp_path / "out", tmp_path / "other"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", other_cfg, "--out", str(other)]) == 0
+    plant(out, other)
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "does not describe the run" in captured.err and named in captured.err
+    assert "run.json" not in captured.err and not captured.out
+
+
 @pytest.mark.parametrize(
     "old, new, named",
     [
@@ -792,6 +848,19 @@ def test_cli_audit_reads_each_snapshot_once(tmp_path, monkeypatch, capsys):
     assert len(reads) == 6
 
 
+def test_cli_audit_finishes_its_ledgers_through_the_public_audits(tmp_path, monkeypatch, capsys):
+    import mmps.cli
+
+    cfg_path, out = _simulate_and_audit(tmp_path, 5)
+    calls = []
+    for name in ("gronwall_budget", "w_lq_audit"):
+        fn = getattr(mmps.cli, name)
+        monkeypatch.setattr(mmps.cli, name,
+                            lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(calls) == ["gronwall_budget", "w_lq_audit"]
+
+
 def test_streamed_audit_ledgers_equal_the_in_memory_ledgers(tmp_path, capsys):
     from mmps.cli import _fold_ledgers
 
@@ -802,7 +871,8 @@ def test_streamed_audit_ledgers_equal_the_in_memory_ledgers(tmp_path, capsys):
                           step_config_of(cfg, grid), params)
     records = read_diagnostics_csv(out / "diagnostics.csv")
     assert records == traj.records
-    budget, ledger = _fold_ledgers(cfg, out, records)
+    streamed = Trajectory(states=(), records=records, cfg=traj.cfg, params=params)
+    budget, ledger = _fold_ledgers(cfg, out, streamed)
     assert budget == gronwall_budget(traj, params)  # float equality: bit for bit
     assert ledger == w_lq_audit(traj, 4.0, params)
     assert budget["int_dtu_l2_sq"] > 0.0 and len(ledger.times) == 5
