@@ -144,7 +144,7 @@ def _cmd_stokes_selftest(cfg: RunConfig, out: Path) -> int:
     for sample in range(5):
         w = probe_scalar(grid, cfg.seed, sample, 1.3)
         pg = perp_grad(w)
-        f = VectorField(grid, pg.placement, -pg.ux, -pg.uy)
+        f = VectorField(grid, -pg.ux, -pg.uy)
         sol = solve_stationary_stokes(f)
         worst = max(worst, sol.residual)
         if not sol.converged:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .fields import (
     CELL,
-    MAC,
     NODE,
     FluidParams,
     GridSpec,
@@ -46,7 +45,7 @@ from .fields import (
     samples_lq,
     third_derivative_samples,
 )
-from .stokes import probe_scalar
+from .stokes import _PROBE_SMOOTHNESS, probe_scalar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evolution imports us)
     from .evolution import Trajectory
@@ -128,15 +127,14 @@ def _energy(record: DiagnosticsRecord) -> float:
 def diagnostics_record(
     state: State,
     params: FluidParams,
-    prev: State | None = None,
-    prev_record: DiagnosticsRecord | None = None,
+    prev: tuple[State, DiagnosticsRecord] | None = None,
     forcing_work: float = 0.0,
 ) -> DiagnosticsRecord:
     """Measure one state (optionally against its predecessor).
 
-    With ``prev`` given, the step differences feed ``dt_w_*``, the energy
-    residual and the L^q margin; without it those entries are 0.  The energy
-    residual is the defect of
+    ``prev`` is the predecessor state with its record.  With it given, the
+    step differences feed ``dt_w_*``, the energy residual and the L^q margin;
+    without it those entries are 0.  The energy residual is the defect of
 
         (E_k - E_{k-1}) / (2 dt) + (mu+chi) ||grad u||^2 + 2 chi ||w||^2
         + nu ||grad b||^2 - 2 chi <curl2(u), w> - forcing_work
@@ -170,18 +168,14 @@ def diagnostics_record(
     energy_residual = 0.0
     lq_margin = 0.0
     if prev is not None:
-        dt = state.t - prev.t
+        prev_state, prev_record = prev
+        dt = state.t - prev_state.t
         if dt <= 0.0:
             raise EstimateError("states are not ordered in time")
-        dw = ScalarField(state.grid, NODE, (w.data - prev.w.data) / dt)
+        dw = ScalarField(state.grid, NODE, (w.data - prev_state.w.data) / dt)
         dt_w_l2 = lq_norm(dw, 2.0)
         dt_w_l4 = lq_norm(dw, 4.0)
-        if prev_record is not None:
-            e_prev = _energy(prev_record)
-            w_prev_l4 = prev_record.w_l4
-        else:
-            e_prev = lq_norm(prev.u, 2.0) ** 2 + lq_norm(prev.w, 2.0) ** 2 + lq_norm(prev.b, 2.0) ** 2
-            w_prev_l4 = lq_norm(prev.w, 4.0)
+        e_prev, w_prev_l4 = _energy(prev_record), prev_record.w_l4
         e_new = u_l2**2 + w_l2**2 + b_l2**2
         coupling = l2_inner(curl_u, w)
         mu_chi = params.mu + params.chi
@@ -297,7 +291,7 @@ def energy_audit(traj: "Trajectory", params: FluidParams) -> EstimateLedger:
     residuals = [r.energy_residual for r in records[1:]]
     c = 8.0 * params.chi**2 / (params.mu + params.chi)
     atol = 1e-12 * max(energies[0], 1.0)
-    forced = getattr(traj.cfg, "forcing", None) is not None
+    forced = traj.cfg.forcing is not None
 
     lhs, rhs, margin = [], [], []
     for k in range(1, len(records)):
@@ -432,7 +426,7 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams,
 
 
 def _vector_diff(a: VectorField, b: VectorField, dt: float) -> VectorField:
-    return VectorField(a.grid, MAC, (a.ux - b.ux) / dt, (a.uy - b.uy) / dt)
+    return VectorField(a.grid, (a.ux - b.ux) / dt, (a.uy - b.uy) / dt)
 
 
 class BudgetFold:
@@ -617,9 +611,6 @@ def gn_ratios(f: ScalarField) -> dict[str, float] | None:
     }
 
 
-_PROBE_SMOOTHNESS = (0.8, 1.1, 1.6, 2.2)
-
-
 def gn_probe(
     sample_count: int,
     grids: Sequence[GridSpec],
@@ -801,9 +792,7 @@ def weak_form_residual(
         )
         lap_b = bump["xx"](Xc, Yc) + bump["yy"](Xc, Yc)
         b_node = (bump[""](Xn, Yn), bump["x"](Xn, Yn), bump["y"](Xn, Yn))
-        pgb = VectorField(
-            grid, MAC, -bump["y"](*grid.mesh("xface")), bump["x"](*grid.mesh("yface"))
-        )
+        pgb = VectorField(grid, -bump["y"](*grid.mesh("xface")), bump["x"](*grid.mesh("yface")))
         grad_theta = grad(ScalarField(grid, CELL, bump[""](Xc, Yc)))
         tests.append((phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta))
 

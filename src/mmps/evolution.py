@@ -213,7 +213,7 @@ def advect_mac(advecting: VectorField, a: VectorField) -> VectorField:
         fn = _mean(_to_node(g, u[t], axis), axis) * _mean(_to_node(g, c[axis], t), t)
         div_f = _diff(_to_node(g, fc, axis), axis, h) + _diff(_to_cell(g, fn, t), t, h)
         out.append(_pin(g, div_f, axis))
-    return VectorField(g, a.placement, *out)
+    return VectorField(g, *out)
 
 
 def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +349,8 @@ def _mhd_explicit(
     pure-fluid reduction bit-exact.
     """
     if b.ux.any() or b.uy.any():
-        zp = VectorField(u.grid, u.placement, u.ux + b.ux, u.uy + b.uy)
-        zm = VectorField(u.grid, u.placement, u.ux - b.ux, u.uy - b.uy)
+        zp = VectorField(u.grid, u.ux + b.ux, u.uy + b.uy)
+        zm = VectorField(u.grid, u.ux - b.ux, u.uy - b.uy)
         p, q = advect_mac(zm, zp), advect_mac(zp, zm)
         ex, ey = -0.5 * (p.ux + q.ux), -0.5 * (p.uy + q.uy)
         gx, gy = 0.5 * (q.ux - p.ux), 0.5 * (q.uy - p.uy)
@@ -421,8 +421,8 @@ def _mhd_solve(u: VectorField, b: VectorField, terms: Sequence[np.ndarray], dt: 
     """Diffuse and project u and b in one stacked pass of ``plan``; b is
     left out when its update is identically zero."""
     ex, ey, gx, gy = terms
-    u_star = VectorField(u.grid, u.placement, u.ux + dt * ex, u.uy + dt * ey)
-    b_star = VectorField(b.grid, b.placement, b.ux + dt * gx, b.uy + dt * gy)
+    u_star = VectorField(u.grid, u.ux + dt * ex, u.uy + dt * ey)
+    b_star = VectorField(b.grid, b.ux + dt * gx, b.uy + dt * gy)
     magnetic = bool(b_star.ux.any() or b_star.uy.any())
     new, phi = plan.solve([u_star, b_star] if magnetic else [u_star])
     return new[0], new[1] if magnetic else b_star, ScalarField(u.grid, CELL, phi / dt)
@@ -435,19 +435,21 @@ def step_mhd_forced(
     cfg: StepConfig,
     params: FluidParams,
     *,
+    t: float,
     plan: SolvePlan | None = None,
 ) -> tuple[VectorField, VectorField]:
-    """One velocity/magnetic step with the rotational body force frozen at
-    the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in the momentum
-    equation).  With chi = 0 the result is bit-identical for every f.
-    ``plan`` is :func:`solve_plan` for ``cfg``; without one the step builds
-    its own, so a caller taking many steps should pass one.
+    """One velocity/magnetic step from time ``t`` with the rotational body
+    force frozen at the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in
+    the momentum equation).  With chi = 0 the result is bit-identical for
+    every f.  ``t`` only dates the guard messages: inputs at ``t``, results
+    at ``t + dt``.  ``plan`` is :func:`solve_plan` for ``cfg``; without one
+    the step builds its own, so a caller taking many steps should pass one.
     """
-    _cfl(0.0, cfg, _check(0.0, "input ", u=u, b=b), u.grid.h)
+    _cfl(t, cfg, _check(t, "input ", u=u, b=b), u.grid.h)
     terms = _mhd_explicit(u, b, f, params, None)
     plan = plan or solve_plan(u.grid, cfg, params)
     u_new, b_new, _ = _mhd_solve(u, b, terms, cfg.dt, plan)
-    _check(cfg.dt, "", u=u_new, b=b_new)
+    _check(t + cfg.dt, "", u=u_new, b=b_new)
     return u_new, b_new
 
 
@@ -469,16 +471,20 @@ def step_w_transport(
     u: VectorField,
     cfg: StepConfig,
     params: FluidParams,
+    *,
+    t: float,
 ) -> ScalarField:
-    """One micro-rotation step with the velocity frozen: explicit advection
-    and spin source ``chi curl2(u)``, exact damping factor ``exp(-2 chi dt)``.
+    """One micro-rotation step from time ``t`` with the velocity frozen:
+    explicit advection and spin source ``chi curl2(u)``, exact damping
+    factor ``exp(-2 chi dt)``.  ``t`` dates the guard messages as in
+    :func:`step_mhd_forced`.
 
     With u = 0 the step reduces to exact exponential decay (bit-exact
     constancy when additionally chi = 0).
     """
-    _cfl(0.0, cfg, _check(0.0, "input ", u=u, w=w), u.grid.h)
+    _cfl(t, cfg, _check(t, "input ", u=u, w=w), u.grid.h)
     w_new = _w_update(w, _w_explicit(w, u, params, None, cfg.advection), cfg, params)
-    _check(cfg.dt, "", w=w_new)
+    _check(t + cfg.dt, "", w=w_new)
     return w_new
 
 
@@ -614,7 +620,7 @@ def run_simulation(
     try:
         for k, (prev, new, forcing) in enumerate(steps, 1):
             work = forcing_work(forcing, new) if forcing is not None else 0.0
-            records.append(diagnostics_record(new, params, prev=prev, prev_record=records[-1],
+            records.append(diagnostics_record(new, params, prev=(prev, records[-1]),
                                               forcing_work=work))
             if k % cfg.snapshot_stride == 0:
                 store(new)

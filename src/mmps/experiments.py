@@ -33,7 +33,6 @@ from .evolution import (
 from .fields import (
     FluidParams,
     GridSpec,
-    MAC,
     NODE,
     ScalarField,
     State,
@@ -220,9 +219,9 @@ def _apply_spin_map(
     out = [w]
     for k in range(steps):
         f_eps = mollify(f_slices[k], eps)
-        u_old = u
-        u, b = step_mhd_forced(u_old, b, f_eps, step_cfg, params, plan=plan)
-        w = step_w_transport(w, u_old, step_cfg, params)
+        u_old, t = u, init.t + k * step_cfg.dt
+        u, b = step_mhd_forced(u_old, b, f_eps, step_cfg, params, t=t, plan=plan)
+        w = step_w_transport(w, u_old, step_cfg, params, t=t)
         out.append(w)
     return out
 
@@ -322,9 +321,9 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
 
 def _separation(a: State, b: State) -> float:
     """Squared L^2 distance between two states (u, w and b)."""
-    du = VectorField(a.grid, MAC, b.u.ux - a.u.ux, b.u.uy - a.u.uy)
+    du = VectorField(a.grid, b.u.ux - a.u.ux, b.u.uy - a.u.uy)
     dw = ScalarField(a.grid, NODE, b.w.data - a.w.data)
-    db = VectorField(a.grid, MAC, b.b.ux - a.b.ux, b.b.uy - a.b.uy)
+    db = VectorField(a.grid, b.b.ux - a.b.ux, b.b.uy - a.b.uy)
     return lq_norm(du, 2.0) ** 2 + lq_norm(dw, 2.0) ** 2 + lq_norm(db, 2.0) ** 2
 
 
@@ -395,9 +394,9 @@ def uniqueness_probe(cfg: RunConfig, delta: float) -> dict:
 
 def _field_errors(state: State, exact: State) -> dict[str, float]:
     g = state.grid
-    du = VectorField(g, MAC, state.u.ux - exact.u.ux, state.u.uy - exact.u.uy)
+    du = VectorField(g, state.u.ux - exact.u.ux, state.u.uy - exact.u.uy)
     dw = ScalarField(g, NODE, state.w.data - exact.w.data)
-    db = VectorField(g, MAC, state.b.ux - exact.b.ux, state.b.uy - exact.b.uy)
+    db = VectorField(g, state.b.ux - exact.b.ux, state.b.uy - exact.b.uy)
     return {
         "u_l2": lq_norm(du, 2.0),
         "u_l4": lq_norm(du, 4.0),

@@ -70,11 +70,8 @@ MODE_DIRICHLET = "dirichlet-square"
 MODE_PERIODIC = "periodic"
 MODES = (MODE_DIRICHLET, MODE_PERIODIC)
 
-CELL = "cell-center"
+CELL = "cell"
 NODE = "node"
-SCALAR_PLACEMENTS = (CELL, NODE)
-
-MAC = "mac-staggered"
 
 
 class FieldError(ValueError):
@@ -173,10 +170,9 @@ def lattice_weights(grid: GridSpec, lattice: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar samples on one lattice of the grid.
-
-    ``placement`` is ``cell-center`` (pressure-like) or ``node``
-    (micro-rotation-like; carries boundary samples in Dirichlet mode).
+    """Scalar samples on one lattice of the grid, named by ``placement``:
+    ``cell`` (pressure-like) or ``node`` (micro-rotation-like; carries
+    boundary samples in Dirichlet mode).
     """
 
     grid: GridSpec
@@ -184,29 +180,23 @@ class ScalarField:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.placement not in SCALAR_PLACEMENTS:
+        if self.placement not in (CELL, NODE):
             raise FieldError(f"unknown scalar placement {self.placement!r}")
-        expected = self.grid.lattice_shape(self.lattice)
+        expected = self.grid.lattice_shape(self.placement)
         if self.data.shape != expected:
             raise FieldError(
                 f"scalar data shape {self.data.shape} does not match "
                 f"{self.placement} lattice {expected}"
             )
 
-    @property
-    def lattice(self) -> str:
-        return "cell" if self.placement == CELL else "node"
-
     @classmethod
     def zeros(cls, grid: GridSpec, placement: str) -> "ScalarField":
-        lattice = "cell" if placement == CELL else "node"
-        return cls(grid, placement, np.zeros(grid.lattice_shape(lattice)))
+        return cls(grid, placement, np.zeros(grid.lattice_shape(placement)))
 
     @classmethod
     def sample(cls, grid: GridSpec, placement: str, fn) -> "ScalarField":
         """Sample ``fn(x, y)`` (vectorized) on the native lattice."""
-        lattice = "cell" if placement == CELL else "node"
-        X, Y = grid.mesh(lattice)
+        X, Y = grid.mesh(placement)
         return cls(grid, placement, np.asarray(fn(X, Y), dtype=float))
 
     def copy(self) -> "ScalarField":
@@ -215,48 +205,36 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """MAC-staggered vector samples: ``ux`` on x faces, ``uy`` on y faces.
-
-    ``placement`` must be ``mac-staggered``, the only vector placement; any
-    other value is rejected at construction.
+    """MAC-staggered vector samples, the one vector layout: ``ux`` on x
+    faces, ``uy`` on y faces.  Any other shape is rejected at construction.
     """
 
     grid: GridSpec
-    placement: str
     ux: np.ndarray
     uy: np.ndarray
 
     def __post_init__(self) -> None:
         ex, ey = self.grid.lattice_shape("xface"), self.grid.lattice_shape("yface")
-        if (self.placement, self.ux.shape, self.uy.shape) != (MAC, ex, ey):
+        if (self.ux.shape, self.uy.shape) != (ex, ey):
             raise FieldError(
-                f"vector placement {self.placement!r} with shapes {self.ux.shape}/"
-                f"{self.uy.shape} does not match {MAC} lattices {ex}/{ey}"
+                f"vector shapes {self.ux.shape}/{self.uy.shape} do not match "
+                f"the face lattices {ex}/{ey}"
             )
 
     @classmethod
-    def zeros(cls, grid: GridSpec, placement: str = MAC) -> "VectorField":
-        return cls(
-            grid,
-            placement,
-            np.zeros(grid.lattice_shape("xface")),
-            np.zeros(grid.lattice_shape("yface")),
-        )
+    def zeros(cls, grid: GridSpec) -> "VectorField":
+        ex, ey = grid.lattice_shape("xface"), grid.lattice_shape("yface")
+        return cls(grid, np.zeros(ex), np.zeros(ey))
 
     @classmethod
     def sample_mac(cls, grid: GridSpec, fx, fy) -> "VectorField":
         """Sample component functions on their native face lattices."""
         Xx, Yx = grid.mesh("xface")
         Xy, Yy = grid.mesh("yface")
-        return cls(
-            grid,
-            MAC,
-            np.asarray(fx(Xx, Yx), dtype=float),
-            np.asarray(fy(Xy, Yy), dtype=float),
-        )
+        return cls(grid, np.asarray(fx(Xx, Yx), dtype=float), np.asarray(fy(Xy, Yy), dtype=float))
 
     def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.placement, self.ux.copy(), self.uy.copy())
+        return VectorField(self.grid, self.ux.copy(), self.uy.copy())
 
 
 @dataclass(frozen=True)
@@ -398,7 +376,7 @@ def _mean(e: np.ndarray, axis: int) -> np.ndarray:
 
 
 def grad(s: ScalarField) -> VectorField:
-    """Discrete gradient: cell-center scalar -> MAC vector (face-normal
+    """Discrete gradient: cell scalar -> MAC vector (face-normal
     differences).  In Dirichlet mode the boundary faces receive 0, the
     homogeneous-Neumann closure that matches the pressure-projection use of
     this operator.  Node scalars are rejected; their derivatives are taken
@@ -407,11 +385,11 @@ def grad(s: ScalarField) -> VectorField:
     if s.placement != CELL:
         raise FieldError("grad expects a cell-centered scalar")
     g, h, a = s.grid, s.grid.h, s.data
-    return VectorField(g, MAC, _diff(_to_node(g, a, 0), 0, h), _diff(_to_node(g, a, 1), 1, h))
+    return VectorField(g, _diff(_to_node(g, a, 0), 0, h), _diff(_to_node(g, a, 1), 1, h))
 
 
 def div(v: VectorField) -> ScalarField:
-    """Discrete divergence: MAC vector -> cell-center scalar, using all
+    """Discrete divergence: MAC vector -> cell scalar, using all
     faces (boundary faces enter with their stored values).
     """
     g, h = v.grid, v.grid.h
@@ -428,7 +406,7 @@ def perp_grad(s: ScalarField) -> VectorField:
     if s.placement != NODE:
         raise FieldError("perp_grad expects a node-placed scalar")
     g, h, a = s.grid, s.grid.h, s.data
-    return VectorField(g, MAC, -_diff(_to_cell(g, a, 1), 1, h), _diff(_to_cell(g, a, 0), 0, h))
+    return VectorField(g, -_diff(_to_cell(g, a, 1), 1, h), _diff(_to_cell(g, a, 0), 0, h))
 
 
 def curl2(v: VectorField) -> ScalarField:
@@ -467,7 +445,7 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
     # the ghosts along a component's own axis reach only its pinned faces
     lx = _pin(g, _five_point(g, f.ux, 1.0, -1.0), 0)
     ly = _pin(g, _five_point(g, f.uy, -1.0, 1.0), 1)
-    return VectorField(g, MAC, lx, ly)
+    return VectorField(g, lx, ly)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +453,12 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_weights(f: ScalarField) -> np.ndarray:
-    return lattice_weights(f.grid, f.lattice)
-
-
 def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> float:
     """Quadrature-weighted L2 inner product of two same-placement fields."""
     if isinstance(a, ScalarField) and isinstance(b, ScalarField):
         if a.placement != b.placement or a.grid != b.grid:
             raise FieldError("inner product needs matching scalar placements")
-        return float(np.sum(_scalar_weights(a) * a.data * b.data))
+        return float(np.sum(lattice_weights(a.grid, a.placement) * a.data * b.data))
     if isinstance(a, VectorField) and isinstance(b, VectorField):
         if a.grid != b.grid:
             raise FieldError("inner product needs vector fields on one grid")
@@ -523,7 +497,7 @@ def _weighted_lq(pieces: Iterable[tuple[np.ndarray, np.ndarray, float]], q: floa
 def lq_norm(f: ScalarField | VectorField, q: float) -> float:
     """Discrete L^q norm (midpoint rule on the native placement), q in [1, inf]."""
     if isinstance(f, ScalarField):
-        return _weighted_lq([(f.data, _scalar_weights(f), 1.0)], q)
+        return _weighted_lq([(f.data, lattice_weights(f.grid, f.placement), 1.0)], q)
     wx, wy = lattice_weights(f.grid, "xface"), lattice_weights(f.grid, "yface")
     return _weighted_lq([(f.ux, wx, 1.0), (f.uy, wy, 1.0)], q)
 
@@ -562,7 +536,7 @@ class DerivativeSamples:
 
 
 def _samples_of_scalar(f: ScalarField) -> DerivativeSamples:
-    x0, y0 = f.grid.lattice_origin(f.lattice)
+    x0, y0 = f.grid.lattice_origin(f.placement)
     return DerivativeSamples(f.grid, f.data, x0, y0)
 
 

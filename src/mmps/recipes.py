@@ -40,7 +40,6 @@ from numpy.random import PCG64, Generator
 
 from .fields import (
     CELL,
-    MAC,
     NODE,
     FluidParams,
     GridSpec,
@@ -280,8 +279,8 @@ def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> Sta
     amp = _trig1_amplitudes(t)
     tables = _trig1_tables(grid, params, ("u1", "u2", "w", "b1", "b2", "p"))
     u1, u2, w, b1, b2, p = (table(amp) for table in tables.values())
-    return State(t, VectorField(grid, MAC, u1, u2), ScalarField(grid, NODE, w),
-                 VectorField(grid, MAC, b1, b2), ScalarField(grid, CELL, p))
+    return State(t, VectorField(grid, u1, u2), ScalarField(grid, NODE, w),
+                 VectorField(grid, b1, b2), ScalarField(grid, CELL, p))
 
 
 def forcing_tables(recipe: str, params: FluidParams, grid: GridSpec) -> dict[str, _Table]:
@@ -310,7 +309,7 @@ def mms_forcing(
         tables = forcing_tables(recipe, params, grid)
     amp = _trig1_amplitudes(t)
     fu1, fu2, fw, fb1, fb2 = (tables[name](amp) for name in _TRIG1_FORCINGS)
-    fu, fb = VectorField(grid, MAC, fu1, fu2), VectorField(grid, MAC, fb1, fb2)
+    fu, fb = VectorField(grid, fu1, fu2), VectorField(grid, fb1, fb2)
     return fu, ScalarField(grid, NODE, fw), fb
 
 
@@ -550,8 +549,8 @@ def perturbation_fields(grid: GridSpec) -> tuple[VectorField, ScalarField, Vecto
     du = stream_velocity(grid, psi_u)
     db = stream_velocity(grid, psi_b)
     dw = ScalarField.sample(grid, NODE, w_fn)
-    du = VectorField(grid, MAC, du.ux / lq_norm(du, 2.0), du.uy / lq_norm(du, 2.0))
-    db = VectorField(grid, MAC, db.ux / lq_norm(db, 2.0), db.uy / lq_norm(db, 2.0))
+    du = VectorField(grid, du.ux / lq_norm(du, 2.0), du.uy / lq_norm(du, 2.0))
+    db = VectorField(grid, db.ux / lq_norm(db, 2.0), db.uy / lq_norm(db, 2.0))
     dw = ScalarField(grid, NODE, dw.data / lq_norm(dw, 2.0))
     return du, dw, db
 
@@ -568,8 +567,8 @@ def perturbed_state(state: State, delta: float) -> State:
     g = state.grid
     return State(
         t=state.t,
-        u=VectorField(g, MAC, state.u.ux + delta * du.ux, state.u.uy + delta * du.uy),
+        u=VectorField(g, state.u.ux + delta * du.ux, state.u.uy + delta * du.uy),
         w=ScalarField(g, NODE, state.w.data + delta * dw.data),
-        b=VectorField(g, MAC, state.b.ux + delta * db.ux, state.b.uy + delta * db.uy),
+        b=VectorField(g, state.b.ux + delta * db.ux, state.b.uy + delta * db.uy),
         p=state.p.copy(),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
 
@@ -52,10 +53,6 @@ class SnapshotChecksumError(SnapshotError):
 
 class SnapshotTruncatedError(SnapshotError):
     """File ends before the declared payload and checksum."""
-
-
-def _checksum(data: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(data, digest_size=_DIGEST_SIZE).digest()
 
 
 def _field_arrays(state: State) -> tuple[np.ndarray, ...]:
@@ -96,52 +93,55 @@ def write_snapshot(state: State, path: str | os.PathLike) -> None:
 
 
 def read_snapshot(path: str | os.PathLike) -> State:
-    """Deserialize a state, verifying header, size and checksum."""
+    """Deserialize a state, verifying header, size and checksum.  Each array
+    is read straight into its buffer and hashed there, with no copy of the
+    file in memory."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise SnapshotFormatError(f"{path}: missing header line")
-    try:
-        header = raw[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise SnapshotFormatError(f"{path}: header is not ASCII") from exc
-    parts = header.split(" ")
-    if len(parts) != 6 or parts[0] != _MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic/header {header!r}")
-    if parts[1] != _VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {parts[1]!r}")
-    try:
-        grid = GridSpec(int(parts[2]), int(parts[3]), parts[4])
-        t = float.fromhex(parts[5])
-    except (ValueError, FieldError) as exc:
-        raise SnapshotFormatError(f"{path}: malformed header fields: {exc}") from exc
-    # each of the six lattices holds at least nx * ny floats; checked before
-    # allocating, so a header cannot demand memory the file does not back
-    if len(raw) < 48 * grid.nx * grid.ny:
-        raise SnapshotTruncatedError(f"{path}: too short for a {grid.nx}x{grid.ny} grid")
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise SnapshotFormatError(f"{path}: missing header line")
+        try:
+            header = line[:-1].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise SnapshotFormatError(f"{path}: header is not ASCII") from exc
+        parts = header.split(" ")
+        if len(parts) != 6 or parts[0] != _MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic/header {header!r}")
+        if parts[1] != _VERSION:
+            raise SnapshotFormatError(f"{path}: unsupported version {parts[1]!r}")
+        try:
+            grid = GridSpec(int(parts[2]), int(parts[3]), parts[4])
+            t = float.fromhex(parts[5])
+        except (ValueError, FieldError) as exc:
+            raise SnapshotFormatError(f"{path}: malformed header fields: {exc}") from exc
+        # each of the six lattices holds at least nx * ny floats; checked before
+        # allocating, so a header cannot demand memory the file does not back
+        if size < 48 * grid.nx * grid.ny:
+            raise SnapshotTruncatedError(f"{path}: too short for a {grid.nx}x{grid.ny} grid")
 
-    state = State.zeros(grid, t)
-    arrays = _field_arrays(state)
-    end = newline + 1 + sum(arr.nbytes for arr in arrays)
-    if len(raw) < end + _DIGEST_SIZE:
-        raise SnapshotTruncatedError(
-            f"{path}: needs {end + _DIGEST_SIZE} bytes for its header, payload and "
-            f"checksum, found {len(raw)}"
-        )
-    if len(raw) > end + _DIGEST_SIZE:
-        raise SnapshotFormatError(
-            f"{path}: {len(raw) - end - _DIGEST_SIZE} bytes after the checksum"
-        )
-    view = memoryview(raw)
-    stored, actual = raw[end:], _checksum(view[:end])
+        state = State.zeros(grid, t)
+        arrays = _field_arrays(state)
+        end = len(line) + sum(arr.nbytes for arr in arrays)
+        if size < end + _DIGEST_SIZE:
+            raise SnapshotTruncatedError(
+                f"{path}: needs {end + _DIGEST_SIZE} bytes for its header, payload and "
+                f"checksum, found {size}"
+            )
+        if size > end + _DIGEST_SIZE:
+            raise SnapshotFormatError(
+                f"{path}: {size - end - _DIGEST_SIZE} bytes after the checksum"
+            )
+        digest = hashlib.blake2b(line, digest_size=_DIGEST_SIZE)
+        for arr in arrays:
+            buf = memoryview(arr).cast("B")
+            fh.readinto(buf)
+            digest.update(buf)
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)  # the file is little-endian
+        stored, actual = fh.read(), digest.digest()
     if stored != actual:
         raise SnapshotChecksumError(
             f"{path}: checksum mismatch (stored {stored.hex()}, computed {actual.hex()})"
         )
-
-    offset = newline + 1
-    for arr in arrays:
-        arr[...] = np.frombuffer(view, "<f8", arr.size, offset).reshape(arr.shape)
-        offset += arr.nbytes
     return state

@@ -40,7 +40,6 @@ from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
 
 from .fields import (
     CELL,
-    MAC,
     NODE,
     FieldError,
     GridSpec,
@@ -126,7 +125,7 @@ class SolvePlan:
             hat[2 * i : 2 * i + 2] /= self.symbols[i]
         if g.periodic:
             out = irfft2(hat, s=(g.nx, g.nx), overwrite_x=True)
-            return [VectorField(g, MAC, out[2 * i], out[2 * i + 1]) for i in range(m)]
+            return [VectorField(g, out[2 * i], out[2 * i + 1]) for i in range(m)]
         out = idst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
         out = idst(out, type=1, axis=1, norm="ortho", overwrite_x=True)
         solved = [VectorField.zeros(g) for _ in fields]
@@ -256,7 +255,7 @@ def solve_stationary_stokes(f: VectorField) -> StokesSolution:
     w = lattice_weights(g, "cell")
     pf = ScalarField(g, CELL, p - np.sum(w * p) / np.sum(w))
     gp = grad(pf)
-    rhs = VectorField(g, MAC, f.ux - gp.ux, f.uy - gp.uy)
+    rhs = VectorField(g, f.ux - gp.ux, f.uy - gp.uy)
     (v,) = plan.faces([rhs])
     if not all(np.all(np.isfinite(a)) for a in (v.ux, v.uy, pf.data)):
         raise SolverError("stationary Stokes solve produced non-finite values")
@@ -271,6 +270,10 @@ def solve_stationary_stokes(f: VectorField) -> StokesSolution:
 # ---------------------------------------------------------------------------
 # Regularity probe
 # ---------------------------------------------------------------------------
+
+
+# the smoothness exponents that the regularity probes cycle through, per sample
+_PROBE_SMOOTHNESS = (0.8, 1.1, 1.6, 2.2)
 
 
 def probe_scalar(grid: GridSpec, seed: int, sample: int, smoothness: float, kmax: int = 7) -> ScalarField:
@@ -316,21 +319,20 @@ def stokes_regularity_probe(
     ratio, and an instability flag raised when that growth exceeds 25% per
     refinement.  A zero sample has ratio 0 by convention.
     """
-    smoothness_cycle = (0.8, 1.1, 1.6, 2.2)
     per_level: list[dict] = []
     for nx in grids:
         g = GridSpec(nx, nx)
         r1 = []
         r2 = []
         for s in range(sample_count):
-            w = probe_scalar(g, seed, s, smoothness_cycle[s % len(smoothness_cycle)])
+            w = probe_scalar(g, seed, s, _PROBE_SMOOTHNESS[s % len(_PROBE_SMOOTHNESS)])
             wq = lq_norm(w, q)
             if wq == 0.0:
                 r1.append(0.0)
                 r2.append(0.0)
                 continue
             pg = perp_grad(w)
-            f = VectorField(g, MAC, -pg.ux, -pg.uy)
+            f = VectorField(g, -pg.ux, -pg.uy)
             sol = solve_stationary_stokes(f)
             r1.append(_w1q_norm(sol.v, q) / wq)
             denom = (1.0 + max_abs(w)) * np.log(np.e + samples_lq(gradient_samples(w), q))

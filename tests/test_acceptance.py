@@ -118,7 +118,7 @@ def test_criterion_01_operator_algebra_exact():
                 if not g.periodic:
                     ux[0, :] = ux[-1, :] = 0.0
                     uy[:, 0] = uy[:, -1] = 0.0
-                v = VectorField(g, "mac-staggered", ux, uy)
+                v = VectorField(g, ux, uy)
 
                 # rotated gradients are exactly solenoidal (tolerances are
                 # relative to the second-difference scale |f| / h^2)
@@ -172,8 +172,7 @@ def test_criterion_03_taylor_green_analytic_decay_orders():
             assert failure is None
             assert not final.w.data.any() and not final.b.ux.any()  # stays decoupled
             exact = taylor_green_state(g, 0.5 * math.exp(-rate * t_end))
-            diff = VectorField(g, final.u.placement,
-                               final.u.ux - exact.u.ux, final.u.uy - exact.u.uy)
+            diff = VectorField(g, final.u.ux - exact.u.ux, final.u.uy - exact.u.uy)
             spatial_errors.append(lq_norm(diff, 2.0))
         spatial_order = refinement_order(spatial_errors)
 
@@ -189,8 +188,7 @@ def test_criterion_03_taylor_green_analytic_decay_orders():
                              snapshot_stride=10**9)
             final, failure = _march_to(taylor_green_state(g), t_end_t, cfg, params_t)
             assert failure is None
-            diff = VectorField(g, final.u.placement,
-                               final.u.ux - exact_t.u.ux, final.u.uy - exact_t.u.uy)
+            diff = VectorField(g, final.u.ux - exact_t.u.ux, final.u.uy - exact_t.u.uy)
             temporal_errors.append(lq_norm(diff, 2.0))
         temporal_order = refinement_order(temporal_errors)
 
@@ -249,7 +247,7 @@ def test_criterion_06_w_lq_ledger_margins_and_exact_decay():
         factor = math.exp(-2.0 * params.chi * cfg.dt)
         expected = w.data
         for _ in range(10):
-            w = step_w_transport(w, VectorField.zeros(g), cfg, params)
+            w = step_w_transport(w, VectorField.zeros(g), cfg, params, t=0.0)
             expected = factor * expected
             assert np.array_equal(w.data, expected)
 
@@ -307,9 +305,9 @@ def test_criterion_09_fixed_point_construction():
             step_config_of(cfg, grid, with_forcing=False), params,
         )
         selfconv = max(
-            lq_norm(VectorField(grid, a.u.placement, a.u.ux - b.u.ux, a.u.uy - b.u.uy), 2.0),
+            lq_norm(VectorField(grid, a.u.ux - b.u.ux, a.u.uy - b.u.uy), 2.0),
             lq_norm(ScalarField(grid, NODE, a.w.data - b.w.data), 2.0),
-            lq_norm(VectorField(grid, a.b.placement, a.b.ux - b.b.ux, a.b.uy - b.b.uy), 2.0),
+            lq_norm(VectorField(grid, a.b.ux - b.b.ux, a.b.uy - b.b.uy), 2.0),
         )
         assert report["coupled_l2_gap"] <= 5.0 * selfconv
 

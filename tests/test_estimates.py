@@ -150,7 +150,7 @@ def _record_oracle(state, params, prev=None, prev_oracle=None):
 
     def field_lq(f, q):
         if isinstance(f, ScalarField):
-            return lq([(f.data, lattice_weights(f.grid, f.lattice))], q)
+            return lq([(f.data, lattice_weights(f.grid, f.placement))], q)
         g = f.grid
         return lq([(f.ux, lattice_weights(g, "xface")), (f.uy, lattice_weights(g, "yface"))], q)
 
@@ -214,13 +214,9 @@ def test_diagnostics_record_matches_the_reference_formula(mode):
     prev_oracle = _record_oracle(prev, PARAMS)
     cases = {
         "no prev": (diagnostics_record(state, PARAMS), _record_oracle(state, PARAMS)),
-        "prev and prev_record": (
-            diagnostics_record(state, PARAMS, prev=prev, prev_record=diagnostics_record(prev, PARAMS)),
+        "prev": (
+            diagnostics_record(state, PARAMS, prev=(prev, diagnostics_record(prev, PARAMS))),
             _record_oracle(state, PARAMS, prev, prev_oracle),
-        ),
-        "prev alone": (
-            diagnostics_record(state, PARAMS, prev=prev),
-            _record_oracle(state, PARAMS, prev),
         ),
     }
     exact = ("t", "u_l2", "grad_u_l2", "w_l2", "b_l2", "grad_b_l2", "hess_u_l2", "hess_b_l2",
@@ -233,7 +229,7 @@ def test_diagnostics_record_matches_the_reference_formula(mode):
         for name in quartic:
             assert getattr(rec, name) == pytest.approx(oracle[name], rel=1e-13, abs=0.0), (case, name)
         assert abs(rec.lq_margin - oracle["lq_margin"]) <= 1e-12 * oracle["margin_scale"], case
-    assert cases["prev alone"][0].dt_w_l4 > 0.0 and cases["prev alone"][0].lq_margin != 0.0
+    assert cases["prev"][0].dt_w_l4 > 0.0 and cases["prev"][0].lq_margin != 0.0
 
 
 def test_diagnostics_record_rejects_bad_entries():
@@ -254,7 +250,7 @@ def test_diagnostics_record_rejects_disordered_pair():
     s0 = State.zeros(g, 0.0)
     s1 = State.zeros(g, 0.0)
     with pytest.raises(EstimateError):
-        diagnostics_record(s1, PARAMS, prev=s0)
+        diagnostics_record(s1, PARAMS, prev=(s0, diagnostics_record(s0, PARAMS)))
 
 
 def test_ledger_requires_core_series():
@@ -418,10 +414,8 @@ def test_gronwall_budget_matches_independent_expansion():
     for k in range(1, len(traj.states)):
         (tp, sp), (tn, sn) = traj.states[k - 1], traj.states[k]
         step = tn - tp
-        du = VectorField(sp.grid, sp.u.placement,
-                         (sn.u.ux - sp.u.ux) / step, (sn.u.uy - sp.u.uy) / step)
-        db = VectorField(sp.grid, sp.b.placement,
-                         (sn.b.ux - sp.b.ux) / step, (sn.b.uy - sp.b.uy) / step)
+        du = VectorField(sp.grid, (sn.u.ux - sp.u.ux) / step, (sn.u.uy - sp.u.uy) / step)
+        db = VectorField(sp.grid, (sn.b.ux - sp.b.ux) / step, (sn.b.uy - sp.b.uy) / step)
         i_du += step * lq_norm(du, 2.0) ** 2
         i_db += step * lq_norm(db, 2.0) ** 2
 

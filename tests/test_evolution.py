@@ -38,7 +38,6 @@ from mmps.evolution import (
 )
 from mmps.fields import (
     CELL,
-    MAC,
     MODE_DIRICHLET,
     MODE_PERIODIC,
     NODE,
@@ -68,7 +67,7 @@ def _random_pinned_mac(grid: GridSpec, rng, scale=1.0) -> VectorField:
     if not grid.periodic:
         ux[0, :] = ux[-1, :] = 0.0
         uy[:, 0] = uy[:, -1] = 0.0
-    return VectorField(grid, MAC, ux, uy)
+    return VectorField(grid, ux, uy)
 
 
 def _random_divfree(grid: GridSpec, rng, scale=1.0) -> VectorField:
@@ -164,7 +163,7 @@ def test_elsasser_transport_exchanges_energy_exactly(mode):
     rng = np.random.default_rng(26)
     u, b = _random_divfree(g, rng), _random_divfree(g, rng, scale=0.7)
     ex, ey, gx, gy = _quadratic_terms(u, b)
-    exchange = l2_inner(VectorField(g, MAC, ex, ey), u) + l2_inner(VectorField(g, MAC, gx, gy), b)
+    exchange = l2_inner(VectorField(g, ex, ey), u) + l2_inner(VectorField(g, gx, gy), b)
     speed = max(lq_norm(u, np.inf), lq_norm(b, np.inf))
     scale = speed * (lq_norm(u, 2) ** 2 + lq_norm(b, 2) ** 2) / g.h
     assert abs(exchange) <= 1e-13 * scale
@@ -300,7 +299,7 @@ def test_spin_decays_exactly_when_velocity_vanishes():
     w = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     dt = 1e-3
     cfg = StepConfig(dt=dt, scheme="imex-euler", advection="upwind2")
-    out = step_w_transport(w, VectorField.zeros(g), cfg, PARAMS)
+    out = step_w_transport(w, VectorField.zeros(g), cfg, PARAMS, t=0.0)
     assert np.array_equal(out.data, math.exp(-2.0 * PARAMS.chi * dt) * w.data)
 
 
@@ -309,7 +308,7 @@ def test_spin_is_plain_copy_without_coupling_or_velocity():
     w = ScalarField(g, NODE, np.random.default_rng(31).standard_normal(g.lattice_shape("node")))
     cfg = StepConfig(dt=1e-3, scheme="imex-euler", advection="upwind2")
     params0 = FluidParams(mu=0.06, chi=0.0, nu=0.01)
-    out = step_w_transport(w, VectorField.zeros(g), cfg, params0)
+    out = step_w_transport(w, VectorField.zeros(g), cfg, params0, t=0.0)
     assert np.array_equal(out.data, w.data)
 
 
@@ -329,7 +328,7 @@ def test_zero_spin_skips_its_transport_bitwise(method, mode, monkeypatch):
         src = -advect_node(u, w, method).data + PARAMS.chi * curl2(u).data
         expected = math.exp(-2.0 * PARAMS.chi * dt) * (w.data + dt * src)
         calls.clear()
-        out = step_w_transport(w, u, StepConfig(dt=dt, advection=method), PARAMS)
+        out = step_w_transport(w, u, StepConfig(dt=dt, advection=method), PARAMS, t=0.0)
         assert out.data.tobytes() == expected.tobytes() and len(calls) == transports
 
 
@@ -363,7 +362,7 @@ def test_pure_fluid_reduction_is_bit_identical():
     out = step_coupled(state, cfg, params)
 
     adv = advect_mac(u, u)
-    star = VectorField(g, MAC, u.ux + dt * (-adv.ux), u.uy + dt * (-adv.uy))
+    star = VectorField(g, u.ux + dt * (-adv.ux), u.uy + dt * (-adv.uy))
     star = helmholtz_solve(star, (params.mu + params.chi) * dt)
     u_ref, phi = leray_project(star)
     w_ref = w.data + dt * (-advect_node(u, w, "central").data)
@@ -402,8 +401,8 @@ def test_zero_coupling_makes_spin_force_free():
     f1 = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     f2 = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     cfg = StepConfig(dt=1e-3, scheme="imex-euler", advection="central")
-    ua, ba = step_mhd_forced(u, b, f1, cfg, params)
-    ub, bb = step_mhd_forced(u, b, f2, cfg, params)
+    ua, ba = step_mhd_forced(u, b, f1, cfg, params, t=0.0)
+    ub, bb = step_mhd_forced(u, b, f2, cfg, params, t=0.0)
     assert np.array_equal(ua.ux, ub.ux) and np.array_equal(ua.uy, ub.uy)
     assert np.array_equal(ba.ux, bb.ux) and np.array_equal(ba.uy, bb.uy)
 
@@ -521,6 +520,52 @@ def test_non_finite_result_is_named_by_its_step(monkeypatch, names, value, at_st
         f"non-finite value in {_LABELS[names[0]]} at t={at_step * cfg.dt:.6g}, first at index (3, 4)"
     )
     assert calls["mhd"] == at_step
+
+
+def _half_step(half: str, state: State, cfg: StepConfig, t: float):
+    if half == "mhd":
+        return step_mhd_forced(state.u, state.b, state.w, cfg, PARAMS, t=t)
+    return step_w_transport(state.w, state.u, cfg, PARAMS, t=t)
+
+
+@pytest.mark.parametrize("half", ["mhd", "w"])
+def test_half_steps_date_their_guards_by_the_step_time(monkeypatch, half):
+    # the fixed-point driver steps the halves from t = k dt: an input is
+    # dated t, a result t + dt, and a CFL break t
+    g = GridSpec(16, 16)
+    cfg = StepConfig(dt=1e-2, cfl_limit=0.5)
+    t = 3 * cfg.dt
+    label = "velocity" if half == "mhd" else "micro-rotation"
+
+    state = initial_state("smooth-1", g, PARAMS)
+    _poison(state.u, state.w, state.b, "u" if half == "mhd" else "w", np.nan)
+    with pytest.raises(NonFiniteError) as exc:
+        _half_step(half, state, cfg, t)
+    assert str(exc.value) == f"non-finite value in input {label} at t=0.03, first at index (3, 4)"
+
+    fast = VectorField.sample_mac(g, lambda x, y: 0 * x + 50.0, lambda x, y: 0 * x)
+    fast.ux[0, :] = fast.ux[-1, :] = 0.0
+    with pytest.raises(CflError) as exc:
+        _half_step(half, replace(State.zeros(g), u=fast), cfg, t)
+    assert str(exc.value).startswith("CFL violation at t=0.03: transport speed 50 on h=0.0625")
+
+    mhd_solve, w_update = evolution_module._mhd_solve, evolution_module._w_update
+
+    def bad_mhd(*args):
+        u, b, p = mhd_solve(*args)
+        u.uy[3, 4] = np.nan
+        return u, b, p
+
+    def bad_w(*args):
+        w = w_update(*args)
+        w.data[3, 4] = np.nan
+        return w
+
+    monkeypatch.setattr(evolution_module, "_mhd_solve", bad_mhd)
+    monkeypatch.setattr(evolution_module, "_w_update", bad_w)
+    with pytest.raises(NonFiniteError) as exc:
+        _half_step(half, initial_state("smooth-1", g, PARAMS), cfg, t)
+    assert str(exc.value) == f"non-finite value in {label} at t=0.04, first at index (3, 4)"
 
 
 def test_march_checks_the_cfl_limit_on_the_carried_speed():
@@ -739,7 +784,7 @@ def _oracle_loop(init, t_end, cfg, params):
         new = replace(step_coupled(state, cfg, params, carry=_history(prev, cfg, params)),
                       t=init.t + k * cfg.dt)
         work = forcing_work(cfg.forcing(state.t), new) if cfg.forcing is not None else 0.0
-        records.append(diagnostics_record(new, params, prev=state, prev_record=records[-1],
+        records.append(diagnostics_record(new, params, prev=(state, records[-1]),
                                           forcing_work=work))
         prev = state
         states.append(new)

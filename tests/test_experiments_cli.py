@@ -207,6 +207,23 @@ def test_write_snapshot_bytes_equal_the_joined_construction(tmp_path, mode):
     assert path.read_bytes() == blob + hashlib.blake2b(blob, digest_size=8).digest()
 
 
+@pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
+def test_read_snapshot_holds_no_copy_of_the_file(tmp_path, mode):
+    # the payload is read into the state's own arrays and hashed there
+    cfg = replace(SMALL, nx=128, recipe="zero", mode=mode)
+    path = tmp_path / "state.mmps"
+    write_snapshot(build_initial_state(cfg, grid_of(cfg)), path)
+    read_snapshot(path)  # warm the imports and caches untraced
+    tracemalloc.start()
+    try:
+        state = read_snapshot(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = sum(arr.nbytes for arr in _field_arrays(state))
+    assert peak <= 1.2 * state_bytes, (peak, state_bytes)
+
+
 def test_snapshot_rejects_corruption(short_traj, tmp_path):
     traj, _ = short_traj
     state = traj.final_state
@@ -462,6 +479,30 @@ def test_schauder_builds_one_solve_plan_per_map_application(monkeypatch):
     assert report["converged"] and len(applications) == report["iterations"] >= 2
     # one per application of the map, plus one for the coupled comparison march
     assert len(plans) <= len(applications) + 1
+
+
+def test_spin_map_hands_each_step_its_start_time(monkeypatch):
+    import mmps.experiments as experiments
+
+    times = {"mhd": [], "w": []}
+    mhd_step, w_step = experiments.step_mhd_forced, experiments.step_w_transport
+
+    def timed_mhd(*args, t, **kwargs):
+        times["mhd"].append(t)
+        return mhd_step(*args, t=t, **kwargs)
+
+    def timed_w(*args, t):
+        times["w"].append(t)
+        return w_step(*args, t=t)
+
+    monkeypatch.setattr(experiments, "step_mhd_forced", timed_mhd)
+    monkeypatch.setattr(experiments, "step_w_transport", timed_w)
+    cfg = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
+    grid = grid_of(cfg)
+    init = replace(build_initial_state(cfg, grid), t=0.25)
+    step_cfg = step_config_of(cfg, grid, with_forcing=False)
+    experiments._apply_spin_map([init.w] * 3, init, 3, step_cfg, params_of(cfg), 0.05)
+    assert times["mhd"] == times["w"] == [0.25 + k * 1e-3 for k in range(3)]
 
 
 def test_schauder_requires_whole_step_horizon():

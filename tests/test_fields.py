@@ -14,7 +14,6 @@ import scipy.sparse.linalg as spla
 import mmps.fields as fields_module
 from mmps.fields import (
     CELL,
-    MAC,
     MODE_DIRICHLET,
     MODE_PERIODIC,
     NODE,
@@ -43,8 +42,7 @@ RNG = np.random.default_rng(20260816)
 
 
 def random_scalar(grid: GridSpec, placement: str, rng) -> ScalarField:
-    shape = grid.lattice_shape("cell" if placement == CELL else "node")
-    return ScalarField(grid, placement, rng.standard_normal(shape))
+    return ScalarField(grid, placement, rng.standard_normal(grid.lattice_shape(placement)))
 
 
 def random_mac(grid: GridSpec, rng, interior_only: bool = False) -> VectorField:
@@ -53,7 +51,7 @@ def random_mac(grid: GridSpec, rng, interior_only: bool = False) -> VectorField:
     if interior_only and not grid.periodic:
         ux[0, :] = ux[-1, :] = 0.0
         uy[:, 0] = uy[:, -1] = 0.0
-    return VectorField(grid, MAC, ux, uy)
+    return VectorField(grid, ux, uy)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_placement_mismatch_raises():
     with pytest.raises(FieldError):
         grad(ScalarField.zeros(g, NODE))
     with pytest.raises(FieldError):
-        VectorField(g, "colocated", np.zeros(g.lattice_shape("xface")), np.zeros(g.lattice_shape("yface")))
+        VectorField(g, np.zeros(g.lattice_shape("cell")), np.zeros(g.lattice_shape("yface")))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,8 @@ def _dirichlet_wall_rows(op, g, c, w, u, b):
         return [(gv.ux[[0, -1], :], 0.0), (gv.uy[:, [0, -1]], 0.0)]
     if op == "curl2":
         # mirror ghosts: one component alone gives the wall rows +-2 a / h
-        only_uy = VectorField(g, MAC, np.zeros_like(u.ux), u.uy)
-        only_ux = VectorField(g, MAC, u.ux, np.zeros_like(u.uy))
+        only_uy = VectorField(g, np.zeros_like(u.ux), u.uy)
+        only_ux = VectorField(g, u.ux, np.zeros_like(u.uy))
         cy, cx = curl2(only_uy).data, curl2(only_ux).data
         return [
             (cy[0], 2 * u.uy[0] / h),
@@ -348,7 +346,7 @@ def _dirichlet_wall_rows(op, g, c, w, u, b):
         method, n = op.split("-")[1], w.data
         rows = []
         for speed in (1.0, -1.0):
-            v = VectorField(g, MAC, np.full_like(u.ux, speed), np.zeros_like(u.uy))
+            v = VectorField(g, np.full_like(u.ux, speed), np.zeros_like(u.uy))
             out = advect_node(v, w, method).data
             if method == "central":
                 f_lo, f_hi = 0.5 * (n[0] + n[1]), -(0.5 * (n[-2] + n[-1]))

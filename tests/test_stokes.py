@@ -23,7 +23,6 @@ import mmps.stokes as stokes_module
 
 from mmps.fields import (
     CELL,
-    MAC,
     MODE_PERIODIC,
     NODE,
     FieldError,
@@ -60,7 +59,7 @@ def _random_mac(grid: GridSpec, rng, interior_only=True) -> VectorField:
     if interior_only and not grid.periodic:
         ux[0, :] = ux[-1, :] = 0.0
         uy[:, 0] = uy[:, -1] = 0.0
-    return VectorField(grid, MAC, ux, uy)
+    return VectorField(grid, ux, uy)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def _dense_saddle_solve(grid: GridSpec, f: VectorField):
         uy = np.zeros(grid.lattice_shape("yface"))
         ux[1:-1, :] = vec[:nux].reshape(n - 1, n)
         uy[:, 1:-1] = vec[nux : nux + nuy].reshape(n, n - 1)
-        return VectorField(grid, MAC, ux, uy)
+        return VectorField(grid, ux, uy)
 
     def restrict(v):
         return np.concatenate([v.ux[1:-1, :].ravel(), v.uy[:, 1:-1].ravel()])
@@ -134,7 +133,7 @@ def test_stokes_linearity():
     rng = np.random.default_rng(12)
     f1, f2 = _random_mac(grid, rng), _random_mac(grid, rng)
     a, b = 0.7, -2.3
-    combo = VectorField(grid, MAC, a * f1.ux + b * f2.ux, a * f1.uy + b * f2.uy)
+    combo = VectorField(grid, a * f1.ux + b * f2.ux, a * f1.uy + b * f2.uy)
     s1, s2, sc = (solve_stationary_stokes(x) for x in (f1, f2, combo))
     scale = max(np.max(np.abs(sc.v.ux)), 1.0)
     assert np.max(np.abs(sc.v.ux - (a * s1.v.ux + b * s2.v.ux))) <= 1e-10 * scale
@@ -158,7 +157,7 @@ def test_stokes_rejects_periodic_and_bad_placement():
         solve_stationary_stokes(VectorField.zeros(GridSpec(16, 16, MODE_PERIODIC)))
     g = GridSpec(16, 16)
     with pytest.raises(FieldError):
-        solve_stationary_stokes(VectorField.zeros(g, "colocated"))
+        solve_stationary_stokes(VectorField(g, np.zeros((16, 16)), np.zeros((16, 16))))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +176,13 @@ def test_projection_kills_divergence_and_is_idempotent(mode):
     assert np.max(np.abs(ppu.ux - pu.ux)) <= 1e-12 * scale
     assert np.max(np.abs(ppu.uy - pu.uy)) <= 1e-12 * scale
     # orthogonality: <u - Pu, Pu> ~ 0
-    diff = VectorField(grid, MAC, u.ux - pu.ux, u.uy - pu.uy)
+    diff = VectorField(grid, u.ux - pu.ux, u.uy - pu.uy)
     if mode != MODE_PERIODIC:
         # compare against the wall-pinned input the projector actually sees
         u2 = u.copy()
         u2.ux[0, :] = u2.ux[-1, :] = 0.0
         u2.uy[:, 0] = u2.uy[:, -1] = 0.0
-        diff = VectorField(grid, MAC, u2.ux - pu.ux, u2.uy - pu.uy)
+        diff = VectorField(grid, u2.ux - pu.ux, u2.uy - pu.uy)
     assert abs(l2_inner(diff, pu)) <= 1e-10 * lq_norm(u, 2) * max(lq_norm(pu, 2), 1.0)
     # potential has zero weighted mean
     wts = lattice_weights(grid, "cell")
@@ -383,13 +382,13 @@ def test_import_leaves_sparse_linalg_unloaded():
     code = (
         "import sys, mmps\n"
         "before = 'scipy.sparse.linalg' in sys.modules\n"
-        "from mmps.fields import FluidParams, GridSpec, VectorField\n"
-        "from mmps.stokes import probe_scalar\n"
+        "from mmps.fields import FluidParams, GridSpec, VectorField, perp_grad\n"
+        "from mmps.stokes import probe_scalar, solve_stationary_stokes\n"
         "g = GridSpec(12, 12)\n"
         "f = VectorField.sample_mac(g, lambda x, y: x * y, lambda x, y: x - y * y)\n"
-        "assert mmps.solve_stationary_stokes(f).converged\n"
+        "assert solve_stationary_stokes(f).converged\n"
         "w = probe_scalar(g, 0, 0, 1.3)\n"
-        "assert mmps.solve_stationary_stokes(mmps.perp_grad(w)).converged\n"
+        "assert solve_stationary_stokes(perp_grad(w)).converged\n"
         "print(before, 'scipy.sparse' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
     )
     out = subprocess.run(
@@ -415,13 +414,13 @@ def aux_field_v(w: ScalarField, params: FluidParams) -> StokesSolution:
         )
     c = params.chi / (params.mu + params.chi)
     pg = perp_grad(w)
-    return solve_stationary_stokes(VectorField(g, MAC, -c * pg.ux, -c * pg.uy))
+    return solve_stationary_stokes(VectorField(g, -c * pg.ux, -c * pg.uy))
 
 
 def compose_g(u: VectorField, v: StokesSolution) -> VectorField:
     """The complement field g = u - v; with both inputs discretely
     divergence-free the result is too."""
-    return VectorField(u.grid, MAC, u.ux - v.v.ux, u.uy - v.v.uy)
+    return VectorField(u.grid, u.ux - v.v.ux, u.uy - v.v.uy)
 
 
 def test_aux_field_zero_coupling_returns_exact_zero():
