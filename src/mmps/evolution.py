@@ -15,7 +15,7 @@ factor ``exp(-2 chi dt)`` applied outside the explicit update; u and b are
 made divergence-free by a projection after their solves (which also
 re-imposes the no-slip boundary values), with ``p = phi / dt`` recovered
 from the projection potential.  Both fields go through one stacked pass of
-a :class:`mmps.stokes.SolvePlan` that ``march`` builds once for its dt, and
+a :class:`mmps.stokes.SolvePlan` that the first step of a march builds, and
 each state is checked once (finiteness and CFL speed from one max and min
 per array): the check of a step's result is the next step's input check.
 
@@ -32,9 +32,9 @@ quadrature weights exactly); its face values are either arithmetic means
 second order, L^q-dissipative).
 
 Explicit couplings always evaluate the *previous* state, so one coupled
-step equals the magnetic step with the frozen spin field followed by the
-spin transport step with the frozen velocity - the same composition the
-fixed-point construction iterates.
+step is the magnetic step with the spin force frozen composed with the spin
+transport with the velocity frozen.  The fixed-point map is this same step
+with the mollified spin iterate in ``-chi perp_grad(.)`` (``spin_force``).
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ __all__ = [
     "ADVECTION_SCHEMES",
     "advect_mac",
     "advect_node",
-    "solve_plan",
-    "step_mhd_forced",
-    "step_w_transport",
     "step_coupled",
     "manufactured_forcing",
     "forcing_work",
@@ -290,18 +287,14 @@ def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def _check(t: float, prefix: str, u: VectorField | None = None, w: ScalarField | None = None,
-           b: VectorField | None = None) -> float:
-    """Raise NonFiniteError for the first non-finite field given, in the
-    order velocity, micro-rotation, magnetic field (``prefix`` is "input "
-    for a step's inputs, "" for its results), and return the transport
-    speed max(|u|, |b|).  One max and one min per array give both: NaN and
-    inf carry through them.  The first bad index is located only on failure.
-    """
+def _check(t: float, prefix: str, u: VectorField, w: ScalarField, b: VectorField) -> float:
+    """Raise NonFiniteError for the first non-finite field, in the order
+    velocity, micro-rotation, magnetic field (``prefix`` is "input " for a
+    step's inputs, "" for its results), and return the transport speed
+    max(|u|, |b|).  One max and one min per array give both: NaN and
+    inf carry through them.  The first bad index is located only on failure."""
     speed = 0.0
     for label, field in (("velocity", u), ("micro-rotation", w), ("magnetic field", b)):
-        if field is None:
-            continue
         for arr in (field.data,) if isinstance(field, ScalarField) else (field.ux, field.uy):
             hi, lo = float(arr.max()), float(arr.min())
             if not (math.isfinite(hi) and math.isfinite(lo)):
@@ -385,12 +378,12 @@ def _w_explicit(
     return src
 
 
-def _explicit_terms(
-    state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None
-) -> tuple[np.ndarray, ...]:
-    """Raw explicit right-hand sides of a state (momentum x/y, induction
-    x/y, spin), before any AB2 combination."""
-    mhd = _mhd_explicit(state.u, state.b, state.w, params, forcing)
+def _explicit_terms(state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None,
+                    spin_force: ScalarField | None = None) -> tuple[np.ndarray, ...]:
+    """Raw explicit right-hand sides (momentum x/y, induction x/y, spin) before
+    any AB2 combination; the body force takes ``spin_force`` (None: ``state.w``)."""
+    f = state.w if spin_force is None else spin_force
+    mhd = _mhd_explicit(state.u, state.b, f, params, forcing)
     return (*mhd, _w_explicit(state.w, state.u, params, forcing, cfg.advection))
 
 
@@ -398,17 +391,12 @@ def _explicit_terms(
 class _Carry:
     """What a march hands from step to step: the last step's raw explicit
     terms (AB2 combines them with its own), the transport speed of its
-    result (whose check is the next step's input check), and the solve plan."""
+    result (whose check is the next step's input check), and the solve plan
+    for the march's dt and parameters, which its first step builds."""
 
     terms: tuple[np.ndarray, ...] | None = None
     speed: float | None = None
     plan: SolvePlan | None = None
-
-
-def solve_plan(grid: GridSpec, cfg: StepConfig, params: FluidParams) -> SolvePlan:
-    """The Helmholtz solves and projections of u and b for steps of ``cfg.dt``
-    (one per march; a driver that steps ``step_mhd_forced`` builds one too)."""
-    return SolvePlan(grid, ((params.mu + params.chi) * cfg.dt, params.nu * cfg.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -428,31 +416,6 @@ def _mhd_solve(u: VectorField, b: VectorField, terms: Sequence[np.ndarray], dt: 
     return new[0], new[1] if magnetic else b_star, ScalarField(u.grid, CELL, phi / dt)
 
 
-def step_mhd_forced(
-    u: VectorField,
-    b: VectorField,
-    f: ScalarField,
-    cfg: StepConfig,
-    params: FluidParams,
-    *,
-    t: float,
-    plan: SolvePlan | None = None,
-) -> tuple[VectorField, VectorField]:
-    """One velocity/magnetic step from time ``t`` with the rotational body
-    force frozen at the node scalar ``f`` (explicit ``-chi perp_grad(f)`` in
-    the momentum equation).  With chi = 0 the result is bit-identical for
-    every f.  ``t`` only dates the guard messages: inputs at ``t``, results
-    at ``t + dt``.  ``plan`` is :func:`solve_plan` for ``cfg``; without one
-    the step builds its own, so a caller taking many steps should pass one.
-    """
-    _cfl(t, cfg, _check(t, "input ", u=u, b=b), u.grid.h)
-    terms = _mhd_explicit(u, b, f, params, None)
-    plan = plan or solve_plan(u.grid, cfg, params)
-    u_new, b_new, _ = _mhd_solve(u, b, terms, cfg.dt, plan)
-    _check(t + cfg.dt, "", u=u_new, b=b_new)
-    return u_new, b_new
-
-
 def _w_update(w: ScalarField, src: np.ndarray, cfg: StepConfig, params: FluidParams) -> ScalarField:
     if not src.any():
         # Nothing to add: apply the bare damping factor (exact decay; a
@@ -466,28 +429,6 @@ def _w_update(w: ScalarField, src: np.ndarray, cfg: StepConfig, params: FluidPar
     return ScalarField(w.grid, NODE, data)
 
 
-def step_w_transport(
-    w: ScalarField,
-    u: VectorField,
-    cfg: StepConfig,
-    params: FluidParams,
-    *,
-    t: float,
-) -> ScalarField:
-    """One micro-rotation step from time ``t`` with the velocity frozen:
-    explicit advection and spin source ``chi curl2(u)``, exact damping
-    factor ``exp(-2 chi dt)``.  ``t`` dates the guard messages as in
-    :func:`step_mhd_forced`.
-
-    With u = 0 the step reduces to exact exponential decay (bit-exact
-    constancy when additionally chi = 0).
-    """
-    _cfl(t, cfg, _check(t, "input ", u=u, w=w), u.grid.h)
-    w_new = _w_update(w, _w_explicit(w, u, params, None, cfg.advection), cfg, params)
-    _check(t + cfg.dt, "", w=w_new)
-    return w_new
-
-
 def step_coupled(
     state: State,
     cfg: StepConfig,
@@ -495,17 +436,20 @@ def step_coupled(
     *,
     forcing: Forcing | None = None,
     carry: _Carry | None = None,
+    spin_force: ScalarField | None = None,
 ) -> State:
     """One coupled IMEX step.  All couplings are explicit in the previous
-    state, so the step is exactly the frozen-spin magnetic step composed
-    with the frozen-velocity spin step.
+    state, so the step is exactly the magnetic step with the spin force
+    frozen composed with the spin transport with the velocity frozen.
 
-    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.  ``carry``
-    is what a march hands from step to step (:class:`_Carry`); this step
-    puts its own terms and result speed in it.  Without one, or with its
-    fields unset, the step checks its input, builds its own plan and, under
-    AB2, falls back to the one-step scheme (a two-step run's bootstrap).
-    """
+    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.
+    ``spin_force`` is the node scalar in the body force ``-chi perp_grad(.)``
+    (None: ``state.w``; the fixed-point map passes its mollified iterate).
+    ``carry`` is what a march hands from step to step (:class:`_Carry`);
+    this step puts its terms, result speed and solve plan in it.  Without
+    one, or with its fields unset, the step checks its input, builds the
+    plan and, under AB2, falls back to the one-step scheme (a two-step
+    run's bootstrap)."""
     t, carry = state.t, carry or _Carry()
     if carry.speed is None:
         carry.speed = _check(t, "input ", state.u, state.w, state.b)
@@ -513,7 +457,7 @@ def step_coupled(
 
     if forcing is None and cfg.forcing is not None:
         forcing = cfg.forcing(t)
-    terms = _explicit_terms(state, cfg, params, forcing)
+    terms = _explicit_terms(state, cfg, params, forcing, spin_force)
     earlier = None
     if cfg.scheme == "imex-ab2":
         earlier, carry.terms = carry.terms, terms
@@ -521,8 +465,9 @@ def step_coupled(
         terms = [1.5 * c - 0.5 * p for c, p in zip(terms, earlier)]
         del earlier  # frees the previous terms before the solves (peak memory)
 
-    plan = carry.plan or solve_plan(state.u.grid, cfg, params)
-    u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg.dt, plan)
+    if carry.plan is None:
+        carry.plan = SolvePlan(state.u.grid, ((params.mu + params.chi) * cfg.dt, params.nu * cfg.dt))
+    u_new, b_new, p_new = _mhd_solve(state.u, state.b, terms[:4], cfg.dt, carry.plan)
     w_new = _w_update(state.w, terms[4], cfg, params)
 
     t_new = t + cfg.dt
@@ -579,7 +524,7 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> It
 
 
 def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
-    state, carry = init, _Carry(plan=solve_plan(init.u.grid, cfg, params))
+    state, carry = init, _Carry()
     for k in range(1, steps + 1):
         forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
         new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -23,12 +24,11 @@ from .evolution import (
     StepConfig,
     StepError,
     Trajectory,
+    _Carry,
     manufactured_forcing,
     march,
     run_simulation,
-    solve_plan,
-    step_mhd_forced,
-    step_w_transport,
+    step_coupled,
 )
 from .fields import (
     FluidParams,
@@ -125,7 +125,14 @@ def read_diagnostics_csv(path: str | os.PathLike) -> tuple[DiagnosticsRecord, ..
         for row in reader:
             if len(row) != len(names):
                 raise ExperimentError(f"{path}: short diagnostics row {row}")
-            out.append(DiagnosticsRecord(**{n: float(v) for n, v in zip(names, row)}))
+            values = {}
+            for name, cell in zip(names, row):
+                try:
+                    values[name] = float(cell)
+                except ValueError:
+                    raise ExperimentError(f"{path}: line {reader.line_num}, column {name}: "
+                                          f"{cell!r} is not a number") from None
+            out.append(DiagnosticsRecord(**values))
     return tuple(out)
 
 
@@ -210,19 +217,18 @@ def _apply_spin_map(
     params: FluidParams,
     eps: float,
 ) -> list[ScalarField]:
-    """One application of the iteration map: drive the velocity/magnetic
-    system by the mollified spin iterate, then transport the spin field
-    along the resulting velocity.  At a fixed point this reproduces the
-    coupled stepper with a mollified body force."""
-    u, b, w = init.u, init.b, init.w
-    plan = solve_plan(init.grid, step_cfg, params)
-    out = [w]
+    """One application of the iteration map: steps of ``step_coupled`` with
+    the mollified spin iterate as ``spin_force``, which drive u and b by the
+    iterate and transport the spin along u.  At a fixed point this is the
+    coupled stepper with a mollified body force.  The map steps one-step
+    whatever the scheme of ``step_cfg``, on one carry (one solve plan)."""
+    euler, carry = replace(step_cfg, scheme="imex-euler"), _Carry()
+    state, out = init, [init.w]
     for k in range(steps):
-        f_eps = mollify(f_slices[k], eps)
-        u_old, t = u, init.t + k * step_cfg.dt
-        u, b = step_mhd_forced(u_old, b, f_eps, step_cfg, params, t=t, plan=plan)
-        w = step_w_transport(w, u_old, step_cfg, params, t=t)
-        out.append(w)
+        new = step_coupled(state, euler, params, carry=carry,
+                           spin_force=mollify(f_slices[k], eps))
+        state = replace(new, t=init.t + (k + 1) * step_cfg.dt)
+        out.append(state.w)
     return out
 
 
@@ -410,12 +416,18 @@ def _field_errors(state: State, exact: State) -> dict[str, float]:
 _ERROR_KEYS = ("u_l2", "u_l4", "w_l2", "w_l4", "b_l2", "b_l4")
 
 
+def _ladder_factor(label: str, ratios: list[float]) -> float:
+    """The factor every level of a ladder refines by (``ratios``: coarse
+    over fine, level by level); ExperimentError unless one, above 1."""
+    factor = ratios[0]
+    if not factor > 1.0 or any(abs(r - factor) > 1e-9 * factor for r in ratios[1:]):
+        raise ExperimentError(f"{label} ladder must refine by a fixed factor > 1, got {ratios}")
+    return factor
+
+
 def _order_table(errors: list[dict[str, float]], factor: float) -> dict[str, float]:
-    out = {}
-    for key in _ERROR_KEYS:
-        values = [e[key] for e in errors]
-        out[key] = refinement_order(values, refine_factor=factor)
-    return out
+    return {key: refinement_order([e[key] for e in errors], refine_factor=factor)
+            for key in _ERROR_KEYS}
 
 
 def convergence_study(cfg: RunConfig) -> dict:
@@ -424,8 +436,9 @@ def convergence_study(cfg: RunConfig) -> dict:
     Spatial: the configured grid ladder at the configured (small, fixed) dt,
     errors against the analytic solution at the final time.  Temporal: the
     configured dt ladder on the configured grid, self-convergence against a
-    reference run at one-eighth the smallest dt.  Reports L^2 and L^4 error
-    tables and fitted orders per field.
+    reference run at one-eighth the smallest dt.  Each ladder must refine by
+    one fixed factor, which its fit uses.  Reports L^2 and L^4 error tables
+    and fitted orders per field.
     """
     if cfg.forcing_recipe is None:
         raise ExperimentError("convergence study needs forcing.recipe (an MMS recipe)")
@@ -443,12 +456,10 @@ def convergence_study(cfg: RunConfig) -> dict:
         exact = mms_state(recipe, cfg.t_end, grid, params)
         spatial_errors.append(_field_errors(final, exact))
 
+    dts = sorted(cfg.temporal_dts, reverse=True)
+    dt_factor = _ladder_factor("temporal dt", [a / b for a, b in zip(dts, dts[1:])])
     grid = grid_of(cfg)
     init = mms_state(recipe, 0.0, grid, params)
-    dts = sorted(cfg.temporal_dts, reverse=True)
-    factor = dts[0] / dts[1]
-    if any(abs(a / b - factor) > 1e-9 * factor for a, b in zip(dts[1:], dts[2:])):
-        raise ExperimentError("temporal dt ladder must refine by a fixed factor")
     ref_cfg = step_config_of(cfg, grid, dt=min(dts) / 8.0)
     ref = _final_state(init, cfg.t_end, ref_cfg, params, "temporal reference run")
     temporal_errors: list[dict[str, float]] = []
@@ -456,18 +467,20 @@ def convergence_study(cfg: RunConfig) -> dict:
         step_cfg = step_config_of(cfg, grid, dt=dt)
         final = _final_state(init, cfg.t_end, step_cfg, params, f"temporal run dt={dt}")
         temporal_errors.append(_field_errors(final, ref))
+    grids = cfg.spatial_grids
+    h_factor = _ladder_factor("spatial grid", [b / a for a, b in zip(grids, grids[1:])])
 
     report = {
         "spatial": {
             "grids": list(cfg.spatial_grids),
             "errors": spatial_errors,
-            "orders": _order_table(spatial_errors, 2.0),
+            "orders": _order_table(spatial_errors, h_factor),
         },
         "temporal": {
             "grid": cfg.nx,
             "dts": dts,
             "errors": temporal_errors,
-            "orders": _order_table(temporal_errors, factor),
+            "orders": _order_table(temporal_errors, dt_factor),
         },
     }
     l2_spatial = [report["spatial"]["orders"][k] for k in ("u_l2", "w_l2", "b_l2")]

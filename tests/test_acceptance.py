@@ -30,7 +30,7 @@ from mmps.estimates import (
     w_lq_audit,
     weak_form_residual,
 )
-from mmps.evolution import StepConfig, StepError, march, run_simulation, step_w_transport
+from mmps.evolution import StepConfig, StepError, march, run_simulation, step_coupled
 from mmps.experiments import (
     build_initial_state,
     convergence_study,
@@ -247,7 +247,7 @@ def test_criterion_06_w_lq_ledger_margins_and_exact_decay():
         factor = math.exp(-2.0 * params.chi * cfg.dt)
         expected = w.data
         for _ in range(10):
-            w = step_w_transport(w, VectorField.zeros(g), cfg, params, t=0.0)
+            w = step_coupled(replace(State.zeros(g), w=w), cfg, params).w
             expected = factor * expected
             assert np.array_equal(w.data, expected)
 

@@ -33,8 +33,6 @@ from mmps.evolution import (
     march,
     run_simulation,
     step_coupled,
-    step_mhd_forced,
-    step_w_transport,
 )
 from mmps.fields import (
     CELL,
@@ -299,7 +297,7 @@ def test_spin_decays_exactly_when_velocity_vanishes():
     w = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     dt = 1e-3
     cfg = StepConfig(dt=dt, scheme="imex-euler", advection="upwind2")
-    out = step_w_transport(w, VectorField.zeros(g), cfg, PARAMS, t=0.0)
+    out = step_coupled(replace(State.zeros(g), w=w), cfg, PARAMS).w
     assert np.array_equal(out.data, math.exp(-2.0 * PARAMS.chi * dt) * w.data)
 
 
@@ -308,7 +306,7 @@ def test_spin_is_plain_copy_without_coupling_or_velocity():
     w = ScalarField(g, NODE, np.random.default_rng(31).standard_normal(g.lattice_shape("node")))
     cfg = StepConfig(dt=1e-3, scheme="imex-euler", advection="upwind2")
     params0 = FluidParams(mu=0.06, chi=0.0, nu=0.01)
-    out = step_w_transport(w, VectorField.zeros(g), cfg, params0, t=0.0)
+    out = step_coupled(replace(State.zeros(g), w=w), cfg, params0).w
     assert np.array_equal(out.data, w.data)
 
 
@@ -328,7 +326,8 @@ def test_zero_spin_skips_its_transport_bitwise(method, mode, monkeypatch):
         src = -advect_node(u, w, method).data + PARAMS.chi * curl2(u).data
         expected = math.exp(-2.0 * PARAMS.chi * dt) * (w.data + dt * src)
         calls.clear()
-        out = step_w_transport(w, u, StepConfig(dt=dt, advection=method), PARAMS, t=0.0)
+        state = replace(State.zeros(g), u=u, w=w)
+        out = step_coupled(state, StepConfig(dt=dt, advection=method), PARAMS).w
         assert out.data.tobytes() == expected.tobytes() and len(calls) == transports
 
 
@@ -392,7 +391,7 @@ def test_magnetic_zero_subspace_is_invariant_bitwise():
 
 
 def test_zero_coupling_makes_spin_force_free():
-    # chi = 0: the frozen-spin fluid step must ignore the spin input entirely
+    # chi = 0: the step's u and b must ignore the spin force entirely
     g = GridSpec(20, 20)
     params = FluidParams(mu=0.05, chi=0.0, nu=0.02)
     rng = np.random.default_rng(34)
@@ -401,10 +400,28 @@ def test_zero_coupling_makes_spin_force_free():
     f1 = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     f2 = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
     cfg = StepConfig(dt=1e-3, scheme="imex-euler", advection="central")
-    ua, ba = step_mhd_forced(u, b, f1, cfg, params, t=0.0)
-    ub, bb = step_mhd_forced(u, b, f2, cfg, params, t=0.0)
+    state = replace(State.zeros(g), u=u, b=b)
+    a = step_coupled(state, cfg, params, spin_force=f1)
+    c = step_coupled(state, cfg, params, spin_force=f2)
+    (ua, ba), (ub, bb) = (a.u, a.b), (c.u, c.b)
     assert np.array_equal(ua.ux, ub.ux) and np.array_equal(ua.uy, ub.uy)
     assert np.array_equal(ba.ux, bb.ux) and np.array_equal(ba.uy, bb.uy)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_spin_force_of_the_state_is_the_coupled_step_bitwise(mode, scheme):
+    # spin_force=None means state.w: passing state.w must give the same bits
+    g = GridSpec(16, 16, mode)
+    cfg = StepConfig(dt=1e-3, scheme=scheme)
+    a = b = initial_state("smooth-1", g, PARAMS)
+    carry_a, carry_b = _Carry(), _Carry()
+    for _ in range(3):
+        a = step_coupled(a, cfg, PARAMS, carry=carry_a)
+        b = step_coupled(b, cfg, PARAMS, carry=carry_b, spin_force=b.w)
+        for x, y in zip((a.u.ux, a.u.uy, a.w.data, a.b.ux, a.b.uy, a.p.data),
+                        (b.u.ux, b.u.uy, b.w.data, b.b.ux, b.b.uy, b.p.data)):
+            assert x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -522,50 +539,56 @@ def test_non_finite_result_is_named_by_its_step(monkeypatch, names, value, at_st
     assert calls["mhd"] == at_step
 
 
-def _half_step(half: str, state: State, cfg: StepConfig, t: float):
-    if half == "mhd":
-        return step_mhd_forced(state.u, state.b, state.w, cfg, PARAMS, t=t)
-    return step_w_transport(state.w, state.u, cfg, PARAMS, t=t)
-
-
 @pytest.mark.parametrize("half", ["mhd", "w"])
 def test_half_steps_date_their_guards_by_the_step_time(monkeypatch, half):
-    # the fixed-point driver steps the halves from t = k dt: an input is
-    # dated t, a result t + dt, and a CFL break t
+    # the fixed-point driver steps from t = k dt with its own spin force: an
+    # input is dated t, a result t + dt, and a CFL break t, with or without
+    # a spin force.  ``half`` names the field poisoned: velocity ("mhd") or
+    # micro-rotation ("w").
     g = GridSpec(16, 16)
     cfg = StepConfig(dt=1e-2, cfl_limit=0.5)
     t = 3 * cfg.dt
     label = "velocity" if half == "mhd" else "micro-rotation"
 
+    forces = (None, initial_state("smooth-1", g, PARAMS).w)
+
+    def step(state: State, spin_force: ScalarField | None) -> State:
+        return step_coupled(replace(state, t=t), cfg, PARAMS, spin_force=spin_force)
+
     state = initial_state("smooth-1", g, PARAMS)
     _poison(state.u, state.w, state.b, "u" if half == "mhd" else "w", np.nan)
-    with pytest.raises(NonFiniteError) as exc:
-        _half_step(half, state, cfg, t)
-    assert str(exc.value) == f"non-finite value in input {label} at t=0.03, first at index (3, 4)"
+    for spin_force in forces:
+        with pytest.raises(NonFiniteError) as exc:
+            step(state, spin_force)
+        assert str(exc.value) == f"non-finite value in input {label} at t=0.03, first at index (3, 4)"
 
     fast = VectorField.sample_mac(g, lambda x, y: 0 * x + 50.0, lambda x, y: 0 * x)
     fast.ux[0, :] = fast.ux[-1, :] = 0.0
-    with pytest.raises(CflError) as exc:
-        _half_step(half, replace(State.zeros(g), u=fast), cfg, t)
-    assert str(exc.value).startswith("CFL violation at t=0.03: transport speed 50 on h=0.0625")
+    for spin_force in forces:
+        with pytest.raises(CflError) as exc:
+            step(replace(State.zeros(g), u=fast), spin_force)
+        assert str(exc.value).startswith("CFL violation at t=0.03: transport speed 50 on h=0.0625")
 
     mhd_solve, w_update = evolution_module._mhd_solve, evolution_module._w_update
 
     def bad_mhd(*args):
         u, b, p = mhd_solve(*args)
-        u.uy[3, 4] = np.nan
+        if half == "mhd":
+            u.uy[3, 4] = np.nan
         return u, b, p
 
     def bad_w(*args):
         w = w_update(*args)
-        w.data[3, 4] = np.nan
+        if half == "w":
+            w.data[3, 4] = np.nan
         return w
 
     monkeypatch.setattr(evolution_module, "_mhd_solve", bad_mhd)
     monkeypatch.setattr(evolution_module, "_w_update", bad_w)
-    with pytest.raises(NonFiniteError) as exc:
-        _half_step(half, initial_state("smooth-1", g, PARAMS), cfg, t)
-    assert str(exc.value) == f"non-finite value in {label} at t=0.04, first at index (3, 4)"
+    for spin_force in forces:
+        with pytest.raises(NonFiniteError) as exc:
+            step(initial_state("smooth-1", g, PARAMS), spin_force)
+        assert str(exc.value) == f"non-finite value in {label} at t=0.04, first at index (3, 4)"
 
 
 def test_march_checks_the_cfl_limit_on_the_carried_speed():

@@ -37,9 +37,18 @@ from mmps.experiments import (
     write_diagnostics_csv,
 )
 from mmps.estimates import BudgetFold, EstimateError, LqLedgerFold, gronwall_budget, w_lq_audit
-from mmps.evolution import StepError, Trajectory, run_simulation
-from mmps.fields import MODE_PERIODIC
-from mmps.recipes import mms_state
+from mmps.evolution import (
+    StepError,
+    Trajectory,
+    _mhd_explicit,
+    _mhd_solve,
+    _w_explicit,
+    _w_update,
+    run_simulation,
+)
+from mmps.fields import MODE_DIRICHLET, MODE_PERIODIC
+from mmps.recipes import mms_state, mollify
+from mmps.stokes import SolvePlan
 from mmps.snapshots import (
     SnapshotChecksumError,
     SnapshotError,
@@ -356,6 +365,25 @@ def test_diagnostics_csv_rejects_tampering(short_traj, tmp_path):
         read_diagnostics_csv(short_row)
 
 
+def test_cli_audit_names_an_unparsable_csv_cell(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    csv_path = out / "diagnostics.csv"
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("w_l2")
+    cells = lines[2].split(",")
+    cells[column] = "x1"
+    lines[2] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"mmps: {csv_path}: line 3, column w_l2: 'x1' is not a number\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # simulate_run persistence
 # ---------------------------------------------------------------------------
@@ -484,25 +512,58 @@ def test_schauder_builds_one_solve_plan_per_map_application(monkeypatch):
 def test_spin_map_hands_each_step_its_start_time(monkeypatch):
     import mmps.experiments as experiments
 
-    times = {"mhd": [], "w": []}
-    mhd_step, w_step = experiments.step_mhd_forced, experiments.step_w_transport
+    times = []
+    step = experiments.step_coupled
 
-    def timed_mhd(*args, t, **kwargs):
-        times["mhd"].append(t)
-        return mhd_step(*args, t=t, **kwargs)
+    def timed_step(state, *args, **kwargs):
+        times.append(state.t)
+        return step(state, *args, **kwargs)
 
-    def timed_w(*args, t):
-        times["w"].append(t)
-        return w_step(*args, t=t)
-
-    monkeypatch.setattr(experiments, "step_mhd_forced", timed_mhd)
-    monkeypatch.setattr(experiments, "step_w_transport", timed_w)
+    monkeypatch.setattr(experiments, "step_coupled", timed_step)
     cfg = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
     grid = grid_of(cfg)
     init = replace(build_initial_state(cfg, grid), t=0.25)
     step_cfg = step_config_of(cfg, grid, with_forcing=False)
     experiments._apply_spin_map([init.w] * 3, init, 3, step_cfg, params_of(cfg), 0.05)
-    assert times["mhd"] == times["w"] == [0.25 + k * 1e-3 for k in range(3)]
+    assert times == [0.25 + k * 1e-3 for k in range(3)]
+
+
+def _spin_map_of_half_steps(f_slices, init, steps, step_cfg, params, eps):
+    """The spin map as the composition of two half steps: u and b driven by
+    the mollified iterate, then w transported by the step's starting u;
+    one-step, unforced and with one solve plan."""
+    dt = step_cfg.dt
+    plan = SolvePlan(init.grid, ((params.mu + params.chi) * dt, params.nu * dt))
+    u, b, w = init.u, init.b, init.w
+    out = [w]
+    for k in range(steps):
+        terms = _mhd_explicit(u, b, mollify(f_slices[k], eps), params, None)
+        u_new, b, _ = _mhd_solve(u, b, terms, dt, plan)
+        w = _w_update(w, _w_explicit(w, u, params, None, step_cfg.advection), step_cfg, params)
+        u = u_new
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("scheme, chi", [("imex-euler", 0.02), ("imex-ab2", 0.02),
+                                         ("imex-euler", 0.0)])
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_spin_map_equals_the_half_step_composition_bitwise(mode, scheme, chi):
+    import mmps.experiments as experiments
+
+    cfg = RunConfig(nx=16, mode=mode, dt=1e-3, t_end=4e-3, recipe="smooth-1",
+                    chi=chi, scheme=scheme, advection="central")
+    grid, params, steps = grid_of(cfg), params_of(cfg), 4
+    eps = 2.0 * grid.h
+    init = build_initial_state(cfg, grid)
+    step_cfg = step_config_of(cfg, grid, with_forcing=False)
+    f_slices = [init.w] * (steps + 1)
+    for _ in range(2):  # the constant extension, then a time-dependent iterate
+        expected = _spin_map_of_half_steps(f_slices, init, steps, step_cfg, params, eps)
+        got = experiments._apply_spin_map(f_slices, init, steps, step_cfg, params, eps)
+        assert [f.data.tobytes() for f in got] == [f.data.tobytes() for f in expected]
+        f_slices = got
+    assert any(not np.array_equal(f.data, init.w.data) for f in f_slices)
 
 
 def test_schauder_requires_whole_step_horizon():
@@ -563,6 +624,28 @@ def _failure_of(cfg: RunConfig, nx: int, dt: float) -> str:
     traj = run_simulation(init, cfg.t_end, step_config_of(cfg, grid, dt=dt), params)
     assert traj.failure is not None
     return traj.failure
+
+
+MMS_SMALL = RunConfig(nx=32, dt=2.5e-4, t_end=4e-3, recipe="trig-1", forcing_recipe="trig-1",
+                      advection="central", spatial_grids=(16, 32, 64),
+                      temporal_dts=(2e-3, 1e-3, 5e-4))
+
+
+def test_convergence_study_fits_a_non_doubling_grid_ladder_by_its_factor():
+    # 16, 24, 36 refines h by 3/2 per level; a fit by 2 would read about
+    # log(1.5**2)/log(2) = 1.17 for a second-order scheme and fail the gate
+    report = convergence_study(replace(MMS_SMALL, spatial_grids=(16, 24, 36)))
+    orders = report["spatial"]["orders"]
+    assert all(1.8 <= orders[k] <= 2.3 for k in ("u_l2", "w_l2", "b_l2")), orders
+    assert report["passes"] is True
+
+
+@pytest.mark.parametrize("ladder", [{"temporal_dts": (1e-3, 1e-3)},
+                                    {"spatial_grids": (16, 16, 16)},
+                                    {"spatial_grids": (32, 16, 8)}])
+def test_convergence_study_refuses_a_ladder_without_one_factor_above_one(ladder):
+    with pytest.raises(ExperimentError, match="fixed factor"):
+        convergence_study(replace(MMS_SMALL, t_end=2e-3, **ladder))
 
 
 def test_convergence_study_names_the_run_a_step_failure_aborted():

@@ -1,16 +1,21 @@
-"""The README's Python example and the package root it documents stay in
-step: the example runs as written, the root exports exactly its names, and
-importing the root loads the same layers as before.
+"""The README's Python example and the package it documents stay in step:
+the example runs as written, the root exports exactly its names, every
+module's ``__all__`` names only what it defines, and importing the root
+loads the same layers as before.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mmps
 
@@ -38,6 +43,15 @@ def test_root_exports_the_readme_example_names():
     # the example's comment says a failing step raises StepError
     assert sorted(mmps.__all__) == sorted(imported | {"StepError"})
     assert all(hasattr(mmps, name) for name in mmps.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(mmps.__path__)))
+def test_every_module_export_resolves(name):
+    # a deleted function left in __all__ breaks ``from mmps.<module> import *``
+    module = importlib.import_module(f"mmps.{name}")
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []
+    assert len(set(exported)) == len(exported)
 
 
 def test_import_loads_every_layer_but_the_cli():
