@@ -88,11 +88,23 @@ class RunConfig:
             raise ConfigError("schauder.max_iterations must be >= 1")
         if not (self.delta >= 0.0 and math.isfinite(self.delta)):
             raise ConfigError(f"uniqueness.delta must be >= 0, got {self.delta}")
-        if len(self.spatial_grids) < 2 or any(n < 8 for n in self.spatial_grids):
-            raise ConfigError("convergence.spatial_grids needs >= 2 entries, all >= 8")
+        grids = self.spatial_grids
+        if len(grids) < 3 or any(n < 8 for n in grids):
+            raise ConfigError("convergence.spatial_grids needs >= 3 entries, all >= 8")
+        _one_factor("convergence.spatial_grids", [b / a for a, b in zip(grids, grids[1:])])
         if len(self.temporal_dts) < 2 or not all(
                 d > 0.0 and math.isfinite(d) for d in self.temporal_dts):
             raise ConfigError("convergence.temporal_dts needs >= 2 positive, finite entries")
+        dts = sorted(self.temporal_dts, reverse=True)
+        _one_factor("convergence.temporal_dts", [a / b for a, b in zip(dts, dts[1:])])
+
+
+def _one_factor(key: str, ratios: list[float]) -> None:
+    """A convergence ladder must refine by one fixed factor above 1 (``ratios``:
+    coarse over fine, level by level), which its order fit uses."""
+    factor = ratios[0]
+    if not factor > 1.0 or any(abs(r - factor) > 1e-9 * factor for r in ratios[1:]):
+        raise ConfigError(f"{key} must refine by a fixed factor > 1, got ratios {ratios}")
 
 
 def _parse_int(key: str, raw: str) -> int:

@@ -1,10 +1,13 @@
 """Runtime ledgers and audits for the solver's inequality ladder.
 
 Every audit is a pure function of a trajectory (plus parameters): auditing
-twice yields identical ledgers.  The budget's ``d_t u``/``d_t b`` integrals
-and the ``L^q`` ledger are folds over consecutive stored pairs
-(:func:`fold_stored_pairs`), so one pass over a stream of states, holding
-two at a time, feeds both.  The discrete conventions mirror the scheme:
+twice yields identical ledgers.  The energy audit, the budget and the L^4
+ledger are folds over the per-step records, which carry each step's
+``d_t u``, ``d_t b`` and L^4 scheme slack, so they read the same at every
+snapshot stride and need no stored state (``mmps audit`` runs them on the
+rows of ``diagnostics.csv``).  The L^q ledger at any other q and the
+t-weighted audit difference stored states.  The discrete conventions mirror
+the scheme:
 
 * gradients/Hessians come from the one-sided/mirror derivative-sample sets of
   :mod:`mmps.fields`, so the energy pairing ``<laplacian(u), u>`` equals
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -57,9 +60,6 @@ __all__ = [
     "diagnostics_record",
     "record_fields",
     "energy_audit",
-    "fold_stored_pairs",
-    "LqLedgerFold",
-    "BudgetFold",
     "w_lq_audit",
     "gronwall_budget",
     "tweighted_h2_audit",
@@ -80,13 +80,21 @@ class EstimateError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_SIGNED = ("t", "energy_residual", "lq_margin", "lq_slack")  # record columns that may be < 0
+
+
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """One step's worth of monitored norms and signed balances.
 
     Field order is the canonical column order of every CSV this package
-    writes.  ``energy_residual`` and ``lq_margin`` are signed; everything
-    else is a norm (>= 0).  ``lq_margin`` is recorded at q = 4.
+    writes.  ``energy_residual``, ``lq_margin`` and ``lq_slack`` are signed;
+    everything else is a norm (>= 0).  ``dt_u_l2`` and ``dt_b_l2`` are the
+    L^2 norms of the step differences of u and b over dt.  ``lq_slack`` is
+    the L^4 production rate of the step's own transport at the previous
+    state, ``(||w - dt A(u, w)||_4^4 - ||w||_4^4) / (4 dt)``, and
+    ``lq_margin`` the L^4 ledger's rhs - lhs with that slack included (see
+    :func:`w_lq_audit`).
     """
 
     t: float
@@ -105,13 +113,16 @@ class DiagnosticsRecord:
     energy_residual: float
     lq_margin: float
     z_l2: float
+    dt_u_l2: float
+    dt_b_l2: float
+    lq_slack: float
 
     def __post_init__(self) -> None:
         for f in dataclass_fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise EstimateError(f"diagnostics entry {f.name} is not finite")
-            if f.name not in ("t", "energy_residual", "lq_margin") and value < 0.0:
+            if f.name not in _SIGNED and value < 0.0:
                 raise EstimateError(f"diagnostics norm {f.name} is negative")
 
 
@@ -124,24 +135,47 @@ def _energy(record: DiagnosticsRecord) -> float:
     return record.u_l2**2 + record.w_l2**2 + record.b_l2**2
 
 
+def _vector_diff(a: VectorField, b: VectorField, dt: float) -> VectorField:
+    return VectorField(a.grid, (a.ux - b.ux) / dt, (a.uy - b.uy) / dt)
+
+
+def _lq_lhs(w_new_lq: float, w_prev_lq: float, q: float, dt: float, chi: float) -> float:
+    """The L^q ledger's left side from the two states' ||w||_q."""
+    return (w_new_lq**q - w_prev_lq**q) / (q * dt) + 2.0 * chi * w_new_lq**q
+
+
+def _lq_slack(w_prev: ScalarField, w_prev_lq: float, transport: ScalarField | None,
+              q: float, dt: float) -> float:
+    """L^q production rate of the transport sub-step alone; 0 when the step
+    skipped its transport (it vanished exactly)."""
+    if transport is None:
+        return 0.0
+    moved = ScalarField(w_prev.grid, NODE, w_prev.data - dt * transport.data)
+    return (lq_norm(moved, q) ** q - w_prev_lq**q) / (q * dt)
+
+
 def diagnostics_record(
     state: State,
     params: FluidParams,
     prev: tuple[State, DiagnosticsRecord] | None = None,
     forcing_work: float = 0.0,
+    transport: ScalarField | None = None,
 ) -> DiagnosticsRecord:
     """Measure one state (optionally against its predecessor).
 
     ``prev`` is the predecessor state with its record.  With it given, the
-    step differences feed ``dt_w_*``, the energy residual and the L^q margin;
-    without it those entries are 0.  The energy residual is the defect of
+    step differences feed ``dt_u_l2``, ``dt_w_*``, ``dt_b_l2``, the energy
+    residual and the L^4 slack and margin; without it those entries are 0.
+    The energy residual is the defect of
 
         (E_k - E_{k-1}) / (2 dt) + (mu+chi) ||grad u||^2 + 2 chi ||w||^2
         + nu ||grad b||^2 - 2 chi <curl2(u), w> - forcing_work
 
     with all spatial terms at the new state; ``forcing_work`` is the power
     input of any external forcing so forced runs stay comparably balanced.
-    The margin is the L^4 ledger's rhs - lhs (see :func:`w_lq_audit`).
+    ``transport`` is the spin transport ``advect_node(prev.u, prev.w)`` the
+    step applied (None: it skipped it, and the slack is 0); the margin is
+    the L^4 ledger's rhs - lhs (see :func:`w_lq_audit`).
 
     Each derivative block is built once per state: the blocks of ``grad u``
     give its norms and ``curl2(u)``, the difference of its two transverse
@@ -164,17 +198,18 @@ def diagnostics_record(
     ratio = params.chi / (params.mu + params.chi)
     z_l2 = lq_norm(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0)
 
-    dt_w_l2 = dt_w_l4 = 0.0
-    energy_residual = 0.0
-    lq_margin = 0.0
+    dt_u_l2 = dt_w_l2 = dt_w_l4 = dt_b_l2 = 0.0
+    energy_residual = lq_margin = lq_slack = 0.0
     if prev is not None:
         prev_state, prev_record = prev
         dt = state.t - prev_state.t
         if dt <= 0.0:
             raise EstimateError("states are not ordered in time")
+        dt_u_l2 = lq_norm(_vector_diff(u, prev_state.u, dt), 2.0)
         dw = ScalarField(state.grid, NODE, (w.data - prev_state.w.data) / dt)
         dt_w_l2 = lq_norm(dw, 2.0)
         dt_w_l4 = lq_norm(dw, 4.0)
+        dt_b_l2 = lq_norm(_vector_diff(b, prev_state.b, dt), 2.0)
         e_prev, w_prev_l4 = _energy(prev_record), prev_record.w_l4
         e_new = u_l2**2 + w_l2**2 + b_l2**2
         coupling = l2_inner(curl_u, w)
@@ -187,9 +222,9 @@ def diagnostics_record(
             - 2.0 * params.chi * coupling
             - forcing_work
         )
-        q = 4.0
-        lhs = (w_l4**q - w_prev_l4**q) / (q * dt) + 2.0 * params.chi * w_l4**q
-        lq_margin = params.chi * samples_lq(grad_u, q) * w_l4 ** (q - 1.0) - lhs
+        lq_slack = _lq_slack(prev_state.w, w_prev_l4, transport, 4.0, dt)
+        rhs = params.chi * samples_lq(grad_u, 4.0) * w_l4**3.0 + lq_slack
+        lq_margin = rhs - _lq_lhs(w_l4, w_prev_l4, 4.0, dt, params.chi)
 
     return DiagnosticsRecord(
         t=state.t,
@@ -208,6 +243,9 @@ def diagnostics_record(
         energy_residual=energy_residual,
         lq_margin=lq_margin,
         z_l2=z_l2,
+        dt_u_l2=dt_u_l2,
+        dt_b_l2=dt_b_l2,
+        lq_slack=lq_slack,
     )
 
 
@@ -249,19 +287,6 @@ def _uniform_dt(times: Sequence[float]) -> float:
     if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1e-30):
         raise EstimateError("audit requires a uniform time step")
     return dt
-
-
-def fold_stored_pairs(states: Iterable[tuple[float, State]], *folds) -> None:
-    """Feed each consecutive pair ``((t0, s0), (t1, s1))`` of stored states to
-    every fold's ``add``, in order.  Only the pair in hand is referenced, so
-    ``states`` may be a stream (``mmps audit`` reads snapshot files through
-    one): a pass holds two states however long the run."""
-    prev = None
-    for new in states:
-        if prev is not None:
-            for fold in folds:
-                fold.add(prev, new)
-        prev = new
 
 
 # ---------------------------------------------------------------------------
@@ -334,67 +359,7 @@ def energy_audit(traj: "Trajectory", params: FluidParams) -> EstimateLedger:
 # ---------------------------------------------------------------------------
 
 
-class LqLedgerFold:
-    """:func:`w_lq_audit` as a fold over consecutive stored states.
-
-    ``stored`` is the number of states the pass will feed; the ledger needs
-    one per record (stride 1), which is checked here, before any work.
-    """
-
-    def __init__(self, records: Sequence[DiagnosticsRecord], stored: int, q: float,
-                 advection: str, params: FluidParams):
-        if q < 2.0 or not math.isfinite(q):
-            raise EstimateError(f"lq audit needs q in [2, inf), got {q}")
-        from .evolution import advect_node  # deferred: evolution imports us
-
-        if stored != len(records):
-            raise EstimateError("lq audit needs per-step snapshots (stride 1)")
-        self.records = tuple(records)
-        self.times = tuple(r.t for r in records)
-        self.dt = _uniform_dt(self.times)
-        self.q, self.advection, self.chi = q, advection, params.chi
-        self._advect_node = advect_node
-        self.lhs: list[float] = []
-        self.rhs: list[float] = []
-        self.margin: list[float] = []
-        self.slack: list[float] = []
-
-    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
-        q, dt, chi = self.q, self.dt, self.chi
-        s_prev, s_new = prev[1], new[1]
-        wq_prev = lq_norm(s_prev.w, q)
-        wq_new = lq_norm(s_new.w, q)
-        left = (wq_new**q - wq_prev**q) / (q * dt) + 2.0 * chi * wq_new**q
-        gu_q = samples_lq(gradient_samples(s_new.u), q)
-        adv = self._advect_node(s_prev.u, s_prev.w, self.advection)
-        transported = ScalarField(s_prev.grid, NODE, s_prev.w.data - dt * adv.data)
-        slack = (lq_norm(transported, q) ** q - wq_prev**q) / (q * dt)
-        right = chi * gu_q * wq_new ** (q - 1.0) + slack
-        self.lhs.append(left)
-        self.rhs.append(right)
-        self.slack.append(slack)
-        self.margin.append(right - left)
-
-    def result(self) -> EstimateLedger:
-        return EstimateLedger(
-            name=f"w-l{self.q:g}-ledger",
-            times=self.times[1:],
-            series={
-                "lhs": tuple(self.lhs),
-                "rhs": tuple(self.rhs),
-                "margin": tuple(self.margin),
-                "scheme_slack": tuple(self.slack),
-            },
-            summary={
-                "q": self.q,
-                "min_margin": min(self.margin, default=0.0),
-                "max_scheme_slack": max(self.slack, default=0.0),
-            },
-        )
-
-
-def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams,
-               fed: LqLedgerFold | None = None) -> EstimateLedger:
+def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLedger:
     """Discrete differential inequality for ||w||_{L^q}.
 
     Per step k the ledger tests
@@ -403,21 +368,55 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams,
             <= chi ||grad u_k||_{L^q} ||w_k||_q^{q-1} + scheme_slack_k
 
     where ``scheme_slack_k`` is the measured L^q production rate of the
-    advection sub-step alone (re-applied to the stored states); for the
-    upwind scheme it is dissipative (<= 0).  Margins are rhs - lhs.
+    advection sub-step alone at the previous state; for the upwind scheme it
+    is dissipative (<= 0).  Margins are rhs - lhs.
 
-    One :class:`LqLedgerFold` pass over ``traj.states``, unless ``fed`` is
-    that fold already fed every stored pair by a pass shared with other
-    folds (``mmps audit`` reads the snapshot files once for the budget and
-    this ledger); then ``traj.states`` is not read.
+    At q = 4 the ledger is a fold over the records, whose ``lq_slack`` is
+    taken from each step's own transport and whose ``lq_margin`` is the
+    margin, so it holds at every snapshot stride.  Any other q differences
+    consecutive stored states and re-applies the transport to them, so it
+    needs one stored state per record (stride 1).
     """
-    if fed is None:
-        fed = LqLedgerFold(traj.records, len(traj.states), q, traj.cfg.advection, params)
-        fold_stored_pairs(traj.states, fed)
-    elif (fed.records, fed.q, fed.advection, fed.chi) != (
-            tuple(traj.records), q, traj.cfg.advection, params.chi):
-        raise EstimateError("the fed L^q fold was built for another trajectory or exponent")
-    return fed.result()
+    if q < 2.0 or not math.isfinite(q):
+        raise EstimateError(f"lq audit needs q in [2, inf), got {q}")
+    records = traj.records
+    _uniform_dt(tuple(r.t for r in records))
+    lhs, rhs, margin, slack = [], [], [], []
+    if q == 4.0:
+        for r_prev, r in zip(records, records[1:]):
+            lhs.append(_lq_lhs(r.w_l4, r_prev.w_l4, q, r.t - r_prev.t, params.chi))
+            rhs.append(lhs[-1] + r.lq_margin)
+            margin.append(r.lq_margin)
+            slack.append(r.lq_slack)
+    else:
+        if len(traj.states) != len(records):
+            raise EstimateError(f"lq audit at q = {q:g} needs per-step snapshots (stride 1)")
+        from .evolution import advect_node  # deferred: evolution imports us
+
+        for (t_prev, s_prev), (t_new, s_new) in zip(traj.states, traj.states[1:]):
+            dt = t_new - t_prev
+            wq_prev, wq_new = lq_norm(s_prev.w, q), lq_norm(s_new.w, q)
+            lhs.append(_lq_lhs(wq_new, wq_prev, q, dt, params.chi))
+            slack.append(_lq_slack(s_prev.w, wq_prev,
+                                   advect_node(s_prev.u, s_prev.w, traj.cfg.advection), q, dt))
+            gu_q = samples_lq(gradient_samples(s_new.u), q)
+            rhs.append(params.chi * gu_q * wq_new ** (q - 1.0) + slack[-1])
+            margin.append(rhs[-1] - lhs[-1])
+    return EstimateLedger(
+        name=f"w-l{q:g}-ledger",
+        times=tuple(r.t for r in records[1:]),
+        series={
+            "lhs": tuple(lhs),
+            "rhs": tuple(rhs),
+            "margin": tuple(margin),
+            "scheme_slack": tuple(slack),
+        },
+        summary={
+            "q": q,
+            "min_margin": min(margin, default=0.0),
+            "max_scheme_slack": max(slack, default=0.0),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,102 +424,60 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams,
 # ---------------------------------------------------------------------------
 
 
-def _vector_diff(a: VectorField, b: VectorField, dt: float) -> VectorField:
-    return VectorField(a.grid, (a.ux - b.ux) / dt, (a.uy - b.uy) / dt)
-
-
-class BudgetFold:
-    """:func:`gronwall_budget` as a fold: :meth:`add` sums ``int ||d_t u||^2``
-    and ``int ||d_t b||^2`` over consecutive stored states, :meth:`result`
-    adds the suprema and integrals read off the records.  A completed run of
-    more than one record stores at least two states, so :meth:`result`
-    refuses a fold that was fed no pair (a trajectory whose snapshots went
-    to files)."""
-
-    def __init__(self, records: Sequence[DiagnosticsRecord]):
-        self.records = tuple(records)
-        times = tuple(r.t for r in records)
-        self.dt = _uniform_dt(times) if len(times) > 1 else 0.0
-        self.pairs = 0
-        self.int_dtu_l2_sq = self.int_dtb_l2_sq = 0.0
-
-    def add(self, prev: tuple[float, State], new: tuple[float, State]) -> None:
-        (t_prev, s_prev), (t_new, s_new) = prev, new
-        step = t_new - t_prev
-        du = _vector_diff(s_new.u, s_prev.u, step)
-        db = _vector_diff(s_new.b, s_prev.b, step)
-        self.pairs += 1
-        self.int_dtu_l2_sq += step * lq_norm(du, 2.0) ** 2
-        self.int_dtb_l2_sq += step * lq_norm(db, 2.0) ** 2
-
-    def result(self) -> dict[str, float]:
-        if len(self.records) > 1 and not self.pairs:
-            raise EstimateError("the budget's d_t integrals need the stored states, "
-                                "but no pair of them was fed")
-        dt = self.dt
-        sup_state_sq = 0.0
-        sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
-        int_hess_u_l4_sq = int_hess_b_l2_sq = int_dtw_l4_sq = 0.0
-        for k, r in enumerate(self.records):
-            u_h1_sq = r.u_l2**2 + r.grad_u_l2**2
-            w_w14_sq = math.sqrt(r.w_l4**4 + r.grad_w_l4**4)
-            b_h1_sq = r.b_l2**2 + r.grad_b_l2**2
-            sup_u_h1_sq = max(sup_u_h1_sq, u_h1_sq)
-            sup_w_w14_sq = max(sup_w_w14_sq, w_w14_sq)
-            sup_b_h1_sq = max(sup_b_h1_sq, b_h1_sq)
-            sup_state_sq = max(sup_state_sq, u_h1_sq + w_w14_sq + b_h1_sq)
-            if k >= 1:
-                int_hess_u_l4_sq += dt * r.hess_u_l4**2
-                int_hess_b_l2_sq += dt * r.hess_b_l2**2
-                int_dtw_l4_sq += dt * r.dt_w_l4**2
-
-        budget = {
-            "sup_state_sq": sup_state_sq,
-            "sup_u_h1_sq": sup_u_h1_sq,
-            "sup_w_w14_sq": sup_w_w14_sq,
-            "sup_b_h1_sq": sup_b_h1_sq,
-            "int_hess_u_l4_sq": int_hess_u_l4_sq,
-            "int_hess_b_l2_sq": int_hess_b_l2_sq,
-            "int_dtu_l2_sq": self.int_dtu_l2_sq,
-            "int_dtw_l4_sq": int_dtw_l4_sq,
-            "int_dtb_l2_sq": self.int_dtb_l2_sq,
-        }
-        budget["total"] = (
-            sup_state_sq
-            + int_hess_u_l4_sq
-            + int_hess_b_l2_sq
-            + self.int_dtu_l2_sq
-            + int_dtw_l4_sq
-            + self.int_dtb_l2_sq
-        )
-        return budget
-
-
-def gronwall_budget(traj: "Trajectory", params: FluidParams,
-                    fed: BudgetFold | None = None) -> dict[str, float]:
+def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
     """Every supremum and time integral of the global a priori budget:
 
     * sup_t ( ||u||_{H^1}^2 + ||w||_{W^{1,4}}^2 + ||b||_{H^1}^2 )
     * int ( ||hess u||_{L^4}^2 + ||hess b||_{L^2}^2 ) dt
     * int ( ||d_t u||_{L^2}^2 + ||d_t w||_{L^4}^2 + ||d_t b||_{L^2}^2 ) dt
 
-    Suprema come from the per-step records; the d_t u / d_t b integrals are
-    formed from consecutive stored snapshots (step differences / dt), so a
-    stride-1 trajectory yields the per-step quantities.  Returns a flat
-    mapping of every component plus the grand total.
-
-    One :class:`BudgetFold` pass over ``traj.states``, unless ``fed`` is that
-    fold already fed every stored pair by a pass shared with other folds
-    (``mmps audit`` reads the snapshot files once for this budget and the
-    ``L^4`` ledger); then ``traj.states`` is not read.  A trajectory of more
-    than one record with no states (``simulate_run``'s) raises EstimateError.
+    A fold over the per-step records, so it reads the same at every snapshot
+    stride.  The d_t u / d_t b integrals weight each step by its own length;
+    the others by the uniform dt.  Returns a flat mapping of every component
+    plus the grand total.
     """
-    if fed is None:
-        fed = BudgetFold(traj.records)
-        fold_stored_pairs(traj.states, fed)
-    elif fed.records != tuple(traj.records):
-        raise EstimateError("the fed budget fold was built for another trajectory")
-    return fed.result()
+    records = traj.records
+    dt = _uniform_dt(tuple(r.t for r in records)) if len(records) > 1 else 0.0
+    sup_state_sq = 0.0
+    sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
+    int_hess_u_l4_sq = int_hess_b_l2_sq = 0.0
+    int_dtu_l2_sq = int_dtw_l4_sq = int_dtb_l2_sq = 0.0
+    for k, r in enumerate(records):
+        u_h1_sq = r.u_l2**2 + r.grad_u_l2**2
+        w_w14_sq = math.sqrt(r.w_l4**4 + r.grad_w_l4**4)
+        b_h1_sq = r.b_l2**2 + r.grad_b_l2**2
+        sup_u_h1_sq = max(sup_u_h1_sq, u_h1_sq)
+        sup_w_w14_sq = max(sup_w_w14_sq, w_w14_sq)
+        sup_b_h1_sq = max(sup_b_h1_sq, b_h1_sq)
+        sup_state_sq = max(sup_state_sq, u_h1_sq + w_w14_sq + b_h1_sq)
+        if k >= 1:
+            step = r.t - records[k - 1].t
+            int_hess_u_l4_sq += dt * r.hess_u_l4**2
+            int_hess_b_l2_sq += dt * r.hess_b_l2**2
+            int_dtu_l2_sq += step * r.dt_u_l2**2
+            int_dtw_l4_sq += dt * r.dt_w_l4**2
+            int_dtb_l2_sq += step * r.dt_b_l2**2
+
+    budget = {
+        "sup_state_sq": sup_state_sq,
+        "sup_u_h1_sq": sup_u_h1_sq,
+        "sup_w_w14_sq": sup_w_w14_sq,
+        "sup_b_h1_sq": sup_b_h1_sq,
+        "int_hess_u_l4_sq": int_hess_u_l4_sq,
+        "int_hess_b_l2_sq": int_hess_b_l2_sq,
+        "int_dtu_l2_sq": int_dtu_l2_sq,
+        "int_dtw_l4_sq": int_dtw_l4_sq,
+        "int_dtb_l2_sq": int_dtb_l2_sq,
+    }
+    budget["total"] = (
+        sup_state_sq
+        + int_hess_u_l4_sq
+        + int_hess_b_l2_sq
+        + int_dtu_l2_sq
+        + int_dtw_l4_sq
+        + int_dtb_l2_sq
+    )
+    return budget
 
 
 # ---------------------------------------------------------------------------

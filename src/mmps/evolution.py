@@ -151,6 +151,8 @@ class Trajectory:
     ``states`` holds the stored snapshots when :func:`run_simulation`
     collected them in memory; it is empty when they went to a sink (the
     files of ``simulate_run``) or when the audit rebuilds a run from disk.
+    The audits that fold the records need no states and read the same at
+    every stride; those that difference states need them.
     ``failure`` is None for a completed run; on an aborted run it carries
     the step error message and the snapshots/records cover the completed
     prefix.  Times are strictly increasing and the record stream is
@@ -360,17 +362,22 @@ def _mhd_explicit(
     return ex, ey, gx, gy
 
 
+def _spin_transport(u: VectorField, w: ScalarField, advection: str) -> ScalarField | None:
+    """The transport ``advect_node(u, w)`` of one step, or None when it
+    vanishes exactly and is skipped: for u = 0, or for w = +0 everywhere (a
+    negative zero in w can pass its sign on through the step)."""
+    active = bool((w.data.any() or np.signbit(w.data).any()) and (u.ux.any() or u.uy.any()))
+    return advect_node(u, w, advection) if active else None
+
+
 def _w_explicit(
     w: ScalarField,
     u: VectorField,
     params: FluidParams,
     forcing: Forcing | None,
-    advection: str,
+    transport: ScalarField | None,
 ) -> np.ndarray:
-    # transport by u = 0 or of w = +0 vanishes exactly and is skipped; a
-    # negative zero in w can pass its sign on through the step
-    active = bool((w.data.any() or np.signbit(w.data).any()) and (u.ux.any() or u.uy.any()))
-    src = -advect_node(u, w, advection).data if active else np.zeros_like(w.data)
+    src = -transport.data if transport is not None else np.zeros_like(w.data)
     if params.chi != 0.0:
         src = src + params.chi * curl2(u).data
     if forcing is not None:
@@ -378,25 +385,33 @@ def _w_explicit(
     return src
 
 
-def _explicit_terms(state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None,
-                    spin_force: ScalarField | None = None) -> tuple[np.ndarray, ...]:
+def _explicit_terms(
+    state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None,
+    spin_force: ScalarField | None = None,
+) -> tuple[tuple[np.ndarray, ...], ScalarField | None]:
     """Raw explicit right-hand sides (momentum x/y, induction x/y, spin) before
-    any AB2 combination; the body force takes ``spin_force`` (None: ``state.w``)."""
+    any AB2 combination, and the spin transport among them (see
+    :func:`_spin_transport`); the body force takes ``spin_force`` (None:
+    ``state.w``)."""
     f = state.w if spin_force is None else spin_force
     mhd = _mhd_explicit(state.u, state.b, f, params, forcing)
-    return (*mhd, _w_explicit(state.w, state.u, params, forcing, cfg.advection))
+    transport = _spin_transport(state.u, state.w, cfg.advection)
+    return (*mhd, _w_explicit(state.w, state.u, params, forcing, transport)), transport
 
 
 @dataclass
 class _Carry:
     """What a march hands from step to step: the last step's raw explicit
     terms (AB2 combines them with its own), the transport speed of its
-    result (whose check is the next step's input check), and the solve plan
-    for the march's dt and parameters, which its first step builds."""
+    result (whose check is the next step's input check), the solve plan
+    for the march's dt and parameters, which its first step builds, and the
+    last step's one-step spin transport at its start state (None when it was
+    skipped), which the step's record reads for the L^4 scheme slack."""
 
     terms: tuple[np.ndarray, ...] | None = None
     speed: float | None = None
     plan: SolvePlan | None = None
+    transport: ScalarField | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +472,7 @@ def step_coupled(
 
     if forcing is None and cfg.forcing is not None:
         forcing = cfg.forcing(t)
-    terms = _explicit_terms(state, cfg, params, forcing, spin_force)
+    terms, carry.transport = _explicit_terms(state, cfg, params, forcing, spin_force)
     earlier = None
     if cfg.scheme == "imex-ab2":
         earlier, carry.terms = carry.terms, terms
@@ -514,17 +529,22 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> It
     failing step (CFL, lost finiteness) raises its StepError from the
     iteration.  Step times are exact multiples of dt from ``init.t``.
     """
+    return _march(init, _step_count(init, t_end, cfg), cfg, params, _Carry())
+
+
+def _step_count(init: State, t_end: float, cfg: StepConfig) -> int:
     horizon = t_end - init.t
     if horizon < 0.0:
         raise StepError(f"t_end {t_end} precedes the initial time {init.t}")
     steps = int(round(horizon / cfg.dt))
     if abs(steps * cfg.dt - horizon) > 1e-8 * max(horizon, cfg.dt):
         raise StepError(f"horizon {horizon} is not a whole number of steps of dt={cfg.dt}")
-    return _march(init, steps, cfg, params)
+    return steps
 
 
-def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
-    state, carry = init, _Carry()
+def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams,
+           carry: _Carry) -> Iterator[Step]:
+    state = init
     for k in range(1, steps + 1):
         forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
         new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)
@@ -543,7 +563,8 @@ def run_simulation(
     """March from ``init`` to ``t_end`` (which must be a whole number of
     steps away) recording diagnostics every step and storing snapshots at
     the configured stride: a fold over :func:`march`, whose forcing triple
-    also gives each record's ``forcing_work``.
+    also gives each record's ``forcing_work`` and whose carry gives its spin
+    transport (the L^4 scheme slack is read off the step's own transport).
 
     Each stored state goes to ``sink`` as soon as the march yields it.
     Without a sink they are collected into ``Trajectory.states``; with one
@@ -555,7 +576,8 @@ def run_simulation(
     before anything is stored.  ``t_end == init.t`` stores just the initial
     state.  Reruns with identical inputs produce identical trajectories.
     """
-    steps = march(init, t_end, cfg, params)
+    carry = _Carry()
+    steps = _march(init, _step_count(init, t_end, cfg), cfg, params, carry)
     snaps: list[tuple[float, State]] = []
     store = sink or (lambda state: snaps.append((state.t, state)))
     records = [diagnostics_record(init, params)]
@@ -566,7 +588,7 @@ def run_simulation(
         for k, (prev, new, forcing) in enumerate(steps, 1):
             work = forcing_work(forcing, new) if forcing is not None else 0.0
             records.append(diagnostics_record(new, params, prev=(prev, records[-1]),
-                                              forcing_work=work))
+                                              forcing_work=work, transport=carry.transport))
             if k % cfg.snapshot_stride == 0:
                 store(new)
     except StepError as exc:

@@ -145,9 +145,10 @@ def simulate_run(cfg: RunConfig, out_dir: str | os.PathLike) -> Trajectory:
     The earlier run's snapshots, CSV and manifest there are removed first,
     so an interrupted run never leaves files that audit as another run.  The
     run holds two states at a time; the returned trajectory carries the
-    records and the failure, not the states (they are in the files), so
-    the audits that difference states refuse it and ``final_state`` raises
-    StepError: ``mmps audit`` reads the files instead.
+    records and the failure, not the states (they are in the files).  The
+    record folds (``energy_audit``, ``gronwall_budget``, ``w_lq_audit`` at
+    q = 4) audit it as they would the in-memory run; the audits that
+    difference states refuse it, and ``final_state`` raises StepError.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -416,15 +417,6 @@ def _field_errors(state: State, exact: State) -> dict[str, float]:
 _ERROR_KEYS = ("u_l2", "u_l4", "w_l2", "w_l4", "b_l2", "b_l4")
 
 
-def _ladder_factor(label: str, ratios: list[float]) -> float:
-    """The factor every level of a ladder refines by (``ratios``: coarse
-    over fine, level by level); ExperimentError unless one, above 1."""
-    factor = ratios[0]
-    if not factor > 1.0 or any(abs(r - factor) > 1e-9 * factor for r in ratios[1:]):
-        raise ExperimentError(f"{label} ladder must refine by a fixed factor > 1, got {ratios}")
-    return factor
-
-
 def _order_table(errors: list[dict[str, float]], factor: float) -> dict[str, float]:
     return {key: refinement_order([e[key] for e in errors], refine_factor=factor)
             for key in _ERROR_KEYS}
@@ -436,14 +428,12 @@ def convergence_study(cfg: RunConfig) -> dict:
     Spatial: the configured grid ladder at the configured (small, fixed) dt,
     errors against the analytic solution at the final time.  Temporal: the
     configured dt ladder on the configured grid, self-convergence against a
-    reference run at one-eighth the smallest dt.  Each ladder must refine by
-    one fixed factor, which its fit uses.  Reports L^2 and L^4 error tables
-    and fitted orders per field.
+    reference run at one-eighth the smallest dt.  Each ladder refines by one
+    fixed factor (``RunConfig`` refuses any other), which its fit uses.
+    Reports L^2 and L^4 error tables and fitted orders per field.
     """
     if cfg.forcing_recipe is None:
         raise ExperimentError("convergence study needs forcing.recipe (an MMS recipe)")
-    if len(cfg.spatial_grids) < 3:
-        raise ExperimentError("convergence ladder too short: need >= 3 spatial grids")
     recipe = cfg.forcing_recipe
     params = params_of(cfg)
 
@@ -457,7 +447,6 @@ def convergence_study(cfg: RunConfig) -> dict:
         spatial_errors.append(_field_errors(final, exact))
 
     dts = sorted(cfg.temporal_dts, reverse=True)
-    dt_factor = _ladder_factor("temporal dt", [a / b for a, b in zip(dts, dts[1:])])
     grid = grid_of(cfg)
     init = mms_state(recipe, 0.0, grid, params)
     ref_cfg = step_config_of(cfg, grid, dt=min(dts) / 8.0)
@@ -468,19 +457,18 @@ def convergence_study(cfg: RunConfig) -> dict:
         final = _final_state(init, cfg.t_end, step_cfg, params, f"temporal run dt={dt}")
         temporal_errors.append(_field_errors(final, ref))
     grids = cfg.spatial_grids
-    h_factor = _ladder_factor("spatial grid", [b / a for a, b in zip(grids, grids[1:])])
 
     report = {
         "spatial": {
             "grids": list(cfg.spatial_grids),
             "errors": spatial_errors,
-            "orders": _order_table(spatial_errors, h_factor),
+            "orders": _order_table(spatial_errors, grids[1] / grids[0]),
         },
         "temporal": {
             "grid": cfg.nx,
             "dts": dts,
             "errors": temporal_errors,
-            "orders": _order_table(temporal_errors, dt_factor),
+            "orders": _order_table(temporal_errors, dts[0] / dts[1]),
         },
     }
     l2_spatial = [report["spatial"]["orders"][k] for k in ("u_l2", "w_l2", "b_l2")]

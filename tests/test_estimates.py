@@ -29,7 +29,15 @@ from mmps.estimates import (
     w_lq_audit,
     weak_form_residual,
 )
-from mmps.evolution import StepConfig, manufactured_forcing, run_simulation, step_coupled
+from mmps.evolution import (
+    SCHEMES,
+    StepConfig,
+    _Carry,
+    advect_node,
+    manufactured_forcing,
+    run_simulation,
+    step_coupled,
+)
 from mmps.fields import (
     CELL,
     NODE,
@@ -68,15 +76,17 @@ def z_diagnostic(traj, params):
 RECORD_NAMES = (
     "t", "u_l2", "grad_u_l2", "w_l2", "w_l4", "grad_w_l4", "b_l2",
     "grad_b_l2", "hess_u_l2", "hess_b_l2", "hess_u_l4", "dt_w_l2",
-    "dt_w_l4", "energy_residual", "lq_margin", "z_l2",
+    "dt_w_l4", "energy_residual", "lq_margin", "z_l2", "dt_u_l2", "dt_b_l2",
+    "lq_slack",
 )
 
 
 def _smooth_traj(nx=24, t_end=0.01, dt=1e-3, stride=1, advection="central",
-                 forcing=None, recipe="smooth-1", params=PARAMS):
-    g = GridSpec(nx, nx)
+                 forcing=None, recipe="smooth-1", params=PARAMS, mode=MODE_DIRICHLET,
+                 scheme="imex-euler"):
+    g = GridSpec(nx, nx, mode)
     init = initial_state(recipe, g, params, seed=0)
-    cfg = StepConfig(dt=dt, scheme="imex-euler", advection=advection,
+    cfg = StepConfig(dt=dt, scheme=scheme, advection=advection,
                      snapshot_stride=stride, forcing=forcing)
     traj = run_simulation(init, t_end, cfg, params)
     assert traj.failure is None
@@ -106,7 +116,8 @@ def test_diagnostics_record_norms_wire_to_field_quadratures():
     assert rec.z_l2 == lq_norm(z_field(state, PARAMS), 2.0)
     # without a predecessor every step-difference entry is identically zero
     assert rec.dt_w_l2 == 0.0 and rec.dt_w_l4 == 0.0
-    assert rec.energy_residual == 0.0 and rec.lq_margin == 0.0
+    assert rec.dt_u_l2 == 0.0 and rec.dt_b_l2 == 0.0
+    assert rec.energy_residual == 0.0 and rec.lq_margin == 0.0 and rec.lq_slack == 0.0
 
 
 def test_diagnostics_record_step_entries_match_hand_formulas():
@@ -130,17 +141,24 @@ def test_diagnostics_record_step_entries_match_hand_formulas():
     )
     assert rec1.energy_residual == pytest.approx(residual, rel=1e-10, abs=1e-14)
 
+    du = VectorField(s1.grid, (s1.u.ux - s0.u.ux) / dt, (s1.u.uy - s0.u.uy) / dt)
+    db = VectorField(s1.grid, (s1.b.ux - s0.b.ux) / dt, (s1.b.uy - s0.b.uy) / dt)
+    assert rec1.dt_u_l2 == lq_norm(du, 2.0) and rec1.dt_b_l2 == lq_norm(db, 2.0)
+
     q = 4.0
+    moved = ScalarField(s0.grid, NODE, s0.w.data - dt * advect_node(s0.u, s0.w, "central").data)
+    slack = (lq_norm(moved, q) ** q - rec0.w_l4**q) / (q * dt)
+    assert rec1.lq_slack == pytest.approx(slack, rel=1e-10, abs=1e-14) and slack != 0.0
     gu_q = samples_lq(gradient_samples(s1.u), q)
     lhs = (rec1.w_l4**q - rec0.w_l4**q) / (q * dt) + 2.0 * PARAMS.chi * rec1.w_l4**q
-    margin = PARAMS.chi * gu_q * rec1.w_l4 ** (q - 1.0) - lhs
+    margin = PARAMS.chi * gu_q * rec1.w_l4 ** (q - 1.0) + slack - lhs
     assert rec1.lq_margin == pytest.approx(margin, rel=1e-10, abs=1e-14)
 
 
-def _record_oracle(state, params, prev=None, prev_oracle=None):
+def _record_oracle(state, params, prev=None, prev_oracle=None, advection="upwind2"):
     """Reference record: every block from the public sample functions,
-    curl2 on its own, and the norms through the inline
-    ``sum(w * abs(v)**q)`` kernel."""
+    curl2 on its own, the slack from its own transport of ``prev``, and the
+    norms through the inline ``sum(w * abs(v)**q)`` kernel."""
 
     def lq(pieces, q):
         acc = 0.0
@@ -169,13 +187,16 @@ def _record_oracle(state, params, prev=None, prev_oracle=None):
         "hess_b_l2": blocks_lq(hessian_samples(b), 2.0), "hess_u_l4": blocks_lq(hess_u, 4.0),
         "dt_w_l2": 0.0, "dt_w_l4": 0.0, "energy_residual": 0.0, "lq_margin": 0.0,
         "z_l2": field_lq(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0),
-        "margin_scale": 0.0,
+        "dt_u_l2": 0.0, "dt_b_l2": 0.0, "lq_slack": 0.0, "margin_scale": 0.0,
     }
     if prev is None:
         return out
     dt = state.t - prev.t
     dw = ScalarField(state.grid, NODE, (w.data - prev.w.data) / dt)
     out["dt_w_l2"], out["dt_w_l4"] = field_lq(dw, 2.0), field_lq(dw, 4.0)
+    du = VectorField(state.grid, (u.ux - prev.u.ux) / dt, (u.uy - prev.u.uy) / dt)
+    db = VectorField(state.grid, (b.ux - prev.b.ux) / dt, (b.uy - prev.b.uy) / dt)
+    out["dt_u_l2"], out["dt_b_l2"] = field_lq(du, 2.0), field_lq(db, 2.0)
     if prev_oracle is not None:
         e_prev = prev_oracle["u_l2"] ** 2 + prev_oracle["w_l2"] ** 2 + prev_oracle["b_l2"] ** 2
         w_prev_l4 = prev_oracle["w_l4"]
@@ -192,12 +213,15 @@ def _record_oracle(state, params, prev=None, prev_oracle=None):
         - 0.0  # forcing_work
     )
     w_l4 = out["w_l4"]
+    moved = ScalarField(state.grid, NODE, prev.w.data - dt * advect_node(prev.u, prev.w, advection).data)
+    out["lq_slack"] = (field_lq(moved, 4.0) ** 4 - w_prev_l4**4) / (4.0 * dt)
     terms = (
         (w_l4**4 - w_prev_l4**4) / (4.0 * dt),
         2.0 * params.chi * w_l4**4,
         params.chi * blocks_lq(grad_u, 4.0) * w_l4**3,
+        out["lq_slack"],
     )
-    out["lq_margin"] = terms[2] - (terms[0] + terms[1])
+    out["lq_margin"] = terms[2] + terms[3] - (terms[0] + terms[1])
     out["margin_scale"] = max(abs(x) for x in terms)
     return out
 
@@ -206,30 +230,34 @@ def _record_oracle(state, params, prev=None, prev_oracle=None):
 def test_diagnostics_record_matches_the_reference_formula(mode):
     g = GridSpec(24, 24, mode)
     cfg = StepConfig(dt=5e-4, scheme="imex-euler", advection="upwind2")
-    states = [initial_state("rough-h1", g, PARAMS, seed=5)]
+    states, carry = [initial_state("rough-h1", g, PARAMS, seed=5)], _Carry()
     for _ in range(3):
-        states.append(step_coupled(states[-1], cfg, PARAMS))
+        states.append(step_coupled(states[-1], cfg, PARAMS, carry=carry))
     prev, state = states[-2], states[-1]
     assert lq_norm(state.u, 2.0) > 0.0 and lq_norm(state.w, 2.0) > 0.0
     prev_oracle = _record_oracle(prev, PARAMS)
     cases = {
         "no prev": (diagnostics_record(state, PARAMS), _record_oracle(state, PARAMS)),
         "prev": (
-            diagnostics_record(state, PARAMS, prev=(prev, diagnostics_record(prev, PARAMS))),
+            diagnostics_record(state, PARAMS, prev=(prev, diagnostics_record(prev, PARAMS)),
+                               transport=carry.transport),
             _record_oracle(state, PARAMS, prev, prev_oracle),
         ),
     }
     exact = ("t", "u_l2", "grad_u_l2", "w_l2", "b_l2", "grad_b_l2", "hess_u_l2", "hess_b_l2",
-             "dt_w_l2", "energy_residual", "z_l2")
+             "dt_w_l2", "energy_residual", "z_l2", "dt_u_l2", "dt_b_l2")
     quartic = ("w_l4", "grad_w_l4", "hess_u_l4", "dt_w_l4")
-    assert set(exact + quartic + ("lq_margin",)) == set(RECORD_NAMES)
+    assert set(exact + quartic + ("lq_margin", "lq_slack")) == set(RECORD_NAMES)
     for case, (rec, oracle) in cases.items():
         for name in exact:
             assert getattr(rec, name) == oracle[name], (case, name)
         for name in quartic:
             assert getattr(rec, name) == pytest.approx(oracle[name], rel=1e-13, abs=0.0), (case, name)
-        assert abs(rec.lq_margin - oracle["lq_margin"]) <= 1e-12 * oracle["margin_scale"], case
-    assert cases["prev"][0].dt_w_l4 > 0.0 and cases["prev"][0].lq_margin != 0.0
+        for name in ("lq_margin", "lq_slack"):
+            assert abs(getattr(rec, name) - oracle[name]) <= 1e-12 * oracle["margin_scale"], case
+    rec = cases["prev"][0]
+    assert rec.dt_w_l4 > 0.0 and rec.lq_margin != 0.0 and rec.lq_slack != 0.0
+    assert rec.dt_u_l2 > 0.0 and rec.dt_b_l2 > 0.0
 
 
 def test_diagnostics_record_rejects_bad_entries():
@@ -242,7 +270,9 @@ def test_diagnostics_record_rejects_bad_entries():
     with pytest.raises(EstimateError):
         DiagnosticsRecord(**{**values, "energy_residual": math.inf})
     # signed entries may be negative
-    DiagnosticsRecord(**{**values, "energy_residual": -0.5, "lq_margin": -0.5})
+    DiagnosticsRecord(**{**values, "energy_residual": -0.5, "lq_margin": -0.5, "lq_slack": -0.5})
+    with pytest.raises(EstimateError):
+        DiagnosticsRecord(**{**values, "dt_u_l2": -1e-3})
 
 
 def test_diagnostics_record_rejects_disordered_pair():
@@ -355,29 +385,43 @@ def test_w_lq_audit_rejects_bad_exponents_and_strides():
     with pytest.raises(EstimateError):
         w_lq_audit(traj, math.inf, PARAMS)
     strided = _smooth_traj(nx=16, t_end=4e-3, dt=1e-3, stride=2)
-    with pytest.raises(EstimateError):
-        w_lq_audit(strided, 4.0, PARAMS)
+    with pytest.raises(EstimateError, match="stride 1"):
+        w_lq_audit(strided, 8.0, PARAMS)
+    assert len(w_lq_audit(strided, 4.0, PARAMS).times) == 4  # q = 4 folds the records
 
 
-def test_w_lq_audit_margins_match_hand_formula():
-    traj = _smooth_traj(nx=24, t_end=3e-3, dt=1e-3, advection="upwind2")
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("advection", ["upwind2", "central"])
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_w_lq_audit_margins_match_hand_formula(mode, advection, scheme):
+    # the state-fold formula: the slack re-applies one transport step to the
+    # stored previous state (under AB2 too: the step's own one-step
+    # transport at that state, not the AB2 combination)
+    traj = _smooth_traj(nx=24, t_end=4e-3, dt=1e-3, advection=advection, mode=mode,
+                        scheme=scheme)
     q = 4.0
     ledger = w_lq_audit(traj, q, PARAMS)
-    from mmps.evolution import advect_node
-
-    dt = traj.records[1].t - traj.records[0].t
+    assert len(ledger.times) == len(traj.states) - 1 == 4
     for k in range(1, len(traj.states)):
-        s_prev, s_new = traj.states[k - 1][1], traj.states[k][1]
+        (t_prev, s_prev), (t_new, s_new) = traj.states[k - 1], traj.states[k]
+        dt = t_new - t_prev
         wq_prev, wq_new = lq_norm(s_prev.w, q), lq_norm(s_new.w, q)
         left = (wq_new**q - wq_prev**q) / (q * dt) + 2.0 * PARAMS.chi * wq_new**q
-        adv = advect_node(s_prev.u, s_prev.w, "upwind2")
+        adv = advect_node(s_prev.u, s_prev.w, advection)
         moved = ScalarField(s_prev.grid, NODE, s_prev.w.data - dt * adv.data)
         slack = (lq_norm(moved, q) ** q - wq_prev**q) / (q * dt)
-        right = PARAMS.chi * samples_lq(gradient_samples(s_new.u), q) * wq_new ** (q - 1.0) + slack
-        assert ledger.series["margin"][k - 1] == pytest.approx(right - left, rel=1e-10, abs=1e-15)
-        assert ledger.series["scheme_slack"][k - 1] == pytest.approx(slack, rel=1e-10, abs=1e-15)
+        drive = PARAMS.chi * samples_lq(gradient_samples(s_new.u), q) * wq_new ** (q - 1.0)
+        scale = max(abs(left), abs(drive), abs(slack))
+        for got, want in ((ledger.series["margin"][k - 1], drive + slack - left),
+                          (traj.records[k].lq_margin, drive + slack - left),
+                          (ledger.series["scheme_slack"][k - 1], slack),
+                          (ledger.series["lhs"][k - 1], left),
+                          (ledger.series["rhs"][k - 1], drive + slack)):
+            assert abs(got - want) <= 1e-12 * scale, (k, got, want)
+        assert slack != 0.0
     assert ledger.summary["q"] == q
     assert ledger.summary["min_margin"] == min(ledger.series["margin"])
+    assert ledger.series["scheme_slack"] == tuple(r.lq_slack for r in traj.records[1:])
 
 
 def test_w_lq_audit_upwind_slack_never_produces_mass():

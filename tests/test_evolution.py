@@ -788,18 +788,33 @@ def test_march_and_run_simulation_evaluate_the_forcing_once_per_step(scheme):
     assert handle.calls == 6
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_simulation_records_the_slack_of_the_steps_own_transport(scheme, monkeypatch):
+    # one spin transport per step: the record's L^4 slack reuses the step's
+    calls = []
+    transport = evolution_module.advect_node
+    monkeypatch.setattr(evolution_module, "advect_node",
+                        lambda *a: calls.append(a[2]) or transport(*a))
+    g = GridSpec(16, 16)
+    cfg = StepConfig(dt=1e-3, scheme=scheme, advection="upwind2")
+    traj = run_simulation(initial_state("smooth-1", g, PARAMS, seed=1), 5 * cfg.dt, cfg, PARAMS)
+    assert traj.failure is None and calls == ["upwind2"] * 5
+    assert all(r.lq_slack < 0.0 for r in traj.records[1:])  # upwind transport dissipates L^4
+
+
 def _history(prev, cfg, params) -> _Carry:
     """The AB2 history of a step after ``prev``, recomputed from that state
     (empty for the first step)."""
     if prev is None:
         return _Carry()
-    return _Carry(_explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t)))
+    return _Carry(_explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t))[0])
 
 
 def _oracle_loop(init, t_end, cfg, params):
     """Records and states of the per-step loop built from public pieces:
-    the AB2 history is recomputed from the previous state, and the forcing
-    is evaluated again for ``forcing_work``."""
+    the AB2 history is recomputed from the previous state, the forcing is
+    evaluated again for ``forcing_work``, and the spin transport again for
+    the record's L^4 slack."""
     records, states = [diagnostics_record(init, params)], [init]
     prev = None
     for k in range(1, int(round((t_end - init.t) / cfg.dt)) + 1):
@@ -808,7 +823,8 @@ def _oracle_loop(init, t_end, cfg, params):
                       t=init.t + k * cfg.dt)
         work = forcing_work(cfg.forcing(state.t), new) if cfg.forcing is not None else 0.0
         records.append(diagnostics_record(new, params, prev=(state, records[-1]),
-                                          forcing_work=work))
+                                          forcing_work=work,
+                                          transport=advect_node(state.u, state.w, cfg.advection)))
         prev = state
         states.append(new)
     return records, states

@@ -36,12 +36,13 @@ from mmps.experiments import (
     uniqueness_probe,
     write_diagnostics_csv,
 )
-from mmps.estimates import BudgetFold, EstimateError, LqLedgerFold, gronwall_budget, w_lq_audit
+from mmps.estimates import EstimateError, gronwall_budget, w_lq_audit
 from mmps.evolution import (
     StepError,
     Trajectory,
     _mhd_explicit,
     _mhd_solve,
+    _spin_transport,
     _w_explicit,
     _w_update,
     run_simulation,
@@ -154,6 +155,9 @@ def test_parse_config_defaults_and_none_forcing():
         "schauder.max_iterations = 0",   # no iterations allowed
         "uniqueness.delta = -1e-6",      # negative perturbation
         "convergence.spatial_grids = 16",        # too short a ladder
+        "convergence.spatial_grids = 16, 32",    # two grids fit no order check
+        "convergence.spatial_grids = 16, 24, 32",  # no one fixed factor
+        "convergence.temporal_dts = 1e-3, 1e-3",   # a factor of 1
         "convergence.temporal_dts = 1e-3, -1e-3",  # negative dt entry
         "convergence.temporal_dts = 1e-3, nan",    # NaN never equals its JSON round trip
         "convergence.temporal_dts = inf, 1e-3",    # infinite dt entry
@@ -413,21 +417,28 @@ def test_simulate_run_writes_deterministic_outputs(short_traj, tmp_path):
         assert (rerun_dir / snap.name).read_bytes() == snap.read_bytes()
 
 
-def test_a_streamed_trajectory_refuses_the_audits_that_need_its_states(short_traj, tmp_path):
-    traj, _ = short_traj
+def test_a_streamed_trajectory_refuses_the_audits_that_need_its_states(tmp_path):
     params = params_of(SMALL)
     streamed = simulate_run(SMALL, tmp_path)
-    with pytest.raises(EstimateError, match="no pair"):
-        gronwall_budget(streamed, params)
     with pytest.raises(EstimateError, match="stride 1"):
-        w_lq_audit(streamed, 4.0, params)
+        w_lq_audit(streamed, 8.0, params)
     with pytest.raises(StepError, match="no states"):
         streamed.final_state
-    with pytest.raises(EstimateError, match="another trajectory"):
-        gronwall_budget(traj, params, fed=BudgetFold(traj.records[:-1]))
-    fed = LqLedgerFold(traj.records, len(traj.states), 4.0, traj.cfg.advection, params)
-    with pytest.raises(EstimateError, match="another trajectory or exponent"):
-        w_lq_audit(traj, 3.0, params, fed=fed)
+
+
+@pytest.mark.parametrize("scheme", ["imex-euler", "imex-ab2"])
+def test_the_record_ledgers_do_not_depend_on_the_stride(tmp_path, scheme):
+    cfg = replace(SMALL, t_end=7e-3, recipe="rough-h1", mode=MODE_PERIODIC, scheme=scheme)
+    params = params_of(cfg)
+    runs = [simulate_run(replace(cfg, stride=stride), tmp_path / f"s{stride}") for stride in (1, 3)]
+    assert [len(list((tmp_path / f"s{s}").glob("snap_*.mmps"))) for s in (1, 3)] == [8, 4]
+    dense, strided = runs
+    assert dense.failure is None and strided.failure is None
+    assert repr(dense.records) == repr(strided.records)  # bit for bit, -0.0 included
+    assert gronwall_budget(dense, params) == gronwall_budget(strided, params)
+    assert w_lq_audit(dense, 4.0, params) == w_lq_audit(strided, 4.0, params)
+    assert gronwall_budget(strided, params)["int_dtu_l2_sq"] > 0.0
+    assert any(w_lq_audit(strided, 4.0, params).series["scheme_slack"])
 
 
 def test_snapshot_and_csv_writes_are_atomic(short_traj, tmp_path):
@@ -539,7 +550,8 @@ def _spin_map_of_half_steps(f_slices, init, steps, step_cfg, params, eps):
     for k in range(steps):
         terms = _mhd_explicit(u, b, mollify(f_slices[k], eps), params, None)
         u_new, b, _ = _mhd_solve(u, b, terms, dt, plan)
-        w = _w_update(w, _w_explicit(w, u, params, None, step_cfg.advection), step_cfg, params)
+        transport = _spin_transport(u, w, step_cfg.advection)
+        w = _w_update(w, _w_explicit(w, u, params, None, transport), step_cfg, params)
         u = u_new
         out.append(w)
     return out
@@ -605,16 +617,13 @@ def test_uniqueness_small_delta_scales_linearly():
 def test_convergence_study_validates_inputs():
     with pytest.raises(ExperimentError):
         convergence_study(RunConfig(forcing_recipe=None))
-    with pytest.raises(ExperimentError):
-        convergence_study(
-            RunConfig(forcing_recipe="trig-1", spatial_grids=(16, 32))
+    with pytest.raises(ConfigError, match=">= 3 entries"):
+        RunConfig(forcing_recipe="trig-1", spatial_grids=(16, 32))
+    with pytest.raises(ConfigError, match="fixed factor"):
+        RunConfig(
+            nx=8, dt=1e-3, t_end=2e-3, forcing_recipe="trig-1", recipe="trig-1",
+            spatial_grids=(8, 12, 16), temporal_dts=(1e-3, 5e-4, 3e-4),
         )
-    bad_ladder = RunConfig(
-        nx=8, dt=1e-3, t_end=2e-3, forcing_recipe="trig-1", recipe="trig-1",
-        spatial_grids=(8, 12, 16), temporal_dts=(1e-3, 5e-4, 3e-4),
-    )
-    with pytest.raises(ExperimentError):
-        convergence_study(bad_ladder)
 
 
 def _failure_of(cfg: RunConfig, nx: int, dt: float) -> str:
@@ -644,14 +653,14 @@ def test_convergence_study_fits_a_non_doubling_grid_ladder_by_its_factor():
                                     {"spatial_grids": (16, 16, 16)},
                                     {"spatial_grids": (32, 16, 8)}])
 def test_convergence_study_refuses_a_ladder_without_one_factor_above_one(ladder):
-    with pytest.raises(ExperimentError, match="fixed factor"):
-        convergence_study(replace(MMS_SMALL, t_end=2e-3, **ladder))
+    with pytest.raises(ConfigError, match="fixed factor"):
+        replace(MMS_SMALL, t_end=2e-3, **ladder)
 
 
 def test_convergence_study_names_the_run_a_step_failure_aborted():
     # trig-1 moves at about 0.33, so a CFL cap of 1e-3 stops the first step
     spatial = RunConfig(nx=16, dt=1e-3, t_end=2e-3, recipe="trig-1", forcing_recipe="trig-1",
-                        cfl_limit=1e-3, spatial_grids=(16, 24, 32))
+                        cfl_limit=1e-3, spatial_grids=(16, 24, 36))
     with pytest.raises(ExperimentError) as exc:
         convergence_study(spatial)
     assert str(exc.value) == f"spatial run nx=16 failed: {_failure_of(spatial, 16, 1e-3)}"
@@ -664,7 +673,7 @@ def test_convergence_study_names_the_run_a_step_failure_aborted():
 
 def test_convergence_study_raises_a_bad_horizon_as_a_step_error():
     cfg = RunConfig(nx=16, dt=1e-3, t_end=1.5e-3, recipe="trig-1", forcing_recipe="trig-1",
-                    spatial_grids=(16, 24, 32))
+                    spatial_grids=(16, 24, 36))
     with pytest.raises(StepError, match="whole number of steps"):
         convergence_study(cfg)
 
@@ -986,8 +995,6 @@ def test_cli_audit_finishes_its_ledgers_through_the_public_audits(tmp_path, monk
 
 
 def test_streamed_audit_ledgers_equal_the_in_memory_ledgers(tmp_path, capsys):
-    from mmps.cli import _fold_ledgers
-
     cfg_path, out = _simulate_and_audit(tmp_path, 5)
     cfg = load_config(cfg_path)
     grid, params = grid_of(cfg), params_of(cfg)
@@ -996,10 +1003,27 @@ def test_streamed_audit_ledgers_equal_the_in_memory_ledgers(tmp_path, capsys):
     records = read_diagnostics_csv(out / "diagnostics.csv")
     assert records == traj.records
     streamed = Trajectory(states=(), records=records, cfg=traj.cfg, params=params)
-    budget, ledger = _fold_ledgers(cfg, out, streamed)
+    budget = gronwall_budget(streamed, params)
+    ledger = w_lq_audit(streamed, 4.0, params)
     assert budget == gronwall_budget(traj, params)  # float equality: bit for bit
     assert ledger == w_lq_audit(traj, 4.0, params)
     assert budget["int_dtu_l2_sq"] > 0.0 and len(ledger.times) == 5
+
+
+def test_cli_audit_prints_the_l4_ledger_at_every_stride(tmp_path, capsys):
+    printed = []
+    for stride in (1, 3):
+        cfg_path = _write_cfg(tmp_path, ROUGH_TEXT.replace("output.stride = 1",
+                                                           f"output.stride = {stride}"),
+                              name=f"s{stride}.cfg")
+        out = tmp_path / f"s{stride}"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert len(list((tmp_path / "s3").glob("snap_*.mmps"))) == 3
+    assert "L4 ledger min margin" in printed[1] and "skipped" not in printed[1]
+    assert printed[0] == printed[1]  # the budget and both ledgers read the rows alone
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
@@ -1069,8 +1093,12 @@ def test_cli_convergence_reports_ladder_failure(tmp_path, capsys):
     convergence.temporal_dts = 1e-3, 5e-4, 3e-4
     """
     cfg_path = _write_cfg(tmp_path, text=text, name="conv.cfg")
-    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     assert "fixed factor" in capsys.readouterr().err
+    short = _write_cfg(tmp_path, text=text.replace("8, 12, 16", "16, 32"), name="short.cfg")
+    assert main(["convergence", "--config", short, "--out", str(tmp_path)]) == 2
+    assert ">= 3 entries" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.txt").exists()
 
 
 def test_cli_probe_commands_pass_without_config(capsys):
