@@ -38,6 +38,7 @@ from .fields import (
     _mean,
     _to_cell,
     _to_node,
+    curl2,
     grad,
     gradient_samples,
     hessian_samples,
@@ -177,24 +178,20 @@ def diagnostics_record(
     step applied (None: it skipped it, and the slack is 0); the margin is
     the L^4 ledger's rhs - lhs (see :func:`w_lq_audit`).
 
-    Each derivative block is built once per state: the blocks of ``grad u``
-    give its norms and ``curl2(u)``, the difference of its two transverse
-    blocks (the arrays ``curl2`` itself differences).
+    Each derivative block is made when ``samples_lq`` reaches it, squared
+    once for its q = 2 and q = 4 norms and dropped, so a record holds a few
+    blocks at a time, never a stack (``curl2(u)`` redoes two of them).
     """
     u, w, b = state.u, state.w, state.b
     u_l2 = lq_norm(u, 2.0)
-    grad_u = gradient_samples(u)
-    grad_u_l2 = samples_lq(grad_u, 2.0)
-    w_l2 = lq_norm(w, 2.0)
-    w_l4 = lq_norm(w, 4.0)
+    grad_u_l2, grad_u_l4 = samples_lq(gradient_samples(u), (2.0, 4.0))
+    w_l2, w_l4 = lq_norm(w, (2.0, 4.0))
     grad_w_l4 = samples_lq(gradient_samples(w), 4.0)
     b_l2 = lq_norm(b, 2.0)
     grad_b_l2 = samples_lq(gradient_samples(b), 2.0)
-    hess_u = hessian_samples(u)
-    hess_u_l2 = samples_lq(hess_u, 2.0)
+    hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u), (2.0, 4.0))
     hess_b_l2 = samples_lq(hessian_samples(b), 2.0)
-    hess_u_l4 = samples_lq(hess_u, 4.0)
-    curl_u = ScalarField(state.grid, NODE, grad_u[2].data - grad_u[1].data)
+    curl_u = curl2(u)
     ratio = params.chi / (params.mu + params.chi)
     z_l2 = lq_norm(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0)
 
@@ -206,10 +203,9 @@ def diagnostics_record(
         if dt <= 0.0:
             raise EstimateError("states are not ordered in time")
         dt_u_l2 = lq_norm(_vector_diff(u, prev_state.u, dt), 2.0)
-        dw = ScalarField(state.grid, NODE, (w.data - prev_state.w.data) / dt)
-        dt_w_l2 = lq_norm(dw, 2.0)
-        dt_w_l4 = lq_norm(dw, 4.0)
         dt_b_l2 = lq_norm(_vector_diff(b, prev_state.b, dt), 2.0)
+        dw = (w.data - prev_state.w.data) / dt
+        dt_w_l2, dt_w_l4 = lq_norm(ScalarField(state.grid, NODE, dw), (2.0, 4.0))
         e_prev, w_prev_l4 = _energy(prev_record), prev_record.w_l4
         e_new = u_l2**2 + w_l2**2 + b_l2**2
         coupling = l2_inner(curl_u, w)
@@ -223,7 +219,7 @@ def diagnostics_record(
             - forcing_work
         )
         lq_slack = _lq_slack(prev_state.w, w_prev_l4, transport, 4.0, dt)
-        rhs = params.chi * samples_lq(grad_u, 4.0) * w_l4**3.0 + lq_slack
+        rhs = params.chi * grad_u_l4 * w_l4**3.0 + lq_slack
         lq_margin = rhs - _lq_lhs(w_l4, w_prev_l4, 4.0, dt, params.chi)
 
     return DiagnosticsRecord(
@@ -554,10 +550,8 @@ def gn_ratios(f: ScalarField) -> dict[str, float] | None:
     linf = max_abs(f)
     if linf == 0.0:
         return None
-    l2 = lq_norm(f, 2.0)
-    l4 = lq_norm(f, 4.0)
-    g2 = samples_lq(gradient_samples(f), 2.0)
-    g4 = samples_lq(gradient_samples(f), 4.0)
+    l2, l4 = lq_norm(f, (2.0, 4.0))
+    g2, g4 = samples_lq(gradient_samples(f), (2.0, 4.0))
     h2 = samples_lq(hessian_samples(f), 2.0)
     d3 = samples_lq(third_derivative_samples(f), 2.0)
     return {

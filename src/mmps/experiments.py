@@ -404,14 +404,8 @@ def _field_errors(state: State, exact: State) -> dict[str, float]:
     du = VectorField(g, state.u.ux - exact.u.ux, state.u.uy - exact.u.uy)
     dw = ScalarField(g, NODE, state.w.data - exact.w.data)
     db = VectorField(g, state.b.ux - exact.b.ux, state.b.uy - exact.b.uy)
-    return {
-        "u_l2": lq_norm(du, 2.0),
-        "u_l4": lq_norm(du, 4.0),
-        "w_l2": lq_norm(dw, 2.0),
-        "w_l4": lq_norm(dw, 4.0),
-        "b_l2": lq_norm(db, 2.0),
-        "b_l4": lq_norm(db, 4.0),
-    }
+    orders = (2.0, 4.0)
+    return dict(zip(_ERROR_KEYS, (*lq_norm(du, orders), *lq_norm(dw, orders), *lq_norm(db, orders))))
 
 
 _ERROR_KEYS = ("u_l2", "u_l4", "w_l2", "w_l4", "b_l2", "b_l4")

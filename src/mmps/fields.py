@@ -60,9 +60,10 @@ cancellations to roundoff relative to the stencil scale ``max|s| / h^2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -143,11 +144,9 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def _product_weights(
-    grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]
-) -> np.ndarray:
-    """Read-only midpoint-rule weights, clipped to the domain, for samples at
-    origin + (i*h, j*h); built once per block layout and shared by every norm."""
+def _axis_weights(grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]) -> tuple:
+    """Read-only midpoint-rule weights (wx, wy), clipped to the domain, of samples
+    at origin + (i*h, j*h): [i, j] weighs wx[i] * wy[j].  Cached per layout."""
     axes = []
     for m, z0 in zip(shape, origin):
         w = np.full(m, grid.h)
@@ -156,8 +155,15 @@ def _product_weights(
                 w[0] *= 0.5
             if abs(z0 + (m - 1) * grid.h - 1.0) < 1e-14:
                 w[-1] *= 0.5
+        w.flags.writeable = False
         axes.append(w)
-    weights = np.outer(*axes)
+    return tuple(axes)
+
+
+@lru_cache(maxsize=64)
+def _product_weights(grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]) -> np.ndarray:
+    """The read-only 2-D table of ``_axis_weights``, for the inner products."""
+    weights = np.outer(*_axis_weights(grid, shape, origin))
     weights.flags.writeable = False
     return weights
 
@@ -362,12 +368,19 @@ def _pairs(e: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _diff(e: np.ndarray, axis: int, h: float) -> np.ndarray:
     lo, hi = _pairs(e, axis)
-    return (hi - lo) / h
+    d = hi - lo
+    if math.frexp(h)[0] == 0.5:  # h = 2^-k: times 2^k is the quotient's bits, at less cost
+        d *= 1.0 / h
+    else:
+        d /= h
+    return d
 
 
 def _mean(e: np.ndarray, axis: int) -> np.ndarray:
     lo, hi = _pairs(e, axis)
-    return 0.5 * (lo + hi)
+    m = lo + hi
+    m *= 0.5
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +481,52 @@ def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> floa
     raise FieldError("cannot pair a scalar with a vector")
 
 
-def _weighted_lq(pieces: Iterable[tuple[np.ndarray, np.ndarray, float]], q: float) -> float:
-    """L^q norm of a collection of (values, weights, multiplicity) sample blocks.
+def _contract(power: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
+    """sum wx[i] power[i, j] wy[j], rows then columns, in einsum's own loops (no BLAS)."""
+    return float(np.einsum("i,i->", np.einsum("ij,j->i", power, wy), wx))
+
+
+def _weighted_lq(pieces: Iterable[tuple], q: float | tuple) -> float | tuple:
+    """L^q norm of a collection of (values, (wx, wy), multiplicity) sample
+    blocks, each weighed by the outer product of its axis weights.
 
     Vector collections are measured componentwise: the q-th power sums the
     q-th powers of every component sample (for q = 2 this is the usual
     Euclidean L2 norm; for general q it is an equivalent product-space norm,
     the fixed convention of this package for staggered components).
 
-    q = 2 and q = 4 form their powers by multiplication (``v*v`` and its
-    square; no ``abs``).  A block's multiplicity (1 or 2) scales its weighted
-    sum: exactly the sum over scaled weights, without allocating them.
+    A tuple of orders gives their norms from one pass: each block is reduced
+    for every order and released before the next is drawn.  q = 2 and 4
+    square each block once (``v*v``, then squared in place; no ``abs``).  A
+    block's multiplicity (1 or 2) scales its ``_contract``: exactly the sum
+    over scaled weights.
     """
-    if q == np.inf:
-        return float(max(np.max(np.abs(v)) if v.size else 0.0 for v, _, _ in pieces))
-    q = float(q)
-    if not np.isfinite(q) or q < 1.0:
+    orders = tuple(map(float, q)) if isinstance(q, tuple) else (float(q),)
+    acc = dict.fromkeys(sorted(orders), 0.0)  # ascending: q = 2 reads the square before q = 4
+    if not all(1.0 <= p <= np.inf for p in acc):
         raise FieldError(f"norm order q must be in [1, inf], got {q}")
-    acc = 0.0
-    for values, weights, multiplicity in pieces:
-        power = values * values if q in (2.0, 4.0) else np.abs(values) ** q
-        if q == 4.0:
-            power *= power
-        acc += multiplicity * float(np.sum(weights * power))
-    return acc ** (1.0 / q)
+    for values, (wx, wy), multiplicity in pieces:
+        square = None
+        for p in acc:
+            if p == np.inf:
+                acc[p] = max(acc[p], float(np.max(np.abs(values))) if values.size else 0.0)
+            elif p == 2.0 or p == 4.0:
+                if square is None:
+                    square = values * values
+                if p == 4.0:
+                    square *= square
+                acc[p] += multiplicity * _contract(square, wx, wy)
+            else:
+                acc[p] += multiplicity * _contract(np.abs(values) ** p, wx, wy)
+        del values, square  # so the next block is built without this one
+    norms = tuple(acc[p] if p == np.inf else acc[p] ** (1.0 / p) for p in orders)
+    return norms if isinstance(q, tuple) else norms[0]
 
 
-def lq_norm(f: ScalarField | VectorField, q: float) -> float:
-    """Discrete L^q norm (midpoint rule on the native placement), q in [1, inf]."""
-    if isinstance(f, ScalarField):
-        return _weighted_lq([(f.data, lattice_weights(f.grid, f.placement), 1.0)], q)
-    wx, wy = lattice_weights(f.grid, "xface"), lattice_weights(f.grid, "yface")
-    return _weighted_lq([(f.ux, wx, 1.0), (f.uy, wy, 1.0)], q)
+def lq_norm(f: ScalarField | VectorField, q: float | tuple) -> float | tuple:
+    """Discrete L^q norm (midpoint rule on the native placement), q in
+    [1, inf]; a tuple of orders gives a tuple of norms."""
+    return _weighted_lq(map(_piece, _components(f)), q)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +562,13 @@ class DerivativeSamples:
         return DerivativeSamples(self.grid, d, self.x0, y0, self.multiplicity)
 
 
-def _samples_of_scalar(f: ScalarField) -> DerivativeSamples:
-    x0, y0 = f.grid.lattice_origin(f.placement)
-    return DerivativeSamples(f.grid, f.data, x0, y0)
+def _components(f: ScalarField | VectorField) -> list[DerivativeSamples]:
+    """The samples of a scalar, or of each MAC component, where they lie."""
+    g = f.grid
+    if isinstance(f, ScalarField):
+        return [DerivativeSamples(g, f.data, *g.lattice_origin(f.placement))]
+    return [DerivativeSamples(g, f.ux, *g.lattice_origin("xface")),
+            DerivativeSamples(g, f.uy, *g.lattice_origin("yface"))]
 
 
 def _mirror_normal_derivative(
@@ -551,8 +582,9 @@ def _mirror_normal_derivative(
     return DerivativeSamples(g, d, 0.0, 0.0)
 
 
-def gradient_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
-    """First-derivative sample blocks used by the Sobolev seminorms.
+def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
+    """First-derivative sample blocks used by the Sobolev seminorms, each made
+    when the iteration reaches it (iterate once; ``list`` keeps them).
 
     Node scalars produce full face lattices (no truncation).  Cell scalars
     truncate to interior faces.  MAC vectors produce four blocks: the
@@ -561,72 +593,51 @@ def gradient_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
     ``sum of squares = -<laplacian u, u>`` exactly.
     """
     if isinstance(f, ScalarField):
-        s = _samples_of_scalar(f)
-        return [s.dx(), s.dy()]
-    g = f.grid
-    x0 = 0.5 * g.h
-    dxux = DerivativeSamples(g, f.ux, 0.0, x0).dx()
-    dyuy = DerivativeSamples(g, f.uy, x0, 0.0).dy()
-    dyux = _mirror_normal_derivative(g, f.ux, axis=1)
-    dxuy = _mirror_normal_derivative(g, f.uy, axis=0)
-    return [dxux, dyux, dxuy, dyuy]
+        (s,) = _components(f)
+        yield s.dx()
+        yield s.dy()
+        return
+    sx, sy = _components(f)
+    yield sx.dx()
+    yield _mirror_normal_derivative(f.grid, f.ux, axis=1)
+    yield _mirror_normal_derivative(f.grid, f.uy, axis=0)
+    yield sy.dy()
 
 
-def hessian_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
+def hessian_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
     """Second-derivative blocks by interior-truncated composition of first
     differences; the mixed derivative is computed once with multiplicity 2.
+    Made lazily, like ``gradient_samples``.
     """
-    blocks: list[DerivativeSamples] = []
-    if isinstance(f, ScalarField):
-        components = [_samples_of_scalar(f)]
-    else:
-        x0 = 0.5 * f.grid.h
-        components = [
-            DerivativeSamples(f.grid, f.ux, 0.0, x0),
-            DerivativeSamples(f.grid, f.uy, x0, 0.0),
-        ]
-    for s in components:
-        dx, dy = s.dx(), s.dy()
-        blocks += [dx.dx(), replace(dx.dy(), multiplicity=2.0), dy.dy()]
-    return blocks
+    for s in _components(f):
+        dx = s.dx()
+        yield dx.dx()
+        yield replace(dx.dy(), multiplicity=2.0)
+        del dx  # not held while the last block is made
+        yield s.dy().dy()
 
 
-def third_derivative_samples(f: ScalarField | VectorField) -> list[DerivativeSamples]:
+def third_derivative_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
     """Third-derivative blocks (diagnostics/probes): xxx, xxy (x3), xyy (x3),
-    yyy, by interior-truncated composition.
+    yyy, by interior-truncated composition, made lazily.
     """
-    blocks: list[DerivativeSamples] = []
     for h2 in hessian_samples(f):
         # each Hessian block contributes an x child and a y child with the
         # parent multiplicity, which reproduces the binomial multiplicities
         # 1,3,3,1 of the third-derivative tensor
-        blocks.append(h2.dx())
-        blocks.append(h2.dy())
-    return blocks
+        yield h2.dx()
+        yield h2.dy()
 
 
-def samples_lq(blocks: Iterable[DerivativeSamples], q: float) -> float:
-    """L^q norm over derivative sample blocks (multiplicity-aware)."""
-    weighted = ((b, _product_weights(b.grid, b.data.shape, (b.x0, b.y0))) for b in blocks)
-    return _weighted_lq([(b.data, w, b.multiplicity) for b, w in weighted], q)
+def samples_lq(blocks: Iterable[DerivativeSamples], q: float | tuple) -> float | tuple:
+    """L^q norm over derivative sample blocks (multiplicity-aware); a tuple
+    of orders gives a tuple of norms from one pass over ``blocks``, which
+    reduces each block before it draws the next."""
+    return _weighted_lq(map(_piece, blocks), q)
 
 
-def sobolev_norms(f: ScalarField | VectorField) -> dict[str, float]:
-    """Discrete Sobolev norms: H1 seminorm and full norm, H2 seminorm, and
-    the W^{1,4} norm (\\|f\\|_4^4 + \\|grad f\\|_4^4)^{1/4}.
-    """
-    l2 = lq_norm(f, 2)
-    grads = gradient_samples(f)
-    h1_semi = samples_lq(grads, 2)
-    h2_semi = samples_lq(hessian_samples(f), 2)
-    l4 = lq_norm(f, 4)
-    g4 = samples_lq(grads, 4)
-    return {
-        "h1_semi": h1_semi,
-        "h1_full": float(np.hypot(l2, h1_semi)),
-        "h2_semi": h2_semi,
-        "w14": float((l4**4 + g4**4) ** 0.25),
-    }
+def _piece(b: DerivativeSamples) -> tuple[np.ndarray, tuple, float]:
+    return b.data, _axis_weights(b.grid, b.data.shape, (b.x0, b.y0)), b.multiplicity
 
 
 def max_abs(f: ScalarField | VectorField) -> float:

@@ -7,6 +7,7 @@ synthetic sequences with known answers.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,11 +53,11 @@ from mmps.fields import (
     gradient_samples,
     hessian_samples,
     l2_inner,
-    lattice_weights,
     lq_norm,
     samples_lq,
 )
 from mmps.recipes import initial_state
+from helpers import axis_weights, fresh_interpreter
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
 
@@ -155,28 +156,37 @@ def test_diagnostics_record_step_entries_match_hand_formulas():
     assert rec1.lq_margin == pytest.approx(margin, rel=1e-10, abs=1e-14)
 
 
-def _record_oracle(state, params, prev=None, prev_oracle=None, advection="upwind2"):
+def _record_oracle(state, params, prev=None, prev_oracle=None, advection="upwind2", planar=False):
     """Reference record: every block from the public sample functions,
     curl2 on its own, the slack from its own transport of ``prev``, and the
-    norms through the inline ``sum(w * abs(v)**q)`` kernel."""
+    norms through an inline kernel: ``abs(v)**q`` weighted by rows and then
+    by columns with 1-D weights built from the grid alone (``planar``: the
+    2-D form ``sum(w * abs(v)**q)`` over their outer product instead)."""
 
     def lq(pieces, q):
         acc = 0.0
-        for values, weights in pieces:
-            acc += float(np.sum(weights * np.abs(values) ** q))
+        for values, wx, wy in pieces:
+            if planar:
+                acc += float(np.sum(np.outer(wx, wy) * np.abs(values) ** q))
+            else:
+                acc += float(np.einsum("i,i->", np.einsum("ij,j->i", np.abs(values) ** q, wy), wx))
         return acc ** (1.0 / q)
 
+    def piece(values, origin, multiplicity=1.0):
+        wx, wy = axis_weights(state.grid, values.shape, origin)
+        return values, multiplicity * wx, wy
+
     def field_lq(f, q):
-        if isinstance(f, ScalarField):
-            return lq([(f.data, lattice_weights(f.grid, f.placement))], q)
         g = f.grid
-        return lq([(f.ux, lattice_weights(g, "xface")), (f.uy, lattice_weights(g, "yface"))], q)
+        if isinstance(f, ScalarField):
+            return lq([piece(f.data, g.lattice_origin(f.placement))], q)
+        return lq([piece(f.ux, g.lattice_origin("xface")), piece(f.uy, g.lattice_origin("yface"))], q)
 
     def blocks_lq(blocks, q):
-        return lq([(b.data, b.weights()) for b in blocks], q)
+        return lq([piece(b.data, (b.x0, b.y0), b.multiplicity) for b in blocks], q)
 
     u, w, b = state.u, state.w, state.b
-    grad_u, hess_u = gradient_samples(u), hessian_samples(u)
+    grad_u, hess_u = list(gradient_samples(u)), list(hessian_samples(u))
     curl_u = curl2(u)
     ratio = params.chi / (params.mu + params.chi)
     out = {
@@ -255,9 +265,52 @@ def test_diagnostics_record_matches_the_reference_formula(mode):
             assert getattr(rec, name) == pytest.approx(oracle[name], rel=1e-13, abs=0.0), (case, name)
         for name in ("lq_margin", "lq_slack"):
             assert abs(getattr(rec, name) - oracle[name]) <= 1e-12 * oracle["margin_scale"], case
+    # the separable summation order is the 2-D weighted sum up to roundoff
+    planar = _record_oracle(state, PARAMS, prev, prev_oracle, planar=True)
+    for name in exact + quartic:
+        if name != "energy_residual":
+            assert getattr(cases["prev"][0], name) == pytest.approx(planar[name], rel=1e-14, abs=0.0), name
     rec = cases["prev"][0]
     assert rec.dt_w_l4 > 0.0 and rec.lq_margin != 0.0 and rec.lq_slack != 0.0
     assert rec.dt_u_l2 > 0.0 and rec.dt_b_l2 > 0.0
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_records_are_the_same_at_every_blas_thread_count(mode):
+    # the norms reduce through einsum's own loops, never BLAS
+    code = (
+        "import dataclasses, hashlib; "
+        "from mmps import FluidParams, GridSpec, StepConfig, initial_state, run_simulation; "
+        f"g = GridSpec(128, 128, {mode!r}); p = FluidParams(0.04, 0.02, 0.01); "
+        "cfg = StepConfig(dt=5e-4, scheme='imex-euler', advection='upwind2'); "
+        "traj = run_simulation(initial_state('rough-h1', g, p, seed=0), 1.5e-3, cfg, p); "
+        "assert traj.failure is None and len(traj.records) == 4; "
+        "rows = [dataclasses.astuple(r) for r in traj.records]; "
+        "print(hashlib.sha256(repr(rows).encode()).hexdigest())"
+    )
+    digests = {fresh_interpreter(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")}
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_one_record_holds_less_than_one_state(mode):
+    # each derivative block is reduced and dropped before the next is made
+    g = GridSpec(128, 128, mode)
+    cfg = StepConfig(dt=5e-4, scheme="imex-euler", advection="upwind2")
+    prev, carry = initial_state("rough-h1", g, PARAMS, seed=0), _Carry()
+    state = step_coupled(prev, cfg, PARAMS, carry=carry)
+    pair = (prev, diagnostics_record(prev, PARAMS))
+    diagnostics_record(state, PARAMS, prev=pair, transport=carry.transport)  # warm the caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diagnostics_record(state, PARAMS, prev=pair, transport=carry.transport)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = (state.u.ux, state.u.uy, state.w.data, state.b.ux, state.b.uy, state.p.data)
+    state_bytes = sum(a.nbytes for a in arrays)
+    assert peak <= 1.0 * state_bytes, (peak, state_bytes)
 
 
 def test_diagnostics_record_rejects_bad_entries():

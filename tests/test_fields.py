@@ -33,10 +33,10 @@ from mmps.fields import (
     lq_norm,
     perp_grad,
     samples_lq,
-    sobolev_norms,
 )
 from mmps.estimates import _cell_average, _node_average, _node_to_cell
 from mmps.evolution import advect_mac, advect_node
+from helpers import axis_weights, sobolev_norms
 
 RNG = np.random.default_rng(20260816)
 
@@ -117,7 +117,7 @@ def test_quadrature_weights_shared_read_only_and_bounded():
     # half-steps (weight h), y keeps the node lattice (half weight on walls)
     edge = np.full(g.nx + 1, h)
     edge[[0, -1]] *= 0.5
-    dx = gradient_samples(ScalarField.sample(g, NODE, lambda x, y: x * y))[0]
+    dx = next(gradient_samples(ScalarField.sample(g, NODE, lambda x, y: x * y)))
     assert np.array_equal(dx.weights(), np.outer(np.full(g.nx, h), edge))
     assert np.array_equal(
         replace(dx, multiplicity=2.0).weights(), 2.0 * np.outer(np.full(g.nx, h), edge)
@@ -153,14 +153,21 @@ def test_linf_norm_and_mac_vector_norm():
 
 
 def _inline_lq(pieces, q):
-    """Reference L^q kernel: sum(w * abs(v)**q) over (values, weights)
-    pieces, with a block's multiplicity folded into its weights."""
+    """Reference L^q kernel over (values, wx, wy) pieces: abs(v)**q weighted
+    by rows with wy and then by columns with wx, a block's multiplicity
+    folded into its wx (a power of two, so exactly)."""
     if q == np.inf:
-        return float(max(np.max(np.abs(v)) for v, _ in pieces))
+        return float(max(np.max(np.abs(v)) for v, _, _ in pieces))
     acc = 0.0
-    for values, weights in pieces:
-        acc += float(np.sum(weights * np.abs(values) ** q))
+    for values, wx, wy in pieces:
+        rows = np.einsum("ij,j->i", np.abs(values) ** q, wy)
+        acc += float(np.einsum("i,i->", rows, wx))
     return acc ** (1.0 / q)
+
+
+def _planar_lq(pieces, q):
+    """The 2-D form sum(w * abs(v)**q) over (values, wx, wy) pieces."""
+    return sum(float(np.sum(np.outer(wx, wy) * np.abs(v) ** q)) for v, wx, wy in pieces) ** (1.0 / q)
 
 
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
@@ -170,16 +177,26 @@ def test_norm_kernels_match_the_inline_power_oracle(mode):
     s = random_scalar(g, NODE, rng)
     s.data[3, 4], s.data[5, 6] = 0.0, -0.0
     v = random_mac(g, rng)
-    blocks = hessian_samples(v)
+    blocks = list(hessian_samples(v))
     assert sorted(b.multiplicity for b in blocks) == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0]
+
+    def piece(values, lattice=None, origin=None, multiplicity=1.0):
+        if lattice is not None:
+            origin = g.lattice_origin(lattice)
+        wx, wy = axis_weights(g, values.shape, origin)
+        return values, multiplicity * wx, wy
+
     cases = {
-        "node scalar": (lambda q: lq_norm(s, q), [(s.data, lattice_weights(g, "node"))]),
-        "mac vector": (
-            lambda q: lq_norm(v, q),
-            [(v.ux, lattice_weights(g, "xface")), (v.uy, lattice_weights(g, "yface"))],
+        "node scalar": (lambda q: lq_norm(s, q), [piece(s.data, "node")]),
+        "mac vector": (lambda q: lq_norm(v, q), [piece(v.ux, "xface"), piece(v.uy, "yface")]),
+        "hessian blocks": (
+            lambda q: samples_lq(blocks, q),
+            [piece(b.data, origin=(b.x0, b.y0), multiplicity=b.multiplicity) for b in blocks],
         ),
-        "hessian blocks": (lambda q: samples_lq(blocks, q), [(b.data, b.weights()) for b in blocks]),
     }
+    for lattice in ("cell", "node", "xface", "yface"):
+        wx, wy = axis_weights(g, g.lattice_shape(lattice), g.lattice_origin(lattice))
+        assert np.array_equal(np.outer(wx, wy), lattice_weights(g, lattice))
     for name, (norm, pieces) in cases.items():
         # q = 2 multiplies instead of squaring abs: the same bits
         assert norm(2.0) == _inline_lq(pieces, 2.0), name
@@ -189,8 +206,16 @@ def test_norm_kernels_match_the_inline_power_oracle(mode):
         # every other order keeps the power kernel bit for bit
         for q in (1.0, 3.0, 2.5, np.inf):
             assert norm(q) == _inline_lq(pieces, q), (name, q)
+        # several orders in one call: each one's bits, in the order asked
+        orders = (4.0, 2.0, 3.0, np.inf, 2.0)
+        assert norm(orders) == tuple(norm(q) for q in orders), name
+        # the separable order is the 2-D weighted sum up to roundoff
+        for q in (1.0, 2.0, 2.5, 3.0, 4.0):
+            assert norm(q) == pytest.approx(_planar_lq(pieces, q), rel=1e-14, abs=0.0), (name, q)
         with pytest.raises(FieldError):
             norm(0.5)
+        with pytest.raises(FieldError):
+            norm((2.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +297,7 @@ def _periodic_roll_forms(op, g, c, w, u, b):
             (lv.uy, lap(uy)),
         ]
     if op == "derivative_samples":
-        blocks = gradient_samples(u) + gradient_samples(w)
+        blocks = [*gradient_samples(u), *gradient_samples(w)]
         forms = [
             (R(ux, -1, 0) - ux) / h,
             (ux - R(ux, 1, 1)) / h,

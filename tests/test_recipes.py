@@ -7,14 +7,9 @@ cross-grid nesting), and mollifier/perturbation contracts.
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-
-import mmps
 
 from mmps.fields import (
     CELL,
@@ -29,7 +24,6 @@ from mmps.fields import (
     l2_inner,
     lq_norm,
     perp_grad,
-    sobolev_norms,
 )
 from mmps.recipes import (
     INITIAL_RECIPES,
@@ -51,6 +45,7 @@ from mmps.recipes import (
     _trig1_terms,
 )
 from mmps.evolution import manufactured_forcing
+from helpers import fresh_interpreter, sobolev_norms
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
 
@@ -311,23 +306,13 @@ def test_trig1_closed_forms_match_symbolic_oracle():
         assert _scaled_error(arr, exact) <= 1e-13, name
 
 
-def _fresh_interpreter(code: str, **extra_env: str) -> str:
-    src = os.path.dirname(os.path.dirname(mmps.__file__))
-    env = {**os.environ, **extra_env,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return out.stdout.strip()
-
-
 def test_import_leaves_symbolic_and_optional_scipy_modules_unloaded():
     # each would add to every command's start-up time
     code = (
         "import sys, mmps; "
         "print([m for m in ('sympy', 'scipy.ndimage', 'scipy.sparse') if m in sys.modules])"
     )
-    assert _fresh_interpreter(code) == "[]"
+    assert fresh_interpreter(code) == "[]"
 
 
 def test_forced_run_and_weak_form_audit_never_import_sympy():
@@ -347,7 +332,7 @@ assert forced.failure is None and smooth.failure is None
 weak_form_residual(smooth, 2, params)
 print("sympy" in sys.modules)
 """
-    assert _fresh_interpreter(code) == "False"
+    assert fresh_interpreter(code) == "False"
 
 
 def test_trig1_terms_are_built_once_per_parameters_and_read_only():
@@ -374,7 +359,7 @@ def test_rough_data_is_the_same_at_every_blas_thread_count():
         "s = initial_state('rough-h1', GridSpec(128, 128), FluidParams(0.04, 0.02, 0.01), seed=0); "
         "print(hashlib.sha256(s.b.ux.tobytes() + s.b.uy.tobytes()).hexdigest())"
     )
-    digests = {_fresh_interpreter(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")}
+    digests = {fresh_interpreter(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2")}
     assert len(digests) == 1
 
 
