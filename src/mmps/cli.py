@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, config_items, load_config, with_seed
-from .estimates import EstimateError, energy_audit, gn_probe, gronwall_budget, w_lq_audit
+from .estimates import (EstimateError, energy_audit, gn_probe, gronwall_budget, stokes_regularity_probe,
+                        w_lq_audit)
 from .evolution import StepError, Trajectory
 from .experiments import (
     ExperimentError,
@@ -28,9 +29,9 @@ from .experiments import (
     uniqueness_probe,
 )
 from .fields import FieldError, GridSpec, VectorField, perp_grad
-from .recipes import RecipeError
+from .recipes import RecipeError, probe_scalar
 from .snapshots import SnapshotError, read_snapshot
-from .stokes import SolverError, probe_scalar, solve_stationary_stokes, stokes_regularity_probe
+from .stokes import SolverError, solve_stationary_stokes
 
 __all__ = ["main"]
 
@@ -139,7 +140,7 @@ def _cmd_stokes_selftest(cfg: RunConfig, out: Path) -> int:
         if not sol.converged:
             print(f"stokes-selftest: solve {sample} failed, residual {sol.residual:g}")
             return 1
-    probe = stokes_regularity_probe(10, 2.0, (16, 32), seed=cfg.seed)
+    probe = stokes_regularity_probe(10, 2.0, (grid, GridSpec(32, 32)), seed=cfg.seed)
     print(
         f"stokes-selftest: max saddle residual {worst:.3g}, "
         f"regularity growth {probe['growth_per_level']}, unstable={probe['unstable']}"

@@ -5,9 +5,9 @@ twice yields identical ledgers.  The energy audit, the budget and the L^4
 ledger are folds over the per-step records, which carry each step's
 ``d_t u``, ``d_t b`` and L^4 scheme slack, so they read the same at every
 snapshot stride and need no stored state (``mmps audit`` runs them on the
-rows of ``diagnostics.csv``).  The L^q ledger at any other q and the
-t-weighted audit difference stored states.  The discrete conventions mirror
-the scheme:
+rows of ``diagnostics.csv``).  The L^q ledger at any other q, the
+t-weighted audit and the weak-form residuals read stored states, one per
+record (stride 1).  The discrete conventions mirror the scheme:
 
 * gradients/Hessians come from the one-sided/mirror derivative-sample sets of
   :mod:`mmps.fields`, so the energy pairing ``<laplacian(u), u>`` equals
@@ -46,10 +46,12 @@ from .fields import (
     lattice_weights,
     lq_norm,
     max_abs,
+    perp_grad,
     samples_lq,
     third_derivative_samples,
 )
-from .stokes import _PROBE_SMOOTHNESS, probe_scalar
+from .recipes import probe_scalar
+from .stokes import solve_stationary_stokes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evolution imports us)
     from .evolution import Trajectory
@@ -66,6 +68,7 @@ __all__ = [
     "tweighted_h2_audit",
     "gn_probe",
     "gn_ratios",
+    "stokes_regularity_probe",
     "weak_form_residual",
     "refinement_stable",
     "refinement_order",
@@ -275,6 +278,14 @@ class EstimateLedger:
                 )
 
 
+def _stored_states(traj: "Trajectory", audit: str) -> tuple[tuple[float, State], ...]:
+    """The trajectory's states, for an audit that differences them: refused
+    unless there is one per record (stride 1, kept in memory)."""
+    if len(traj.states) != len(traj.records):
+        raise EstimateError(f"{audit} needs per-step snapshots (stride 1)")
+    return traj.states
+
+
 def _uniform_dt(times: Sequence[float]) -> float:
     if len(times) < 2:
         raise EstimateError("audit needs at least one step")
@@ -385,11 +396,10 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
             margin.append(r.lq_margin)
             slack.append(r.lq_slack)
     else:
-        if len(traj.states) != len(records):
-            raise EstimateError(f"lq audit at q = {q:g} needs per-step snapshots (stride 1)")
+        states = _stored_states(traj, f"lq audit at q = {q:g}")
         from .evolution import advect_node  # deferred: evolution imports us
 
-        for (t_prev, s_prev), (t_new, s_new) in zip(traj.states, traj.states[1:]):
+        for (t_prev, s_prev), (t_new, s_new) in zip(states, states[1:]):
             dt = t_new - t_prev
             wq_prev, wq_new = lq_norm(s_prev.w, q), lq_norm(s_new.w, q)
             lhs.append(_lq_lhs(wq_new, wq_prev, q, dt, params.chi))
@@ -490,8 +500,9 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
 
     The t = 0 norms may diverge under refinement for H^1-only data; the
     weighted quantities are the stable objects.  Time derivatives are step
-    differences of stored snapshots; their accumulation starts at the second
-    difference (the first one still touches the rough initial state).
+    differences of the stored states, so the audit needs one per record
+    (stride 1); their accumulation starts at the second difference (the
+    first one still touches the rough initial state).
     """
     records = traj.records
     if len(records) < 5:
@@ -512,7 +523,7 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
             late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
 
     int_t_grad_dtu_sq = int_t_grad_dtb_sq = 0.0
-    snaps = traj.states
+    snaps = _stored_states(traj, "t-weighted audit")
     for k in range(2, len(snaps)):
         t_prev, s_prev = snaps[k - 1]
         t_new, s_new = snaps[k]
@@ -534,8 +545,38 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
 
 
 # ---------------------------------------------------------------------------
-# Interpolation-inequality probe
+# Regularity probes: one ladder over one random sample family
 # ---------------------------------------------------------------------------
+
+
+# the smoothness exponents that the regularity probes cycle through, per sample
+_PROBE_SMOOTHNESS = (0.8, 1.1, 1.6, 2.2)
+
+
+def _probe_ladder(grids: Sequence[GridSpec], sample_count: int, seed: int, ratios: Callable) -> dict:
+    """Per-grid maxima of each observed ratio over the samples
+    ``probe_scalar(grid, seed, s, smoothness)``, s < ``sample_count``, and
+    each ratio's largest level-to-level growth.  A sample whose ``ratios``
+    are None (the zero field) is skipped.  The run is unstable when any
+    ratio grows by more than 25% per refinement; a ratio whose maximum was
+    zero grows without bound."""
+    if sample_count < 1:
+        raise EstimateError(f"a regularity probe needs at least one sample, got {sample_count}")
+    levels = []
+    for grid in grids:
+        maxima: dict[str, float] = {}
+        for sample in range(sample_count):
+            smoothness = _PROBE_SMOOTHNESS[sample % len(_PROBE_SMOOTHNESS)]
+            observed = ratios(probe_scalar(grid, seed, sample, smoothness)) or {}
+            for key, value in observed.items():
+                maxima[key] = max(maxima.get(key, 0.0), value)
+        levels.append({"nx": grid.nx, **maxima})
+    growth = {}
+    for key in dict.fromkeys(key for level in levels for key in level if key != "nx"):
+        steps = [b[key] / a[key] if a[key] > 0.0 else math.inf for a, b in zip(levels, levels[1:])]
+        growth[key] = max(steps, default=1.0)
+    return {"sample_count": sample_count, "levels": levels, "growth_per_level": growth,
+            "unstable": any(g > 1.25 for g in growth.values())}
 
 
 def gn_ratios(f: ScalarField) -> dict[str, float] | None:
@@ -562,43 +603,36 @@ def gn_ratios(f: ScalarField) -> dict[str, float] | None:
     }
 
 
-def gn_probe(
-    sample_count: int,
-    grids: Sequence[GridSpec],
-    seed: int = 0,
-) -> dict:
-    """Max observed ratio of each ladder inequality over a reproducible
-    random sample family, per grid, with the same growth/stability
-    convention as the Stokes probe (unstable when a per-level max ratio
-    grows by more than 25%)."""
-    levels = []
-    for grid in grids:
-        maxima = {f"ratio{i}": 0.0 for i in (1, 2, 3, 4)}
-        for sample in range(sample_count):
-            smoothness = _PROBE_SMOOTHNESS[sample % len(_PROBE_SMOOTHNESS)]
-            f = probe_scalar(grid, seed, sample, smoothness)
-            ratios = gn_ratios(f)
-            if ratios is None:
-                continue
-            for key, value in ratios.items():
-                maxima[key] = max(maxima[key], value)
-        levels.append({"nx": grid.nx, **maxima})
+def gn_probe(sample_count: int, grids: Sequence[GridSpec], seed: int = 0) -> dict:
+    """The interpolation ladder (:func:`gn_ratios`) over the probe family:
+    per-grid maxima, growth and stability as :func:`_probe_ladder` reports them."""
+    return _probe_ladder(grids, sample_count, seed, gn_ratios)
 
-    growth = {}
-    unstable = False
-    for key in ("ratio1", "ratio2", "ratio3", "ratio4"):
-        ratios = []
-        for a, b in zip(levels, levels[1:]):
-            prev = a[key]
-            ratios.append(b[key] / prev if prev > 0 else 1.0)
-        growth[key] = max(ratios, default=1.0)
-        unstable = unstable or growth[key] > 1.25
-    return {
-        "sample_count": sample_count,
-        "levels": levels,
-        "growth_per_level": growth,
-        "unstable": unstable,
-    }
+
+def stokes_regularity_probe(sample_count: int, q: float, grids: Sequence[GridSpec], seed: int = 0) -> dict:
+    """Empirical constants for the Stokes regularity estimates.  For each
+    probe sample w, v solves stationary Stokes with forcing -perp_grad(w)
+    (unit coupling; Dirichlet grids), and the ladder (:func:`_probe_ladder`)
+    reports per grid the maxima of
+
+      ratio_w1q = |v|_W^{1,q} / |w|_L^q
+      ratio_log = |grad v|_Linf / ((1 + |w|_Linf) * ln(e + |grad w|_L^q))
+
+    with their growth and one stability verdict over both."""
+
+    def ratios(w: ScalarField) -> dict[str, float] | None:
+        wq = lq_norm(w, q)
+        if wq == 0.0:
+            return None
+        pg = perp_grad(w)
+        v = solve_stationary_stokes(VectorField(w.grid, -pg.ux, -pg.uy)).v
+        vq = lq_norm(v, q)
+        gq, ginf = samples_lq(gradient_samples(v), (q, math.inf))
+        w1q = max(vq, gq) if q == math.inf else (vq**q + gq**q) ** (1.0 / q)
+        log = (1.0 + max_abs(w)) * math.log(math.e + samples_lq(gradient_samples(w), q))
+        return {"ratio_w1q": w1q / wq, "ratio_log": ginf / log}
+
+    return _probe_ladder(grids, sample_count, seed, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +731,7 @@ def weak_form_residual(
     """
     if test_bank_size < 1:
         raise EstimateError("weak-form audit needs a non-empty test bank")
-    snaps = traj.states
+    snaps = _stored_states(traj, "weak-form audit")
     if len(snaps) < 2:
         raise EstimateError("weak-form audit needs at least one step")
     t_end = snaps[-1][0]

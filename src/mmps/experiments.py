@@ -295,12 +295,8 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
             gap = lq_norm(ScalarField(grid, NODE, f_slices[-1].data - coupled.w.data), 2.0)
             return {
                 "converged": True,
-                "t_end": horizon,
+                **attempt_reports[-1],
                 "halvings": halvings,
-                "iterations": len(diffs),
-                "diffs": diffs,
-                "ratios": ratios,
-                "iterate_x_norms": iterate_norms,
                 "wstar_x_norm": _x_norm(f_slices),
                 "coupled_l2_gap": gap,
                 "attempts": attempt_reports,
@@ -309,16 +305,9 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
         if steps == 1:
             break
         steps = max(1, steps // 2)
-    return {
-        "converged": False,
-        "t_end": steps * base_cfg.dt,
-        "halvings": halvings,
-        "attempts": attempt_reports,
-        "iterations": attempt_reports[-1]["iterations"],
-        "diffs": attempt_reports[-1]["diffs"],
-        "ratios": attempt_reports[-1]["ratios"],
-        "iterate_x_norms": attempt_reports[-1]["iterate_x_norms"],
-    }
+    # not converged: the horizon and iterates are those of the last attempt
+    return {"converged": False, **attempt_reports[-1], "halvings": halvings,
+            "attempts": attempt_reports}
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,9 @@ class FluidParams:
     nu: float
 
     def __post_init__(self) -> None:
+        for name, value in (("mu", self.mu), ("chi", self.chi), ("nu", self.nu)):
+            if not math.isfinite(value):
+                raise FieldError(f"{name} must be finite, got {value}")
         if not (self.mu > 0.0):
             raise FieldError(f"mu must be positive, got {self.mu}")
         if self.chi < 0.0:

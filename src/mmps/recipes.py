@@ -7,12 +7,12 @@ Conventions shared with :mod:`mmps.fields`:
   curl is ``curl2(v) = d(vy)/dx - d(vx)/dy``;
 * divergence-free initial data is built as ``perp_grad`` of a node-sampled
   streamfunction, which makes ``div u`` vanish identically on every cell;
-* every random spectral coefficient is the first standard normal of
-  ``default_rng(SeedSequence((seed, k, m)))`` for its mode (k, m), so
-  coefficient families are reproducible and nest across grid resolutions.
-  :func:`_mode_normals` computes those seed hashes for all modes at once and
-  seeds one reused ``PCG64`` per mode; it relies on NumPy keeping the
-  ``SeedSequence`` and ``PCG64`` streams stable across releases (NEP 19).
+* ``rough-h1`` and the regularity probe are random sine series built by one
+  :func:`_sine_series`, and both nest across grid resolutions.  ``rough-h1``
+  is drawn per mode: (k, m) takes the first normal of ``default_rng(
+  SeedSequence((seed, k, m)))``, hashed for all modes at once by
+  :func:`_mode_normals`; the probe's fixed 7 x 7 block is one draw of
+  ``default_rng((seed, sample))``.  Both rely on NumPy's stream stability (NEP 19).
 
 The manufactured solution ``trig-1`` carries ``sin^4`` wall envelopes on both
 streamfunctions: the first three derivatives vanish on the walls, so every
@@ -66,6 +66,7 @@ __all__ = [
     "mollify",
     "perturbation_fields",
     "perturbed_state",
+    "probe_scalar",
 ]
 
 
@@ -444,6 +445,25 @@ def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
     return out
 
 
+def _decay(kmax: int, power: float) -> np.ndarray:
+    """``(k^2 + m^2)**power`` at [k-1, m-1] for k, m = 1..kmax, in Python
+    floats: NumPy's vectorised ``**`` differs from libm in the last bit for
+    some modes."""
+    modes = range(1, kmax + 1)
+    return np.fromiter((float(k * k + m * m) ** power for k in modes for m in modes),
+                       float, kmax * kmax).reshape(kmax, kmax)
+
+
+def _sine_series(x: np.ndarray, y: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``sum coeff[k-1, m-1] sin(k pi x) sin(m pi y)`` over a square coefficient
+    block, on the lattice of the 1-D points x and y."""
+    ks = np.arange(1, len(coeff) + 1)
+    sx = np.sin(np.pi * np.outer(ks, x))
+    sy = np.sin(np.pi * np.outer(ks, y))
+    # two einsum contractions, not BLAS: the same bits at every thread count
+    return np.einsum("im,mj->ij", np.einsum("ki,km->im", sx, coeff), sy)
+
+
 def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable:
     """Streamfunction with algebraically decaying random spectral content.
 
@@ -456,24 +476,25 @@ def _rough_psi_fn(grid: GridSpec, seed: int, amplitude: float = 0.3) -> Callable
     faces of the induced field.
     """
     kmax = grid.nx // 2 - 1
-    ks = np.arange(1, kmax + 1)
-    # the decay in Python floats: NumPy's vectorised ``**`` differs from libm
-    # in the last bit for some modes
-    modes = range(1, kmax + 1)
-    decay = np.fromiter((float(k * k + m * m) ** ROUGH_SPECTRUM_DECAY for k in modes for m in modes),
-                        float, kmax * kmax)
-    coeff = _mode_normals((seed,), kmax) / decay.reshape(kmax, kmax)
+    coeff = _mode_normals((seed,), kmax) / _decay(kmax, ROUGH_SPECTRUM_DECAY)
 
     def psi(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        x, y = X[:, 0], Y[0, :]
-        sx = np.sin(np.pi * np.outer(ks, x))
-        sy = np.sin(np.pi * np.outer(ks, y))
-        # two einsum contractions, not BLAS: the same bits at every thread count
-        core = np.einsum("im,mj->ij", np.einsum("ki,km->im", sx, coeff), sy)
+        core = _sine_series(X[:, 0], Y[0, :], coeff)
         env = (np.sin(np.pi * X) * np.sin(np.pi * Y)) ** 2
         return amplitude * env * core
 
     return psi
+
+
+def probe_scalar(grid: GridSpec, seed: int, sample: int, smoothness: float) -> ScalarField:
+    """Node-sampled sine series whose mode (k, m), k, m = 1..7, carries
+    ``xi_km / (k^2 + m^2)**(smoothness / 2)``, the 7 x 7 normals xi being one
+    draw of ``default_rng((seed, sample))``.  The modes are fixed, so the same
+    (seed, sample) is the same function on every grid."""
+    xi = np.random.default_rng((seed, sample)).standard_normal((7, 7))
+    X, Y = grid.mesh("node")
+    coeff = xi / _decay(7, smoothness / 2.0)
+    return ScalarField(grid, NODE, _sine_series(X[:, 0], Y[0, :], coeff))
 
 
 def initial_state(name: str, grid: GridSpec, params: FluidParams, seed: int = 0) -> State:

@@ -38,25 +38,17 @@ from typing import Sequence
 import numpy as np
 from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
 
-from .fields import (
-    CELL,
-    NODE,
-    FieldError,
-    GridSpec,
-    ScalarField,
-    VectorField,
-    _pin,
-    div,
-    grad,
-    gradient_samples,
-    laplacian,
-    lattice_weights,
-    lq_norm,
-    max_abs,
-    perp_grad,
-    samples_lq,
-)
-from .recipes import _mode_normals
+from .fields import (CELL, FieldError, GridSpec, ScalarField, VectorField, _pin, div, grad,
+                     laplacian, lattice_weights)
+
+__all__ = [
+    "SolverError",
+    "SolvePlan",
+    "leray_project",
+    "helmholtz_solve",
+    "StokesSolution",
+    "solve_stationary_stokes",
+]
 
 
 class SolverError(RuntimeError):
@@ -265,95 +257,3 @@ def solve_stationary_stokes(f: VectorField) -> StokesSolution:
     worst = max(np.max(np.abs(mx)), np.max(np.abs(my)), np.max(np.abs(div(v).data)))
     res = float(worst / (1.0 + max(np.max(np.abs(fx)), np.max(np.abs(fy)))))
     return StokesSolution(v=v, p=pf, residual=res, converged=bool(res <= _TOL))
-
-
-# ---------------------------------------------------------------------------
-# Regularity probe
-# ---------------------------------------------------------------------------
-
-
-# the smoothness exponents that the regularity probes cycle through, per sample
-_PROBE_SMOOTHNESS = (0.8, 1.1, 1.6, 2.2)
-
-
-def probe_scalar(grid: GridSpec, seed: int, sample: int, smoothness: float, kmax: int = 7) -> ScalarField:
-    """Truncated sine-eigenfunction expansion whose (k, m) coefficient is the
-    standard normal of ``SeedSequence((seed, sample, k, m))``, drawn for all
-    wavenumber pairs by one :func:`mmps.recipes._mode_normals` hash (which
-    relies on NumPy's stream stability), so the same (seed, sample) produces
-    the same leading modes on every grid.
-    """
-    X, Y = grid.mesh("node")
-    data = np.zeros_like(X)
-    xis = _mode_normals((seed, sample), kmax)
-    for k in range(1, kmax + 1):
-        for m in range(1, kmax + 1):
-            amp = xis[k - 1, m - 1] / (k * k + m * m) ** (smoothness / 2.0)
-            data += amp * np.sin(k * np.pi * X) * np.sin(m * np.pi * Y)
-    return ScalarField(grid, NODE, data)
-
-
-def _w1q_norm(v: VectorField, q: float) -> float:
-    if q == np.inf:
-        return max(max_abs(v), samples_lq(gradient_samples(v), np.inf))
-    return float(
-        (lq_norm(v, q) ** q + samples_lq(gradient_samples(v), q) ** q) ** (1.0 / q)
-    )
-
-
-def stokes_regularity_probe(
-    sample_count: int,
-    q: float,
-    grids: Sequence[int],
-    seed: int = 0,
-) -> dict:
-    """Empirical constants for the Stokes regularity estimates.
-
-    For each grid level and random micro-rotation sample w (forcing
-    -perp_grad(w), unit coupling), measures
-
-      ratio_w1q  = |v|_W^{1,q} / |w|_L^q
-      ratio_log  = |grad v|_Linf / ((1 + |w|_Linf) * ln(e + |grad w|_L^q))
-
-    and reports per-level maxima, level-to-level growth of the W^{1,q}
-    ratio, and an instability flag raised when that growth exceeds 25% per
-    refinement.  A zero sample has ratio 0 by convention.
-    """
-    per_level: list[dict] = []
-    for nx in grids:
-        g = GridSpec(nx, nx)
-        r1 = []
-        r2 = []
-        for s in range(sample_count):
-            w = probe_scalar(g, seed, s, _PROBE_SMOOTHNESS[s % len(_PROBE_SMOOTHNESS)])
-            wq = lq_norm(w, q)
-            if wq == 0.0:
-                r1.append(0.0)
-                r2.append(0.0)
-                continue
-            pg = perp_grad(w)
-            f = VectorField(g, -pg.ux, -pg.uy)
-            sol = solve_stationary_stokes(f)
-            r1.append(_w1q_norm(sol.v, q) / wq)
-            denom = (1.0 + max_abs(w)) * np.log(np.e + samples_lq(gradient_samples(w), q))
-            r2.append(samples_lq(gradient_samples(sol.v), np.inf) / denom)
-        per_level.append(
-            {
-                "nx": nx,
-                "max_ratio_w1q": float(np.max(r1)) if r1 else 0.0,
-                "max_ratio_gradlog": float(np.max(r2)) if r2 else 0.0,
-                "ratios_w1q": [float(v) for v in r1],
-            }
-        )
-    growth = []
-    for a, b in zip(per_level, per_level[1:]):
-        lo = a["max_ratio_w1q"]
-        growth.append(b["max_ratio_w1q"] / lo if lo > 0 else np.inf)
-    unstable = any(gf > 1.25 for gf in growth)
-    return {
-        "q": q,
-        "sample_count": sample_count,
-        "levels": per_level,
-        "growth_per_level": [float(gf) for gf in growth],
-        "unstable": bool(unstable),
-    }

@@ -23,6 +23,7 @@ from mmps.estimates import (
     gn_probe,
     gn_ratios,
     gronwall_budget,
+    stokes_regularity_probe,
     record_fields,
     refinement_order,
     refinement_stable,
@@ -528,6 +529,27 @@ def test_gronwall_budget_matches_independent_expansion():
     assert budget["total"] > 0.0
 
 
+_STORED_STATE_AUDITS = {
+    "w_lq_audit": lambda traj: w_lq_audit(traj, 8.0, PARAMS),
+    "tweighted_h2_audit": lambda traj: tweighted_h2_audit(traj, PARAMS),
+    "weak_form_residual": lambda traj: weak_form_residual(traj, 2, PARAMS),
+}
+
+
+@pytest.mark.parametrize("audit", sorted(_STORED_STATE_AUDITS))
+@pytest.mark.parametrize("storage", ["sink", "stride-3"])
+def test_stored_state_audits_refuse_states_that_miss_records(audit, storage):
+    # states sent to a sink leave none to difference (the t-weighted audit read
+    # 0.0), and every third state differences snapshots three steps apart
+    g = GridSpec(16, 16)
+    cfg = StepConfig(dt=1e-3, snapshot_stride=3 if storage == "stride-3" else 1)
+    sink = (lambda state: None) if storage == "sink" else None
+    traj = run_simulation(initial_state("rough-h1", g, PARAMS), 12e-3, cfg, PARAMS, sink=sink)
+    assert traj.failure is None and len(traj.records) == 13
+    with pytest.raises(EstimateError, match=r"needs per-step snapshots \(stride 1\)"):
+        _STORED_STATE_AUDITS[audit](traj)
+
+
 def test_tweighted_audit_needs_enough_steps_then_reports_positive_sups():
     short = _smooth_traj(nx=16, t_end=3e-3, dt=1e-3)
     with pytest.raises(EstimateError):
@@ -576,6 +598,14 @@ def test_gn_probe_reports_levels_and_growth():
     for lvl in out["levels"]:
         for i in (1, 2, 3, 4):
             assert lvl[f"ratio{i}"] > 0.0
+
+
+@pytest.mark.parametrize("probe", [lambda n, g: gn_probe(n, g),
+                                   lambda n, g: stokes_regularity_probe(n, 2.0, g)])
+def test_regularity_probes_refuse_an_empty_sample_family(probe):
+    # no samples is no evidence: neither stable nor unstable
+    with pytest.raises(EstimateError, match="at least one sample"):
+        probe(0, (GridSpec(8, 8), GridSpec(16, 16)))
 
 
 # ---------------------------------------------------------------------------

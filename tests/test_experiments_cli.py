@@ -1065,6 +1065,23 @@ def test_cli_schauder_writes_report(tmp_path, capsys):
     assert "iterations = 1" in report
 
 
+def test_schauder_failure_reports_its_last_attempt(tmp_path, capsys):
+    # one iteration never reaches tol = 1e-30, so all five attempts fail:
+    # horizons of 64, 32, 16, 8 and then 4 steps
+    cfg = RunConfig(nx=16, dt=1e-3, t_end=0.064, recipe="smooth-1", chi=0.02,
+                    schauder_max_iterations=1, schauder_tol=1e-30)
+    report = schauder_fixed_point(cfg)
+    assert report["converged"] is False
+    assert report["t_end"] == report["attempts"][-1]["t_end"] == pytest.approx(0.004)
+    assert report["halvings"] == pytest.approx([0.064, 0.032, 0.016, 0.008, 0.004])
+    assert report["diffs"] == report["attempts"][-1]["diffs"]
+    text = ("grid.nx = 16\nparams.chi = 0.02\ntime.dt = 1e-3\ntime.t_end = 0.064\n"
+            "init.recipe = smooth-1\nschauder.max_iterations = 1\nschauder.tolerance = 1e-30\n")
+    out = tmp_path / "fp"
+    assert main(["schauder", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert f"t_end = {report['t_end']!r}\n" in (out / "schauder.txt").read_text(encoding="utf-8")
+
+
 def test_cli_uniqueness_writes_series(tmp_path):
     text = """
     grid.nx = 16

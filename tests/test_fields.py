@@ -80,6 +80,14 @@ def test_fluidparams_validation():
     FluidParams(mu=0.1, chi=0.0, nu=0.1)  # chi = 0 allowed
 
 
+@pytest.mark.parametrize("name", ["mu", "chi", "nu"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fluidparams_refuse_non_finite_values(name, value):
+    values = {"mu": 0.04, "chi": 0.02, "nu": 0.01, name: value}
+    with pytest.raises(FieldError, match=f"{name} must be finite"):
+        FluidParams(**values)
+
+
 def test_placement_mismatch_raises():
     g = GridSpec(8, 8)
     with pytest.raises(FieldError):

@@ -421,7 +421,7 @@ def test_rough_data_h1_bounded_h2_growing():
 @pytest.mark.parametrize("prefix", [(0,), (5,), (2**32 + 7,), (3, 2)])
 def test_mode_normals_equal_seed_sequence_draws(prefix):
     # (2**32 + 7,) takes two entropy words, so the hash mixes five words into
-    # its pool of four; (3, 2) is the (seed, sample) prefix of probe_scalar
+    # its pool of four; (3, 2) is a prefix of two entries
     xi = _mode_normals(prefix, 8)
     assert xi.shape == (8, 8)
     for k in range(1, 9):
