@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, config_items, load_config, with_seed
 from .estimates import (EstimateError, energy_audit, gn_probe, gronwall_budget, stokes_regularity_probe,
                         w_lq_audit)
-from .evolution import StepError, Trajectory
+from .evolution import StepError, Trajectory, _off_grid, _step_count, _stored
 from .experiments import (
     ExperimentError,
     convergence_study,
@@ -184,32 +184,35 @@ def _check_manifest(cfg: RunConfig, out: Path) -> None:
 
 
 def _check_rows(cfg: RunConfig, records) -> None:
-    """A completed run has ``round(t_end/dt) + 1`` diagnostics rows spaced
-    ``dt`` and ending at ``t_end``; an aborted run stops short of ``t_end``."""
-    steps = int(round(cfg.t_end / cfg.dt))
+    """A completed run has one diagnostics row per step of the horizon, row k
+    at exactly ``k * dt`` as the march writes it; an aborted one stops short."""
+    steps = _step_count(0.0, cfg.t_end, cfg.dt)
     times = [r.t for r in records]
     if len(times) != steps + 1:
         raise _Mismatch(
             f"diagnostics.csv has {len(times)} rows, but time.t_end = {cfg.t_end:g} "
             f"with time.dt = {cfg.dt:g} needs {steps + 1}"
         )
-    if abs(times[-1] - cfg.t_end) > 1e-8 * max(cfg.t_end, cfg.dt):
+    if times[-1] != steps * cfg.dt:
         raise _Mismatch(f"the last row is at t = {times[-1]:g}, not time.t_end = {cfg.t_end:g}")
-    for a, b in zip(times, times[1:]):
-        if abs((b - a) - cfg.dt) > 1e-6 * cfg.dt:
-            raise _Mismatch(f"rows at t = {a:g} and {b:g} are not time.dt = {cfg.dt:g} apart")
+    k = _off_grid(times, 0.0, cfg.dt)
+    if k == 0:
+        raise _Mismatch(f"the first row is at t = {times[0]:g}, not 0")
+    if k is not None:
+        raise _Mismatch(f"rows at t = {times[k - 1]:g} and {times[k]:g} are not "
+                        f"time.dt = {cfg.dt:g} apart")
 
 
-def _check_snapshots(paths, grid: GridSpec, records) -> None:
-    """Read each snapshot once and check it: on the config's grid, at a
-    row's time, after the one before.  The last must hold the last row's
-    state (the final state is always stored), so files left by another run
-    are refused."""
+def _check_snapshots(paths, grid: GridSpec, records, stride: int) -> None:
+    """Read each snapshot once and check it: on the config's grid and at the
+    next stored step's time (``_stored``).  The set must be complete, so a
+    missing snapshot, a file left by another run or one out of order is refused."""
     row_times = {r.t for r in records}
+    stored = iter([r.t for k, r in enumerate(records) if _stored(k, len(records) - 1, stride)])
     last = None
     for path in paths:
         state = read_snapshot(path)
-        t = state.t
+        t, want = state.t, next(stored, None)
         if state.grid != grid:
             raise _Mismatch(
                 f"the snapshot at t = {t:g} has nx = {state.grid.nx}, mode = {state.grid.mode}; "
@@ -219,9 +222,15 @@ def _check_snapshots(paths, grid: GridSpec, records) -> None:
             raise _Mismatch(f"a snapshot is at t = {t!r}, which is no diagnostics row's time")
         if last is not None and t <= last:
             raise _Mismatch(f"the snapshot at t = {t!r} follows one at t = {last!r}")
+        if t != want:
+            raise _Mismatch(f"no snapshot holds the stored state (t = {want!r})"
+                            if want is not None and t > want
+                            else f"a snapshot is at t = {t!r}, which is no stored step's time")
         last = t
-    if last != records[-1].t:
-        raise _Mismatch(f"no snapshot holds the last row's state (t = {records[-1].t!r})")
+    missing = next(stored, None)
+    if missing is not None:
+        which = "last row's" if missing == records[-1].t else "stored"
+        raise _Mismatch(f"no snapshot holds the {which} state (t = {missing!r})")
 
 
 def _cmd_audit(cfg: RunConfig, out: Path) -> int:
@@ -234,7 +243,7 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
     try:
         _check_manifest(cfg, out)
         _check_rows(cfg, records)
-        _check_snapshots(sorted(out.glob("snap_*.mmps")), grid_of(cfg), records)
+        _check_snapshots(sorted(out.glob("snap_*.mmps")), grid_of(cfg), records, cfg.stride)
     except _Mismatch as exc:
         print(f"audit: the config does not describe the run under {out}: {exc}",
               file=sys.stderr)

@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-from .evolution import ADVECTION_SCHEMES, SCHEMES
+from .evolution import ADVECTION_SCHEMES, SCHEMES, StepError, _step_count
 from .fields import MODE_DIRICHLET, MODES
 from .recipes import INITIAL_RECIPES, MMS_RECIPES
 
@@ -63,6 +63,10 @@ class RunConfig:
         positive("time.dt", self.dt)
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ConfigError(f"time.t_end must be >= 0, got {self.t_end}")
+        try:
+            _step_count(0.0, self.t_end, self.dt)
+        except StepError as exc:
+            raise ConfigError(f"time.t_end = {self.t_end}: {exc}") from None
         if self.recipe not in INITIAL_RECIPES:
             raise ConfigError(
                 f"init.recipe must be one of {INITIAL_RECIPES}, got {self.recipe!r}"

@@ -16,7 +16,9 @@ record (stride 1).  The discrete conventions mirror the scheme:
   trapezoid/face quadratures, so the coupling term ``2 chi <curl2(u), w>``
   is the single exact exchange term of the energy balance;
 * time derivatives are realized as step differences divided by dt; time
-  integrals are left-endpoint sums over steps.
+  integrals are left-endpoint sums over steps of the configured dt, on whose
+  grid a :class:`mmps.evolution.Trajectory` holds its records (the weak-form
+  residuals take trapezoid sums between their stored states' times).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .fields import (
     third_derivative_samples,
 )
 from .recipes import probe_scalar
-from .stokes import solve_stationary_stokes
+from .stokes import SolverError, solve_stationary_stokes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (evolution imports us)
     from .evolution import Trajectory
@@ -76,7 +78,7 @@ __all__ = [
 
 
 class EstimateError(ValueError):
-    """Audit precondition violated (non-uniform dt, bad q, short trajectory)."""
+    """Audit precondition violated (bad q, short trajectory, missing states)."""
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +288,6 @@ def _stored_states(traj: "Trajectory", audit: str) -> tuple[tuple[float, State],
     return traj.states
 
 
-def _uniform_dt(times: Sequence[float]) -> float:
-    if len(times) < 2:
-        raise EstimateError("audit needs at least one step")
-    dts = np.diff(np.asarray(times))
-    dt = float(dts[0])
-    if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1e-30):
-        raise EstimateError("audit requires a uniform time step")
-    return dt
-
-
 # ---------------------------------------------------------------------------
 # Energy balance audit
 # ---------------------------------------------------------------------------
@@ -316,9 +308,10 @@ def energy_audit(traj: "Trajectory", params: FluidParams) -> EstimateLedger:
     envelope is only meaningful for unforced runs; with a forcing handle
     configured it is reported as skipped.
     """
-    records = traj.records
+    records, dt = traj.records, traj.cfg.dt
+    if len(records) < 2:
+        raise EstimateError("audit needs at least one step")
     times = tuple(r.t for r in records)
-    dt = _uniform_dt(times)
     energies = [_energy(r) for r in records]
     residuals = [r.energy_residual for r in records[1:]]
     c = 8.0 * params.chi**2 / (params.mu + params.chi)
@@ -386,12 +379,13 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
     """
     if q < 2.0 or not math.isfinite(q):
         raise EstimateError(f"lq audit needs q in [2, inf), got {q}")
-    records = traj.records
-    _uniform_dt(tuple(r.t for r in records))
+    records, dt = traj.records, traj.cfg.dt
+    if len(records) < 2:
+        raise EstimateError("lq audit needs at least one step")
     lhs, rhs, margin, slack = [], [], [], []
     if q == 4.0:
         for r_prev, r in zip(records, records[1:]):
-            lhs.append(_lq_lhs(r.w_l4, r_prev.w_l4, q, r.t - r_prev.t, params.chi))
+            lhs.append(_lq_lhs(r.w_l4, r_prev.w_l4, q, dt, params.chi))
             rhs.append(lhs[-1] + r.lq_margin)
             margin.append(r.lq_margin)
             slack.append(r.lq_slack)
@@ -399,8 +393,7 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
         states = _stored_states(traj, f"lq audit at q = {q:g}")
         from .evolution import advect_node  # deferred: evolution imports us
 
-        for (t_prev, s_prev), (t_new, s_new) in zip(states, states[1:]):
-            dt = t_new - t_prev
+        for (_, s_prev), (_, s_new) in zip(states, states[1:]):
             wq_prev, wq_new = lq_norm(s_prev.w, q), lq_norm(s_new.w, q)
             lhs.append(_lq_lhs(wq_new, wq_prev, q, dt, params.chi))
             slack.append(_lq_slack(s_prev.w, wq_prev,
@@ -438,12 +431,11 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
     * int ( ||d_t u||_{L^2}^2 + ||d_t w||_{L^4}^2 + ||d_t b||_{L^2}^2 ) dt
 
     A fold over the per-step records, so it reads the same at every snapshot
-    stride.  The d_t u / d_t b integrals weight each step by its own length;
-    the others by the uniform dt.  Returns a flat mapping of every component
-    plus the grand total.
+    stride.  Every integral weighs each step by one step length, the
+    configured dt.  Returns a flat mapping of every component plus the grand
+    total.
     """
-    records = traj.records
-    dt = _uniform_dt(tuple(r.t for r in records)) if len(records) > 1 else 0.0
+    records, dt = traj.records, traj.cfg.dt
     sup_state_sq = 0.0
     sup_u_h1_sq = sup_w_w14_sq = sup_b_h1_sq = 0.0
     int_hess_u_l4_sq = int_hess_b_l2_sq = 0.0
@@ -457,12 +449,11 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
         sup_b_h1_sq = max(sup_b_h1_sq, b_h1_sq)
         sup_state_sq = max(sup_state_sq, u_h1_sq + w_w14_sq + b_h1_sq)
         if k >= 1:
-            step = r.t - records[k - 1].t
             int_hess_u_l4_sq += dt * r.hess_u_l4**2
             int_hess_b_l2_sq += dt * r.hess_b_l2**2
-            int_dtu_l2_sq += step * r.dt_u_l2**2
+            int_dtu_l2_sq += dt * r.dt_u_l2**2
             int_dtw_l4_sq += dt * r.dt_w_l4**2
-            int_dtb_l2_sq += step * r.dt_b_l2**2
+            int_dtb_l2_sq += dt * r.dt_b_l2**2
 
     budget = {
         "sup_state_sq": sup_state_sq,
@@ -504,12 +495,9 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
     (stride 1); their accumulation starts at the second difference (the
     first one still touches the rough initial state).
     """
-    records = traj.records
+    records, dt = traj.records, traj.cfg.dt
     if len(records) < 5:
         raise EstimateError("t-weighted audit needs at least 4 steps")
-    times = tuple(r.t for r in records)
-    _uniform_dt(times)
-    t_end = times[-1]
 
     sup_t_hess_sq = sup_t_hess_b_sq = 0.0
     late_sup_t_hess_sq = late_sup_t_hess_b_sq = 0.0
@@ -518,20 +506,17 @@ def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, flo
         weighted_b = r.t * r.hess_b_l2**2
         sup_t_hess_sq = max(sup_t_hess_sq, weighted)
         sup_t_hess_b_sq = max(sup_t_hess_b_sq, weighted_b)
-        if r.t >= 0.5 * t_end:
+        if r.t >= 0.5 * records[-1].t:
             late_sup_t_hess_sq = max(late_sup_t_hess_sq, weighted)
             late_sup_t_hess_b_sq = max(late_sup_t_hess_b_sq, weighted_b)
 
     int_t_grad_dtu_sq = int_t_grad_dtb_sq = 0.0
     snaps = _stored_states(traj, "t-weighted audit")
-    for k in range(2, len(snaps)):
-        t_prev, s_prev = snaps[k - 1]
-        t_new, s_new = snaps[k]
-        step = t_new - t_prev
-        du = _vector_diff(s_new.u, s_prev.u, step)
-        db = _vector_diff(s_new.b, s_prev.b, step)
-        int_t_grad_dtu_sq += step * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
-        int_t_grad_dtb_sq += step * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
+    for (_, s_prev), (t_new, s_new) in zip(snaps[1:], snaps[2:]):
+        du = _vector_diff(s_new.u, s_prev.u, dt)
+        db = _vector_diff(s_new.b, s_prev.b, dt)
+        int_t_grad_dtu_sq += dt * t_new * samples_lq(gradient_samples(du), 2.0) ** 2
+        int_t_grad_dtb_sq += dt * t_new * samples_lq(gradient_samples(db), 2.0) ** 2
 
     return {
         "sup_t_hess_sq": sup_t_hess_sq,
@@ -557,9 +542,10 @@ def _probe_ladder(grids: Sequence[GridSpec], sample_count: int, seed: int, ratio
     """Per-grid maxima of each observed ratio over the samples
     ``probe_scalar(grid, seed, s, smoothness)``, s < ``sample_count``, and
     each ratio's largest level-to-level growth.  A sample whose ``ratios``
-    are None (the zero field) is skipped.  The run is unstable when any
-    ratio grows by more than 25% per refinement; a ratio whose maximum was
-    zero grows without bound."""
+    are None (the zero field) is skipped, and a SolverError of ``ratios``
+    is raised again naming the grid and the sample.  The run is unstable
+    when any ratio grows by more than 25% per refinement; a ratio whose
+    maximum was zero grows without bound."""
     if sample_count < 1:
         raise EstimateError(f"a regularity probe needs at least one sample, got {sample_count}")
     levels = []
@@ -567,7 +553,11 @@ def _probe_ladder(grids: Sequence[GridSpec], sample_count: int, seed: int, ratio
         maxima: dict[str, float] = {}
         for sample in range(sample_count):
             smoothness = _PROBE_SMOOTHNESS[sample % len(_PROBE_SMOOTHNESS)]
-            observed = ratios(probe_scalar(grid, seed, sample, smoothness)) or {}
+            try:
+                observed = ratios(probe_scalar(grid, seed, sample, smoothness)) or {}
+            except SolverError as exc:
+                raise SolverError(f"probe sample {sample} on nx={grid.nx} ({grid.mode}): "
+                                  f"{exc}") from None
             for key, value in observed.items():
                 maxima[key] = max(maxima.get(key, 0.0), value)
         levels.append({"nx": grid.nx, **maxima})
@@ -618,14 +608,18 @@ def stokes_regularity_probe(sample_count: int, q: float, grids: Sequence[GridSpe
       ratio_w1q = |v|_W^{1,q} / |w|_L^q
       ratio_log = |grad v|_Linf / ((1 + |w|_Linf) * ln(e + |grad w|_L^q))
 
-    with their growth and one stability verdict over both."""
+    with their growth and one stability verdict over both.  A solve that
+    does not converge raises SolverError: its ratios are not evidence."""
 
     def ratios(w: ScalarField) -> dict[str, float] | None:
         wq = lq_norm(w, q)
         if wq == 0.0:
             return None
         pg = perp_grad(w)
-        v = solve_stationary_stokes(VectorField(w.grid, -pg.ux, -pg.uy)).v
+        sol = solve_stationary_stokes(VectorField(w.grid, -pg.ux, -pg.uy))
+        if not sol.converged:
+            raise SolverError(f"the Stokes solve did not converge (residual {sol.residual:.3g})")
+        v = sol.v
         vq = lq_norm(v, q)
         gq, ginf = samples_lq(gradient_samples(v), (q, math.inf))
         w1q = max(vq, gq) if q == math.inf else (vq**q + gq**q) ** (1.0 / q)
@@ -659,37 +653,36 @@ _BUMP_FAMILY: dict[str, Callable] = {
 }
 
 
-def _bump_derivatives(cx: float, cy: float, r: float) -> dict[str, Callable]:
-    """Derivative evaluators (orders 0-3) of the compactly supported C^4
-    bump ((1 - s^2)_+)^5, s^2 = ((x-cx)^2 + (y-cy)^2) / r^2, centred at
-    (cx, cy) with radius r: the closed forms of ``_BUMP_FAMILY`` bound to
-    this centre and radius, zero outside the disc.
+def _bump_values(bump: tuple[float, float, float], X: np.ndarray, Y: np.ndarray,
+                 keys: Sequence[str] = tuple(_BUMP_FAMILY)) -> dict[str, np.ndarray]:
+    """The derivatives named by ``keys`` (orders 0-3, default all) at the
+    points (X, Y) of the compactly supported C^4 bump ((1 - s^2)_+)^5,
+    s^2 = ((x-cx)^2 + (y-cy)^2) / r^2, with ``bump = (cx, cy, r)``: the
+    closed forms of ``_BUMP_FAMILY`` from one disc mask and one offset
+    pair, zero outside the disc.
     """
+    cx, cy, r = bump
     k = -2.0 / (r * r)
+    inside = ((X - cx) ** 2 + (Y - cy) ** 2) / (r * r) < 1.0
+    dx, dy = X[inside] - cx, Y[inside] - cy
+    q, a, b = 1.0 - (dx * dx + dy * dy) / (r * r), k * dx, k * dy
     out = {}
-    for key, fn in _BUMP_FAMILY.items():
-
-        def masked(X, Y, _fn=fn):
-            inside = ((X - cx) ** 2 + (Y - cy) ** 2) / (r * r) < 1.0
-            dx, dy = X[inside] - cx, Y[inside] - cy
-            vals = np.zeros_like(X)
-            vals[inside] = _fn(1.0 - (dx * dx + dy * dy) / (r * r), k * dx, k * dy, k)
-            return vals
-
-        out[key] = masked
+    for key in keys:
+        out[key] = np.zeros_like(X)
+        out[key][inside] = _BUMP_FAMILY[key](q, a, b, k)
     return out
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _test_bank(size: int) -> list[dict[str, Callable]]:
+def _test_bank(size: int) -> list[tuple[float, float, float]]:
     bank = []
     for k in range(size):
         cx = 0.32 + 0.36 * math.modf(0.5 + (k + 1) * _GOLDEN)[0]
         cy = 0.32 + 0.36 * math.modf(0.5 + (k + 1) * _GOLDEN * _GOLDEN)[0]
         r = 0.16 + 0.10 * math.modf((k + 1) * _GOLDEN**3)[0]
-        bank.append(_bump_derivatives(cx, cy, r))
+        bank.append((cx, cy, r))
     return bank
 
 
@@ -766,20 +759,17 @@ def weak_form_residual(
     for bump in _test_bank(test_bank_size):
         # test vector Phi = perp_grad(B): (-B_y, B_x); its gradient and
         # vector laplacian come from B's higher derivatives.
-        phi = (bump["y"](Xc, Yc) * -1.0, bump["x"](Xc, Yc))
-        d_phi = (
-            (-bump["xy"](Xc, Yc), bump["xx"](Xc, Yc)),  # d_x Phi
-            (-bump["yy"](Xc, Yc), bump["xy"](Xc, Yc)),  # d_y Phi
-        )
-        lap_phi = (
-            -(bump["xxy"](Xc, Yc) + bump["yyy"](Xc, Yc)),
-            bump["xxx"](Xc, Yc) + bump["xyy"](Xc, Yc),
-        )
-        lap_b = bump["xx"](Xc, Yc) + bump["yy"](Xc, Yc)
-        b_node = (bump[""](Xn, Yn), bump["x"](Xn, Yn), bump["y"](Xn, Yn))
-        pgb = VectorField(grid, -bump["y"](*grid.mesh("xface")), bump["x"](*grid.mesh("yface")))
-        grad_theta = grad(ScalarField(grid, CELL, bump[""](Xc, Yc)))
+        c = _bump_values(bump, Xc, Yc)
+        phi = (c["y"] * -1.0, c["x"])
+        d_phi = ((-c["xy"], c["xx"]), (-c["yy"], c["xy"]))  # d_x Phi, d_y Phi
+        lap_phi = (-(c["xxy"] + c["yyy"]), c["xxx"] + c["xyy"])
+        lap_b = c["xx"] + c["yy"]
+        b_node = tuple(_bump_values(bump, Xn, Yn, ("", "x", "y")).values())
+        pgb = VectorField(grid, -_bump_values(bump, *grid.mesh("xface"), ("y",))["y"],
+                          _bump_values(bump, *grid.mesh("yface"), ("x",))["x"])
+        grad_theta = grad(ScalarField(grid, CELL, c[""]))
         tests.append((phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta))
+        del c  # the unused derivatives are not held
 
     # one pass over the snapshots: each one's averages are built once, shared
     # by every bump, and dropped before the next snapshot

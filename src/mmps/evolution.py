@@ -55,6 +55,7 @@ from .fields import (
     ScalarField,
     State,
     VectorField,
+    _cell_diff,
     _diff,
     _mean,
     _pairs,
@@ -117,8 +118,8 @@ class StepConfig:
     calls it once per step and hands the triple to the step and to
     ``forcing_work``; under AB2 the previous step's explicit terms, forcing
     included, are carried forward instead of being recomputed.
-    Snapshots are stored every ``snapshot_stride`` steps (the final state is
-    always stored).
+    A march of n steps stores step k when ``k % snapshot_stride == 0`` or
+    ``k == n`` (the stored-step rule ``_stored``): always the first and the last.
     """
 
     dt: float
@@ -155,8 +156,9 @@ class Trajectory:
     every stride; those that difference states need them.
     ``failure`` is None for a completed run; on an aborted run it carries
     the step error message and the snapshots/records cover the completed
-    prefix.  Times are strictly increasing and the record stream is
-    uniformly spaced by the configured dt.
+    prefix.  Snapshot times are strictly increasing; record k is at exactly
+    ``t0 + k*dt``, t0 the first record's time (``_off_grid``), so the audits
+    step by ``cfg.dt``.
     """
 
     states: tuple[tuple[float, State], ...]
@@ -170,12 +172,10 @@ class Trajectory:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise StepError("snapshot times must be strictly increasing")
         rtimes = [r.t for r in self.records]
-        if any(b <= a for a, b in zip(rtimes, rtimes[1:])):
-            raise StepError("record times must be strictly increasing")
-        if len(rtimes) > 2:
-            dts = np.diff(rtimes)
-            if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
-                raise StepError("diagnostics records must be uniformly spaced")
+        k = _off_grid(rtimes, rtimes[0], self.cfg.dt) if rtimes else None
+        if k is not None:
+            raise StepError(f"record {k} is at t={rtimes[k]!r}, off the grid t0 + k*dt "
+                            f"of dt={self.cfg.dt!r}")
 
     @property
     def final_state(self) -> State:
@@ -210,7 +210,7 @@ def advect_mac(advecting: VectorField, a: VectorField) -> VectorField:
         # axis and through the nodes along the transverse axis `t`
         fc = _mean(_to_cell(g, u[axis], axis), axis) * _mean(_to_cell(g, c[axis], axis), axis)
         fn = _mean(_to_node(g, u[t], axis), axis) * _mean(_to_node(g, c[axis], t), t)
-        div_f = _diff(_to_node(g, fc, axis), axis, h) + _diff(_to_cell(g, fn, t), t, h)
+        div_f = _diff(_to_node(g, fc, axis), axis, h) + _cell_diff(g, fn, t)
         out.append(_pin(g, div_f, axis))
     return VectorField(g, *out)
 
@@ -527,19 +527,31 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> It
 
     A bad ``t_end`` raises StepError from this call, before any step; a
     failing step (CFL, lost finiteness) raises its StepError from the
-    iteration.  Step times are exact multiples of dt from ``init.t``.
+    iteration.  Step k is at exactly ``init.t + k*dt``.
     """
-    return _march(init, _step_count(init, t_end, cfg), cfg, params, _Carry())
+    return _march(init, _step_count(init.t, t_end, cfg.dt), cfg, params, _Carry())
 
 
-def _step_count(init: State, t_end: float, cfg: StepConfig) -> int:
-    horizon = t_end - init.t
+def _step_count(t0: float, t_end: float, dt: float) -> int:
+    """The horizon rule: the number of steps of ``dt`` from ``t0`` to
+    ``t_end``, which must be whole to a relative 1e-8 (StepError)."""
+    horizon = t_end - t0
     if horizon < 0.0:
-        raise StepError(f"t_end {t_end} precedes the initial time {init.t}")
-    steps = int(round(horizon / cfg.dt))
-    if abs(steps * cfg.dt - horizon) > 1e-8 * max(horizon, cfg.dt):
-        raise StepError(f"horizon {horizon} is not a whole number of steps of dt={cfg.dt}")
+        raise StepError(f"t_end {t_end} precedes the initial time {t0}")
+    steps = int(round(horizon / dt))
+    if abs(steps * dt - horizon) > 1e-8 * max(horizon, dt):
+        raise StepError(f"horizon {horizon} is not a whole number of steps of dt={dt}")
     return steps
+
+
+def _off_grid(times: Sequence[float], t0: float, dt: float) -> int | None:
+    """The grid check: the first k whose time is not the march's ``t0 + k*dt``, or None."""
+    return next((k for k, t in enumerate(times) if t != t0 + k * dt), None)
+
+
+def _stored(k: int, steps: int, stride: int) -> bool:
+    """The stored-step rule: step k of ``steps`` is stored at the stride, and the last."""
+    return k % stride == 0 or k == steps
 
 
 def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams,
@@ -548,7 +560,7 @@ def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams,
     for k in range(1, steps + 1):
         forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
         new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)
-        new = replace(new, t=init.t + k * cfg.dt)
+        new = replace(new, t=init.t + k * cfg.dt)  # on the grid of _off_grid
         yield state, new, forcing
         state = new
 
@@ -566,6 +578,7 @@ def run_simulation(
     also gives each record's ``forcing_work`` and whose carry gives its spin
     transport (the L^4 scheme slack is read off the step's own transport).
 
+    The stored steps are those of the stored-step rule (:class:`StepConfig`).
     Each stored state goes to ``sink`` as soon as the march yields it.
     Without a sink they are collected into ``Trajectory.states``; with one
     (``simulate_run`` writes each to a file) ``states`` is empty and the
@@ -576,24 +589,19 @@ def run_simulation(
     before anything is stored.  ``t_end == init.t`` stores just the initial
     state.  Reruns with identical inputs produce identical trajectories.
     """
-    carry = _Carry()
-    steps = _march(init, _step_count(init, t_end, cfg), cfg, params, carry)
+    carry, steps = _Carry(), _step_count(init.t, t_end, cfg.dt)
     snaps: list[tuple[float, State]] = []
     store = sink or (lambda state: snaps.append((state.t, state)))
     records = [diagnostics_record(init, params)]
     store(init)
     failure: str | None = None
-    k, new = 0, init
     try:
-        for k, (prev, new, forcing) in enumerate(steps, 1):
+        for k, (prev, new, forcing) in enumerate(_march(init, steps, cfg, params, carry), 1):
             work = forcing_work(forcing, new) if forcing is not None else 0.0
             records.append(diagnostics_record(new, params, prev=(prev, records[-1]),
                                               forcing_work=work, transport=carry.transport))
-            if k % cfg.snapshot_stride == 0:
+            if _stored(k, steps, cfg.snapshot_stride):
                 store(new)
     except StepError as exc:
         failure = str(exc)
-    else:
-        if k % cfg.snapshot_stride:
-            store(new)  # the final state is always stored
     return Trajectory(tuple(snaps), tuple(records), cfg, params, failure)

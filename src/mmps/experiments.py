@@ -25,6 +25,9 @@ from .evolution import (
     StepError,
     Trajectory,
     _Carry,
+    _march,
+    _step_count,
+    _stored,
     manufactured_forcing,
     march,
     run_simulation,
@@ -250,12 +253,9 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
     eps = cfg.epsilon if cfg.epsilon is not None else 2.0 * grid.h
     base_cfg = step_config_of(cfg, grid, with_forcing=False)
 
-    steps = int(round(cfg.t_end / base_cfg.dt))
-    if steps < 1 or abs(steps * base_cfg.dt - cfg.t_end) > 1e-8 * cfg.t_end:
-        raise ExperimentError(
-            f"fixed-point horizon {cfg.t_end} must be a whole number of steps of dt={base_cfg.dt}"
-        )
-    halvings: list[float] = []
+    steps = _step_count(init.t, cfg.t_end, base_cfg.dt)
+    if steps < 1:
+        raise ExperimentError(f"fixed-point horizon {cfg.t_end} must be at least one step")
     attempt_reports: list[dict] = []
     for _attempt in range(5):
         horizon = steps * base_cfg.dt
@@ -290,24 +290,18 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
                 "iterate_x_norms": iterate_norms,
             }
         )
-        if converged:
-            coupled = _final_state(init, horizon, base_cfg, params, "coupled comparison run")
-            gap = lq_norm(ScalarField(grid, NODE, f_slices[-1].data - coupled.w.data), 2.0)
-            return {
-                "converged": True,
-                **attempt_reports[-1],
-                "halvings": halvings,
-                "wstar_x_norm": _x_norm(f_slices),
-                "coupled_l2_gap": gap,
-                "attempts": attempt_reports,
-            }
-        halvings.append(horizon)
-        if steps == 1:
+        if converged or steps == 1:
             break
-        steps = max(1, steps // 2)
-    # not converged: the horizon and iterates are those of the last attempt
-    return {"converged": False, **attempt_reports[-1], "halvings": halvings,
-            "attempts": attempt_reports}
+        steps //= 2
+    # the horizon and iterates are those of the last attempt; every earlier
+    # one was halved
+    report = {"converged": converged, **attempt_reports[-1],
+              "halvings": [a["t_end"] for a in attempt_reports[:-1]]}
+    if converged:
+        coupled = _final_state(init, report["t_end"], base_cfg, params, "coupled comparison run")
+        gap = lq_norm(ScalarField(grid, NODE, f_slices[-1].data - coupled.w.data), 2.0)
+        report.update(wstar_x_norm=_x_norm(f_slices), coupled_l2_gap=gap)
+    return {**report, "attempts": attempt_reports}
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +343,15 @@ def uniqueness_probe(cfg: RunConfig, delta: float) -> dict:
     step_cfg = step_config_of(cfg, grid)
 
     # the three runs march in lockstep and keep no trajectory: separations
-    # are taken at the snapshot stride and at the final time
+    # are taken at the stored steps (``_stored``)
     labels = ("base run", "perturbed run (delta)", "perturbed run (half)")
     starts = (init, perturbed_state(init, delta), perturbed_state(init, 0.5 * delta))
-    runs = zip(*(_failing_as(label, march(s, cfg.t_end, step_cfg, params))
+    steps = _step_count(init.t, cfg.t_end, step_cfg.dt)
+    runs = zip(*(_failing_as(label, _march(s, steps, step_cfg, params, _Carry()))
                  for label, s in zip(labels, starts)))
-
-    def sampled() -> Iterator[tuple[State, ...]]:
-        yield starts
-        k, states = 0, starts
-        for k, steps in enumerate(runs, 1):
-            states = tuple(new for _, new, _ in steps)
-            if k % step_cfg.snapshot_stride == 0:
-                yield states
-        if k % step_cfg.snapshot_stride:
-            yield states
-
-    rows = [(a.t, _separation(a, b), _separation(a, c)) for a, b, c in sampled()]
+    states = itertools.chain([starts], (tuple(new for _, new, _ in step) for step in runs))
+    rows = [(a.t, _separation(a, b), _separation(a, c)) for k, (a, b, c) in enumerate(states)
+            if _stored(k, steps, step_cfg.snapshot_stride)]
     times, d_delta, d_half = (list(column) for column in zip(*rows))
     ratios = [a / b if b > 0.0 else math.nan for a, b in zip(d_delta, d_half)]
     finite = [r for r in ratios if math.isfinite(r)]

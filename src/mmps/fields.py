@@ -41,6 +41,9 @@ Lattice shapes and quadrature weights keep their own mode forks.
 Quadrature is the midpoint rule over each sample's control cell clipped to
 the domain: cell samples weigh h^2; face samples lying on a wall weigh
 h^2/2; node weights are h^2 halved once per wall contact (corners h^2/4).
+A block of samples (a lattice or a derivative block) weighs by the outer
+product of axis weights that follow from its shape alone: in Dirichlet mode
+an axis of nx + 1 samples runs wall to wall and its end samples weigh h/2.
 These weights make the duality pairings below exact, and the evolution and
 audit layers rely on that exactness:
 
@@ -144,26 +147,23 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def _axis_weights(grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]) -> tuple:
-    """Read-only midpoint-rule weights (wx, wy), clipped to the domain, of samples
-    at origin + (i*h, j*h): [i, j] weighs wx[i] * wy[j].  Cached per layout."""
+def _axis_weights(grid: GridSpec, shape: tuple[int, int]) -> tuple:
+    """Read-only midpoint-rule weights (wx, wy) of a block of ``shape``, whose
+    [i, j] weighs wx[i] * wy[j] (see the module docstring).  Cached per shape."""
     axes = []
-    for m, z0 in zip(shape, origin):
+    for m in shape:
         w = np.full(m, grid.h)
-        if not grid.periodic:
-            if abs(z0) < 1e-14:
-                w[0] *= 0.5
-            if abs(z0 + (m - 1) * grid.h - 1.0) < 1e-14:
-                w[-1] *= 0.5
+        if m == grid.nx + 1 and not grid.periodic:
+            w[[0, -1]] *= 0.5
         w.flags.writeable = False
         axes.append(w)
     return tuple(axes)
 
 
 @lru_cache(maxsize=64)
-def _product_weights(grid: GridSpec, shape: tuple[int, int], origin: tuple[float, float]) -> np.ndarray:
+def _product_weights(grid: GridSpec, shape: tuple[int, int]) -> np.ndarray:
     """The read-only 2-D table of ``_axis_weights``, for the inner products."""
-    weights = np.outer(*_axis_weights(grid, shape, origin))
+    weights = np.outer(*_axis_weights(grid, shape))
     weights.flags.writeable = False
     return weights
 
@@ -171,7 +171,7 @@ def _product_weights(grid: GridSpec, shape: tuple[int, int], origin: tuple[float
 def lattice_weights(grid: GridSpec, lattice: str) -> np.ndarray:
     """Midpoint-rule quadrature weights over clipped control cells
     (read-only, shared between callers)."""
-    return _product_weights(grid, grid.lattice_shape(lattice), grid.lattice_origin(lattice))
+    return _product_weights(grid, grid.lattice_shape(lattice))
 
 
 @dataclass(frozen=True)
@@ -386,6 +386,11 @@ def _mean(e: np.ndarray, axis: int) -> np.ndarray:
     return m
 
 
+def _cell_diff(g: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
+    """Differences over h along ``axis``, half a step toward the cell-like lattice."""
+    return _diff(_to_cell(g, a, axis), axis, g.h)
+
+
 # ---------------------------------------------------------------------------
 # First-order difference operators
 # ---------------------------------------------------------------------------
@@ -408,9 +413,8 @@ def div(v: VectorField) -> ScalarField:
     """Discrete divergence: MAC vector -> cell scalar, using all
     faces (boundary faces enter with their stored values).
     """
-    g, h = v.grid, v.grid.h
-    d = _diff(_to_cell(g, v.ux, 0), 0, h) + _diff(_to_cell(g, v.uy, 1), 1, h)
-    return ScalarField(g, CELL, d)
+    g = v.grid
+    return ScalarField(g, CELL, _cell_diff(g, v.ux, 0) + _cell_diff(g, v.uy, 1))
 
 
 def perp_grad(s: ScalarField) -> VectorField:
@@ -421,8 +425,8 @@ def perp_grad(s: ScalarField) -> VectorField:
     """
     if s.placement != NODE:
         raise FieldError("perp_grad expects a node-placed scalar")
-    g, h, a = s.grid, s.grid.h, s.data
-    return VectorField(g, -_diff(_to_cell(g, a, 1), 1, h), _diff(_to_cell(g, a, 0), 0, h))
+    g, a = s.grid, s.data
+    return VectorField(g, -_cell_diff(g, a, 1), _cell_diff(g, a, 0))
 
 
 def curl2(v: VectorField) -> ScalarField:
@@ -539,39 +543,24 @@ def lq_norm(f: ScalarField | VectorField, q: float | tuple) -> float | tuple:
 
 @dataclass(frozen=True)
 class DerivativeSamples:
-    """A block of derivative samples at positions (x0 + i*h, y0 + j*h),
-    with midpoint quadrature weights clipped to the domain and an optional
-    multiplicity (mixed second derivatives count twice in a Hessian).
+    """A block of derivative samples with an optional multiplicity (mixed
+    second derivatives count twice in a Hessian).  Its quadrature weights
+    follow from its shape alone (``_axis_weights``).
     """
 
     grid: GridSpec
     data: np.ndarray
-    x0: float
-    y0: float
     multiplicity: float = 1.0
 
-    def weights(self) -> np.ndarray:
-        w = _product_weights(self.grid, self.data.shape, (self.x0, self.y0))
-        return w if self.multiplicity == 1.0 else self.multiplicity * w
-
-    def dx(self) -> "DerivativeSamples":
-        d = _diff(_to_cell(self.grid, self.data, 0), 0, self.grid.h)
-        x0 = self.x0 + 0.5 * self.grid.h
-        return DerivativeSamples(self.grid, d, x0, self.y0, self.multiplicity)
-
-    def dy(self) -> "DerivativeSamples":
-        d = _diff(_to_cell(self.grid, self.data, 1), 1, self.grid.h)
-        y0 = self.y0 + 0.5 * self.grid.h
-        return DerivativeSamples(self.grid, d, self.x0, y0, self.multiplicity)
+    def diff(self, axis: int) -> "DerivativeSamples":
+        """The block's cell-ward differences along ``axis``."""
+        return DerivativeSamples(self.grid, _cell_diff(self.grid, self.data, axis), self.multiplicity)
 
 
 def _components(f: ScalarField | VectorField) -> list[DerivativeSamples]:
-    """The samples of a scalar, or of each MAC component, where they lie."""
-    g = f.grid
-    if isinstance(f, ScalarField):
-        return [DerivativeSamples(g, f.data, *g.lattice_origin(f.placement))]
-    return [DerivativeSamples(g, f.ux, *g.lattice_origin("xface")),
-            DerivativeSamples(g, f.uy, *g.lattice_origin("yface"))]
+    """The samples of a scalar, or of each MAC component."""
+    arrays = (f.data,) if isinstance(f, ScalarField) else (f.ux, f.uy)
+    return [DerivativeSamples(f.grid, a) for a in arrays]
 
 
 def _mirror_normal_derivative(
@@ -581,8 +570,7 @@ def _mirror_normal_derivative(
     to the full node lattice with the mirror-ghost wall rows 2*a/h (the rows
     whose squares complete the exact summation-by-parts identity).
     """
-    d = _diff(_to_node(g, a, axis, -1.0), axis, g.h)
-    return DerivativeSamples(g, d, 0.0, 0.0)
+    return DerivativeSamples(g, _diff(_to_node(g, a, axis, -1.0), axis, g.h))
 
 
 def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
@@ -597,14 +585,14 @@ def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples
     """
     if isinstance(f, ScalarField):
         (s,) = _components(f)
-        yield s.dx()
-        yield s.dy()
+        yield s.diff(0)
+        yield s.diff(1)
         return
     sx, sy = _components(f)
-    yield sx.dx()
+    yield sx.diff(0)
     yield _mirror_normal_derivative(f.grid, f.ux, axis=1)
     yield _mirror_normal_derivative(f.grid, f.uy, axis=0)
-    yield sy.dy()
+    yield sy.diff(1)
 
 
 def hessian_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
@@ -613,11 +601,11 @@ def hessian_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]
     Made lazily, like ``gradient_samples``.
     """
     for s in _components(f):
-        dx = s.dx()
-        yield dx.dx()
-        yield replace(dx.dy(), multiplicity=2.0)
+        dx = s.diff(0)
+        yield dx.diff(0)
+        yield replace(dx.diff(1), multiplicity=2.0)
         del dx  # not held while the last block is made
-        yield s.dy().dy()
+        yield s.diff(1).diff(1)
 
 
 def third_derivative_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
@@ -628,8 +616,8 @@ def third_derivative_samples(f: ScalarField | VectorField) -> Iterator[Derivativ
         # each Hessian block contributes an x child and a y child with the
         # parent multiplicity, which reproduces the binomial multiplicities
         # 1,3,3,1 of the third-derivative tensor
-        yield h2.dx()
-        yield h2.dy()
+        yield h2.diff(0)
+        yield h2.diff(1)
 
 
 def samples_lq(blocks: Iterable[DerivativeSamples], q: float | tuple) -> float | tuple:
@@ -640,7 +628,7 @@ def samples_lq(blocks: Iterable[DerivativeSamples], q: float | tuple) -> float |
 
 
 def _piece(b: DerivativeSamples) -> tuple[np.ndarray, tuple, float]:
-    return b.data, _axis_weights(b.grid, b.data.shape, (b.x0, b.y0)), b.multiplicity
+    return b.data, _axis_weights(b.grid, b.data.shape), b.multiplicity
 
 
 def max_abs(f: ScalarField | VectorField) -> float:

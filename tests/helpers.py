@@ -1,5 +1,5 @@
 """Shared test helpers: the 1-D midpoint weights built from the grid alone,
-for the norm oracles; the discrete Sobolev norms that the tests check
+and the origins of the derivative blocks, for the norm oracles; the discrete Sobolev norms that the tests check
 against closed forms (the package records the seminorms it needs directly);
 and a fresh interpreter for checks that need a new process."""
 
@@ -24,6 +24,31 @@ def axis_weights(grid, shape, origin):
         on_wall = (np.abs(z) < 1e-12) | (np.abs(z - 1.0) < 1e-12)
         axes.append(np.where(on_wall & (not grid.periodic), grid.h * 0.5, grid.h))
     return axes
+
+
+# Origins, in half steps h/2 along x and y, of the blocks that
+# gradient_samples, hessian_samples and third_derivative_samples yield, in
+# yield order: a difference along an axis moves a block half a step along it,
+# and the mirror rows of a MAC gradient fill the node lattice.
+BLOCK_ORIGINS = {
+    ("gradient", "cell"): ((2, 1), (1, 2)),
+    ("gradient", "node"): ((1, 0), (0, 1)),
+    ("gradient", "mac"): ((1, 1), (0, 0), (0, 0), (1, 1)),
+    ("hessian", "cell"): ((3, 1), (2, 2), (1, 3)),
+    ("hessian", "node"): ((2, 0), (1, 1), (0, 2)),
+    ("hessian", "mac"): ((2, 1), (1, 2), (0, 3), (3, 0), (2, 1), (1, 2)),
+    ("third", "cell"): ((4, 1), (3, 2), (3, 2), (2, 3), (2, 3), (1, 4)),
+    ("third", "node"): ((3, 0), (2, 1), (2, 1), (1, 2), (1, 2), (0, 3)),
+    ("third", "mac"): ((3, 1), (2, 2), (2, 2), (1, 3), (1, 3), (0, 4),
+                       (4, 0), (3, 1), (3, 1), (2, 2), (2, 2), (1, 3)),
+}
+
+
+def block_origins(kind, f):
+    """The origins (x0, y0) of the ``kind`` blocks of ``f``, from the table."""
+    placement = f.placement if isinstance(f, ScalarField) else "mac"
+    half = 0.5 * f.grid.h
+    return [(i * half, j * half) for i, j in BLOCK_ORIGINS[kind, placement]]
 
 
 def sobolev_norms(f: ScalarField | VectorField) -> dict[str, float]:

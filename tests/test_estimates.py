@@ -12,12 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mmps.estimates as estimates_module
 from mmps.estimates import (
     _GOLDEN,
     DiagnosticsRecord,
     EstimateError,
     EstimateLedger,
-    _bump_derivatives,
+    _bump_values,
     diagnostics_record,
     energy_audit,
     gn_probe,
@@ -58,7 +59,8 @@ from mmps.fields import (
     samples_lq,
 )
 from mmps.recipes import initial_state
-from helpers import axis_weights, fresh_interpreter
+from mmps.stokes import SolverError, StokesSolution
+from helpers import axis_weights, block_origins, fresh_interpreter
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
 
@@ -183,19 +185,20 @@ def _record_oracle(state, params, prev=None, prev_oracle=None, advection="upwind
             return lq([piece(f.data, g.lattice_origin(f.placement))], q)
         return lq([piece(f.ux, g.lattice_origin("xface")), piece(f.uy, g.lattice_origin("yface"))], q)
 
-    def blocks_lq(blocks, q):
-        return lq([piece(b.data, (b.x0, b.y0), b.multiplicity) for b in blocks], q)
+    def blocks_lq(kind, f, q):
+        blocks = (gradient_samples if kind == "gradient" else hessian_samples)(f)
+        return lq([piece(b.data, o, b.multiplicity)
+                   for b, o in zip(blocks, block_origins(kind, f), strict=True)], q)
 
     u, w, b = state.u, state.w, state.b
-    grad_u, hess_u = list(gradient_samples(u)), list(hessian_samples(u))
     curl_u = curl2(u)
     ratio = params.chi / (params.mu + params.chi)
     out = {
-        "t": state.t, "u_l2": field_lq(u, 2.0), "grad_u_l2": blocks_lq(grad_u, 2.0),
+        "t": state.t, "u_l2": field_lq(u, 2.0), "grad_u_l2": blocks_lq("gradient", u, 2.0),
         "w_l2": field_lq(w, 2.0), "w_l4": field_lq(w, 4.0),
-        "grad_w_l4": blocks_lq(gradient_samples(w), 4.0), "b_l2": field_lq(b, 2.0),
-        "grad_b_l2": blocks_lq(gradient_samples(b), 2.0), "hess_u_l2": blocks_lq(hess_u, 2.0),
-        "hess_b_l2": blocks_lq(hessian_samples(b), 2.0), "hess_u_l4": blocks_lq(hess_u, 4.0),
+        "grad_w_l4": blocks_lq("gradient", w, 4.0), "b_l2": field_lq(b, 2.0),
+        "grad_b_l2": blocks_lq("gradient", b, 2.0), "hess_u_l2": blocks_lq("hessian", u, 2.0),
+        "hess_b_l2": blocks_lq("hessian", b, 2.0), "hess_u_l4": blocks_lq("hessian", u, 4.0),
         "dt_w_l2": 0.0, "dt_w_l4": 0.0, "energy_residual": 0.0, "lq_margin": 0.0,
         "z_l2": field_lq(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0),
         "dt_u_l2": 0.0, "dt_b_l2": 0.0, "lq_slack": 0.0, "margin_scale": 0.0,
@@ -229,7 +232,7 @@ def _record_oracle(state, params, prev=None, prev_oracle=None, advection="upwind
     terms = (
         (w_l4**4 - w_prev_l4**4) / (4.0 * dt),
         2.0 * params.chi * w_l4**4,
-        params.chi * blocks_lq(grad_u, 4.0) * w_l4**3,
+        params.chi * blocks_lq("gradient", u, 4.0) * w_l4**3,
         out["lq_slack"],
     )
     out["lq_margin"] = terms[2] + terms[3] - (terms[0] + terms[1])
@@ -608,6 +611,17 @@ def test_regularity_probes_refuse_an_empty_sample_family(probe):
         probe(0, (GridSpec(8, 8), GridSpec(16, 16)))
 
 
+def test_stokes_probe_refuses_a_solve_that_did_not_converge(monkeypatch):
+    # the ratios of a solve that missed its tolerance are no evidence either
+    def unconverged(f):
+        return StokesSolution(v=VectorField.zeros(f.grid), p=ScalarField.zeros(f.grid, CELL),
+                              residual=3e-7, converged=False)
+
+    monkeypatch.setattr(estimates_module, "solve_stationary_stokes", unconverged)
+    with pytest.raises(SolverError, match=r"probe sample 0 on nx=16 .*residual 3e-07"):
+        stokes_regularity_probe(2, 2.0, (GridSpec(16, 16), GridSpec(32, 32)))
+
+
 # ---------------------------------------------------------------------------
 # Weak-form residuals
 # ---------------------------------------------------------------------------
@@ -634,11 +648,11 @@ def test_bump_derivatives_match_high_precision_oracle():
     # evaluation of the same bump at 40 points inside its disc
     sympy = pytest.importorskip("sympy")
     cx, cy, r = 0.4, 0.55, 0.2
-    bump = _bump_derivatives(cx, cy, r)
     k = np.arange(40)
     rho = r * np.sqrt((k + 0.5) / 40)
     theta = 2.0 * np.pi * _GOLDEN * k
     X, Y = cx + rho * np.cos(theta), cy + rho * np.sin(theta)
+    bump = _bump_values((cx, cy, r), X, Y)
     x, y = sympy.symbols("x y", real=True)
     F = lambda v: sympy.Float(v, 40)
     core = (1 - ((x - F(cx)) ** 2 + (y - F(cy)) ** 2) / F(r) ** 2) ** 5
@@ -649,7 +663,7 @@ def test_bump_derivatives_match_high_precision_oracle():
         exact = np.array(
             [float(expr.evalf(40, subs={x: F(a), y: F(b)})) for a, b in zip(X, Y)]
         )
-        err = np.max(np.abs(bump[key](X, Y) - exact))
+        err = np.max(np.abs(bump[key] - exact))
         assert err <= 1e-12 * np.max(np.abs(exact)), key
 
 

@@ -921,6 +921,20 @@ def test_trajectory_rejects_disordered_times():
         )
 
 
+def test_trajectory_refuses_records_one_ulp_off_the_grid():
+    # record k sits at exactly t0 + k*dt, as the march writes it
+    g = GridSpec(16, 16)
+    cfg = StepConfig(dt=1e-3)
+    traj = run_simulation(State.zeros(g, 0.0), 3e-3, cfg, PARAMS)
+    assert [r.t for r in traj.records] == [k * 1e-3 for k in range(4)]
+    for k in (1, 3):
+        for toward in (-math.inf, math.inf):
+            records = list(traj.records)
+            records[k] = replace(records[k], t=math.nextafter(records[k].t, toward))
+            with pytest.raises(StepError, match=f"record {k} is at t="):
+                Trajectory(states=(), records=tuple(records), cfg=cfg, params=PARAMS)
+
+
 def test_forcing_work_is_the_weighted_power_input():
     g = GridSpec(24, 24)
     state = initial_state("smooth-1", g, PARAMS, seed=13)

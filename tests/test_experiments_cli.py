@@ -579,9 +579,12 @@ def test_spin_map_equals_the_half_step_composition_bitwise(mode, scheme, chi):
 
 
 def test_schauder_requires_whole_step_horizon():
-    cfg = RunConfig(nx=16, dt=1e-3, t_end=1.5e-3, recipe="zero")
-    with pytest.raises(ExperimentError):
-        schauder_fixed_point(cfg)
+    # the config refuses a horizon of no whole number of steps;
+    # schauder_fixed_point, one of no step
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        RunConfig(nx=16, dt=1e-3, t_end=1.5e-3, recipe="zero")
+    with pytest.raises(ExperimentError, match="at least one step"):
+        schauder_fixed_point(RunConfig(nx=16, dt=1e-3, t_end=0.0, recipe="zero"))
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +675,9 @@ def test_convergence_study_names_the_run_a_step_failure_aborted():
 
 
 def test_convergence_study_raises_a_bad_horizon_as_a_step_error():
-    cfg = RunConfig(nx=16, dt=1e-3, t_end=1.5e-3, recipe="trig-1", forcing_recipe="trig-1",
-                    spatial_grids=(16, 24, 36))
+    # t_end is whole steps of time.dt, but not of the ladder's dt = 2e-3
+    cfg = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="trig-1", forcing_recipe="trig-1",
+                    spatial_grids=(16, 24, 36), temporal_dts=(2e-3, 1e-3, 5e-4))
     with pytest.raises(StepError, match="whole number of steps"):
         convergence_study(cfg)
 
@@ -802,6 +806,48 @@ def test_cli_audit_refuses_snapshots_of_another_run(tmp_path, capsys, copied, pl
     assert "envelope_ok" not in captured.out
 
 
+def test_cli_simulate_refuses_a_horizon_of_no_whole_steps_before_touching_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = _write_cfg(tmp_path, SMALL_TEXT.replace("time.t_end = 3e-3", "time.t_end = 6.5e-3"),
+                     name="bad.cfg")
+    capsys.readouterr()
+    assert main(["simulate", "--config", bad, "--out", str(out)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _plant_unstored(out, tmp_path, text):
+    every = tmp_path / "every"  # the same run at stride 1: snap_000001 is at t = 0.001
+    cfg_path = _write_cfg(tmp_path, text.replace("output.stride = 2", "output.stride = 1"), "e.cfg")
+    assert main(["simulate", "--config", cfg_path, "--out", str(every)]) == 0
+    (out / "snap_000001.mmps").write_bytes((every / "snap_000001.mmps").read_bytes())
+
+
+@pytest.mark.parametrize(
+    "plant, named",
+    [
+        (lambda out, tmp_path, text: (out / "snap_000001.mmps").unlink(),
+         "no snapshot holds the stored state (t = 0.002)"),
+        (_plant_unstored, "a snapshot is at t = 0.001, which is no stored step's time"),
+    ],
+    ids=["missing", "unstored"],
+)
+def test_cli_audit_refuses_a_stride_2_run_off_its_stored_steps(tmp_path, capsys, plant, named):
+    text = SMALL_TEXT.replace("time.t_end = 3e-3", "time.t_end = 6e-3") + "output.stride = 2\n"
+    cfg_path, out = _write_cfg(tmp_path, text), tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert len(list(out.glob("snap_*.mmps"))) == 4  # t = 0, 2, 4 and 6 ms
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    plant(out, tmp_path, text)
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "does not describe the run" in captured.err and named in captured.err
+    assert "envelope_ok" not in captured.out
+
+
 def _plant_rows(out, times):
     records = read_diagnostics_csv(out / "diagnostics.csv")
     planted = [replace(r, t=t) for r, t in zip(records, times)]
@@ -817,12 +863,14 @@ def _plant_rows(out, times):
          "the last row is at t = 0.0045, not time.t_end = 0.003"),
         (lambda out, other: _plant_rows(out, (0.0, 1e-3, 2.5e-3, 3e-3)),
          "rows at t = 0.001 and 0.0025 are not time.dt = 0.001 apart"),
+        (lambda out, other: _plant_rows(out, (5e-4, 1e-3, 2e-3, 3e-3)),
+         "the first row is at t = 0.0005, not 0"),
         (lambda out, other: (out / "snap_000000.mmps").write_bytes(
             (other / "snap_000000.mmps").read_bytes()),
          "the snapshot at t = 0 has nx = 32, mode = dirichlet-square; "
          "the config has grid.nx = 16, grid.mode = dirichlet-square"),
     ],
-    ids=["row-count", "last-row", "row-spacing", "snapshot-grid"],
+    ids=["row-count", "last-row", "row-spacing", "first-row", "snapshot-grid"],
 )
 def test_cli_audit_refuses_planted_files_under_a_matching_manifest(tmp_path, capsys, plant, named):
     cfg_path = _write_cfg(tmp_path)
@@ -1067,19 +1115,22 @@ def test_cli_schauder_writes_report(tmp_path, capsys):
 
 def test_schauder_failure_reports_its_last_attempt(tmp_path, capsys):
     # one iteration never reaches tol = 1e-30, so all five attempts fail:
-    # horizons of 64, 32, 16, 8 and then 4 steps
+    # horizons of 64, 32, 16, 8 and then 4 steps, after four halvings
     cfg = RunConfig(nx=16, dt=1e-3, t_end=0.064, recipe="smooth-1", chi=0.02,
                     schauder_max_iterations=1, schauder_tol=1e-30)
     report = schauder_fixed_point(cfg)
     assert report["converged"] is False
     assert report["t_end"] == report["attempts"][-1]["t_end"] == pytest.approx(0.004)
-    assert report["halvings"] == pytest.approx([0.064, 0.032, 0.016, 0.008, 0.004])
+    assert report["halvings"] == pytest.approx([0.064, 0.032, 0.016, 0.008])
+    assert [a["t_end"] for a in report["attempts"]] == pytest.approx(
+        [0.064, 0.032, 0.016, 0.008, 0.004])
     assert report["diffs"] == report["attempts"][-1]["diffs"]
     text = ("grid.nx = 16\nparams.chi = 0.02\ntime.dt = 1e-3\ntime.t_end = 0.064\n"
             "init.recipe = smooth-1\nschauder.max_iterations = 1\nschauder.tolerance = 1e-30\n")
     out = tmp_path / "fp"
     assert main(["schauder", "--config", _write_cfg(tmp_path, text), "--out", str(out)]) == 1
-    assert f"t_end = {report['t_end']!r}\n" in (out / "schauder.txt").read_text(encoding="utf-8")
+    written = (out / "schauder.txt").read_text(encoding="utf-8")
+    assert f"t_end = {report['t_end']!r}\n" in written and "halvings = 4\n" in written
 
 
 def test_cli_uniqueness_writes_series(tmp_path):

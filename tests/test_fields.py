@@ -5,8 +5,6 @@ consistency measured by Richardson ratios.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -33,10 +31,11 @@ from mmps.fields import (
     lq_norm,
     perp_grad,
     samples_lq,
+    third_derivative_samples,
 )
 from mmps.estimates import _cell_average, _node_average, _node_to_cell
 from mmps.evolution import advect_mac, advect_node
-from helpers import axis_weights, sobolev_norms
+from helpers import axis_weights, block_origins, sobolev_norms
 
 RNG = np.random.default_rng(20260816)
 
@@ -126,15 +125,36 @@ def test_quadrature_weights_shared_read_only_and_bounded():
     edge = np.full(g.nx + 1, h)
     edge[[0, -1]] *= 0.5
     dx = next(gradient_samples(ScalarField.sample(g, NODE, lambda x, y: x * y)))
-    assert np.array_equal(dx.weights(), np.outer(np.full(g.nx, h), edge))
-    assert np.array_equal(
-        replace(dx, multiplicity=2.0).weights(), 2.0 * np.outer(np.full(g.nx, h), edge)
-    )
+    wx, wy = fields_module._axis_weights(g, dx.data.shape)
+    assert np.array_equal(wx, np.full(g.nx, h)) and np.array_equal(wy, edge)
+    assert not (wx.flags.writeable or wy.flags.writeable)
     cache = fields_module._product_weights
     maxsize = cache.cache_parameters()["maxsize"]
     for nx in range(8, 8 + maxsize + 1):
         lattice_weights(GridSpec(nx, nx), "cell")
     assert cache.cache_info().currsize <= maxsize
+
+
+_SAMPLE_KINDS = {"gradient": gradient_samples, "hessian": hessian_samples,
+                 "third": third_derivative_samples}
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+@pytest.mark.parametrize("nx", [8, 9, 16])
+@pytest.mark.parametrize("kind", sorted(_SAMPLE_KINDS))
+def test_block_weights_follow_from_the_shape(kind, nx, mode):
+    # the weights that a block's shape gives equal the clipped midpoint
+    # weights at the block's true positions, listed in the helpers' table
+    g = GridSpec(nx, nx, mode)
+    rng = np.random.default_rng(nx)
+    for f in (random_scalar(g, CELL, rng), random_scalar(g, NODE, rng), random_mac(g, rng)):
+        blocks = list(_SAMPLE_KINDS[kind](f))
+        origins = block_origins(kind, f)
+        assert len(blocks) == len(origins)
+        for b, origin in zip(blocks, origins):
+            expected = axis_weights(g, b.data.shape, origin)
+            got = fields_module._axis_weights(g, b.data.shape)
+            assert all(np.array_equal(w, e) for w, e in zip(got, expected)), (f, origin)
 
 
 def test_midpoint_rule_exact_discrete_sum():
@@ -199,7 +219,8 @@ def test_norm_kernels_match_the_inline_power_oracle(mode):
         "mac vector": (lambda q: lq_norm(v, q), [piece(v.ux, "xface"), piece(v.uy, "yface")]),
         "hessian blocks": (
             lambda q: samples_lq(blocks, q),
-            [piece(b.data, origin=(b.x0, b.y0), multiplicity=b.multiplicity) for b in blocks],
+            [piece(b.data, origin=o, multiplicity=b.multiplicity)
+             for b, o in zip(blocks, block_origins("hessian", v))],
         ),
     }
     for lattice in ("cell", "node", "xface", "yface"):
