@@ -14,8 +14,8 @@ component); the zeroth-order damping ``2 chi w`` is an exact integrating
 factor ``exp(-2 chi dt)`` applied outside the explicit update; u and b are
 made divergence-free by a projection after their solves (which also
 re-imposes the no-slip boundary values), with ``p = phi / dt`` recovered
-from the projection potential.  Both fields go through one stacked pass of
-a :class:`mmps.stokes.SolvePlan` that the first step of a march builds, and
+from the projection potential.  Both fields go through one solve of a
+:class:`mmps.stokes.SolvePlan` that the first step of a march builds, and
 each state is checked once (finiteness and CFL speed from one max and min
 per array): the check of a step's result is the next step's input check.
 
@@ -219,31 +219,23 @@ def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
     """Normal velocities through the dual-cell faces of the node lattice.
 
     Interior faces average the four surrounding face samples; faces in the
-    wall rows/columns (half-length) average the two available ones.
-
-    This keeps its own fork on the grid mode: the two modes sum the four
-    samples in different orders and the Dirichlet wall rows use two terms,
-    so one ghost-rule body would move the results at roundoff.
+    wall rows/columns (half-length) average the two available ones.  The
+    periodic ghost rules wrap each component, so all of its faces are interior.
     """
-    g = u.grid
+    g, n = u.grid, u.grid.nx
     ux, uy = u.ux, u.uy
     if g.periodic:
-        hx = 0.25 * (
-            ux + np.roll(ux, -1, axis=0) + np.roll(ux, 1, axis=1)
-            + np.roll(np.roll(ux, -1, axis=0), 1, axis=1)
-        )
-        hy = 0.25 * (
-            uy + np.roll(uy, 1, axis=0) + np.roll(uy, -1, axis=1)
-            + np.roll(np.roll(uy, 1, axis=0), -1, axis=1)
-        )
-        return hx, hy
-    n = g.nx
+        ux, uy = _to_node(g, _to_cell(g, ux, 0), 1), _to_node(g, _to_cell(g, uy, 1), 0)
+    inner_x = 0.25 * (ux[:-1, :-1] + ux[1:, :-1] + ux[:-1, 1:] + ux[1:, 1:])
+    inner_y = 0.25 * (uy[:-1, :-1] + uy[:-1, 1:] + uy[1:, :-1] + uy[1:, 1:])
+    if g.periodic:
+        return inner_x, inner_y
     hx = np.empty((n, n + 1))
-    hx[:, 1:-1] = 0.25 * (ux[:-1, :-1] + ux[1:, :-1] + ux[:-1, 1:] + ux[1:, 1:])
+    hx[:, 1:-1] = inner_x
     hx[:, 0] = 0.5 * (ux[:-1, 0] + ux[1:, 0])
     hx[:, -1] = 0.5 * (ux[:-1, -1] + ux[1:, -1])
     hy = np.empty((n + 1, n))
-    hy[1:-1, :] = 0.25 * (uy[:-1, :-1] + uy[:-1, 1:] + uy[1:, :-1] + uy[1:, 1:])
+    hy[1:-1, :] = inner_y
     hy[0, :] = 0.5 * (uy[0, :-1] + uy[0, 1:])
     hy[-1, :] = 0.5 * (uy[-1, :-1] + uy[-1, 1:])
     return hx, hy
@@ -421,8 +413,8 @@ class _Carry:
 
 def _mhd_solve(u: VectorField, b: VectorField, terms: Sequence[np.ndarray], dt: float,
                plan: SolvePlan) -> tuple[VectorField, VectorField, ScalarField]:
-    """Diffuse and project u and b in one stacked pass of ``plan``; b is
-    left out when its update is identically zero."""
+    """Diffuse and project u and b in one solve of ``plan``; b is left out
+    when its update is identically zero."""
     ex, ey, gx, gy = terms
     u_star = VectorField(u.grid, u.ux + dt * ex, u.uy + dt * ey)
     b_star = VectorField(b.grid, b.ux + dt * gx, b.uy + dt * gy)

@@ -2,21 +2,23 @@
 
 Format: one ASCII header line
 
-    MMPS 2 <nx> <ny> <mode> <t-as-hex-float>\n
+    MMPS 3 <nx> <ny> <mode> <t-as-hex-float>\n
 
 followed by the six field arrays ``ux, uy, w, bx, by, p`` as raw
-little-endian 64-bit floats in row-major order, then the 8-byte BLAKE2b
-digest of the header line and that payload.  Write followed by read
-restores the state bit for bit; any corruption of the header or the payload
-is caught by the checksum.  Files are written through :func:`atomic_open`, so
+little-endian 64-bit floats in row-major order, then the CRC-32
+(``zlib.crc32``) of the header line and that payload as 4 little-endian
+bytes.  Write followed by read restores the state bit for bit; the checksum
+catches accidental corruption of the header or the payload, every burst of
+up to 32 bits among it.  Format 2 (a BLAKE2b trailer) is refused by name,
+so a run written before format 3 no longer audits.  Files are written through :func:`atomic_open`, so
 a reader sees the old file or the whole new one, never a partial write.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
+import zlib
 from contextlib import contextmanager
 from typing import IO, Iterator
 
@@ -35,8 +37,8 @@ __all__ = [
 ]
 
 _MAGIC = "MMPS"
-_VERSION = "2"
-_DIGEST_SIZE = 8
+_VERSION = "3"
+_DIGEST_SIZE = 4
 
 
 class SnapshotError(ValueError):
@@ -82,14 +84,14 @@ def write_snapshot(state: State, path: str | os.PathLike) -> None:
     array go to the checksum and to the file in turn, with no joined copy."""
     g = state.grid
     header = f"{_MAGIC} {_VERSION} {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n"
-    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    crc = 0
     chunks = (header.encode("ascii"),
               *(np.ascontiguousarray(arr, dtype="<f8") for arr in _field_arrays(state)))
     with atomic_open(path) as fh:
         for chunk in chunks:
-            digest.update(chunk)
+            crc = zlib.crc32(chunk, crc)
             fh.write(chunk)
-        fh.write(digest.digest())
+        fh.write(crc.to_bytes(_DIGEST_SIZE, "little"))
 
 
 def read_snapshot(path: str | os.PathLike) -> State:
@@ -109,7 +111,7 @@ def read_snapshot(path: str | os.PathLike) -> State:
         if len(parts) != 6 or parts[0] != _MAGIC:
             raise SnapshotFormatError(f"{path}: bad magic/header {header!r}")
         if parts[1] != _VERSION:
-            raise SnapshotFormatError(f"{path}: unsupported version {parts[1]!r}")
+            raise SnapshotFormatError(f"{path}: unsupported version {parts[1]!r}, expected {_VERSION!r}")
         try:
             grid = GridSpec(int(parts[2]), int(parts[3]), parts[4])
             t = float.fromhex(parts[5])
@@ -122,24 +124,20 @@ def read_snapshot(path: str | os.PathLike) -> State:
 
         state = State.zeros(grid, t)
         arrays = _field_arrays(state)
-        end = len(line) + sum(arr.nbytes for arr in arrays)
-        if size < end + _DIGEST_SIZE:
-            raise SnapshotTruncatedError(
-                f"{path}: needs {end + _DIGEST_SIZE} bytes for its header, payload and "
-                f"checksum, found {size}"
-            )
-        if size > end + _DIGEST_SIZE:
-            raise SnapshotFormatError(
-                f"{path}: {size - end - _DIGEST_SIZE} bytes after the checksum"
-            )
-        digest = hashlib.blake2b(line, digest_size=_DIGEST_SIZE)
+        end = len(line) + sum(arr.nbytes for arr in arrays) + _DIGEST_SIZE
+        if size < end:
+            raise SnapshotTruncatedError(f"{path}: needs {end} bytes for its header, payload "
+                                         f"and checksum, found {size}")
+        if size > end:
+            raise SnapshotFormatError(f"{path}: {size - end} bytes after the checksum")
+        crc = zlib.crc32(line)
         for arr in arrays:
             buf = memoryview(arr).cast("B")
             fh.readinto(buf)
-            digest.update(buf)
+            crc = zlib.crc32(buf, crc)
             if sys.byteorder == "big":
                 arr.byteswap(inplace=True)  # the file is little-endian
-        stored, actual = fh.read(), digest.digest()
+        stored, actual = fh.read(), crc.to_bytes(_DIGEST_SIZE, "little")
     if stored != actual:
         raise SnapshotChecksumError(
             f"{path}: checksum mismatch (stored {stored.hex()}, computed {actual.hex()})"

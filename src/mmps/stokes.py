@@ -9,9 +9,14 @@ the real FFT (periodic); DST-I along pinned faces, DST-II across mirror
 ghosts and DCT-II for the zero-flux pressure Poisson problem (Dirichlet;
 Schumann & Sweet 1976; Swarztrauber 1977).  :class:`SolvePlan` is the one
 path per mode: it forms the symbols once for a grid and its diffusion
-coefficients and solves several fields (u and b in a step) in one stacked
-transform pass; ``helmholtz_solve`` and ``leray_project`` are its one-field
-calls, and a march builds one plan for all of its steps.
+coefficients, and ``helmholtz_solve`` and ``leray_project`` are its
+one-field calls; a march builds one plan for all of its steps.  A periodic
+field takes one pass: the ``rfft2`` of ux and uy, division by the Helmholtz
+symbol 1 + kappa*dt*lam, the MAC projector at each wavenumber, and an
+``irfft2``.  Per axis the MAC divergence is D = (e^{i theta} - 1)/h and the
+gradient G = (1 - e^{-i theta})/h (theta = 2 pi k/n, D G = -lam), so
+phi_hat = -(D . v_hat)/lam with the zero mode 0, and v_hat -= G phi_hat.
+Dirichlet solves stack the fields (u and b in a step) in one transform pass.
 
 The stationary Stokes saddle system (Dirichlet mode) is not separable, but
 its velocity block is: with A = -laplacian on the interior faces (inverted by
@@ -79,25 +84,51 @@ def _finite(v: VectorField) -> bool:
 
 
 class SolvePlan:
-    """The diagonalised solves of one grid, run for several fields in one
-    stacked transform pass.  Field i diffuses with ``coefs[i]`` (kappa*dt):
-    its symbol ``1 + coefs[i] * lam`` and the Poisson eigenvalues are formed
-    here once; a plan without coefficients inverts -laplacian itself.  In
-    Dirichlet mode the plan owns one work buffer that every call reuses, and
-    the real-to-real transforms run in it in place; no field data stays in it.
+    """The diagonalised solves of one grid.  Field i diffuses with
+    ``coefs[i]`` (kappa*dt): its symbol ``1 + coefs[i] * lam``, the Poisson
+    eigenvalues and the periodic 1-D MAC phases D and G are formed here once;
+    a plan without coefficients inverts -laplacian.  A periodic field takes
+    one spectral pass (module docstring); Dirichlet fields share one stacked
+    pass in the plan's work buffer, reused in place, which keeps no field data.
     """
 
     def __init__(self, grid: GridSpec, coefs: Sequence[float] = ()) -> None:
         n = grid.nx
         if grid.periodic:
             k = 2 * np.arange(n)
-            lam = self.poisson = _symbol(grid, k, k[: n // 2 + 1])
+            lam = _symbol(grid, k, k[: n // 2 + 1])
+            self._neg_inv = np.divide(-1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+            theta = (np.pi / n) * k  # 2 pi m / n: a column along x, the real FFT's half along y
+            thetas = (theta[:, None], theta[: n // 2 + 1])
+            self._div = [np.expm1(1j * t) / grid.h for t in thetas]
+            self._grad = [-np.expm1(-1j * t) / grid.h for t in thetas]
         else:
             lam = _symbol(grid, np.arange(1, n), np.arange(1, n + 1))
             self.poisson = _symbol(grid, np.arange(n), np.arange(n))
         self.grid = grid
         self.symbols = tuple(1.0 + c * lam for c in coefs) or (lam,)
         self._work = None if grid.periodic else np.empty((2 * len(self.symbols), n - 1, n))
+
+    def _periodic(self, fields: Sequence[VectorField], project: bool) -> tuple[list, np.ndarray | None]:
+        """Each field's own spectral pass, projected if ``project``: the new
+        fields and the first one's potential (None unless projected)."""
+        g, n = self.grid, self.grid.nx
+        out, phi = [], None
+        for v, sym in zip(fields, self.symbols):
+            hat = [rfft2(v.ux), rfft2(v.uy)]
+            for h in hat:
+                h /= sym
+            if project:
+                phat = self._div[0] * hat[0] + self._div[1] * hat[1]
+                phat *= self._neg_inv  # -(D . v_hat) / lam, the zero mode 0
+                if not np.all(np.isfinite(phat)):
+                    raise SolverError("projection Poisson solve produced non-finite values")
+                for h, grad_k in zip(hat, self._grad):
+                    h -= grad_k * phat
+                if phi is None:
+                    phi = irfft2(phat, s=(n, n), overwrite_x=True)
+            out.append(VectorField(g, *(irfft2(h, s=(n, n), overwrite_x=True) for h in hat)))
+        return out, phi
 
     def faces(self, fields: Sequence[VectorField]) -> list[VectorField]:
         """New fields: field i divided by ``symbols[i]`` in the real FFT
@@ -106,18 +137,14 @@ class SolvePlan:
         (Dirichlet)."""
         g, m = self.grid, len(fields)
         if g.periodic:
-            hat = rfft2(np.stack([a for v in fields for a in (v.ux, v.uy)]))
-        else:
-            work = self._work[: 2 * m]
-            for i, v in enumerate(fields):
-                work[2 * i], work[2 * i + 1] = v.ux[1:-1, :], v.uy[:, 1:-1].T
-            hat = dst(work, type=1, axis=1, norm="ortho", overwrite_x=True)
-            hat = dst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
+            return self._periodic(fields, False)[0]
+        work = self._work[: 2 * m]
+        for i, v in enumerate(fields):
+            work[2 * i], work[2 * i + 1] = v.ux[1:-1, :], v.uy[:, 1:-1].T
+        hat = dst(work, type=1, axis=1, norm="ortho", overwrite_x=True)
+        hat = dst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
         for i in range(m):
             hat[2 * i : 2 * i + 2] /= self.symbols[i]
-        if g.periodic:
-            out = irfft2(hat, s=(g.nx, g.nx), overwrite_x=True)
-            return [VectorField(g, out[2 * i], out[2 * i + 1]) for i in range(m)]
         out = idst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
         out = idst(out, type=1, axis=1, norm="ortho", overwrite_x=True)
         solved = [VectorField.zeros(g) for _ in fields]
@@ -125,24 +152,22 @@ class SolvePlan:
             v.ux[1:-1, :], v.uy[:, 1:-1] = out[2 * i], out[2 * i + 1].T
         return solved
 
-    def project(self, fields: Sequence[VectorField]) -> np.ndarray:
+    def _project(self, fields: Sequence[VectorField]) -> np.ndarray:
         """Subtract grad(phi) from each field in place, phi the zero-mean
-        potential of div grad phi = div v; Dirichlet wall faces must be zero.
-        Returns a copy of the first field's potential."""
+        potential of div grad phi = div v; wall faces must be zero.  Returns
+        a copy of the first field's potential.  Dirichlet mode only: a
+        periodic plan projects inside its one pass per field."""
         g, n, m = self.grid, self.grid.nx, len(fields)
         dct = {"type": 2, "axes": (1, 2), "norm": "ortho", "overwrite_x": True}  # in place
-        if g.periodic:
-            hat = rfft2(np.stack([div(v).data for v in fields]))
-        else:
-            pot = self._work.reshape(-1)[: m * n * n].reshape(m, n, n)
-            for i, v in enumerate(fields):
-                pot[i] = div(v).data
-            hat = dctn(pot, **dct)
+        pot = self._work.reshape(-1)[: m * n * n].reshape(m, n, n)
+        for i, v in enumerate(fields):
+            pot[i] = div(v).data
+        hat = dctn(pot, **dct)
         np.negative(hat, out=hat)
         with np.errstate(divide="ignore", invalid="ignore"):
             hat /= self.poisson
         hat[:, 0, 0] = 0.0  # the constant mode: zero-mean potential
-        pot = irfft2(hat, s=(n, n), overwrite_x=True) if g.periodic else idctn(hat, **dct)
+        pot = idctn(hat, **dct)
         if not np.all(np.isfinite(pot)):
             raise SolverError("projection Poisson solve produced non-finite values")
         for v, phi in zip(fields, pot):
@@ -152,13 +177,15 @@ class SolvePlan:
         return pot[0].copy()
 
     def solve(self, fields: Sequence[VectorField]) -> tuple[list[VectorField], np.ndarray]:
-        """:meth:`faces`, then :meth:`project`.  A failure raises SolverError
-        in the order of one field at a time: Helmholtz of field 0 (Dirichlet
-        only), its projection, Helmholtz of field 1, and so on."""
+        """:meth:`faces`, then the projection: one pass per field when
+        periodic.  A failure raises SolverError in the order of one field at
+        a time: Helmholtz of field 0 (Dirichlet only), its projection,
+        Helmholtz of field 1, and so on."""
+        if self.grid.periodic:
+            return self._periodic(fields, True)
         solved = self.faces(fields)
-        ok = len(solved) if self.grid.periodic else next(
-            (i for i, v in enumerate(solved) if not _finite(v)), len(solved))
-        phi = self.project(solved[:ok]) if ok else None
+        ok = next((i for i, v in enumerate(solved) if not _finite(v)), len(solved))
+        phi = self._project(solved[:ok]) if ok else None
         if ok < len(solved):
             raise SolverError("helmholtz solve produced non-finite values")
         return solved, phi
@@ -171,12 +198,17 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
     (zero weighted mean, Neumann closure) with u_proj = u - grad(phi).
     In Dirichlet mode the boundary faces are pinned to zero first; a field
     that is already divergence-free is returned unchanged to roundoff.
-    A one-field :meth:`SolvePlan.project`.
+    A one-field :class:`SolvePlan` projection (Dirichlet), or its solve with
+    the unit symbol (periodic).
     """
-    g, work = u.grid, u.copy()
+    g = u.grid
+    if g.periodic:
+        (out,), phi = SolvePlan(g, (0.0,)).solve([u])
+        return out, ScalarField(g, CELL, phi)
+    work = u.copy()
     _pin(g, work.ux, 0)
     _pin(g, work.uy, 1)
-    return work, ScalarField(g, CELL, SolvePlan(g).project([work]))
+    return work, ScalarField(g, CELL, SolvePlan(g)._project([work]))
 
 
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:

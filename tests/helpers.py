@@ -1,13 +1,15 @@
 """Shared test helpers: the 1-D midpoint weights built from the grid alone,
 and the origins of the derivative blocks, for the norm oracles; the discrete Sobolev norms that the tests check
 against closed forms (the package records the seminorms it needs directly);
-and a fresh interpreter for checks that need a new process."""
+the snapshot trailer rule; and a fresh interpreter for checks that need a
+new process."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 
@@ -75,3 +77,9 @@ def fresh_interpreter(code: str, **extra_env: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout.strip()
+
+
+def snapshot_trailer(blob: bytes) -> bytes:
+    """The trailer of a format-3 snapshot whose header line and payload are
+    ``blob``: their CRC-32 as 4 little-endian bytes."""
+    return zlib.crc32(blob).to_bytes(4, "little")

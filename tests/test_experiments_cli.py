@@ -8,7 +8,6 @@ subcommand.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -60,6 +59,7 @@ from mmps.snapshots import (
     read_snapshot,
     write_snapshot,
 )
+from helpers import snapshot_trailer
 
 SMALL = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
 
@@ -201,23 +201,23 @@ def test_snapshot_round_trip_is_bit_exact(short_traj, tmp_path):
     write_snapshot(state, tmp_path / "again.mmps")
     raw = path.read_bytes()
     assert (tmp_path / "again.mmps").read_bytes() == raw
-    # the trailer digests the header line and the payload
-    assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    # the trailer checksums the header line and the payload
+    assert raw[-4:] == snapshot_trailer(raw[:-4])
 
 
 @pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
 def test_write_snapshot_bytes_equal_the_joined_construction(tmp_path, mode):
-    # the streamed write must give the bytes of header + payload + digest(both)
+    # the streamed write must give the bytes of header + payload + checksum(both)
     cfg = replace(SMALL, recipe="rough-h1", mode=mode, seed=2)
     state = replace(build_initial_state(cfg, grid_of(cfg)), t=0.1 + 0.2)
     g = state.grid
-    header = f"MMPS 2 {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n".encode("ascii")
+    header = f"MMPS 3 {g.nx} {g.ny} {g.mode} {float(state.t).hex()}\n".encode("ascii")
     blob = header + b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _field_arrays(state)
     )
     path = tmp_path / "state.mmps"
     write_snapshot(state, path)
-    assert path.read_bytes() == blob + hashlib.blake2b(blob, digest_size=8).digest()
+    assert path.read_bytes() == blob + snapshot_trailer(blob)
 
 
 @pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
@@ -270,13 +270,13 @@ def test_snapshot_rejects_corruption(short_traj, tmp_path):
     with pytest.raises(SnapshotFormatError):
         read_snapshot(versioned)
 
-    header[1] = "1"
-    version_one = tmp_path / "v1.mmps"
-    version_one.write_bytes((" ".join(header) + "\n").encode("ascii") + raw[header_end:])
-    with pytest.raises(SnapshotFormatError):
-        read_snapshot(version_one)
+    for old in ("1", "2"):  # earlier formats are refused by their version
+        header[1] = old
+        versioned.write_bytes((" ".join(header) + "\n").encode("ascii") + raw[header_end:])
+        with pytest.raises(SnapshotFormatError, match=f"unsupported version '{old}'"):
+            read_snapshot(versioned)
 
-    header[1] = "2"
+    header[1] = "3"
     for nx, ny in (("4", "4"), ("8", "9")):
         header[2], header[3] = nx, ny
         resized = tmp_path / "resized.mmps"
@@ -304,6 +304,25 @@ def test_snapshot_rejects_corruption(short_traj, tmp_path):
 
     for exc_type in (SnapshotTruncatedError, SnapshotChecksumError, SnapshotFormatError):
         assert issubclass(exc_type, SnapshotError)
+
+
+def test_snapshot_refuses_every_single_bit_flip(tmp_path):
+    # CRC-32 detects every burst of up to 32 bits, so each one-bit change of
+    # the header line or the payload is refused, never read as a state
+    cfg = replace(SMALL, nx=8, recipe="rough-h1", mode=MODE_PERIODIC, seed=3)
+    path = tmp_path / "state.mmps"
+    write_snapshot(replace(build_initial_state(cfg, grid_of(cfg)), t=0.25), path)
+    raw = path.read_bytes()
+    with open(path, "r+b", buffering=0) as fh:
+        for i in range(len(raw) - 4):
+            for bit in range(8):
+                fh.seek(i)
+                fh.write(bytes([raw[i] ^ (1 << bit)]))
+                with pytest.raises(SnapshotError):
+                    read_snapshot(path)
+            fh.seek(i)
+            fh.write(raw[i : i + 1])
+    assert read_snapshot(path).t == 0.25  # every byte was put back
 
 
 @pytest.fixture(scope="module")
@@ -1072,6 +1091,33 @@ def test_cli_audit_prints_the_l4_ledger_at_every_stride(tmp_path, capsys):
     assert len(list((tmp_path / "s3").glob("snap_*.mmps"))) == 3
     assert "L4 ledger min margin" in printed[1] and "skipped" not in printed[1]
     assert printed[0] == printed[1]  # the budget and both ledgers read the rows alone
+
+
+def test_cli_audit_scales_the_l4_margin_by_its_own_step(tmp_path, capsys):
+    # rough-h1 spin starts at 0 and stays small, so the unscaled margins are
+    # roundoff-sized; each is also printed against max(|lhs|, |rhs|) of its
+    # step (0 on the first step, where both are 0), with the worst step's time
+    text = ("grid.nx = 16\ninit.recipe = rough-h1\nparams.mu = 0.04\nparams.chi = 0.02\n"
+            "params.nu = 0.01\ntime.dt = 5e-4\ntime.t_end = 0.012\n"
+            "scheme.advection = upwind2\noutput.stride = 24\n")
+    cfg_path, out = _write_cfg(tmp_path, text, name="rough.cfg"), tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    cfg = load_config(cfg_path)
+    traj = Trajectory(states=(), records=read_diagnostics_csv(out / "diagnostics.csv"),
+                      cfg=step_config_of(cfg, grid_of(cfg)), params=params_of(cfg))
+    ledger = w_lq_audit(traj, 4.0, params_of(cfg))
+    lhs, rhs, margin = (ledger.series[k] for k in ("lhs", "rhs", "margin"))
+    assert lhs[0] == rhs[0] == 0.0
+    rel = [m / max(abs(a), abs(b)) if max(abs(a), abs(b)) else 0.0
+           for m, a, b in zip(margin, lhs, rhs)]
+    k = int(np.argmin(rel))
+    assert f"L4 ledger min margin = {min(margin):.6g}," in printed
+    assert (f"L4 ledger worst relative margin = {rel[k]:.6g} at t = {ledger.times[k]:.6g}\n"
+            in printed)
+    assert abs(min(margin)) < 1e-15 < 1e-3 < abs(rel[k])
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):

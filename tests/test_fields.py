@@ -348,8 +348,9 @@ def _periodic_roll_forms(op, g, c, w, u, b):
         return [(got.ux, out_x), (got.uy, out_y)]
     if op.startswith("advect_node"):
         method = op.split("-")[1]
-        hx = 0.25 * (ux + R(ux, -1, 0) + R(ux, 1, 1) + R(R(ux, -1, 0), 1, 1))
-        hy = 0.25 * (uy + R(uy, 1, 0) + R(uy, -1, 1) + R(R(uy, 1, 0), -1, 1))
+        # the four samples in the order of the Dirichlet interior sum
+        hx = 0.25 * (R(ux, 1, 1) + R(R(ux, -1, 0), 1, 1) + ux + R(ux, -1, 0))
+        hy = 0.25 * (R(uy, 1, 0) + R(R(uy, 1, 0), -1, 1) + uy + R(uy, -1, 1))
         if method == "central":
             fx = hx * (0.5 * (n + R(n, -1, 0)))
             fy = hy * (0.5 * (n + R(n, -1, 1)))

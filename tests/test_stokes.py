@@ -333,9 +333,12 @@ def test_solves_leave_module_state_bounded():
 @pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
 @pytest.mark.parametrize("nx", [8, 9, 16, 33])
 def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
-    # one stacked pass over u and b gives the bits of helmholtz_solve then
-    # leray_project per field, the potential of u included; with b left out
-    # (b = 0 in a step) u is solved alone, to the same bits
+    # Dirichlet: one stacked pass over u and b gives the bits of
+    # helmholtz_solve then leray_project per field, the potential of u
+    # included.  Periodic: each field takes one fused pass, so the solve is
+    # the one-field solves bit for bit and the two-pass composition to
+    # roundoff.  With b left out (b = 0 in a step) u is solved alone, to the
+    # same bits.
     grid = GridSpec(nx, nx, mode)
     rng = np.random.default_rng(40 + nx)
     fields = [_random_mac(grid, rng, interior_only=False) for _ in range(2)]
@@ -346,9 +349,21 @@ def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
         assert len(got) == count
         for v, coef, out in zip(fields, coefs, got):
             want, want_phi = leray_project(helmholtz_solve(v, coef))
-            assert out.ux.tobytes() == want.ux.tobytes() and out.uy.tobytes() == want.uy.tobytes()
+            if not grid.periodic:
+                assert out.ux.tobytes() == want.ux.tobytes()
+                assert out.uy.tobytes() == want.uy.tobytes()
+                if v is fields[0]:
+                    assert phi.tobytes() == want_phi.data.tobytes()
+                continue
+            (alone,), alone_phi = SolvePlan(grid, (coef,)).solve([v])
+            assert out.ux.tobytes() == alone.ux.tobytes()
+            assert out.uy.tobytes() == alone.uy.tobytes()
+            pairs = [(out.ux, want.ux), (out.uy, want.uy)]
             if v is fields[0]:
-                assert phi.tobytes() == want_phi.data.tobytes()
+                assert phi.tobytes() == alone_phi.tobytes()
+                pairs.append((phi, want_phi.data))
+            for a, b in pairs:
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     # and the stacked faces pass is the plane-at-a-time transform pair
     for v, coef, out in zip(fields, coefs, plan.faces(fields)):
         sym = 1.0 + coef * SolvePlan(grid).symbols[0]  # 1 + coef * lam
@@ -365,6 +380,30 @@ def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
                 wants.append(idst(want, type=1, axis=0, norm="ortho"))
         for (got, _), want in zip(planes, wants):
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_periodic_solves_take_no_physical_space_stencil(monkeypatch):
+    # the periodic projector acts per wavenumber: no cell divergence or face
+    # gradient is formed, in a step's solve or in the one-field calls
+    def refuse(*args):
+        raise AssertionError("a periodic solve called a physical-space stencil")
+
+    grid = GridSpec(16, 16, MODE_PERIODIC)
+    rng = np.random.default_rng(41)
+    fields = [_random_mac(grid, rng) for _ in range(2)]
+    monkeypatch.setattr(stokes_module, "div", refuse)
+    monkeypatch.setattr(stokes_module, "grad", refuse)
+    SolvePlan(grid, (3.7e-3, 1.1e-4)).solve(fields)
+    leray_project(helmholtz_solve(fields[0], 3.7e-3))
+
+
+def test_periodic_solve_kills_divergence_within_the_projection_bound():
+    # the grid, data and bound of test_projection_kills_divergence_and_is_idempotent
+    grid = GridSpec(16, 16, MODE_PERIODIC)
+    u = _random_mac(grid, np.random.default_rng(14))
+    scale = max(1.0, np.max(np.abs(u.ux)))
+    (pu,), _ = SolvePlan(grid, (3.7e-3,)).solve([u])
+    assert np.max(np.abs(div(pu).data)) <= 1e-11 * scale / grid.h
 
 
 def test_stokes_binds_no_function_of_the_layers_above_it():
