@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .fields import (
     CELL,
     NODE,
+    DerivativeSamples,
     FluidParams,
     GridSpec,
     ScalarField,
@@ -40,7 +41,6 @@ from .fields import (
     _mean,
     _to_cell,
     _to_node,
-    curl2,
     grad,
     gradient_samples,
     hessian_samples,
@@ -160,6 +160,21 @@ def _lq_slack(w_prev: ScalarField, w_prev_lq: float, transport: ScalarField | No
     return (lq_norm(moved, q) ** q - w_prev_lq**q) / (q * dt)
 
 
+def _gradient_kept(f: VectorField, kept: dict, curl: bool = False) -> Iterator[DerivativeSamples]:
+    """``gradient_samples(f)``, leaving in ``kept`` its diagonal blocks as the
+    first differences (component, axis) of ``hessian_samples`` and, with
+    ``curl``, ``"curl"``: curl2(f), the mirror blocks' difference, formed in
+    one's buffer once both are reduced, before the last block is made."""
+    blocks = gradient_samples(f)
+    kept[0, 0], fx_y, fy_x = next(blocks), next(blocks), next(blocks)
+    yield from (kept[0, 0], fx_y, fy_x)
+    if curl:
+        kept["curl"] = np.subtract(fy_x.data, fx_y.data, out=fy_x.data)
+    del fx_y, fy_x
+    kept[1, 1] = next(blocks)
+    yield kept[1, 1]
+
+
 def diagnostics_record(
     state: State,
     params: FluidParams,
@@ -185,20 +200,24 @@ def diagnostics_record(
 
     Each derivative block is made when ``samples_lq`` reaches it, squared
     once for its q = 2 and q = 4 norms and dropped, so a record holds a few
-    blocks at a time, never a stack (``curl2(u)`` redoes two of them).
+    blocks at a time, never a stack, and none twice: ``curl2(u)`` and the
+    Hessians' first differences are gradient blocks (:func:`_gradient_kept`).
     """
     u, w, b = state.u, state.w, state.b
+    kept: dict = {}
     u_l2 = lq_norm(u, 2.0)
-    grad_u_l2, grad_u_l4 = samples_lq(gradient_samples(u), (2.0, 4.0))
+    grad_u_l2, grad_u_l4 = samples_lq(_gradient_kept(u, kept, curl=True), (2.0, 4.0))
+    curl = kept.pop("curl")
+    coupling = l2_inner(ScalarField(state.grid, NODE, curl), w) if prev is not None else 0.0
+    curl -= params.chi / (params.mu + params.chi) * w.data  # z = curl2(u) - chi/(mu+chi) w
+    z_l2 = lq_norm(ScalarField(state.grid, NODE, curl), 2.0)
+    del curl
+    hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u, kept), (2.0, 4.0))
     w_l2, w_l4 = lq_norm(w, (2.0, 4.0))
     grad_w_l4 = samples_lq(gradient_samples(w), 4.0)
     b_l2 = lq_norm(b, 2.0)
-    grad_b_l2 = samples_lq(gradient_samples(b), 2.0)
-    hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u), (2.0, 4.0))
-    hess_b_l2 = samples_lq(hessian_samples(b), 2.0)
-    curl_u = curl2(u)
-    ratio = params.chi / (params.mu + params.chi)
-    z_l2 = lq_norm(ScalarField(state.grid, NODE, curl_u.data - ratio * w.data), 2.0)
+    grad_b_l2 = samples_lq(_gradient_kept(b, kept), 2.0)
+    hess_b_l2 = samples_lq(hessian_samples(b, kept), 2.0)
 
     dt_u_l2 = dt_w_l2 = dt_w_l4 = dt_b_l2 = 0.0
     energy_residual = lq_margin = lq_slack = 0.0
@@ -213,7 +232,6 @@ def diagnostics_record(
         dt_w_l2, dt_w_l4 = lq_norm(ScalarField(state.grid, NODE, dw), (2.0, 4.0))
         e_prev, w_prev_l4 = _energy(prev_record), prev_record.w_l4
         e_new = u_l2**2 + w_l2**2 + b_l2**2
-        coupling = l2_inner(curl_u, w)
         mu_chi = params.mu + params.chi
         energy_residual = (
             0.5 * (e_new - e_prev) / dt
@@ -466,14 +484,8 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
         "int_dtw_l4_sq": int_dtw_l4_sq,
         "int_dtb_l2_sq": int_dtb_l2_sq,
     }
-    budget["total"] = (
-        sup_state_sq
-        + int_hess_u_l4_sq
-        + int_hess_b_l2_sq
-        + int_dtu_l2_sq
-        + int_dtw_l4_sq
-        + int_dtb_l2_sq
-    )
+    budget["total"] = (sup_state_sq + int_hess_u_l4_sq + int_hess_b_l2_sq + int_dtu_l2_sq
+                       + int_dtw_l4_sq + int_dtb_l2_sq)
     return budget
 
 
@@ -808,11 +820,8 @@ def weak_form_residual(
                 + eta(t_k)
                 * (-2.0 * params.chi * w_b + adv_pair - params.chi * curl_pair)
             )
-            sol_max = max(
-                sol_max,
-                abs(l2_inner(s_k.u, grad_theta)),
-                abs(l2_inner(s_k.b, grad_theta)),
-            )
+            sol_max = max(sol_max, abs(l2_inner(s_k.u, grad_theta)),
+                          abs(l2_inner(s_k.b, grad_theta)))
             if k == 0:
                 initial.append((u_dot_phi, w_b, b_dot_phi))
 
@@ -825,11 +834,7 @@ def weak_form_residual(
         "momentum_max": max(abs(v) for v in mom_res),
         "microrotation_max": max(abs(v) for v in rot_res),
         "induction_max": max(abs(v) for v in ind_res),
-        "max_residual": max(
-            max(abs(v) for v in mom_res),
-            max(abs(v) for v in rot_res),
-            max(abs(v) for v in ind_res),
-        ),
+        "max_residual": max(abs(v) for v in (*mom_res, *rot_res, *ind_res)),
         "solenoidality_max": sol_max,
         "momentum": mom_res,
         "microrotation": rot_res,

@@ -24,7 +24,8 @@ components the fluxes use arithmetic face means, which makes the advection
 term exactly energy-neutral against the advected field whenever the
 advecting field is discretely divergence-free with pinned walls.  The
 magnetic nonlinearity takes two such transports, not four, in the Elsaesser
-variables z+- = u +- b (Elsaesser 1950), so its exchange stays exact.  The
+variables z+- = u +- b (Elsaesser 1950), so its exchange stays exact; the two
+are built from one set of fluxes (``advect_mac`` with ``pair``).  The
 micro-rotation scalar lives on nodes and is advected over the node-centered
 dual cells (wall cells clipped to half/quarter area, matching the trapezoid
 quadrature weights exactly); its face values are either arithmetic means
@@ -190,29 +191,29 @@ class Trajectory:
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+    """The smaller slope where both have one sign, else +0, in four ufuncs."""
+    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
-def advect_mac(advecting: VectorField, a: VectorField) -> VectorField:
+def advect_mac(advecting: VectorField, a: VectorField, *, pair: bool = False) -> VectorField | tuple:
     """Conservative advection div(advecting x a) of a MAC field by a MAC field.
 
     Fluxes use arithmetic two-point means on both factors, so the result is
     exactly energy-neutral against ``a`` whenever ``advecting`` is discretely
     divergence-free (with pinned wall-normal components in Dirichlet mode).
     Wall faces of the output are zero - they are pinned by the boundary
-    condition and never updated.
+    condition and never updated.  ``pair`` adds A(a, advecting) from the same
+    fluxes: the cell fluxes are shared and the node fluxes swap axes.
     """
     g, h = a.grid, a.grid.h
     u, c = (advecting.ux, advecting.uy), (a.ux, a.uy)
-    out = []
-    for axis, t in ((0, 1), (1, 0)):
-        # flux of component `axis` through the cell centres along its own
-        # axis and through the nodes along the transverse axis `t`
-        fc = _mean(_to_cell(g, u[axis], axis), axis) * _mean(_to_cell(g, c[axis], axis), axis)
-        fn = _mean(_to_node(g, u[t], axis), axis) * _mean(_to_node(g, c[axis], t), t)
-        div_f = _diff(_to_node(g, fc, axis), axis, h) + _cell_diff(g, fn, t)
-        out.append(_pin(g, div_f, axis))
-    return VectorField(g, *out)
+    # component k's flux through the cells along axis k and the nodes along 1 - k
+    fc = [_mean(_to_cell(g, u[k], k), k) * _mean(_to_cell(g, c[k], k), k) for k in (0, 1)]
+    fn = [_mean(_to_node(g, u[1 - k], k), k) * _mean(_to_node(g, c[k], 1 - k), 1 - k) for k in (0, 1)]
+    dc = [_diff(_to_node(g, fc[k], k), k, h) for k in (0, 1)]
+    out = [VectorField(g, *(_pin(g, dc[k] + _cell_diff(g, nf[k], 1 - k), k) for k in (0, 1)))
+           for nf in ((fn, fn[::-1]) if pair else (fn,))]
+    return tuple(out) if pair else out[0]
 
 
 def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +249,10 @@ def _face_values_upwind(
     the slope drops to zero where the next-to-donor neighbor is missing
     (the odd wall ghost of the node differences makes minmod vanish)."""
     e = _to_cell(g, w, axis)
-    slope = _minmod(*_pairs(_to_node(g, np.diff(e, axis=axis), axis, -1.0), axis))
-    (w_lo, w_hi), (s_lo, s_hi) = _pairs(e, axis), _pairs(_to_cell(g, slope, axis), axis)
-    return np.where(speed >= 0.0, w_lo + 0.5 * s_lo, w_hi - 0.5 * s_hi)
+    half = _minmod(*_pairs(_to_node(g, np.diff(e, axis=axis), axis, -1.0), axis))
+    half *= 0.5
+    (w_lo, w_hi), (s_lo, s_hi) = _pairs(e, axis), _pairs(_to_cell(g, half, axis), axis)
+    return np.where(speed >= 0.0, w_lo + s_lo, w_hi - s_hi)
 
 
 def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
@@ -330,6 +332,8 @@ def _mhd_explicit(
     (A is bilinear).  The exchange ``<momentum, u> + <induction, b>`` equals
     ``-(<P, z+> + <Q, z->)/2``; each pairing is a central transport by a
     divergence-free, wall-pinned field, energy-neutral, so it stays exact.
+    P and Q share one flux set: 8 face means, 4 products and 6 differences
+    (two separate transports take 16, 8 and 8).
 
     Quadratic magnetic terms are skipped for an identically zero b (they
     vanish exactly), which keeps the zero-field invariant subspace and the
@@ -338,7 +342,7 @@ def _mhd_explicit(
     if b.ux.any() or b.uy.any():
         zp = VectorField(u.grid, u.ux + b.ux, u.uy + b.uy)
         zm = VectorField(u.grid, u.ux - b.ux, u.uy - b.uy)
-        p, q = advect_mac(zm, zp), advect_mac(zp, zm)
+        p, q = advect_mac(zm, zp, pair=True)
         ex, ey = -0.5 * (p.ux + q.ux), -0.5 * (p.uy + q.uy)
         gx, gy = 0.5 * (q.ux - p.ux), 0.5 * (q.uy - p.uy)
     else:
@@ -369,9 +373,10 @@ def _w_explicit(
     forcing: Forcing | None,
     transport: ScalarField | None,
 ) -> np.ndarray:
-    src = -transport.data if transport is not None else np.zeros_like(w.data)
-    if params.chi != 0.0:
-        src = src + params.chi * curl2(u).data
+    if params.chi == 0.0:
+        src = -transport.data if transport is not None else np.zeros_like(w.data)
+    else:  # x - t is -t + x; with no transport, x - (-0.0) is 0.0 + x (a zero start)
+        src = params.chi * curl2(u).data - (transport.data if transport is not None else -0.0)
     if forcing is not None:
         src = src + forcing[1].data
     return src

@@ -113,9 +113,7 @@ class GridSpec:
 
     def lattice_shape(self, lattice: str) -> tuple[int, int]:
         n = self.nx
-        if self.periodic:
-            return (n, n)
-        if lattice == "cell":
+        if self.periodic or lattice == "cell":
             return (n, n)
         if lattice == "node":
             return (n + 1, n + 1)
@@ -369,9 +367,9 @@ def _pairs(e: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return e[:, :-1], e[:, 1:]
 
 
-def _diff(e: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _diff(e: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     lo, hi = _pairs(e, axis)
-    d = hi - lo
+    d = np.subtract(hi, lo, out=out)
     if math.frexp(h)[0] == 0.5:  # h = 2^-k: times 2^k is the quotient's bits, at less cost
         d *= 1.0 / h
     else:
@@ -595,17 +593,20 @@ def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples
     yield sy.diff(1)
 
 
-def hessian_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
+def hessian_samples(f: ScalarField | VectorField,
+                    made: dict | None = None) -> Iterator[DerivativeSamples]:
     """Second-derivative blocks by interior-truncated composition of first
     differences; the mixed derivative is computed once with multiplicity 2.
-    Made lazily, like ``gradient_samples``.
+    Made lazily, like ``gradient_samples``.  ``made`` maps (component, axis)
+    to first differences made already: each is popped and used, not redone.
     """
-    for s in _components(f):
-        dx = s.diff(0)
+    made = made or {}
+    for i, s in enumerate(_components(f)):
+        dx = made.pop((i, 0), None) or s.diff(0)
         yield dx.diff(0)
         yield replace(dx.diff(1), multiplicity=2.0)
         del dx  # not held while the last block is made
-        yield s.diff(1).diff(1)
+        yield (made.pop((i, 1), None) or s.diff(1)).diff(1)
 
 
 def third_derivative_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:

@@ -31,12 +31,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .fields import (
     CELL,
@@ -360,15 +361,22 @@ def _smooth1_state(grid: GridSpec) -> State:
     return replace(State.zeros(grid), u=u, w=ScalarField.sample(grid, NODE, w_fn), b=b)
 
 
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# seeding of pcg64_set_seed (numpy/random/src/pcg64); all 32-bit words.
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx); all 32-bit words.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT, _POOL_SIZE = 16, 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@dataclass(frozen=True)
+class _StateWords(ISeedSequence):
+    """Four uint64 state words as a seed sequence, for ``PCG64`` to seed from."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -389,9 +397,8 @@ def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
     The SeedSequence entropy mix and ``generate_state(4, uint64)`` run once,
     in wrapping uint32 array arithmetic over the (k, m) lattice; the hash
     constants are the same for every mode, so they stay Python ints.  Each
-    mode's PCG64 state follows from its four state words as in
-    ``pcg64_set_seed`` and is set on one reused generator, which then draws
-    with NumPy's own ziggurat.
+    mode's four state words seed a ``PCG64`` through :class:`_StateWords`,
+    which then draws with NumPy's own ziggurat.
     """
     shape = (kmax, kmax)
     ks = np.arange(1, kmax + 1, dtype=np.uint32)
@@ -430,18 +437,11 @@ def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
         hash_const = (hash_const * _MULT_B) & _MASK32
         value *= hash_const
         words[..., i] = value ^ (value >> _XSHIFT)
-    words = words.view("<u8")
+    words = words.view("<u8").astype(np.uint64, copy=False)  # native, contiguous rows
 
-    bitgen = PCG64(0)
-    rng = Generator(bitgen)
     out = np.empty(shape)
-    for k in range(kmax):  # one row of Python ints at a time keeps memory flat
-        for m, (w0, w1, w2, w3) in enumerate(words[k].tolist()):
-            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-            state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            out[k, m] = rng.standard_normal()
+    for k, m in np.ndindex(shape):
+        out[k, m] = Generator(PCG64(_StateWords(words[k, m]))).standard_normal()
     return out
 
 

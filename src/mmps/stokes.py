@@ -43,8 +43,8 @@ from typing import Sequence
 import numpy as np
 from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
 
-from .fields import (CELL, FieldError, GridSpec, ScalarField, VectorField, _pin, div, grad,
-                     laplacian, lattice_weights)
+from .fields import (CELL, FieldError, GridSpec, ScalarField, VectorField, _diff, _pin, div,
+                     grad, laplacian, lattice_weights)
 
 __all__ = [
     "SolverError",
@@ -156,12 +156,15 @@ class SolvePlan:
         """Subtract grad(phi) from each field in place, phi the zero-mean
         potential of div grad phi = div v; wall faces must be zero.  Returns
         a copy of the first field's potential.  Dirichlet mode only: a
-        periodic plan projects inside its one pass per field."""
-        g, n, m = self.grid, self.grid.nx, len(fields)
+        periodic plan projects inside its one pass per field.  Each div(v) is
+        written into the work buffer; only interior faces take grad(phi), which
+        is 0 on the walls (even ghosts)."""
+        n, m, h = self.grid.nx, len(fields), self.grid.h
         dct = {"type": 2, "axes": (1, 2), "norm": "ortho", "overwrite_x": True}  # in place
         pot = self._work.reshape(-1)[: m * n * n].reshape(m, n, n)
-        for i, v in enumerate(fields):
-            pot[i] = div(v).data
+        for out, v in zip(pot, fields):
+            _diff(v.ux, 0, h, out=out)
+            out += _diff(v.uy, 1, h)
         hat = dctn(pot, **dct)
         np.negative(hat, out=hat)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,9 +174,8 @@ class SolvePlan:
         if not np.all(np.isfinite(pot)):
             raise SolverError("projection Poisson solve produced non-finite values")
         for v, phi in zip(fields, pot):
-            gphi = grad(ScalarField(g, CELL, phi))
-            np.subtract(v.ux, gphi.ux, out=v.ux)
-            np.subtract(v.uy, gphi.uy, out=v.uy)
+            v.ux[1:-1] -= _diff(phi, 0, h)
+            v.uy[:, 1:-1] -= _diff(phi, 1, h)
         return pot[0].copy()
 
     def solve(self, fields: Sequence[VectorField]) -> tuple[list[VectorField], np.ndarray]:

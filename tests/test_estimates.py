@@ -36,6 +36,7 @@ from mmps.evolution import (
     SCHEMES,
     StepConfig,
     _Carry,
+    _spin_transport,
     advect_node,
     manufactured_forcing,
     run_simulation,
@@ -277,6 +278,66 @@ def test_diagnostics_record_matches_the_reference_formula(mode):
     rec = cases["prev"][0]
     assert rec.dt_w_l4 > 0.0 and rec.lq_margin != 0.0 and rec.lq_slack != 0.0
     assert rec.dt_u_l2 > 0.0 and rec.dt_b_l2 > 0.0
+
+
+def _record_from_separate_passes(state, params, prev=None, prev_record=None, transport=None):
+    """The record with each block made by its own public call: every gradient
+    and Hessian block from ``gradient_samples`` and ``hessian_samples``, and
+    ``curl2(u)`` on its own; the norms through ``samples_lq`` and ``lq_norm``."""
+    g, u, w, b = state.grid, state.u, state.w, state.b
+    out = dict.fromkeys(RECORD_NAMES, 0.0)
+    out["t"], out["u_l2"], out["b_l2"] = state.t, lq_norm(u, 2.0), lq_norm(b, 2.0)
+    out["grad_u_l2"], grad_u_l4 = samples_lq(gradient_samples(u), (2.0, 4.0))
+    out["w_l2"], out["w_l4"] = lq_norm(w, (2.0, 4.0))
+    out["grad_w_l4"] = samples_lq(gradient_samples(w), 4.0)
+    out["grad_b_l2"] = samples_lq(gradient_samples(b), 2.0)
+    out["hess_u_l2"], out["hess_u_l4"] = samples_lq(hessian_samples(u), (2.0, 4.0))
+    out["hess_b_l2"] = samples_lq(hessian_samples(b), 2.0)
+    out["z_l2"] = lq_norm(z_field(state, params), 2.0)
+    if prev is None:
+        return out
+    dt = state.t - prev.t
+    dw = ScalarField(g, NODE, (w.data - prev.w.data) / dt)
+    out["dt_w_l2"], out["dt_w_l4"] = lq_norm(dw, (2.0, 4.0))
+    out["dt_u_l2"] = lq_norm(VectorField(g, (u.ux - prev.u.ux) / dt, (u.uy - prev.u.uy) / dt), 2.0)
+    out["dt_b_l2"] = lq_norm(VectorField(g, (b.ux - prev.b.ux) / dt, (b.uy - prev.b.uy) / dt), 2.0)
+    e_prev = prev_record.u_l2**2 + prev_record.w_l2**2 + prev_record.b_l2**2
+    e_new = out["u_l2"] ** 2 + out["w_l2"] ** 2 + out["b_l2"] ** 2
+    out["energy_residual"] = (
+        0.5 * (e_new - e_prev) / dt
+        + (params.mu + params.chi) * out["grad_u_l2"] ** 2
+        + 2.0 * params.chi * out["w_l2"] ** 2
+        + params.nu * out["grad_b_l2"] ** 2
+        - 2.0 * params.chi * l2_inner(curl2(u), w)
+        - 0.0  # forcing_work
+    )
+    w_l4, w_prev_l4 = out["w_l4"], prev_record.w_l4
+    if transport is not None:
+        moved = ScalarField(g, NODE, prev.w.data - dt * transport.data)
+        out["lq_slack"] = (lq_norm(moved, 4.0) ** 4.0 - w_prev_l4**4.0) / (4.0 * dt)
+    lhs = (w_l4**4.0 - w_prev_l4**4.0) / (4.0 * dt) + 2.0 * params.chi * w_l4**4.0
+    out["lq_margin"] = params.chi * grad_u_l4 * w_l4**3.0 + out["lq_slack"] - lhs
+    return out
+
+
+@pytest.mark.parametrize("advection", ["upwind2", "central"])
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_diagnostics_record_is_the_separate_passes_bitwise(mode, advection):
+    # the record shares blocks (curl2(u) from the gradient's mirror blocks, the
+    # Hessians' first differences from its diagonal ones); its bits do not move
+    g = GridSpec(32, 32, mode)
+    cfg = StepConfig(dt=5e-4, scheme="imex-euler", advection=advection)
+    traj = run_simulation(initial_state("rough-h1", g, PARAMS, seed=3), 2e-3, cfg, PARAMS)
+    assert traj.failure is None and len(traj.records) == 5
+    states = [s for _, s in traj.states]
+    want = [_record_from_separate_passes(states[0], PARAMS)]
+    for k in range(1, len(states)):
+        prev = states[k - 1]
+        want.append(_record_from_separate_passes(states[k], PARAMS, prev, traj.records[k - 1],
+                                                 _spin_transport(prev.u, prev.w, advection)))
+    for rec, ref in zip(traj.records, want, strict=True):
+        assert [getattr(rec, n).hex() for n in RECORD_NAMES] == [float(ref[n]).hex() for n in RECORD_NAMES]
+    assert traj.records[-1].lq_slack != 0.0 and traj.records[-1].z_l2 > 0.0
 
 
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])

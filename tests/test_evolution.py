@@ -155,6 +155,51 @@ def test_elsasser_transport_is_the_four_transport_form_bitwise_without_velocity(
 
 
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_advect_mac_pair_is_both_transports_bitwise(mode):
+    g = GridSpec(24, 24, mode)
+    rng = np.random.default_rng(27)
+    for zm, zp in (
+        (_random_pinned_mac(g, rng), _random_pinned_mac(g, rng, scale=0.3)),
+        (_random_divfree(g, rng, scale=0.2), _random_divfree(g, rng, scale=3.0)),
+    ):
+        p, q = advect_mac(zm, zp, pair=True)
+        for got, want in ((p, advect_mac(zm, zp)), (q, advect_mac(zp, zm))):
+            assert got.ux.tobytes() == want.ux.tobytes()
+            assert got.uy.tobytes() == want.uy.tobytes()
+
+
+def test_elsasser_transports_form_each_face_mean_once(monkeypatch):
+    # one flux set for both transports: 8 face means, where two separate
+    # transports take 16
+    calls = []
+    mean = evolution_module._mean
+    monkeypatch.setattr(evolution_module, "_mean", lambda e, axis: calls.append(axis) or mean(e, axis))
+    g = GridSpec(16, 16)
+    rng = np.random.default_rng(28)
+    u, b = _random_divfree(g, rng), _random_divfree(g, rng, scale=0.5)
+    f = ScalarField(g, NODE, rng.standard_normal(g.lattice_shape("node")))
+    _mhd_explicit(u, b, f, PARAMS, None)
+    assert len(calls) == 8
+
+
+def test_minmod_on_signed_zeros_infinities_and_underflow():
+    inf = math.inf
+    cases = [  # (a, b, minmod(a, b))
+        (2.0, 3.0, 2.0), (-2.0, -3.0, -2.0), (2.0, -3.0, 0.0), (-2.0, 3.0, 0.0),
+        (0.0, 3.0, 0.0), (-0.0, 3.0, 0.0), (-0.0, -3.0, 0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, 0.0),
+        (inf, inf, inf), (-inf, -inf, -inf), (inf, 2.0, 2.0), (-inf, -2.0, -2.0),
+        (inf, -inf, 0.0), (inf, 0.0, 0.0), (-inf, -0.0, 0.0),
+        # a * b underflows to 0 here; the limiter still takes the smaller slope
+        (1e-170, 2e-170, 1e-170), (-2e-170, -1e-170, -1e-170),
+    ]
+    assert 1e-170 * 2e-170 == 0.0
+    a, b, want = (np.array(column) for column in zip(*cases))
+    # bit for bit: every zero is +0, whatever the signs of the slopes
+    assert evolution_module._minmod(a, b).tobytes() == want.tobytes()
+    assert evolution_module._minmod(b, a).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
 def test_elsasser_transport_exchanges_energy_exactly(mode):
     # <momentum, u> + <induction, b> = 0 for divergence-free, wall-pinned u, b
     g = GridSpec(24, 24, mode)

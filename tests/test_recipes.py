@@ -430,6 +430,14 @@ def test_mode_normals_equal_seed_sequence_draws(prefix):
             assert xi[k - 1, m - 1] == want, (k, m)
 
 
+def test_mode_normals_equal_seed_sequence_draws_on_the_full_lattice():
+    # kmax = 63 is the whole lattice of an nx = 128 rough-h1 draw
+    xi = _mode_normals((7,), 63)
+    want = [[np.random.default_rng(np.random.SeedSequence((7, k, m))).standard_normal()
+             for m in range(1, 64)] for k in range(1, 64)]
+    assert xi.tobytes() == np.array(want).tobytes()
+
+
 def _rough_psi_per_mode(grid, seed, amplitude=0.3):
     """The rough-h1 streamfunction as one generator per mode builds it."""
     kmax = grid.nx // 2 - 1

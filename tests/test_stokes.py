@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.fft import dst, idst, irfft2, rfft2
+from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
 from scipy.sparse.linalg import spsolve
 
 import mmps
@@ -380,6 +380,28 @@ def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
                 wants.append(idst(want, type=1, axis=0, norm="ortho"))
         for (got, _), want in zip(planes, wants):
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nx", [24, 128])
+def test_plan_projection_is_the_div_grad_form_bitwise(nx):
+    # nx = 24: the differences divide by h; nx = 128: they multiply by 1/h = 2^7
+    g = GridSpec(nx, nx)
+    rng = np.random.default_rng(nx)
+    fields = [_random_mac(g, rng) for _ in range(2)]
+    plan = SolvePlan(g, (1e-3, 2e-3))
+    got = [v.copy() for v in fields]
+    phi = plan._project(got)
+    dct = {"type": 2, "axes": (1, 2), "norm": "ortho"}
+    hat = -dctn(np.stack([div(v).data for v in fields]), **dct)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hat /= plan.poisson
+    hat[:, 0, 0] = 0.0
+    pots = idctn(hat, **dct)
+    assert phi.tobytes() == pots[0].tobytes()
+    for v, pot, out in zip(fields, pots, got):
+        gphi = grad(ScalarField(g, CELL, pot))
+        assert out.ux.tobytes() == (v.ux - gphi.ux).tobytes()
+        assert out.uy.tobytes() == (v.uy - gphi.uy).tobytes()
 
 
 def test_periodic_solves_take_no_physical_space_stencil(monkeypatch):
