@@ -252,7 +252,7 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
     traj = Trajectory(states=(), records=records,
                       cfg=step_config_of(cfg, grid_of(cfg)), params=params)
     ledger = energy_audit(traj, params)
-    budget, lq = gronwall_budget(traj, params), w_lq_audit(traj, 4.0, params)
+    budget, lq = gronwall_budget(traj), w_lq_audit(traj, 4.0, params)
     print(
         "audit: max|energy residual| = {max_abs_residual:.6g}, "
         "envelope_ok = {envelope_ok:g} (checked = {envelope_checked:g})".format(

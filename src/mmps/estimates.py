@@ -18,7 +18,9 @@ record (stride 1).  The discrete conventions mirror the scheme:
 * time derivatives are realized as step differences divided by dt; time
   integrals are left-endpoint sums over steps of the configured dt, on whose
   grid a :class:`mmps.evolution.Trajectory` holds its records (the weak-form
-  residuals take trapezoid sums between their stored states' times).
+  residuals take trapezoid sums between their stored states' times);
+* the weak-form pairings read the test bumps' closed-form derivatives, so
+  each snapshot meets the whole bank in a few contractions.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .fields import (
     _mean,
     _to_cell,
     _to_node,
+    curl2,
     grad,
     gradient_samples,
     hessian_samples,
@@ -206,11 +209,12 @@ def diagnostics_record(
     u, w, b = state.u, state.w, state.b
     kept: dict = {}
     u_l2 = lq_norm(u, 2.0)
-    grad_u_l2, grad_u_l4 = samples_lq(_gradient_kept(u, kept, curl=True), (2.0, 4.0))
-    curl = kept.pop("curl")
-    coupling = l2_inner(ScalarField(state.grid, NODE, curl), w) if prev is not None else 0.0
-    curl -= params.chi / (params.mu + params.chi) * w.data  # z = curl2(u) - chi/(mu+chi) w
-    z_l2 = lq_norm(ScalarField(state.grid, NODE, curl), 2.0)
+    grad_u_l2 = samples_lq(_gradient_kept(u, kept, curl=True), 2.0)
+    curl = ScalarField(state.grid, NODE, kept.pop("curl"))
+    coupling = l2_inner(curl, w) if prev is not None else 0.0
+    curl_u_l4 = lq_norm(curl, 4.0)  # the L^4 ledger's drive, before curl becomes z below
+    curl.data[...] -= params.chi / (params.mu + params.chi) * w.data  # z = curl2(u) - chi/(mu+chi) w
+    z_l2 = lq_norm(curl, 2.0)
     del curl
     hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u, kept), (2.0, 4.0))
     w_l2, w_l4 = lq_norm(w, (2.0, 4.0))
@@ -242,7 +246,7 @@ def diagnostics_record(
             - forcing_work
         )
         lq_slack = _lq_slack(prev_state.w, w_prev_l4, transport, 4.0, dt)
-        rhs = params.chi * grad_u_l4 * w_l4**3.0 + lq_slack
+        rhs = params.chi * curl_u_l4 * w_l4**3.0 + lq_slack
         lq_margin = rhs - _lq_lhs(w_l4, w_prev_l4, 4.0, dt, params.chi)
 
     return DiagnosticsRecord(
@@ -383,11 +387,13 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
     Per step k the ledger tests
 
         (||w_k||_q^q - ||w_{k-1}||_q^q) / (q dt) + 2 chi ||w_k||_q^q
-            <= chi ||grad u_k||_{L^q} ||w_k||_q^{q-1} + scheme_slack_k
+            <= chi ||curl2 u_k||_q ||w_k||_q^{q-1} + scheme_slack_k
 
     where ``scheme_slack_k`` is the measured L^q production rate of the
     advection sub-step alone at the previous state; for the upwind scheme it
-    is dissipative (<= 0).  Margins are rhs - lhs.
+    is dissipative (<= 0).  The drive is Hoelder's bound on the spin source
+    chi <curl u, |w|^{q-2} w>, so the ledger is an inequality the continuous
+    estimate implies, with no norm constant.  Margins are rhs - lhs.
 
     At q = 4 the ledger is a fold over the records, whose ``lq_slack`` is
     taken from each step's own transport and whose ``lq_margin`` is the
@@ -416,8 +422,7 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
             lhs.append(_lq_lhs(wq_new, wq_prev, q, dt, params.chi))
             slack.append(_lq_slack(s_prev.w, wq_prev,
                                    advect_node(s_prev.u, s_prev.w, traj.cfg.advection), q, dt))
-            gu_q = samples_lq(gradient_samples(s_new.u), q)
-            rhs.append(params.chi * gu_q * wq_new ** (q - 1.0) + slack[-1])
+            rhs.append(params.chi * lq_norm(curl2(s_new.u), q) * wq_new ** (q - 1.0) + slack[-1])
             margin.append(rhs[-1] - lhs[-1])
     return EstimateLedger(
         name=f"w-l{q:g}-ledger",
@@ -441,7 +446,7 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
 # ---------------------------------------------------------------------------
 
 
-def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
+def gronwall_budget(traj: "Trajectory") -> dict[str, float]:
     """Every supremum and time integral of the global a priori budget:
 
     * sup_t ( ||u||_{H^1}^2 + ||w||_{W^{1,4}}^2 + ||b||_{H^1}^2 )
@@ -494,7 +499,7 @@ def gronwall_budget(traj: "Trajectory", params: FluidParams) -> dict[str, float]
 # ---------------------------------------------------------------------------
 
 
-def tweighted_h2_audit(traj: "Trajectory", params: FluidParams) -> dict[str, float]:
+def tweighted_h2_audit(traj: "Trajectory") -> dict[str, float]:
     """t-weighted second-derivative ledger for rough initial data:
 
     * sup_t t ( ||hess u||^2 + ||hess b||^2 )  (and the b part alone),
@@ -726,119 +731,84 @@ def weak_form_residual(
     bank of divergence-free bump tests, plus the per-time solenoidality
     pairings.
 
-    Vector tests are the rotated gradients of compactly supported bumps B
-    (so they are exactly divergence-free and vanish near the walls), scaled
-    in time by the polynomial cutoff eta(t) = (1 - t/T)^3; the scalar tests
-    reuse B.  Diffusion terms are integrated by parts analytically, so every
-    pairing reduces to quadrature of the solution against closed-form
-    derivative fields.  Each residual is O(dt + h^2) for a consistent run
-    and exactly zero on the zero trajectory.
+    Vector tests are the rotated gradients Phi = (-B_y, B_x) of compactly
+    supported bumps B (so they are exactly divergence-free and vanish near
+    the walls), scaled in time by the polynomial cutoff eta(t) = (1 - t/T)^3;
+    the scalar tests reuse B.  Diffusion terms are integrated by parts
+    analytically, and every cell pairing reads B's closed-form derivatives:
+    Delta Phi = (-d_y Delta B, d_x Delta B), the momentum transport
+    <(u.grad) Phi, u> - <(b.grad) Phi, b> = <(u2^2 - b2^2) - (u1^2 - b1^2),
+    B_xy> + <u1 u2 - b1 b2, B_xx - B_yy>, and the induction transport
+    <(u.grad) Phi, b> - <(b.grad) Phi, u> = <u1 b2 - u2 b1, Delta B>.  So
+    each snapshot's averages, stresses and cross product are formed once and
+    paired with the whole bank at once; the trapezoid rule in time folds
+    them.  Each residual is O(dt + h^2) for a consistent run and exactly zero
+    on the zero trajectory.
     """
     if test_bank_size < 1:
         raise EstimateError("weak-form audit needs a non-empty test bank")
     snaps = _stored_states(traj, "weak-form audit")
     if len(snaps) < 2:
         raise EstimateError("weak-form audit needs at least one step")
-    t_end = snaps[-1][0]
-    grid = snaps[0][1].grid
-    mu_chi = params.mu + params.chi
-    cell_w = grid.h * grid.h
-    node_w = lattice_weights(grid, "node")
-    Xc, Yc = grid.mesh("cell")
-    Xn, Yn = grid.mesh("node")
+    grid, bank = snaps[0][1].grid, _test_bank(test_bank_size)
+    wx, wy = lattice_weights(grid, "xface"), lattice_weights(grid, "yface")
 
-    def eta(t: float) -> float:
-        return (1.0 - t / t_end) ** 3
+    def tests(lattice: str, keys: Sequence[str], weight: float | np.ndarray = 1.0) -> dict:
+        # each derivative at the lattice's points times the quadrature weight, a row per bump
+        points = grid.mesh(lattice)
+        return {key: weight * np.stack([_bump_values(bump, *points, (key,))[key] for bump in bank])
+                for key in keys}
 
-    def eta_t(t: float) -> float:
-        return -3.0 * (1.0 - t / t_end) ** 2 / t_end
+    def pair(f: np.ndarray, test: np.ndarray) -> np.ndarray:
+        # the quadrature of f against every bump's weighted test of f's shape
+        return np.einsum("bk,k->b", test.reshape(len(bank), -1), f.ravel())
 
-    def time_quad(values: list[float]) -> float:
-        total = 0.0
-        for k in range(1, len(values)):
-            step = snaps[k][0] - snaps[k - 1][0]
-            total += 0.5 * step * (values[k] + values[k - 1])
-        return total
+    def faces(v: VectorField, test: tuple) -> np.ndarray:
+        # l2_inner(v, T) for every bump's MAC test T = (x faces, y faces)
+        return np.sum(wx * v.ux * test[0], axis=(1, 2)) + np.sum(wy * v.uy * test[1], axis=(1, 2))
 
-    def transport(a1, a2, c1, c2, d_phi) -> float:
-        # cell quadrature of c . ((a . grad) Phi), d_phi = (d_x Phi, d_y Phi)
-        (x1, x2), (y1, y2) = d_phi
-        return float(
-            np.sum(cell_w * (a1 * c1 * x1 + a2 * c1 * y1 + a1 * c2 * x2 + a2 * c2 * y2))
-        )
+    c = tests("cell", tuple(_BUMP_FAMILY)[1:], grid.h * grid.h)  # B's derivatives, each popped once read
+    phi = np.stack([-c.pop("y"), c.pop("x")], axis=1)
+    lap_phi = np.stack([-(c.pop("xxy") + c.pop("yyy")), c.pop("xxx") + c.pop("xyy")], axis=1)
+    strain = np.stack([c.pop("xy"), c["xx"] - c["yy"]], axis=1)
+    lap_b = c.pop("xx") + c.pop("yy")
+    grads = [grad(ScalarField(grid, CELL, b)) for b in tests("cell", ("",))[""]]
+    grad_theta = np.stack([g.ux for g in grads]), np.stack([g.uy for g in grads])
+    del grads
+    n = tests("node", ("", "x", "y"), lattice_weights(grid, "node"))
+    b_node, grad_b_node = n[""], np.stack([n["x"], n["y"]], axis=1)
+    pgb = -tests("xface", ("y",))["y"], tests("yface", ("x",))["x"]
 
-    tests = []
-    for bump in _test_bank(test_bank_size):
-        # test vector Phi = perp_grad(B): (-B_y, B_x); its gradient and
-        # vector laplacian come from B's higher derivatives.
-        c = _bump_values(bump, Xc, Yc)
-        phi = (c["y"] * -1.0, c["x"])
-        d_phi = ((-c["xy"], c["xx"]), (-c["yy"], c["xy"]))  # d_x Phi, d_y Phi
-        lap_phi = (-(c["xxy"] + c["yyy"]), c["xxx"] + c["xyy"])
-        lap_b = c["xx"] + c["yy"]
-        b_node = tuple(_bump_values(bump, Xn, Yn, ("", "x", "y")).values())
-        pgb = VectorField(grid, -_bump_values(bump, *grid.mesh("xface"), ("y",))["y"],
-                          _bump_values(bump, *grid.mesh("yface"), ("x",))["x"])
-        grad_theta = grad(ScalarField(grid, CELL, c[""]))
-        tests.append((phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta))
-        del c  # the unused derivatives are not held
-
-    # one pass over the snapshots: each one's averages are built once, shared
-    # by every bump, and dropped before the next snapshot
-    initial = []
-    mom_terms, rot_terms, ind_terms = ([[] for _ in tests] for _ in range(3))
+    parts = np.empty((len(snaps), 2, 3, len(bank)))  # (snapshot, eta' | eta, identity, bump)
     sol_max = 0.0
-    for k, (t_k, s_k) in enumerate(snaps):
-        ux_c, uy_c = _cell_average(s_k.u)
-        bx_c, by_c = _cell_average(s_k.b)
-        w_cell = _node_to_cell(s_k.w.data, grid)
-        ax_n, ay_n = _node_average(s_k.u)
-        for i, (phi, d_phi, lap_phi, lap_b, b_node, pgb, grad_theta) in enumerate(tests):
-            (phi1, phi2), (lap_phi1, lap_phi2) = phi, lap_phi
-            b_n, bx_n, by_n = b_node
-            u_dot_phi = float(np.sum(cell_w * (ux_c * phi1 + uy_c * phi2)))
-            b_dot_phi = float(np.sum(cell_w * (bx_c * phi1 + by_c * phi2)))
-            u_lap_phi = float(np.sum(cell_w * (ux_c * lap_phi1 + uy_c * lap_phi2)))
-            b_lap_phi = float(np.sum(cell_w * (bx_c * lap_phi1 + by_c * lap_phi2)))
-            uu = transport(ux_c, uy_c, ux_c, uy_c, d_phi)
-            bb = transport(bx_c, by_c, bx_c, by_c, d_phi)
-            ub = transport(ux_c, uy_c, bx_c, by_c, d_phi)
-            bu = transport(bx_c, by_c, ux_c, uy_c, d_phi)
-            w_lap = float(np.sum(cell_w * w_cell * lap_b))
-            mom_terms[i].append(
-                eta_t(t_k) * u_dot_phi
-                + eta(t_k) * (mu_chi * u_lap_phi + uu - bb + params.chi * w_lap)
-            )
-            ind_terms[i].append(
-                eta_t(t_k) * b_dot_phi + eta(t_k) * (params.nu * b_lap_phi + ub - bu)
-            )
-            w_b = float(np.sum(node_w * s_k.w.data * b_n))
-            adv_pair = float(np.sum(node_w * s_k.w.data * (ax_n * bx_n + ay_n * by_n)))
-            curl_pair = l2_inner(s_k.u, pgb)
-            rot_terms[i].append(
-                eta_t(t_k) * w_b
-                + eta(t_k)
-                * (-2.0 * params.chi * w_b + adv_pair - params.chi * curl_pair)
-            )
-            sol_max = max(sol_max, abs(l2_inner(s_k.u, grad_theta)),
-                          abs(l2_inner(s_k.b, grad_theta)))
-            if k == 0:
-                initial.append((u_dot_phi, w_b, b_dot_phi))
+    for k, (_, s) in enumerate(snaps):
+        u, b, w = np.array(_cell_average(s.u)), np.array(_cell_average(s.b)), s.w.data
+        (u1, u2), (b1, b2) = u, b
+        w_b = pair(w, b_node)
+        parts[k, 0] = pair(u, phi), w_b, pair(b, phi)
+        parts[k, 1] = (
+            (params.mu + params.chi) * pair(u, lap_phi) + params.chi * pair(_node_to_cell(w, grid), lap_b)
+            + pair(np.array([(u2 * u2 - b2 * b2) - (u1 * u1 - b1 * b1), u1 * u2 - b1 * b2]), strain),
+            -2.0 * params.chi * w_b - params.chi * faces(s.u, pgb)
+            + pair(w * np.array(_node_average(s.u)), grad_b_node),
+            params.nu * pair(b, lap_phi) + pair(u1 * b2 - u2 * b1, lap_b),
+        )
+        sol_max = max(sol_max, np.abs(faces(s.u, grad_theta)).max(), np.abs(faces(s.b, grad_theta)).max())
 
-    t0 = snaps[0][0]
-    mom_res = [u0 * eta(t0) + time_quad(v) for (u0, _, _), v in zip(initial, mom_terms)]
-    rot_res = [w0 * eta(t0) + time_quad(v) for (_, w0, _), v in zip(initial, rot_terms)]
-    ind_res = [b0 * eta(t0) + time_quad(v) for (_, _, b0), v in zip(initial, ind_terms)]
-
+    times = np.array([t for t, _ in snaps])
+    left = 1.0 - times / times[-1]  # eta = left^3 and eta' = -3 left^2 / T
+    integrand = np.einsum("pk,kpib->kib", (-3.0 * left**2 / times[-1], left**3), parts)
+    residuals = left[0] ** 3 * parts[0, 0] + np.trapezoid(integrand, times, axis=0)
+    mom, rot, ind = residuals.tolist()
     return {
-        "momentum_max": max(abs(v) for v in mom_res),
-        "microrotation_max": max(abs(v) for v in rot_res),
-        "induction_max": max(abs(v) for v in ind_res),
-        "max_residual": max(abs(v) for v in (*mom_res, *rot_res, *ind_res)),
-        "solenoidality_max": sol_max,
-        "momentum": mom_res,
-        "microrotation": rot_res,
-        "induction": ind_res,
+        "momentum_max": max(map(abs, mom)),
+        "microrotation_max": max(map(abs, rot)),
+        "induction_max": max(map(abs, ind)),
+        "max_residual": float(np.abs(residuals).max()),
+        "solenoidality_max": float(sol_max),
+        "momentum": mom,
+        "microrotation": rot,
+        "induction": ind,
     }
 
 

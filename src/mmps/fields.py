@@ -77,6 +77,10 @@ MODES = (MODE_DIRICHLET, MODE_PERIODIC)
 CELL = "cell"
 NODE = "node"
 
+# per lattice, whether each axis is node-like (samples at i h, one more on a
+# Dirichlet grid) or cell-like (samples at (i + 1/2) h)
+_NODE_LIKE = {"cell": (False, False), "node": (True, True), "xface": (True, False), "yface": (False, True)}
+
 
 class FieldError(ValueError):
     """Raised for invalid grids, placements, shapes or norm orders."""
@@ -112,28 +116,11 @@ class GridSpec:
         return self.mode == MODE_PERIODIC
 
     def lattice_shape(self, lattice: str) -> tuple[int, int]:
-        n = self.nx
-        if self.periodic or lattice == "cell":
-            return (n, n)
-        if lattice == "node":
-            return (n + 1, n + 1)
-        if lattice == "xface":
-            return (n + 1, n)
-        if lattice == "yface":
-            return (n, n + 1)
-        raise FieldError(f"unknown lattice {lattice!r}")
+        x, y = (False, False) if self.periodic else _node_like(lattice)
+        return (self.nx + x, self.nx + y)
 
     def lattice_origin(self, lattice: str) -> tuple[float, float]:
-        half = 0.5 * self.h
-        if lattice == "cell":
-            return (half, half)
-        if lattice == "node":
-            return (0.0, 0.0)
-        if lattice == "xface":
-            return (0.0, half)
-        if lattice == "yface":
-            return (half, 0.0)
-        raise FieldError(f"unknown lattice {lattice!r}")
+        return tuple(0.0 if node else 0.5 * self.h for node in _node_like(lattice))
 
     def mesh(self, lattice: str) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays (X, Y) of the lattice, indexed [i, j]."""
@@ -142,6 +129,12 @@ class GridSpec:
         x = x0 + self.h * np.arange(shape[0])
         y = y0 + self.h * np.arange(shape[1])
         return np.meshgrid(x, y, indexing="ij")
+
+
+def _node_like(lattice: str) -> tuple[bool, bool]:
+    if lattice not in _NODE_LIKE:
+        raise FieldError(f"unknown lattice {lattice!r}")
+    return _NODE_LIKE[lattice]
 
 
 @lru_cache(maxsize=64)
@@ -318,9 +311,7 @@ def _to_cell(g: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:
     samples lie on the walls)."""
     if not g.periodic:
         return a
-    if axis:
-        return _to_cell(g, a.T, 0).T
-    return np.concatenate((a, a[:1]))
+    return np.concatenate((a, a.take([0], axis)), axis)
 
 
 def _to_node(g: GridSpec, a: np.ndarray, axis: int, sign: float = 1.0) -> np.ndarray:
@@ -330,15 +321,11 @@ def _to_node(g: GridSpec, a: np.ndarray, axis: int, sign: float = 1.0) -> np.nda
     for even closures, ``-edge`` for odd ones.  (When ``_pad`` passes a
     node-like axis, the edge sample lies on the wall and the mirror image is
     the next sample: the even reflection of the node Laplacian.)"""
-    if axis:
-        return _to_node(g, a.T, 0, sign).T
     if g.periodic:
-        return np.concatenate((a[-1:], a))
-    k = len(a) - g.nx  # 1 when the edge samples lie on the walls
-    lo, hi = a[k : k + 1], a[len(a) - 1 - k : len(a) - k]
-    if sign < 0.0:
-        lo, hi = -lo, -hi
-    return np.concatenate((lo, a, hi))
+        return np.concatenate((a.take([-1], axis), a), axis)
+    k = a.shape[axis] - g.nx  # 1 when the edge samples lie on the walls
+    lo, hi = a.take([k], axis), a.take([-1 - k], axis)
+    return np.concatenate((lo, a, hi) if sign > 0.0 else (-lo, a, -hi), axis)
 
 
 def _pad(g: GridSpec, a: np.ndarray, axis: int, sign: float) -> np.ndarray:
@@ -346,9 +333,7 @@ def _pad(g: GridSpec, a: np.ndarray, axis: int, sign: float) -> np.ndarray:
     wraps; Dirichlet takes the ``_to_node`` wall ghosts."""
     if not g.periodic:
         return _to_node(g, a, axis, sign)
-    if axis:
-        return _pad(g, a.T, 0, sign).T
-    return np.concatenate((a[-1:], a, a[:1]))
+    return np.concatenate((a.take([-1], axis), a, a.take([0], axis)), axis)
 
 
 def _pin(g: GridSpec, a: np.ndarray, axis: int) -> np.ndarray:

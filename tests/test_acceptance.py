@@ -257,7 +257,7 @@ def test_criterion_07_budget_refinement_stability():
     with _Budget(600.0):
         params = FluidParams(mu=0.04, chi=0.01, nu=0.01)
         budgets = [
-            gronwall_budget(_run("smooth-1", nx, 5e-4, 0.02, params), params)
+            gronwall_budget(_run("smooth-1", nx, 5e-4, 0.02, params))
             for nx in (32, 64, 128)
         ]
     for key in budgets[0]:
@@ -271,7 +271,7 @@ def test_criterion_08_tweighted_smoothing_of_rough_data():
     with _Budget(600.0):
         params = FluidParams(mu=0.04, chi=0.01, nu=0.02)
         audits = [
-            tweighted_h2_audit(_run("rough-h1", nx, 5e-4, 0.02, params), params)
+            tweighted_h2_audit(_run("rough-h1", nx, 5e-4, 0.02, params))
             for nx in (32, 64, 128)
         ]
     weighted = [a["late_sup_t_hess_b_sq"] for a in audits]
