@@ -264,11 +264,13 @@ def _cmd_audit(cfg: RunConfig, out: Path) -> int:
         "audit: L4 ledger min margin = {min_margin:.6g}, "
         "max slack = {max_scheme_slack:.6g}".format(**lq.summary)
     )
-    # each step's margin against its own scale max(|lhs|, |rhs|): 0 where that is 0
-    rel = [m / s if (s := max(abs(a), abs(b))) else 0.0
-           for m, a, b in zip(*(lq.series[k] for k in ("margin", "lhs", "rhs")))]
-    k = min(range(len(rel)), key=rel.__getitem__)
-    print(f"audit: L4 ledger worst relative margin = {rel[k]:.6g} at t = {lq.times[k]:.6g}")
+    # each step's margin against its own scale max(|lhs|, |rhs|), over the steps where that is > 0
+    series = (lq.series[k] for k in ("margin", "lhs", "rhs"))
+    rel = [(m / s, t) for m, a, b, t in zip(*series, lq.times) if (s := max(abs(a), abs(b))) > 0.0]
+    if rel:
+        print("audit: L4 ledger worst relative margin = {:.6g} at t = {:.6g}".format(*min(rel)))
+    else:
+        print("audit: L4 ledger worst relative margin: no step has a nonzero max(|lhs|, |rhs|)")
     failed = ledger.summary["envelope_checked"] == 1.0 and ledger.summary["envelope_ok"] != 1.0
     return 1 if failed else 0
 

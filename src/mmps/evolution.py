@@ -34,15 +34,17 @@ second order, L^q-dissipative).
 
 Explicit couplings always evaluate the *previous* state, so one coupled
 step is the magnetic step with the spin force frozen composed with the spin
-transport with the velocity frozen.  The fixed-point map is this same step
-with the mollified spin iterate in ``-chi perp_grad(.)`` (``spin_force``).
+transport with the velocity frozen.  One loop, :func:`march`, takes these
+steps for every run, study and probe; the fixed-point map is the same march
+with the mollified spin iterate in ``-chi perp_grad(.)`` (``spin_forces``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -104,7 +106,7 @@ ADVECTION_SCHEMES = ("upwind2", "central")
 
 Forcing = tuple[VectorField, ScalarField, VectorField]
 ForcingHandle = Callable[[float], Forcing]
-Step = tuple[State, State, Forcing | None]  # (prev, new, forcing) of one march step
+Step = tuple[State, State, Forcing | None, ScalarField | None, bool]  # one march step
 
 
 @dataclass(frozen=True)
@@ -382,20 +384,6 @@ def _w_explicit(
     return src
 
 
-def _explicit_terms(
-    state: State, cfg: StepConfig, params: FluidParams, forcing: Forcing | None,
-    spin_force: ScalarField | None = None,
-) -> tuple[tuple[np.ndarray, ...], ScalarField | None]:
-    """Raw explicit right-hand sides (momentum x/y, induction x/y, spin) before
-    any AB2 combination, and the spin transport among them (see
-    :func:`_spin_transport`); the body force takes ``spin_force`` (None:
-    ``state.w``)."""
-    f = state.w if spin_force is None else spin_force
-    mhd = _mhd_explicit(state.u, state.b, f, params, forcing)
-    transport = _spin_transport(state.u, state.w, cfg.advection)
-    return (*mhd, _w_explicit(state.w, state.u, params, forcing, transport)), transport
-
-
 @dataclass
 class _Carry:
     """What a march hands from step to step: the last step's raw explicit
@@ -403,7 +391,7 @@ class _Carry:
     result (whose check is the next step's input check), the solve plan
     for the march's dt and parameters, which its first step builds, and the
     last step's one-step spin transport at its start state (None when it was
-    skipped), which the step's record reads for the L^4 scheme slack."""
+    skipped), which the march yields for the record's L^4 scheme slack."""
 
     terms: tuple[np.ndarray, ...] | None = None
     speed: float | None = None
@@ -456,7 +444,7 @@ def step_coupled(
 
     ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.
     ``spin_force`` is the node scalar in the body force ``-chi perp_grad(.)``
-    (None: ``state.w``; the fixed-point map passes its mollified iterate).
+    (None: ``state.w``; the fixed-point map's march passes its mollified iterate).
     ``carry`` is what a march hands from step to step (:class:`_Carry`);
     this step puts its terms, result speed and solve plan in it.  Without
     one, or with its fields unset, the step checks its input, builds the
@@ -469,7 +457,10 @@ def step_coupled(
 
     if forcing is None and cfg.forcing is not None:
         forcing = cfg.forcing(t)
-    terms, carry.transport = _explicit_terms(state, cfg, params, forcing, spin_force)
+    f = state.w if spin_force is None else spin_force
+    mhd = _mhd_explicit(state.u, state.b, f, params, forcing)
+    carry.transport = _spin_transport(state.u, state.w, cfg.advection)
+    terms = (*mhd, _w_explicit(state.w, state.u, params, forcing, carry.transport))
     earlier = None
     if cfg.scheme == "imex-ab2":
         earlier, carry.terms = carry.terms, terms
@@ -517,16 +508,35 @@ def forcing_work(forcing: Forcing, state: State) -> float:
 # ---------------------------------------------------------------------------
 
 
-def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams) -> Iterator[Step]:
+def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams,
+          spin_forces: Iterable[ScalarField] = ()) -> Iterator[Step]:
     """Step from ``init`` to ``t_end`` (a whole number of steps away),
-    yielding ``(prev, new, forcing)`` per step, with the forcing triple the
-    step used (None if unforced).  Nothing is recorded or kept.
+    yielding ``(prev, new, forcing, transport, stored)`` per step: the
+    forcing triple the step used (None if unforced), its spin transport at
+    ``prev`` (None when skipped, see :func:`_spin_transport`) and whether
+    ``new`` is a stored step (:class:`StepConfig`).  Nothing is recorded or
+    kept.  Step k takes the k-th entry of ``spin_forces``, if there is one,
+    as its ``spin_force`` (the fixed-point map passes its mollified iterate).
 
-    A bad ``t_end`` raises StepError from this call, before any step; a
-    failing step (CFL, lost finiteness) raises its StepError from the
+    This is the one loop over steps; every run, study and probe folds over
+    it.  A bad ``t_end`` raises StepError from this call, before any step;
+    a failing step (CFL, lost finiteness) raises its StepError from the
     iteration.  Step k is at exactly ``init.t + k*dt``.
     """
-    return _march(init, _step_count(init.t, t_end, cfg.dt), cfg, params, _Carry())
+    steps = _step_count(init.t, t_end, cfg.dt)
+
+    def stepping() -> Iterator[Step]:
+        state, carry = init, _Carry()
+        forces = itertools.chain(spin_forces, itertools.repeat(None))
+        for k, spin_force in zip(range(1, steps + 1), forces):
+            forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
+            new = step_coupled(state, cfg, params, forcing=forcing, carry=carry,
+                               spin_force=spin_force)
+            new = replace(new, t=init.t + k * cfg.dt)  # on the grid of _off_grid
+            yield state, new, forcing, carry.transport, _stored(k, steps, cfg.snapshot_stride)
+            state = new
+
+    return stepping()
 
 
 def _step_count(t0: float, t_end: float, dt: float) -> int:
@@ -551,17 +561,6 @@ def _stored(k: int, steps: int, stride: int) -> bool:
     return k % stride == 0 or k == steps
 
 
-def _march(init: State, steps: int, cfg: StepConfig, params: FluidParams,
-           carry: _Carry) -> Iterator[Step]:
-    state = init
-    for k in range(1, steps + 1):
-        forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
-        new = step_coupled(state, cfg, params, forcing=forcing, carry=carry)
-        new = replace(new, t=init.t + k * cfg.dt)  # on the grid of _off_grid
-        yield state, new, forcing
-        state = new
-
-
 def run_simulation(
     init: State,
     t_end: float,
@@ -572,8 +571,8 @@ def run_simulation(
     """March from ``init`` to ``t_end`` (which must be a whole number of
     steps away) recording diagnostics every step and storing snapshots at
     the configured stride: a fold over :func:`march`, whose forcing triple
-    also gives each record's ``forcing_work`` and whose carry gives its spin
-    transport (the L^4 scheme slack is read off the step's own transport).
+    also gives each record's ``forcing_work`` and whose spin transport gives
+    its L^4 scheme slack.
 
     The stored steps are those of the stored-step rule (:class:`StepConfig`).
     Each stored state goes to ``sink`` as soon as the march yields it.
@@ -586,18 +585,19 @@ def run_simulation(
     before anything is stored.  ``t_end == init.t`` stores just the initial
     state.  Reruns with identical inputs produce identical trajectories.
     """
-    carry, steps = _Carry(), _step_count(init.t, t_end, cfg.dt)
+    steps = march(init, t_end, cfg, params)
     snaps: list[tuple[float, State]] = []
     store = sink or (lambda state: snaps.append((state.t, state)))
     records = [diagnostics_record(init, params)]
     store(init)
     failure: str | None = None
     try:
-        for k, (prev, new, forcing) in enumerate(_march(init, steps, cfg, params, carry), 1):
+        for prev, new, forcing, transport, stored in steps:
             work = forcing_work(forcing, new) if forcing is not None else 0.0
             records.append(diagnostics_record(new, params, prev=(prev, records[-1]),
-                                              forcing_work=work, transport=carry.transport))
-            if _stored(k, steps, cfg.snapshot_stride):
+                                              forcing_work=work, transport=transport))
+            del transport  # frees it before the next step's solves (peak memory)
+            if stored:
                 store(new)
     except StepError as exc:
         failure = str(exc)

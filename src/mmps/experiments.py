@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -24,14 +25,10 @@ from .evolution import (
     StepConfig,
     StepError,
     Trajectory,
-    _Carry,
-    _march,
     _step_count,
-    _stored,
     manufactured_forcing,
     march,
     run_simulation,
-    step_coupled,
 )
 from .fields import (
     FluidParams,
@@ -191,7 +188,7 @@ def _final_state(
 ) -> State:
     """The last state of a record-free march (a bad horizon raises StepError)."""
     final = init
-    for _, final, _ in _failing_as(label, march(init, t_end, cfg, params)):
+    for _, final, *_ in _failing_as(label, march(init, t_end, cfg, params)):
         pass
     return final
 
@@ -209,10 +206,6 @@ def _x_norm_diff(a: Sequence[ScalarField], b: Sequence[ScalarField]) -> float:
     )
 
 
-def _x_norm(a: Sequence[ScalarField]) -> float:
-    return max(lq_norm(f, 4.0) for f in a)
-
-
 def _apply_spin_map(
     f_slices: Sequence[ScalarField],
     init: State,
@@ -221,19 +214,15 @@ def _apply_spin_map(
     params: FluidParams,
     eps: float,
 ) -> list[ScalarField]:
-    """One application of the iteration map: steps of ``step_coupled`` with
-    the mollified spin iterate as ``spin_force``, which drive u and b by the
-    iterate and transport the spin along u.  At a fixed point this is the
-    coupled stepper with a mollified body force.  The map steps one-step
-    whatever the scheme of ``step_cfg``, on one carry (one solve plan)."""
-    euler, carry = replace(step_cfg, scheme="imex-euler"), _Carry()
-    state, out = init, [init.w]
-    for k in range(steps):
-        new = step_coupled(state, euler, params, carry=carry,
-                           spin_force=mollify(f_slices[k], eps))
-        state = replace(new, t=init.t + (k + 1) * step_cfg.dt)
-        out.append(state.w)
-    return out
+    """One application of the iteration map: a :func:`march` with the
+    mollified spin iterate as each step's ``spin_force``, which drives u and
+    b by the iterate and transports the spin along u.  At a fixed point this
+    is the coupled stepper with a mollified body force.  The map steps
+    one-step whatever the scheme of ``step_cfg``; a failed step raises
+    ExperimentError."""
+    euler, forces = replace(step_cfg, scheme="imex-euler"), (mollify(f, eps) for f in f_slices)
+    stepped = march(init, init.t + steps * step_cfg.dt, euler, params, spin_forces=forces)
+    return [init.w, *(new.w for _, new, *_ in _failing_as("fixed-point sub-solver", stepped))]
 
 
 def schauder_fixed_point(cfg: RunConfig) -> dict:
@@ -262,25 +251,22 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
         f_slices: list[ScalarField] = [init.w for _ in range(steps + 1)]
         diffs: list[float] = []
         ratios: list[float] = []
-        iterate_norms: list[float] = [_x_norm(f_slices)]
+        iterate_norms: list[float] = [lq_norm(init.w, 4.0)]
         converged = False
-        try:
-            for _ in range(cfg.schauder_max_iterations):
-                f_next = _apply_spin_map(f_slices, init, steps, base_cfg, params, eps)
-                diff = _x_norm_diff(f_next, f_slices)
-                diffs.append(diff)
-                iterate_norms.append(_x_norm(f_next))
-                f_slices = f_next
-                if len(diffs) >= 2 and diffs[-2] > 0.0:
-                    ratio = diffs[-1] / diffs[-2]
-                    ratios.append(ratio)
-                    if ratio >= 1.0:
-                        break
-                if diff <= cfg.schauder_tol:
-                    converged = True
+        for _ in range(cfg.schauder_max_iterations):
+            f_next = _apply_spin_map(f_slices, init, steps, base_cfg, params, eps)
+            diff = _x_norm_diff(f_next, f_slices)
+            diffs.append(diff)
+            iterate_norms.append(max(lq_norm(f, 4.0) for f in f_next))
+            f_slices = f_next
+            if len(diffs) >= 2 and diffs[-2] > 0.0:
+                ratio = diffs[-1] / diffs[-2]
+                ratios.append(ratio)
+                if ratio >= 1.0:
                     break
-        except StepError as exc:
-            raise ExperimentError(f"fixed-point sub-solver failed: {exc}") from exc
+            if diff <= cfg.schauder_tol:
+                converged = True
+                break
         attempt_reports.append(
             {
                 "t_end": horizon,
@@ -300,7 +286,7 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
     if converged:
         coupled = _final_state(init, report["t_end"], base_cfg, params, "coupled comparison run")
         gap = lq_norm(ScalarField(grid, NODE, f_slices[-1].data - coupled.w.data), 2.0)
-        report.update(wstar_x_norm=_x_norm(f_slices), coupled_l2_gap=gap)
+        report.update(wstar_x_norm=iterate_norms[-1], coupled_l2_gap=gap)
     return {**report, "attempts": attempt_reports}
 
 
@@ -342,16 +328,15 @@ def uniqueness_probe(cfg: RunConfig, delta: float) -> dict:
     init = build_initial_state(cfg, grid)
     step_cfg = step_config_of(cfg, grid)
 
-    # the three runs march in lockstep and keep no trajectory: separations
-    # are taken at the stored steps (``_stored``)
+    # the three runs march in lockstep, each cut to its (new, stored) pairs, and
+    # keep no trajectory: separations are taken at the start and the stored steps
     labels = ("base run", "perturbed run (delta)", "perturbed run (half)")
     starts = (init, perturbed_state(init, delta), perturbed_state(init, 0.5 * delta))
-    steps = _step_count(init.t, cfg.t_end, step_cfg.dt)
-    runs = zip(*(_failing_as(label, _march(s, steps, step_cfg, params, _Carry()))
+    runs = zip(*(map(itemgetter(1, 4), _failing_as(label, march(s, cfg.t_end, step_cfg, params)))
                  for label, s in zip(labels, starts)))
-    states = itertools.chain([starts], (tuple(new for _, new, _ in step) for step in runs))
-    rows = [(a.t, _separation(a, b), _separation(a, c)) for k, (a, b, c) in enumerate(states)
-            if _stored(k, steps, step_cfg.snapshot_stride)]
+    stored = (tuple(new for new, _ in step) for step in runs if step[0][1])
+    states = itertools.chain([starts], stored)
+    rows = [(a.t, _separation(a, b), _separation(a, c)) for a, b, c in states]
     times, d_delta, d_half = (list(column) for column in zip(*rows))
     ratios = [a / b if b > 0.0 else math.nan for a, b in zip(d_delta, d_half)]
     finite = [r for r in ratios if math.isfinite(r)]

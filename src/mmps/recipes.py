@@ -76,7 +76,7 @@ class RecipeError(ValueError):
 
 
 INITIAL_RECIPES = ("zero", "taylor-green", "smooth-1", "rough-h1", "trig-1")
-MMS_RECIPES = ("zero", "trig-1")
+MMS_RECIPES = ("trig-1",)
 
 #: Velocity amplitude of the periodic shear-roll initial datum.
 TAYLOR_GREEN_AMPLITUDE = 0.5
@@ -269,15 +269,13 @@ def _trig1_tables(grid: GridSpec, params: FluidParams, names: Sequence[str]) -> 
 def _require_mms(recipe: str, grid: GridSpec) -> None:
     if recipe not in MMS_RECIPES:
         raise RecipeError(f"unknown manufactured recipe {recipe!r}")
-    if recipe == "trig-1" and grid.periodic:
+    if grid.periodic:
         raise RecipeError("recipe 'trig-1' is wall-bounded; use a dirichlet grid")
 
 
 def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> State:
     """Exact catalog solution sampled on the grid's native lattices at time t."""
     _require_mms(recipe, grid)
-    if recipe == "zero":
-        return State.zeros(grid, t)
     amp = _trig1_amplitudes(t)
     tables = _trig1_tables(grid, params, ("u1", "u2", "w", "b1", "b2", "p"))
     u1, u2, w, b1, b2, p = (table(amp) for table in tables.values())
@@ -286,10 +284,10 @@ def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> Sta
 
 
 def forcing_tables(recipe: str, params: FluidParams, grid: GridSpec) -> dict[str, _Table]:
-    """The 1-D tables :func:`mms_forcing` evaluates (none for ``zero``),
-    which a forcing handle builds once for all its calls."""
+    """The 1-D tables :func:`mms_forcing` evaluates, which a forcing handle
+    builds once for all its calls."""
     _require_mms(recipe, grid)
-    return _trig1_tables(grid, params, _TRIG1_FORCINGS) if recipe == "trig-1" else {}
+    return _trig1_tables(grid, params, _TRIG1_FORCINGS)
 
 
 def mms_forcing(
@@ -304,9 +302,6 @@ def mms_forcing(
     component; without them it builds them first, to the same bits.
     """
     _require_mms(recipe, grid)
-    if recipe == "zero":
-        zero = State.zeros(grid)
-        return zero.u, zero.w, zero.b
     if tables is None:
         tables = forcing_tables(recipe, params, grid)
     amp = _trig1_amplitudes(t)
@@ -570,8 +565,9 @@ def perturbation_fields(grid: GridSpec) -> tuple[VectorField, ScalarField, Vecto
     du = stream_velocity(grid, psi_u)
     db = stream_velocity(grid, psi_b)
     dw = ScalarField.sample(grid, NODE, w_fn)
-    du = VectorField(grid, du.ux / lq_norm(du, 2.0), du.uy / lq_norm(du, 2.0))
-    db = VectorField(grid, db.ux / lq_norm(db, 2.0), db.uy / lq_norm(db, 2.0))
+    norm_u, norm_b = lq_norm(du, 2.0), lq_norm(db, 2.0)
+    du = VectorField(grid, du.ux / norm_u, du.uy / norm_u)
+    db = VectorField(grid, db.ux / norm_b, db.uy / norm_b)
     dw = ScalarField(grid, NODE, dw.data / lq_norm(dw, 2.0))
     return du, dw, db
 

@@ -89,7 +89,7 @@ def _march_to(init, t_end, cfg, params):
     it (None when it completed)."""
     final = init
     try:
-        for _, final, _ in march(init, t_end, cfg, params):
+        for _, final, *_ in march(init, t_end, cfg, params):
             pass
     except StepError as exc:
         return final, str(exc)

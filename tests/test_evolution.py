@@ -24,7 +24,6 @@ from mmps.evolution import (
     StepError,
     Trajectory,
     _Carry,
-    _explicit_terms,
     _mhd_explicit,
     advect_mac,
     advect_node,
@@ -648,7 +647,7 @@ def test_march_checks_the_cfl_limit_on_the_carried_speed():
 
     cfg = StepConfig(dt=1e-2, forcing=forcing)
     steps = march(zero, 3 * cfg.dt, cfg, PARAMS)
-    _, first, _ = next(steps)
+    _, first, *_ = next(steps)
     with pytest.raises(CflError) as exc:
         next(steps)
     with pytest.raises(CflError) as alone:
@@ -849,10 +848,12 @@ def test_run_simulation_records_the_slack_of_the_steps_own_transport(scheme, mon
 
 def _history(prev, cfg, params) -> _Carry:
     """The AB2 history of a step after ``prev``, recomputed from that state
-    (empty for the first step)."""
-    if prev is None:
-        return _Carry()
-    return _Carry(_explicit_terms(prev, cfg, params, cfg.forcing and cfg.forcing(prev.t))[0])
+    (empty for the first step): the raw terms that one step from ``prev``
+    leaves in a fresh AB2 carry."""
+    carry = _Carry()
+    if prev is not None:
+        step_coupled(prev, replace(cfg, scheme="imex-ab2"), params, carry=carry)
+    return _Carry(carry.terms)
 
 
 def _oracle_loop(init, t_end, cfg, params):
@@ -897,9 +898,43 @@ def test_march_and_run_simulation_match_the_per_step_oracle_bitwise(scheme, case
     traj = run_simulation(init, t_end, cfg, PARAMS)
     assert traj.failure is None and repr(traj.records) == repr(tuple(records))
     assert all(_same_state(s, o) for (_, s), o in zip(traj.states, states, strict=True))
-    for k, (prev, new, step_forcing) in enumerate(march(init, t_end, cfg, PARAMS), 1):
+    for k, (prev, new, step_forcing, transport, stored) in enumerate(
+            march(init, t_end, cfg, PARAMS), 1):
         assert _same_state(prev, states[k - 1]) and _same_state(new, states[k])
-        assert (step_forcing is None) == (forcing is None)
+        assert (step_forcing is None) == (forcing is None) and stored
+        if transport is None:  # skipped: the spin is +0 everywhere
+            assert not prev.w.data.any()
+        else:
+            oracle = advect_node(prev.u, prev.w, cfg.advection)
+            assert transport.data.tobytes() == oracle.data.tobytes()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_march_hands_step_k_the_kth_spin_force_bitwise(scheme):
+    # the fixed-point map's march: step k drives u and b by the k-th spin
+    # force, and a step past the last entry by its own w, exactly as a loop
+    # of steps given those forces; entries past the last step are not drawn
+    g = GridSpec(16, 16)
+    init = initial_state("smooth-1", g, PARAMS, seed=1)
+    cfg = StepConfig(dt=1e-3, scheme=scheme, advection="upwind2")
+    forces = [ScalarField(g, NODE, (1.5 + 0.5 * k) * init.w.data) for k in range(3)]
+    drawn = []
+    stepped = list(march(init, 4 * cfg.dt, cfg, PARAMS,
+                         spin_forces=(drawn.append(f) or f for f in forces)))
+    state, carry = init, _Carry()
+    for k, (prev, new, *_) in enumerate(stepped, 1):
+        force = forces[k - 1] if k <= len(forces) else None
+        expected = replace(step_coupled(state, cfg, PARAMS, carry=carry, spin_force=force),
+                           t=init.t + k * cfg.dt)
+        assert _same_state(prev, state) and _same_state(new, expected)
+        state = expected
+    assert len(stepped) == 4 and len(drawn) == 3
+    unforced = list(march(init, 4 * cfg.dt, cfg, PARAMS))
+    assert not any(_same_state(a[1], b[1]) for a, b in zip(stepped, unforced))
+    drawn.clear()
+    assert len(list(march(init, 2 * cfg.dt, cfg, PARAMS,
+                          spin_forces=(drawn.append(f) or f for f in forces)))) == 2
+    assert len(drawn) == 2
 
 
 def test_run_simulation_is_deterministic_bitwise():

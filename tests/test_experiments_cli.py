@@ -151,6 +151,7 @@ def test_parse_config_defaults_and_none_forcing():
         "scheme.cfl_limit = 1.5",        # out of range
         "output.stride = 0",             # non-positive stride
         "forcing.recipe = bogus",        # unknown forcing recipe
+        "forcing.recipe = zero",         # initial data only, not a manufactured solution
         "schauder.epsilon = -0.1",       # negative width
         "schauder.max_iterations = 0",   # no iterations allowed
         "uniqueness.delta = -1e-6",      # negative perturbation
@@ -540,16 +541,17 @@ def test_schauder_builds_one_solve_plan_per_map_application(monkeypatch):
 
 
 def test_spin_map_hands_each_step_its_start_time(monkeypatch):
+    import mmps.evolution as evolution
     import mmps.experiments as experiments
 
     times = []
-    step = experiments.step_coupled
+    step = evolution.step_coupled
 
     def timed_step(state, *args, **kwargs):
         times.append(state.t)
         return step(state, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "step_coupled", timed_step)
+    monkeypatch.setattr(evolution, "step_coupled", timed_step)
     cfg = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
     grid = grid_of(cfg)
     init = replace(build_initial_state(cfg, grid), t=0.25)
@@ -1096,7 +1098,8 @@ def test_cli_audit_prints_the_l4_ledger_at_every_stride(tmp_path, capsys):
 def test_cli_audit_scales_the_l4_margin_by_its_own_step(tmp_path, capsys):
     # rough-h1 spin starts at 0 and stays small, so the unscaled margins are
     # roundoff-sized; each is also printed against max(|lhs|, |rhs|) of its
-    # step (0 on the first step, where both are 0), with the worst step's time
+    # step, with the worst step's time, over the steps where that scale is
+    # not 0 (the first step's is: both are 0 there)
     text = ("grid.nx = 16\ninit.recipe = rough-h1\nparams.mu = 0.04\nparams.chi = 0.02\n"
             "params.nu = 0.01\ntime.dt = 5e-4\ntime.t_end = 0.012\n"
             "scheme.advection = upwind2\noutput.stride = 24\n")
@@ -1113,14 +1116,43 @@ def test_cli_audit_scales_the_l4_margin_by_its_own_step(tmp_path, capsys):
     assert lhs[0] == rhs[0] == 0.0
     rel = [m / max(abs(a), abs(b)) if max(abs(a), abs(b)) else 0.0
            for m, a, b in zip(margin, lhs, rhs)]
-    k = int(np.argmin(rel))
+    assert all(max(abs(a), abs(b)) > 0.0 for a, b in zip(lhs[1:], rhs[1:]))
+    k = 1 + int(np.argmin(rel[1:]))
     assert f"L4 ledger min margin = {min(margin):.6g}," in printed
     assert (f"L4 ledger worst relative margin = {rel[k]:.6g} at t = {ledger.times[k]:.6g}\n"
             in printed)
-    # the scaled margins are not roundoff-sized, and none is negative, so the
-    # worst is the first step's 0: Hoelder's drive chi ||curl2 u||_4 ||w||_4^3
-    # bounds the spin source with no constant
-    assert abs(min(margin)) < 1e-15 < 1e-3 < min(rel[1:]) and rel[k] == 0.0
+    # the scaled margins are not roundoff-sized, and none is negative:
+    # Hoelder's drive chi ||curl2 u||_4 ||w||_4^3 bounds the spin source with
+    # no constant
+    assert abs(min(margin)) < 1e-15 < 1e-3 < rel[k]
+
+
+@pytest.mark.parametrize("chi", [0.02, 0.0])
+def test_cli_audit_takes_the_worst_relative_margin_over_nonzero_scales(tmp_path, capsys, chi):
+    # rough-h1 spin starts at 0, so the first step's lhs and rhs are 0 and it
+    # has no relative margin; with chi = 0 the spin stays 0 and no step has one
+    text = (f"grid.nx = 8\ninit.recipe = rough-h1\nparams.mu = 0.04\nparams.chi = {chi}\n"
+            "params.nu = 0.01\ntime.dt = 1e-3\ntime.t_end = 4e-3\n")
+    cfg_path, out = _write_cfg(tmp_path, text), tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg_path, "--out", str(out)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if "relative margin" in line]
+    cfg = load_config(cfg_path)
+    traj = Trajectory(states=(), records=read_diagnostics_csv(out / "diagnostics.csv"),
+                      cfg=step_config_of(cfg, grid_of(cfg)), params=params_of(cfg))
+    ledger = w_lq_audit(traj, 4.0, params_of(cfg))
+    scaled = [(m / max(abs(a), abs(b)), t)
+              for m, a, b, t in zip(*(ledger.series[k] for k in ("margin", "lhs", "rhs")),
+                                    ledger.times)
+              if max(abs(a), abs(b)) > 0.0]
+    if chi == 0.0:
+        assert scaled == [] and printed == [
+            "audit: L4 ledger worst relative margin: no step has a nonzero max(|lhs|, |rhs|)"]
+    else:
+        worst, t = min(scaled)
+        assert len(scaled) == 3 and worst > 0.0
+        assert printed == [f"audit: L4 ledger worst relative margin = {worst:.6g} at t = {t:.6g}"]
 
 
 def test_cli_rejects_bad_configs(tmp_path, capsys):
