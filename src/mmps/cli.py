@@ -9,6 +9,7 @@ a run or audit fails its checks, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ from .stokes import SolverError, solve_stationary_stokes
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call (parsing leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="mmps",
         description="Micropolar-MHD simulator and estimate-audit harness.",

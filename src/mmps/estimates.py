@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .fields import (
     CELL,
     NODE,
-    DerivativeSamples,
     FluidParams,
     GridSpec,
     ScalarField,
@@ -127,12 +126,11 @@ class DiagnosticsRecord:
     lq_slack: float
 
     def __post_init__(self) -> None:
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
+        for name, value in vars(self).items():  # the fields, in column order
             if not math.isfinite(value):
-                raise EstimateError(f"diagnostics entry {f.name} is not finite")
-            if f.name not in _SIGNED and value < 0.0:
-                raise EstimateError(f"diagnostics norm {f.name} is negative")
+                raise EstimateError(f"diagnostics entry {name} is not finite")
+            if value < 0.0 and name not in _SIGNED:
+                raise EstimateError(f"diagnostics norm {name} is negative")
 
 
 def record_fields() -> tuple[str, ...]:
@@ -163,21 +161,6 @@ def _lq_slack(w_prev: ScalarField, w_prev_lq: float, transport: ScalarField | No
     return (lq_norm(moved, q) ** q - w_prev_lq**q) / (q * dt)
 
 
-def _gradient_kept(f: VectorField, kept: dict, curl: bool = False) -> Iterator[DerivativeSamples]:
-    """``gradient_samples(f)``, leaving in ``kept`` its diagonal blocks as the
-    first differences (component, axis) of ``hessian_samples`` and, with
-    ``curl``, ``"curl"``: curl2(f), the mirror blocks' difference, formed in
-    one's buffer once both are reduced, before the last block is made."""
-    blocks = gradient_samples(f)
-    kept[0, 0], fx_y, fy_x = next(blocks), next(blocks), next(blocks)
-    yield from (kept[0, 0], fx_y, fy_x)
-    if curl:
-        kept["curl"] = np.subtract(fy_x.data, fx_y.data, out=fy_x.data)
-    del fx_y, fy_x
-    kept[1, 1] = next(blocks)
-    yield kept[1, 1]
-
-
 def diagnostics_record(
     state: State,
     params: FluidParams,
@@ -204,24 +187,25 @@ def diagnostics_record(
     Each derivative block is made when ``samples_lq`` reaches it, squared
     once for its q = 2 and q = 4 norms and dropped, so a record holds a few
     blocks at a time, never a stack, and none twice: ``curl2(u)`` and the
-    Hessians' first differences are gradient blocks (:func:`_gradient_kept`).
+    Hessians' first differences are gradient blocks, kept in ``made``.
     """
     u, w, b = state.u, state.w, state.b
-    kept: dict = {}
+    made: dict = {}
     u_l2 = lq_norm(u, 2.0)
-    grad_u_l2 = samples_lq(_gradient_kept(u, kept, curl=True), 2.0)
-    curl = ScalarField(state.grid, NODE, kept.pop("curl"))
+    grad_u_l2 = samples_lq(gradient_samples(u, made), 2.0)
+    curl = ScalarField(state.grid, NODE, made.pop("curl"))
     coupling = l2_inner(curl, w) if prev is not None else 0.0
     curl_u_l4 = lq_norm(curl, 4.0)  # the L^4 ledger's drive, before curl becomes z below
     curl.data[...] -= params.chi / (params.mu + params.chi) * w.data  # z = curl2(u) - chi/(mu+chi) w
     z_l2 = lq_norm(curl, 2.0)
     del curl
-    hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u, kept), (2.0, 4.0))
+    hess_u_l2, hess_u_l4 = samples_lq(hessian_samples(u, made), (2.0, 4.0))
     w_l2, w_l4 = lq_norm(w, (2.0, 4.0))
     grad_w_l4 = samples_lq(gradient_samples(w), 4.0)
     b_l2 = lq_norm(b, 2.0)
-    grad_b_l2 = samples_lq(_gradient_kept(b, kept), 2.0)
-    hess_b_l2 = samples_lq(hessian_samples(b, kept), 2.0)
+    grad_b_l2 = samples_lq(gradient_samples(b, made), 2.0)
+    del made["curl"]  # only u's curl is recorded
+    hess_b_l2 = samples_lq(hessian_samples(b, made), 2.0)
 
     dt_u_l2 = dt_w_l2 = dt_w_l4 = dt_b_l2 = 0.0
     energy_residual = lq_margin = lq_slack = 0.0

@@ -64,11 +64,16 @@ cancellations to roundoff relative to the stencil scale ``max|s| / h^2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
+
+try:  # np.einsum's kernel without its dispatch layer, which costs about 1.5 us a call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # NumPy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
 MODE_DIRICHLET = "dirichlet-square"
 MODE_PERIODIC = "periodic"
@@ -471,44 +476,45 @@ def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> floa
     raise FieldError("cannot pair a scalar with a vector")
 
 
-def _contract(power: np.ndarray, wx: np.ndarray, wy: np.ndarray) -> float:
-    """sum wx[i] power[i, j] wy[j], rows then columns, in einsum's own loops (no BLAS)."""
-    return float(np.einsum("i,i->", np.einsum("ij,j->i", power, wy), wx))
-
-
-def _weighted_lq(pieces: Iterable[tuple], q: float | tuple) -> float | tuple:
-    """L^q norm of a collection of (values, (wx, wy), multiplicity) sample
-    blocks, each weighed by the outer product of its axis weights.
+def samples_lq(blocks: Iterable[DerivativeSamples], q: float | tuple) -> float | tuple:
+    """L^q norm of a collection of sample blocks (a field's components, or
+    derivative blocks), each weighed by the outer product of its axis
+    weights (``_axis_weights``) and by its multiplicity.
 
     Vector collections are measured componentwise: the q-th power sums the
     q-th powers of every component sample (for q = 2 this is the usual
     Euclidean L2 norm; for general q it is an equivalent product-space norm,
     the fixed convention of this package for staggered components).
 
-    A tuple of orders gives their norms from one pass: each block is reduced
-    for every order and released before the next is drawn.  q = 2 and 4
-    square each block once (``v*v``, then squared in place; no ``abs``).  A
-    block's multiplicity (1 or 2) scales its ``_contract``: exactly the sum
-    over scaled weights.
+    A tuple of orders gives their norms from one pass over ``blocks``: each
+    block is reduced for every order and released before the next is drawn.
+    q = 2 and 4 square each block once (``v*v``, then squared in place; no
+    ``abs``).  Each power is contracted with the weights by rows, then by
+    columns, in einsum's own loops (no BLAS), and scaled by the block's
+    multiplicity (1 or 2): exactly the sum over scaled weights.
     """
     orders = tuple(map(float, q)) if isinstance(q, tuple) else (float(q),)
     acc = dict.fromkeys(sorted(orders), 0.0)  # ascending: q = 2 reads the square before q = 4
     if not all(1.0 <= p <= np.inf for p in acc):
         raise FieldError(f"norm order q must be in [1, inf], got {q}")
-    for values, (wx, wy), multiplicity in pieces:
-        square = None
+    for block in blocks:
+        values, multiplicity = block.data, block.multiplicity
+        wx, wy = _axis_weights(block.grid, values.shape)
+        square = power = None
         for p in acc:
             if p == np.inf:
                 acc[p] = max(acc[p], float(np.max(np.abs(values))) if values.size else 0.0)
-            elif p == 2.0 or p == 4.0:
+                continue
+            if p == 2.0 or p == 4.0:
                 if square is None:
                     square = values * values
                 if p == 4.0:
                     square *= square
-                acc[p] += multiplicity * _contract(square, wx, wy)
+                power = square
             else:
-                acc[p] += multiplicity * _contract(np.abs(values) ** p, wx, wy)
-        del values, square  # so the next block is built without this one
+                power = np.abs(values) ** p
+            acc[p] += multiplicity * float(_einsum("i,i->", _einsum("ij,j->i", power, wy), wx))
+        del block, values, square, power  # so the next block is built without this one
     norms = tuple(acc[p] if p == np.inf else acc[p] ** (1.0 / p) for p in orders)
     return norms if isinstance(q, tuple) else norms[0]
 
@@ -516,7 +522,7 @@ def _weighted_lq(pieces: Iterable[tuple], q: float | tuple) -> float | tuple:
 def lq_norm(f: ScalarField | VectorField, q: float | tuple) -> float | tuple:
     """Discrete L^q norm (midpoint rule on the native placement), q in
     [1, inf]; a tuple of orders gives a tuple of norms."""
-    return _weighted_lq(map(_piece, _components(f)), q)
+    return samples_lq(_components(f), q)
 
 
 # ---------------------------------------------------------------------------
@@ -524,16 +530,17 @@ def lq_norm(f: ScalarField | VectorField, q: float | tuple) -> float | tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DerivativeSamples:
-    """A block of derivative samples with an optional multiplicity (mixed
-    second derivatives count twice in a Hessian).  Its quadrature weights
-    follow from its shape alone (``_axis_weights``).
+    """A block of samples on ``grid`` with a multiplicity (mixed second
+    derivatives count twice in a Hessian).  Its quadrature weights follow
+    from its shape alone (``_axis_weights``).  A plain slotted holder, made
+    unchecked: a record makes a few dozen.
     """
 
-    grid: GridSpec
-    data: np.ndarray
-    multiplicity: float = 1.0
+    __slots__ = ("grid", "data", "multiplicity")
+
+    def __init__(self, grid: GridSpec, data: np.ndarray, multiplicity: float = 1.0) -> None:
+        self.grid, self.data, self.multiplicity = grid, data, multiplicity
 
     def diff(self, axis: int) -> "DerivativeSamples":
         """The block's cell-ward differences along ``axis``."""
@@ -556,7 +563,8 @@ def _mirror_normal_derivative(
     return DerivativeSamples(g, _diff(_to_node(g, a, axis, -1.0), axis, g.h))
 
 
-def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples]:
+def gradient_samples(f: ScalarField | VectorField,
+                     made: dict | None = None) -> Iterator[DerivativeSamples]:
     """First-derivative sample blocks used by the Sobolev seminorms, each made
     when the iteration reaches it (iterate once; ``list`` keeps them).
 
@@ -565,6 +573,10 @@ def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples
     diagonal derivatives on cells and the transverse derivatives on the full
     node lattice with mirror wall rows, so that for pinned fields
     ``sum of squares = -<laplacian u, u>`` exactly.
+
+    With ``made``, a MAC vector keeps its diagonal blocks there under
+    (component, axis) for ``hessian_samples``, and ``curl2(f).data`` under
+    ``"curl"``, formed in a mirror block's buffer before the last is made.
     """
     if isinstance(f, ScalarField):
         (s,) = _components(f)
@@ -572,10 +584,22 @@ def gradient_samples(f: ScalarField | VectorField) -> Iterator[DerivativeSamples
         yield s.diff(1)
         return
     sx, sy = _components(f)
-    yield sx.diff(0)
-    yield _mirror_normal_derivative(f.grid, f.ux, axis=1)
-    yield _mirror_normal_derivative(f.grid, f.uy, axis=0)
-    yield sy.diff(1)
+    if made is None:  # nothing is kept: each block is released by its consumer
+        yield sx.diff(0)
+        yield _mirror_normal_derivative(f.grid, f.ux, axis=1)
+        yield _mirror_normal_derivative(f.grid, f.uy, axis=0)
+        yield sy.diff(1)
+        return
+    made[0, 0] = sx.diff(0)
+    yield made[0, 0]
+    fx_y = _mirror_normal_derivative(f.grid, f.ux, axis=1)
+    yield fx_y
+    fy_x = _mirror_normal_derivative(f.grid, f.uy, axis=0)
+    yield fy_x
+    made["curl"] = np.subtract(fy_x.data, fx_y.data, out=fy_x.data)
+    del fx_y, fy_x
+    made[1, 1] = sy.diff(1)
+    yield made[1, 1]
 
 
 def hessian_samples(f: ScalarField | VectorField,
@@ -589,7 +613,7 @@ def hessian_samples(f: ScalarField | VectorField,
     for i, s in enumerate(_components(f)):
         dx = made.pop((i, 0), None) or s.diff(0)
         yield dx.diff(0)
-        yield replace(dx.diff(1), multiplicity=2.0)
+        yield DerivativeSamples(f.grid, _cell_diff(f.grid, dx.data, 1), 2.0)
         del dx  # not held while the last block is made
         yield (made.pop((i, 1), None) or s.diff(1)).diff(1)
 
@@ -604,17 +628,6 @@ def third_derivative_samples(f: ScalarField | VectorField) -> Iterator[Derivativ
         # 1,3,3,1 of the third-derivative tensor
         yield h2.diff(0)
         yield h2.diff(1)
-
-
-def samples_lq(blocks: Iterable[DerivativeSamples], q: float | tuple) -> float | tuple:
-    """L^q norm over derivative sample blocks (multiplicity-aware); a tuple
-    of orders gives a tuple of norms from one pass over ``blocks``, which
-    reduces each block before it draws the next."""
-    return _weighted_lq(map(_piece, blocks), q)
-
-
-def _piece(b: DerivativeSamples) -> tuple[np.ndarray, tuple, float]:
-    return b.data, _axis_weights(b.grid, b.data.shape), b.multiplicity
 
 
 def max_abs(f: ScalarField | VectorField) -> float:

@@ -324,12 +324,14 @@ def _record_from_separate_passes(state, params, prev=None, prev_record=None, tra
     return out
 
 
+@pytest.mark.parametrize("nx", [16, 24, 32])
 @pytest.mark.parametrize("advection", ["upwind2", "central"])
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
-def test_diagnostics_record_is_the_separate_passes_bitwise(mode, advection):
+def test_diagnostics_record_is_the_separate_passes_bitwise(mode, advection, nx):
     # the record shares blocks (curl2(u) from the gradient's mirror blocks, the
-    # Hessians' first differences from its diagonal ones); its bits do not move
-    g = GridSpec(32, 32, mode)
+    # Hessians' first differences from its diagonal ones); its bits do not move.
+    # At nx = 24, h is not a power of two and the differences divide by it
+    g = GridSpec(nx, nx, mode)
     cfg = StepConfig(dt=5e-4, scheme="imex-euler", advection=advection)
     traj = run_simulation(initial_state("rough-h1", g, PARAMS, seed=3), 2e-3, cfg, PARAMS)
     assert traj.failure is None and len(traj.records) == 5

@@ -59,7 +59,7 @@ from mmps.snapshots import (
     read_snapshot,
     write_snapshot,
 )
-from helpers import snapshot_trailer
+from helpers import fresh_interpreter, snapshot_trailer
 
 SMALL = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
 
@@ -728,6 +728,28 @@ def _write_cfg(tmp_path, text=SMALL_TEXT, name="run.cfg"):
 def test_cli_without_command_prints_usage(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_cli_parses_with_one_parser_and_each_call_reads_afresh(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; a call after a usage error
+    # and after a call that set every option reads as in a process of its own
+    from mmps import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    cfg_path = _write_cfg(tmp_path, SMALL_TEXT.replace("smooth-1", "rough-h1"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--seed", "x"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg_path, "--out", "seeded", "--seed", "7"]) == 0
+    assert main(["simulate", "--config", cfg_path]) == 0  # --out . and the config's seed
+    here = capsys.readouterr().out.splitlines()[-1]
+    (tmp_path / "fresh").mkdir()
+    code = (f"import os; os.chdir({str(tmp_path / 'fresh')!r}); from mmps.cli import main; "
+            f"main(['simulate', '--config', {cfg_path!r}])")
+    assert fresh_interpreter(code) == here
+    csv = (tmp_path / "diagnostics.csv").read_bytes()
+    assert csv == (tmp_path / "fresh" / "diagnostics.csv").read_bytes()
+    assert csv != (tmp_path / "seeded" / "diagnostics.csv").read_bytes()
 
 
 def test_cli_simulate_then_audit(tmp_path, capsys):

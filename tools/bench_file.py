@@ -17,9 +17,14 @@ wall time and its five slowest tests.
 ``--pairs N`` instead alternates ``--trace 0`` runs of one workload on
 ``--checkout`` (the change) and ``--against`` (the parent), seeds ``--seed``,
 ``--seed + 1``, ..., the parent first in even pairs.  It stores each pair's
-end-to-end metrics under ``pairs.<workload>`` and, per metric, both sides'
+end-to-end metrics, and each side's ``correct``, ``attempted`` and ``failed``
+under ``checks``, under ``pairs.<workload>`` and, per metric, both sides'
 quartiles, the change's wins, the gap between the medians (parent - change)
 and the parent's interquartile distance.
+
+Either mode exits non-zero and writes nothing when a run fails: when
+``run.py`` exits non-zero, or its result reads ``"correct": false`` or
+``failed`` > 0 (``run.py`` itself exits 0 on a wrong repetition).
 
 Every run goes through the checkout's own ``perfbench/run.py``, so each side
 builds what it runs from its own sources.  An existing ``--out`` file is
@@ -42,13 +47,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``run.py`` call: its metadata and result lines."""
+    """One ``run.py`` call: its metadata and result lines.  Exits when the
+    call fails or any repetition failed or read wrong."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
     if done.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{' '.join(cmd)} failed in {checkout}:\n{done.stdout}{done.stderr}")
+    if lines[-1].get("correct") is not True or lines[-1].get("failed") != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} read incorrect or failed a repetition:\n"
+                         f"{done.stdout}{done.stderr}")
     return {"seed": seed, "trace": trace, "metadata": lines[-2]["metadata"], "result": lines[-1]}
 
 
@@ -68,16 +77,18 @@ def tier1(checkout: Path) -> dict:
 
 def pairs(change: Path, parent: Path, workload: str, count: int, seed: int, seconds: float) -> dict:
     """``count`` alternated pairs of end-to-end metrics, parent and change,
-    and per metric (all lower-better) each side's median and quartiles, the
-    change's wins and the medians' gap (parent - change)."""
+    with each side's ``correct``, ``attempted`` and ``failed``, and per
+    metric (all lower-better) each side's median and quartiles, the change's
+    wins and the medians' gap (parent - change)."""
     rows = []
     for k in range(count):
         order = (("parent", parent), ("change", change))
-        sides = {}
+        sides, checks = {}, {}
         for side, checkout in order if k % 2 == 0 else order[::-1]:
-            metrics = bench(checkout, workload, seed + k, seconds, 0)["result"]["metrics"]
-            sides[side] = {name: m["value"] for name, m in metrics.items()}
-        rows.append({"seed": seed + k, **sides})
+            result = bench(checkout, workload, seed + k, seconds, 0)["result"]
+            sides[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            checks[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
+        rows.append({"seed": seed + k, **sides, "checks": checks})
     summary = {}
     for name in rows[0]["parent"]:
         sides = {side: [r[side][name] for r in rows] for side in ("parent", "change")}
