@@ -374,10 +374,11 @@ def w_lq_audit(traj: "Trajectory", q: float, params: FluidParams) -> EstimateLed
             <= chi ||curl2 u_k||_q ||w_k||_q^{q-1} + scheme_slack_k
 
     where ``scheme_slack_k`` is the measured L^q production rate of the
-    advection sub-step alone at the previous state; for the upwind scheme it
-    is dissipative (<= 0).  The drive is Hoelder's bound on the spin source
-    chi <curl u, |w|^{q-2} w>, so the ledger is an inequality the continuous
-    estimate implies, with no norm constant.  Margins are rhs - lhs.
+    advection sub-step alone at the previous state; the upwind scheme's is
+    not <= 0 at every CFL, so it is measured, not assumed.  The drive is
+    Hoelder's bound on the spin source chi <curl u, |w|^{q-2} w>, so the
+    ledger is an inequality the continuous estimate implies, with no norm
+    constant.  Margins are rhs - lhs.
 
     At q = 4 the ledger is a fold over the records, whose ``lq_slack`` is
     taken from each step's own transport and whose ``lq_margin`` is the

@@ -30,7 +30,7 @@ micro-rotation scalar lives on nodes and is advected over the node-centered
 dual cells (wall cells clipped to half/quarter area, matching the trapezoid
 quadrature weights exactly); its face values are either arithmetic means
 ("central", energy-neutral) or slope-limited donor values ("upwind2",
-second order, L^q-dissipative).
+second order; not L^q-dissipative at every CFL, which ``lq_slack`` measures).
 
 Explicit couplings always evaluate the *previous* state, so one coupled
 step is the magnetic step with the spin force frozen composed with the spin
@@ -264,7 +264,8 @@ def advect_node(u: VectorField, w: ScalarField, method: str) -> ScalarField:
     clipped wall areas coincide with the trapezoid quadrature weights; with
     pinned wall-normal velocities the wall faces carry no flux, so the
     "central" variant is exactly energy-neutral for discretely
-    divergence-free u, and "upwind2" is L^q-dissipative.
+    divergence-free u.  "upwind2" is not L^q-dissipative at every CFL; the
+    record's ``lq_slack`` measures what it produces.
     """
     if method not in ADVECTION_SCHEMES:
         raise StepError(f"unknown advection {method!r}; choose from {ADVECTION_SCHEMES}")
@@ -485,13 +486,13 @@ def step_coupled(
 
 def manufactured_forcing(recipe: str, params: FluidParams, grid: GridSpec) -> ForcingHandle:
     """Forcing handle for a catalog solution; rejects unknown recipes up
-    front.  The handle builds the recipe's 1-D factor tables
-    (:func:`recipes.forcing_tables`) once, so a call does no closed-form work
+    front.  It builds the recipe's 1-D factor tables
+    (:func:`recipes.forcing_tables`) first, so a call does no closed-form work
     beyond the time amplitudes: one small matrix product per component."""
-    tables = recipes.forcing_tables(recipe, params, grid)
+    recipes.forcing_tables(recipe, params, grid)
 
     def handle(t: float) -> Forcing:
-        return recipes.mms_forcing(t, recipe, params, grid, tables)
+        return recipes.mms_forcing(t, recipe, params, grid)
 
     return handle
 

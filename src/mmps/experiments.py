@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import replace
 from operator import itemgetter
 from pathlib import Path
@@ -193,6 +194,64 @@ def _final_state(
     return final
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _outcome(job: tuple) -> State | Exception:
+    try:
+        return _final_state(*job)
+    except Exception as exc:
+        return exc
+
+
+def _final_states(jobs: Sequence[tuple]) -> list[State]:
+    """The final states of independent marches (each job the arguments of
+    :func:`_final_state`) in job order, to the same bits on any CPU count.
+    Horizons are checked first (StepError).  The jobs are dealt, largest
+    steps x nx first, into one share per CPU and at most one per job: this
+    process marches the first, a forked child each other one and pipes back
+    its pickled final states or errors.  The first failing job's error is
+    raised; a child that ends without its results raises ExperimentError."""
+    costs = [_step_count(init.t, t_end, cfg.dt) * init.grid.nx for init, t_end, cfg, *_ in jobs]
+    shares: list[list[int]] = [[] for _ in range(max(1, min(len(jobs), _cpu_count())))]
+    for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
+        min(shares, key=lambda share: sum(costs[j] for j in share)).append(i)
+
+    done, children = {}, []  # children: (pid, read end, share)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never unwinds into the caller
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump({i: _outcome(jobs[i]) for i in share}, pipe)
+                finally:
+                    os._exit(0)  # the parent reads the pipe, not the status
+            os.close(write)
+            children.append((pid, read, share))
+        done.update({i: _outcome(jobs[i]) for i in shares[0]})
+        for _, read, share in children:
+            try:
+                with open(read, "rb", closefd=False) as pipe:
+                    done.update(pickle.load(pipe))
+            except Exception:
+                labels = ", ".join(jobs[i][-1] for i in sorted(share))
+                raise ExperimentError(f"the process marching {labels} ended without a result") from None
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    finals = [done[i] for i in range(len(jobs))]
+    if errors := [f for f in finals if isinstance(f, Exception)]:
+        raise errors[0]
+    return finals
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point construction
 # ---------------------------------------------------------------------------
@@ -295,12 +354,16 @@ def schauder_fixed_point(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _difference(a: State, b: State) -> tuple[VectorField, ScalarField, VectorField]:
+    """``b - a`` for u, w and b."""
+    g = a.grid
+    return (VectorField(g, b.u.ux - a.u.ux, b.u.uy - a.u.uy), ScalarField(g, NODE, b.w.data - a.w.data),
+            VectorField(g, b.b.ux - a.b.ux, b.b.uy - a.b.uy))
+
+
 def _separation(a: State, b: State) -> float:
     """Squared L^2 distance between two states (u, w and b)."""
-    du = VectorField(a.grid, b.u.ux - a.u.ux, b.u.uy - a.u.uy)
-    dw = ScalarField(a.grid, NODE, b.w.data - a.w.data)
-    db = VectorField(a.grid, b.b.ux - a.b.ux, b.b.uy - a.b.uy)
-    return lq_norm(du, 2.0) ** 2 + lq_norm(dw, 2.0) ** 2 + lq_norm(db, 2.0) ** 2
+    return sum(lq_norm(d, 2.0) ** 2 for d in _difference(a, b))
 
 
 def _fit_log_rate(times: Sequence[float], values: Sequence[float]) -> float:
@@ -360,12 +423,7 @@ def uniqueness_probe(cfg: RunConfig, delta: float) -> dict:
 
 
 def _field_errors(state: State, exact: State) -> dict[str, float]:
-    g = state.grid
-    du = VectorField(g, state.u.ux - exact.u.ux, state.u.uy - exact.u.uy)
-    dw = ScalarField(g, NODE, state.w.data - exact.w.data)
-    db = VectorField(g, state.b.ux - exact.b.ux, state.b.uy - exact.b.uy)
-    orders = (2.0, 4.0)
-    return dict(zip(_ERROR_KEYS, (*lq_norm(du, orders), *lq_norm(dw, orders), *lq_norm(db, orders))))
+    return dict(zip(_ERROR_KEYS, (e for d in _difference(exact, state) for e in lq_norm(d, (2.0, 4.0)))))
 
 
 _ERROR_KEYS = ("u_l2", "u_l4", "w_l2", "w_l4", "b_l2", "b_l4")
@@ -384,50 +442,32 @@ def convergence_study(cfg: RunConfig) -> dict:
     configured dt ladder on the configured grid, self-convergence against a
     reference run at one-eighth the smallest dt.  Each ladder refines by one
     fixed factor (``RunConfig`` refuses any other), which its fit uses.
-    Reports L^2 and L^4 error tables and fitted orders per field.
+    Reports L^2 and L^4 error tables and fitted orders per field.  The runs
+    march on up to one process per available CPU (:func:`_final_states`), to
+    the same bits as on one; ``taskset -c 0`` serialises a study.
     """
     if cfg.forcing_recipe is None:
         raise ExperimentError("convergence study needs forcing.recipe (an MMS recipe)")
     recipe = cfg.forcing_recipe
     params = params_of(cfg)
 
-    spatial_errors: list[dict[str, float]] = []
-    for nx in cfg.spatial_grids:
-        grid = grid_of(cfg, nx)
-        init = mms_state(recipe, 0.0, grid, params)
-        step_cfg = step_config_of(cfg, grid)
-        final = _final_state(init, cfg.t_end, step_cfg, params, f"spatial run nx={nx}")
-        exact = mms_state(recipe, cfg.t_end, grid, params)
-        spatial_errors.append(_field_errors(final, exact))
-
     dts = sorted(cfg.temporal_dts, reverse=True)
+    grids = [grid_of(cfg, nx) for nx in cfg.spatial_grids]
     grid = grid_of(cfg)
     init = mms_state(recipe, 0.0, grid, params)
-    ref_cfg = step_config_of(cfg, grid, dt=min(dts) / 8.0)
-    ref = _final_state(init, cfg.t_end, ref_cfg, params, "temporal reference run")
-    temporal_errors: list[dict[str, float]] = []
-    for dt in dts:
-        step_cfg = step_config_of(cfg, grid, dt=dt)
-        final = _final_state(init, cfg.t_end, step_cfg, params, f"temporal run dt={dt}")
-        temporal_errors.append(_field_errors(final, ref))
-    grids = cfg.spatial_grids
+    temporal = [(min(dts) / 8.0, "temporal reference run"), *((dt, f"temporal run dt={dt}") for dt in dts)]
+    finals = _final_states(
+        [*((mms_state(recipe, 0.0, g, params), cfg.t_end, step_config_of(cfg, g), params,
+            f"spatial run nx={g.nx}") for g in grids),
+         *((init, cfg.t_end, step_config_of(cfg, grid, dt=dt), params, label) for dt, label in temporal)])
+    spatial_errors = [_field_errors(final, mms_state(recipe, cfg.t_end, g, params))
+                      for final, g in zip(finals, grids)]
+    ref, *temporal_finals = finals[len(grids):]
+    temporal_errors = [_field_errors(final, ref) for final in temporal_finals]
 
-    report = {
-        "spatial": {
-            "grids": list(cfg.spatial_grids),
-            "errors": spatial_errors,
-            "orders": _order_table(spatial_errors, grids[1] / grids[0]),
-        },
-        "temporal": {
-            "grid": cfg.nx,
-            "dts": dts,
-            "errors": temporal_errors,
-            "orders": _order_table(temporal_errors, dts[0] / dts[1]),
-        },
-    }
-    l2_spatial = [report["spatial"]["orders"][k] for k in ("u_l2", "w_l2", "b_l2")]
-    l2_temporal = [report["temporal"]["orders"][k] for k in ("u_l2", "w_l2", "b_l2")]
-    report["passes"] = bool(
-        all(o >= 1.8 for o in l2_spatial) and all(o >= 0.9 for o in l2_temporal)
-    )
-    return report
+    spatial = {"grids": list(cfg.spatial_grids), "errors": spatial_errors,
+               "orders": _order_table(spatial_errors, grids[1].nx / grids[0].nx)}
+    temporal = {"grid": cfg.nx, "dts": dts, "errors": temporal_errors,
+                "orders": _order_table(temporal_errors, dts[0] / dts[1])}
+    passes = all(spatial["orders"][k] >= 1.8 and temporal["orders"][k] >= 0.9 for k in ("u_l2", "w_l2", "b_l2"))
+    return {"spatial": spatial, "temporal": temporal, "passes": passes}

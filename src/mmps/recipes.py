@@ -237,13 +237,14 @@ _Table = Callable[[dict[str, float]], np.ndarray]
 
 def _tabulate(terms: Mapping, x: np.ndarray, y: np.ndarray) -> _Table:
     """``terms`` on the lattice of the 1-D points x (m) and y (n).  The 1-D
-    rows of its K nonzero terms go into an (m, K) table X and a (K, n) table
-    Y once; the returned map takes the amplitudes to ``(X * c) @ Y``, with c
-    each term's constant times the product of its amplitudes."""
+    rows of its K nonzero terms go once into read-only tables X (m, K) and
+    Y (K, n); the returned map takes the amplitudes to ``(X * c) @ Y``, with
+    c each term's constant times the product of its amplitudes."""
     (sx, cx), (sy, cy) = _trig1_factors(x), _trig1_factors(y)
     keys = [key for key, c in terms.items() if c]
     X = np.stack([sx[i] * cx[j] for _, (i, j), _ in keys], axis=-1)
     Y = np.stack([sy[k] * cy[l] for *_, (k, l) in keys])
+    X.flags.writeable = Y.flags.writeable = False
     coefficients = [(terms[key], key[0]) for key in keys]
 
     def values(amp: dict[str, float]) -> np.ndarray:
@@ -257,13 +258,14 @@ _TRIG1_LATTICE = {"1": "xface", "2": "yface", "w": "node", "p": "cell"}
 _TRIG1_FORCINGS = ("fu1", "fu2", "fw", "fb1", "fb2")
 
 
-def _trig1_tables(grid: GridSpec, params: FluidParams, names: Sequence[str]) -> dict[str, _Table]:
-    """The named ``_trig1_terms`` tabulated on their lattices' rows and columns."""
+@functools.lru_cache(maxsize=8)
+def _trig1_tables(grid: GridSpec, params: FluidParams, names: tuple[str, ...]) -> Mapping[str, _Table]:
+    """The named ``_trig1_terms`` on their lattices' rows and columns; a few are cached, read-only."""
     terms, tables = _trig1_terms(params), {}
     for name in names:
         X, Y = grid.mesh(_TRIG1_LATTICE[name[-1]])
         tables[name] = _tabulate(terms[name], X[:, 0], Y[0])
-    return tables
+    return MappingProxyType(tables)
 
 
 def _require_mms(recipe: str, grid: GridSpec) -> None:
@@ -283,27 +285,23 @@ def mms_state(recipe: str, t: float, grid: GridSpec, params: FluidParams) -> Sta
                  VectorField(grid, b1, b2), ScalarField(grid, CELL, p))
 
 
-def forcing_tables(recipe: str, params: FluidParams, grid: GridSpec) -> dict[str, _Table]:
-    """The 1-D tables :func:`mms_forcing` evaluates, which a forcing handle
-    builds once for all its calls."""
+def forcing_tables(recipe: str, params: FluidParams, grid: GridSpec) -> Mapping[str, _Table]:
+    """The 1-D tables :func:`mms_forcing` evaluates, built once per grid."""
     _require_mms(recipe, grid)
     return _trig1_tables(grid, params, _TRIG1_FORCINGS)
 
 
 def mms_forcing(
-    t: float, recipe: str, params: FluidParams, grid: GridSpec, tables: dict[str, _Table] | None = None
+    t: float, recipe: str, params: FluidParams, grid: GridSpec
 ) -> tuple[VectorField, ScalarField, VectorField]:
     """Exact residual forcings (fu, fw, fb) for the catalog solution.
 
     Each component is a sum of separable terms ``c_k(t) X_k(x) Y_k(y)`` from
     :func:`_trig1_terms` (NumPy only, no symbolic algebra at run time, no
-    differencing), and only the c_k depend on t.  With the ``tables`` of
-    :func:`forcing_tables` a call forms one (m, K) by (K, n) product per
-    component; without them it builds them first, to the same bits.
+    differencing), and only the c_k depend on t: with the grid's cached
+    :func:`forcing_tables`, one (m, K) by (K, n) product per component.
     """
-    _require_mms(recipe, grid)
-    if tables is None:
-        tables = forcing_tables(recipe, params, grid)
+    tables = forcing_tables(recipe, params, grid)
     amp = _trig1_amplitudes(t)
     fu1, fu2, fw, fb1, fb2 = (tables[name](amp) for name in _TRIG1_FORCINGS)
     fu, fb = VectorField(grid, fu1, fu2), VectorField(grid, fb1, fb2)

@@ -52,7 +52,8 @@ from mmps.fields import (
     perp_grad,
     samples_lq,
 )
-from mmps.recipes import RecipeError, State, _trig1_factors, initial_state, mms_forcing, mms_state
+from mmps.recipes import (RecipeError, State, _trig1_factors, _trig1_tables, initial_state, mms_forcing,
+                          mms_state)
 from mmps.stokes import helmholtz_solve, leray_project
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
@@ -717,6 +718,7 @@ def test_forced_march_does_no_closed_form_work(monkeypatch):
     monkeypatch.setattr("mmps.recipes._trig1_factors", lambda z: calls.append(z) or _trig1_factors(z))
     assert len(list(march(init, 6 * cfg.dt, cfg, PARAMS))) == 6
     assert calls == []
+    _trig1_tables.cache_clear()
     mms_forcing(0.0, "trig-1", PARAMS, g)  # the counter sees a fresh build
     assert calls
 

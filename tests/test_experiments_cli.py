@@ -11,15 +11,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmps import experiments
 from mmps.cli import main
 from mmps.config import ConfigError, RunConfig, load_config, parse_config, with_seed
 from mmps.experiments import (
@@ -47,7 +50,7 @@ from mmps.evolution import (
     run_simulation,
 )
 from mmps.fields import MODE_DIRICHLET, MODE_PERIODIC
-from mmps.recipes import mms_state, mollify
+from mmps.recipes import _trig1_tables, mms_state, mollify
 from mmps.stokes import SolvePlan
 from mmps.snapshots import (
     SnapshotChecksumError,
@@ -701,6 +704,69 @@ def test_convergence_study_raises_a_bad_horizon_as_a_step_error():
                     spatial_grids=(16, 24, 36), temporal_dts=(2e-3, 1e-3, 5e-4))
     with pytest.raises(StepError, match="whole number of steps"):
         convergence_study(cfg)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A study's CPU count, set as ``forks.cpus`` (never above its job
+    count), and the pids of the children it forks, ``forks.pids``."""
+    fork, state = os.fork, SimpleNamespace(cpus=1, pids=[])
+
+    def recorded() -> int:
+        pid = fork()
+        if pid:
+            state.pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(experiments.os, "fork", recorded)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: state.cpus)
+    return state
+
+
+def _reaped(pids: list[int]) -> bool:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+def test_convergence_study_reads_the_same_bits_on_one_cpu_and_two(forks):
+    cfg = replace(MMS_SMALL, t_end=0.01)  # crit-04's config
+    _trig1_tables.cache_clear()
+    reports = []
+    for cpus in (1, 2):
+        forks.cpus = cpus
+        reports.append(json.dumps(convergence_study(cfg)))
+    assert reports[0] == reports[1]
+    assert _trig1_tables.cache_info().misses == 6  # states and forcings on three grids
+    assert len(forks.pids) == 1 and _reaped(forks.pids)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_parallel_study_raises_the_serial_loop_s_error(forks, cpus):
+    # dt = 2e-3 has the ladder's largest dt/h and is the only run a CFL cap
+    # of 5e-3 stops; with two shares it is marched in the child
+    forks.cpus = cpus
+    cfg = RunConfig(nx=16, dt=1e-4, t_end=2e-3, recipe="trig-1", forcing_recipe="trig-1",
+                    cfl_limit=5e-3, spatial_grids=(16, 24, 36))
+    with pytest.raises(ExperimentError) as exc:
+        convergence_study(cfg)
+    assert str(exc.value) == f"temporal run dt=0.002 failed: {_failure_of(cfg, 16, 2e-3)}"
+    assert len(forks.pids) == cpus - 1 and _reaped(forks.pids)
+
+
+def test_a_child_that_dies_without_a_result_fails_the_study(forks, monkeypatch):
+    forks.cpus, parent, final_state = 2, os.getpid(), experiments._final_state
+
+    def dying(*job):
+        if os.getpid() != parent:
+            os._exit(3)
+        return final_state(*job)
+
+    monkeypatch.setattr(experiments, "_final_state", dying)
+    with pytest.raises(ExperimentError, match=r"marching spatial run nx=16, .* ended without a result"):
+        convergence_study(MMS_SMALL)
+    assert len(forks.pids) == 1 and _reaped(forks.pids)
 
 
 def test_uniqueness_names_the_run_a_step_failure_aborted():

@@ -30,6 +30,7 @@ from mmps.recipes import (
     MMS_RECIPES,
     ROUGH_SPECTRUM_DECAY,
     RecipeError,
+    forcing_tables,
     initial_state,
     mms_forcing,
     mms_state,
@@ -42,6 +43,7 @@ from mmps.recipes import (
     _mode_normals,
     _trig1_amplitudes,
     _trig1_factors,
+    _trig1_tables,
     _trig1_terms,
 )
 from mmps.evolution import manufactured_forcing
@@ -349,6 +351,26 @@ def test_trig1_terms_are_built_once_per_parameters_and_read_only():
     for k in range(8):  # bounded: old parameter sets drop out
         _trig1_terms(FluidParams(mu=0.01 * (k + 1), chi=0.0, nu=0.01))
     assert _trig1_terms.cache_info().currsize <= _trig1_terms.cache_info().maxsize <= 8
+
+
+def test_trig1_tables_are_built_once_per_grid_and_read_only():
+    # a study's init and exact states share one table set per grid, and its
+    # forcing handles on one grid another
+    _trig1_tables.cache_clear()
+    g = GridSpec(16, 16)
+    for t in (0.0, 0.1):
+        mms_state("trig-1", t, g, PARAMS)
+        manufactured_forcing("trig-1", PARAMS, g)(t)
+    assert _trig1_tables.cache_info().misses == 2
+    tables = forcing_tables("trig-1", PARAMS, g)
+    with pytest.raises(TypeError):
+        tables["fu1"] = tables["fu2"]
+    arrays = [cell.cell_contents for cell in tables["fu1"].__closure__
+              if isinstance(cell.cell_contents, np.ndarray)]
+    assert len(arrays) == 2 and not any(a.flags.writeable for a in arrays)  # X and Y
+    for nx in range(8, 24):  # bounded: old grids drop out
+        forcing_tables("trig-1", PARAMS, GridSpec(nx, nx))
+    assert _trig1_tables.cache_info().currsize <= _trig1_tables.cache_info().maxsize <= 8
 
 
 def test_rough_data_is_the_same_at_every_blas_thread_count():

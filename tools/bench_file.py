@@ -20,7 +20,12 @@ wall time and its five slowest tests.
 end-to-end metrics, and each side's ``correct``, ``attempted`` and ``failed``
 under ``checks``, under ``pairs.<workload>`` and, per metric, both sides'
 quartiles, the change's wins, the gap between the medians (parent - change)
-and the parent's interquartile distance.
+and the parent's interquartile distance.  Next to the metrics, each side of
+a pair stores its repetitions' median raw ``run_s`` (as ``raw_run_s``) and
+median speed-kernel time ``kernel_s``, read from the checkout's
+``perfbench/out/result-<workload>-trace0.json``: a change that moves the
+kernel (say, by keeping a second core busy) moves ``run_norm_s`` by more
+than the wall time, and these show by how much.
 
 Either mode exits non-zero and writes nothing when a run fails: when
 ``run.py`` exits non-zero, or its result reads ``"correct": false`` or
@@ -75,18 +80,32 @@ def tier1(checkout: Path) -> dict:
             "slowest": slowest[:5]}
 
 
+def raw_medians(checkout: Path, workload: str, seed: int) -> dict:
+    """The median raw ``run_s`` and ``kernel_s`` over the repetitions of the
+    checkout's last ``--trace 0`` run of ``workload``, which must be seed's."""
+    path = checkout / "perfbench" / "out" / f"result-{workload}-trace0.json"
+    result = json.loads(path.read_text(encoding="utf-8"))
+    if result.get("seed") != seed:
+        raise SystemExit(f"{path} is not the result of seed {seed}")
+    timed = [r for r in result["samples"] if "run_s" in r]
+    return {"raw_run_s": statistics.median(r["run_s"] for r in timed),
+            "kernel_s": statistics.median(r["kernel_s"] for r in timed)}
+
+
 def pairs(change: Path, parent: Path, workload: str, count: int, seed: int, seconds: float) -> dict:
-    """``count`` alternated pairs of end-to-end metrics, parent and change,
-    with each side's ``correct``, ``attempted`` and ``failed``, and per
-    metric (all lower-better) each side's median and quartiles, the change's
-    wins and the medians' gap (parent - change)."""
+    """``count`` alternated pairs of end-to-end metrics and raw medians
+    (:func:`raw_medians`), parent and change, with each side's ``correct``,
+    ``attempted`` and ``failed``, and per metric (all lower-better) each
+    side's median and quartiles, the change's wins and the medians' gap
+    (parent - change)."""
     rows = []
     for k in range(count):
         order = (("parent", parent), ("change", change))
         sides, checks = {}, {}
         for side, checkout in order if k % 2 == 0 else order[::-1]:
             result = bench(checkout, workload, seed + k, seconds, 0)["result"]
-            sides[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            sides[side] = {**{name: m["value"] for name, m in result["metrics"].items()},
+                           **raw_medians(checkout, workload, seed + k)}
             checks[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
         rows.append({"seed": seed + k, **sides, "checks": checks})
     summary = {}
