@@ -153,8 +153,7 @@ def _lq_lhs(w_new_lq: float, w_prev_lq: float, q: float, dt: float, chi: float) 
 
 def _lq_slack(w_prev: ScalarField, w_prev_lq: float, transport: ScalarField | None,
               q: float, dt: float) -> float:
-    """L^q production rate of the transport sub-step alone; 0 when the step
-    skipped its transport (it vanished exactly)."""
+    """L^q production rate of the transport sub-step alone; 0 when not given."""
     if transport is None:
         return 0.0
     moved = ScalarField(w_prev.grid, NODE, w_prev.data - dt * transport.data)
@@ -181,7 +180,7 @@ def diagnostics_record(
     with all spatial terms at the new state; ``forcing_work`` is the power
     input of any external forcing so forced runs stay comparably balanced.
     ``transport`` is the spin transport ``advect_node(prev.u, prev.w)`` the
-    step applied (None: it skipped it, and the slack is 0); the margin is
+    step applied (None: not given, and the slack is 0); the margin is
     the L^4 ledger's rhs - lhs (see :func:`w_lq_audit`).
 
     Each derivative block is made when ``samples_lq`` reaches it, squared

@@ -34,9 +34,11 @@ second order; not L^q-dissipative at every CFL, which ``lq_slack`` measures).
 
 Explicit couplings always evaluate the *previous* state, so one coupled
 step is the magnetic step with the spin force frozen composed with the spin
-transport with the velocity frozen.  One loop, :func:`march`, takes these
-steps for every run, study and probe; the fixed-point map is the same march
-with the mollified spin iterate in ``-chi perp_grad(.)`` (``spin_forces``).
+transport with the velocity frozen.  Every state takes that one path: no
+term is skipped on an invariant subspace (u = 0, w = +0, b = 0, chi = 0),
+which the step's arithmetic keeps exact by value.  One loop, :func:`march`,
+takes these steps for every run, study and probe; the fixed-point map is the
+same march with the mollified spin iterate in ``-chi perp_grad(.)`` (``spin_forces``).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ ADVECTION_SCHEMES = ("upwind2", "central")
 
 Forcing = tuple[VectorField, ScalarField, VectorField]
 ForcingHandle = Callable[[float], Forcing]
-Step = tuple[State, State, Forcing | None, ScalarField | None, bool]  # one march step
+Step = tuple[State, State, Forcing | None, ScalarField, bool]  # one march step
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ class StepConfig:
     or two-step Adams-Bashforth on the explicit terms with the same implicit
     diffusion).  ``advection`` selects the micro-rotation face interpolant.
     ``forcing``, when set, is called at the step's start time and must
-    return body forcings (fu, fw, fb) on the native lattices.  ``march``
-    calls it once per step and hands the triple to the step and to
-    ``forcing_work``; under AB2 the previous step's explicit terms, forcing
-    included, are carried forward instead of being recomputed.
+    return body forcings (fu, fw, fb) on the native lattices.  The step
+    calls it once, and ``march`` hands the same triple to ``forcing_work``;
+    under AB2 the previous step's explicit terms, forcing included, are
+    carried forward instead of being recomputed.
     A march of n steps stores step k when ``k % snapshot_stride == 0`` or
     ``k == n`` (the stored-step rule ``_stored``): always the first and the last.
     """
@@ -338,48 +340,28 @@ def _mhd_explicit(
     P and Q share one flux set: 8 face means, 4 products and 6 differences
     (two separate transports take 16, 8 and 8).
 
-    Quadratic magnetic terms are skipped for an identically zero b (they
-    vanish exactly), which keeps the zero-field invariant subspace and the
-    pure-fluid reduction bit-exact.
+    For b = 0, z+ and z- equal u by value, so P = Q = A(u,u): momentum is
+    ``-A(u,u)`` exactly and the induction ``(P - P)/2`` zero.  The zero-field
+    subspace and, with chi = 0 (whose ``0 * perp_grad`` adds zeros), the
+    pure-fluid reduction so stay exact by value without a branch.
     """
-    if b.ux.any() or b.uy.any():
-        zp = VectorField(u.grid, u.ux + b.ux, u.uy + b.uy)
-        zm = VectorField(u.grid, u.ux - b.ux, u.uy - b.uy)
-        p, q = advect_mac(zm, zp, pair=True)
-        ex, ey = -0.5 * (p.ux + q.ux), -0.5 * (p.uy + q.uy)
-        gx, gy = 0.5 * (q.ux - p.ux), 0.5 * (q.uy - p.uy)
-    else:
-        adv_u = advect_mac(u, u)
-        ex, ey = -adv_u.ux, -adv_u.uy
-        gx, gy = np.zeros_like(b.ux), np.zeros_like(b.uy)
-    if params.chi != 0.0:
-        pg = perp_grad(f)
-        ex, ey = ex - params.chi * pg.ux, ey - params.chi * pg.uy
+    zp = VectorField(u.grid, u.ux + b.ux, u.uy + b.uy)
+    zm = VectorField(u.grid, u.ux - b.ux, u.uy - b.uy)
+    p, q = advect_mac(zm, zp, pair=True)
+    pg = perp_grad(f)
+    ex = -0.5 * (p.ux + q.ux) - params.chi * pg.ux
+    ey = -0.5 * (p.uy + q.uy) - params.chi * pg.uy
+    gx, gy = 0.5 * (q.ux - p.ux), 0.5 * (q.uy - p.uy)
     if forcing is not None:
         fu, _, fb = forcing
         ex, ey, gx, gy = ex + fu.ux, ey + fu.uy, gx + fb.ux, gy + fb.uy
     return ex, ey, gx, gy
 
 
-def _spin_transport(u: VectorField, w: ScalarField, advection: str) -> ScalarField | None:
-    """The transport ``advect_node(u, w)`` of one step, or None when it
-    vanishes exactly and is skipped: for u = 0, or for w = +0 everywhere (a
-    negative zero in w can pass its sign on through the step)."""
-    active = bool((w.data.any() or np.signbit(w.data).any()) and (u.ux.any() or u.uy.any()))
-    return advect_node(u, w, advection) if active else None
-
-
-def _w_explicit(
-    w: ScalarField,
-    u: VectorField,
-    params: FluidParams,
-    forcing: Forcing | None,
-    transport: ScalarField | None,
-) -> np.ndarray:
-    if params.chi == 0.0:
-        src = -transport.data if transport is not None else np.zeros_like(w.data)
-    else:  # x - t is -t + x; with no transport, x - (-0.0) is 0.0 + x (a zero start)
-        src = params.chi * curl2(u).data - (transport.data if transport is not None else -0.0)
+def _w_explicit(u: VectorField, params: FluidParams, forcing: Forcing | None,
+                transport: ScalarField) -> np.ndarray:
+    """The spin source ``chi curl2(u) - A(u, w) [+ fw]``, ``transport = A(u, w)``."""
+    src = params.chi * curl2(u).data - transport.data
     if forcing is not None:
         src = src + forcing[1].data
     return src
@@ -390,13 +372,15 @@ class _Carry:
     """What a march hands from step to step: the last step's raw explicit
     terms (AB2 combines them with its own), the transport speed of its
     result (whose check is the next step's input check), the solve plan
-    for the march's dt and parameters, which its first step builds, and the
-    last step's one-step spin transport at its start state (None when it was
-    skipped), which the march yields for the record's L^4 scheme slack."""
+    for the march's dt and parameters, which its first step builds, and
+    the last step's forcing triple (None if unforced) and one-step spin
+    transport ``advect_node(u, w)`` at its start state, which the march
+    yields for the record's forcing work and L^4 scheme slack."""
 
     terms: tuple[np.ndarray, ...] | None = None
     speed: float | None = None
     plan: SolvePlan | None = None
+    forcing: Forcing | None = None
     transport: ScalarField | None = None
 
 
@@ -407,27 +391,17 @@ class _Carry:
 
 def _mhd_solve(u: VectorField, b: VectorField, terms: Sequence[np.ndarray], dt: float,
                plan: SolvePlan) -> tuple[VectorField, VectorField, ScalarField]:
-    """Diffuse and project u and b in one solve of ``plan``; b is left out
-    when its update is identically zero."""
+    """Diffuse and project u and b in one solve of ``plan``."""
     ex, ey, gx, gy = terms
     u_star = VectorField(u.grid, u.ux + dt * ex, u.uy + dt * ey)
     b_star = VectorField(b.grid, b.ux + dt * gx, b.uy + dt * gy)
-    magnetic = bool(b_star.ux.any() or b_star.uy.any())
-    new, phi = plan.solve([u_star, b_star] if magnetic else [u_star])
-    return new[0], new[1] if magnetic else b_star, ScalarField(u.grid, CELL, phi / dt)
+    (u_new, b_new), phi = plan.solve([u_star, b_star])
+    return u_new, b_new, ScalarField(u.grid, CELL, phi / dt)
 
 
 def _w_update(w: ScalarField, src: np.ndarray, cfg: StepConfig, params: FluidParams) -> ScalarField:
-    if not src.any():
-        # Nothing to add: apply the bare damping factor (exact decay; a
-        # plain copy when chi = 0, preserving constants bit for bit).
-        if params.chi == 0.0:
-            return w.copy()
-        return ScalarField(w.grid, NODE, math.exp(-2.0 * params.chi * cfg.dt) * w.data)
-    data = w.data + cfg.dt * src
-    if params.chi != 0.0:
-        data = math.exp(-2.0 * params.chi * cfg.dt) * data
-    return ScalarField(w.grid, NODE, data)
+    """``exp(-2 chi dt) (w + dt src)``: the exact damping factor, 1.0 for chi = 0."""
+    return ScalarField(w.grid, NODE, math.exp(-2.0 * params.chi * cfg.dt) * (w.data + cfg.dt * src))
 
 
 def step_coupled(
@@ -435,33 +409,31 @@ def step_coupled(
     cfg: StepConfig,
     params: FluidParams,
     *,
-    forcing: Forcing | None = None,
     carry: _Carry | None = None,
     spin_force: ScalarField | None = None,
 ) -> State:
     """One coupled IMEX step.  All couplings are explicit in the previous
     state, so the step is exactly the magnetic step with the spin force
     frozen composed with the spin transport with the velocity frozen.
+    It evaluates ``cfg.forcing(state.t)`` and ``advect_node(u, w)`` once each.
 
-    ``forcing`` is ``cfg.forcing(state.t)`` if the caller has it.
     ``spin_force`` is the node scalar in the body force ``-chi perp_grad(.)``
     (None: ``state.w``; the fixed-point map's march passes its mollified iterate).
     ``carry`` is what a march hands from step to step (:class:`_Carry`);
-    this step puts its terms, result speed and solve plan in it.  Without
-    one, or with its fields unset, the step checks its input, builds the
-    plan and, under AB2, falls back to the one-step scheme (a two-step
-    run's bootstrap)."""
+    this step puts its terms, result speed, solve plan, forcing and
+    transport in it.  Without one, or with its fields unset, the step checks
+    its input, builds the plan and, under AB2, falls back to the one-step
+    scheme (a two-step run's bootstrap)."""
     t, carry = state.t, carry or _Carry()
     if carry.speed is None:
         carry.speed = _check(t, "input ", state.u, state.w, state.b)
     _cfl(t, cfg, carry.speed, state.u.grid.h)
 
-    if forcing is None and cfg.forcing is not None:
-        forcing = cfg.forcing(t)
+    carry.forcing = forcing = cfg.forcing(t) if cfg.forcing is not None else None
     f = state.w if spin_force is None else spin_force
     mhd = _mhd_explicit(state.u, state.b, f, params, forcing)
-    carry.transport = _spin_transport(state.u, state.w, cfg.advection)
-    terms = (*mhd, _w_explicit(state.w, state.u, params, forcing, carry.transport))
+    carry.transport = advect_node(state.u, state.w, cfg.advection)
+    terms = (*mhd, _w_explicit(state.u, params, forcing, carry.transport))
     earlier = None
     if cfg.scheme == "imex-ab2":
         earlier, carry.terms = carry.terms, terms
@@ -513,8 +485,8 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams,
           spin_forces: Iterable[ScalarField] = ()) -> Iterator[Step]:
     """Step from ``init`` to ``t_end`` (a whole number of steps away),
     yielding ``(prev, new, forcing, transport, stored)`` per step: the
-    forcing triple the step used (None if unforced), its spin transport at
-    ``prev`` (None when skipped, see :func:`_spin_transport`) and whether
+    forcing triple the step used (None if unforced), its spin transport
+    ``advect_node(prev.u, prev.w)`` (both from its carry) and whether
     ``new`` is a stored step (:class:`StepConfig`).  Nothing is recorded or
     kept.  Step k takes the k-th entry of ``spin_forces``, if there is one,
     as its ``spin_force`` (the fixed-point map passes its mollified iterate).
@@ -530,11 +502,9 @@ def march(init: State, t_end: float, cfg: StepConfig, params: FluidParams,
         state, carry = init, _Carry()
         forces = itertools.chain(spin_forces, itertools.repeat(None))
         for k, spin_force in zip(range(1, steps + 1), forces):
-            forcing = cfg.forcing(state.t) if cfg.forcing is not None else None
-            new = step_coupled(state, cfg, params, forcing=forcing, carry=carry,
-                               spin_force=spin_force)
+            new = step_coupled(state, cfg, params, carry=carry, spin_force=spin_force)
             new = replace(new, t=init.t + k * cfg.dt)  # on the grid of _off_grid
-            yield state, new, forcing, carry.transport, _stored(k, steps, cfg.snapshot_stride)
+            yield state, new, carry.forcing, carry.transport, _stored(k, steps, cfg.snapshot_stride)
             state = new
 
     return stepping()

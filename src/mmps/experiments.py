@@ -201,11 +201,11 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _outcome(job: tuple) -> State | Exception:
+def _outcome(job: tuple) -> State | tuple[Exception, BaseException | None]:
     try:
         return _final_state(*job)
     except Exception as exc:
-        return exc
+        return exc, exc.__cause__  # pickle drops __cause__
 
 
 def _final_states(jobs: Sequence[tuple]) -> list[State]:
@@ -214,8 +214,9 @@ def _final_states(jobs: Sequence[tuple]) -> list[State]:
     Horizons are checked first (StepError).  The jobs are dealt, largest
     steps x nx first, into one share per CPU and at most one per job: this
     process marches the first, a forked child each other one and pipes back
-    its pickled final states or errors.  The first failing job's error is
-    raised; a child that ends without its results raises ExperimentError."""
+    its pickled final states or errors with their causes.  The first failing
+    job's error is raised, chained to its cause as on one CPU; a child that
+    ends without its results raises ExperimentError."""
     costs = [_step_count(init.t, t_end, cfg.dt) * init.grid.nx for init, t_end, cfg, *_ in jobs]
     shares: list[list[int]] = [[] for _ in range(max(1, min(len(jobs), _cpu_count())))]
     for i in sorted(range(len(jobs)), key=lambda i: -costs[i]):
@@ -247,8 +248,8 @@ def _final_states(jobs: Sequence[tuple]) -> list[State]:
             os.close(read)
             os.waitpid(pid, 0)
     finals = [done[i] for i in range(len(jobs))]
-    if errors := [f for f in finals if isinstance(f, Exception)]:
-        raise errors[0]
+    if errors := [f for f in finals if isinstance(f, tuple)]:
+        raise errors[0][0] from errors[0][1]
     return finals
 
 

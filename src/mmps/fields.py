@@ -461,18 +461,24 @@ def laplacian(f: ScalarField | VectorField) -> ScalarField | VectorField:
 # ---------------------------------------------------------------------------
 
 
+def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.floating:
+    """``np.sum(w * a * b)`` through one temporary: the same products, so the same bits."""
+    t = w * a
+    t *= b
+    return np.sum(t)
+
+
 def l2_inner(a: ScalarField | VectorField, b: ScalarField | VectorField) -> float:
     """Quadrature-weighted L2 inner product of two same-placement fields."""
     if isinstance(a, ScalarField) and isinstance(b, ScalarField):
         if a.placement != b.placement or a.grid != b.grid:
             raise FieldError("inner product needs matching scalar placements")
-        return float(np.sum(lattice_weights(a.grid, a.placement) * a.data * b.data))
+        return float(_weighted_sum(lattice_weights(a.grid, a.placement), a.data, b.data))
     if isinstance(a, VectorField) and isinstance(b, VectorField):
         if a.grid != b.grid:
             raise FieldError("inner product needs vector fields on one grid")
-        wx = lattice_weights(a.grid, "xface")
-        wy = lattice_weights(a.grid, "yface")
-        return float(np.sum(wx * a.ux * b.ux) + np.sum(wy * a.uy * b.uy))
+        return float(_weighted_sum(lattice_weights(a.grid, "xface"), a.ux, b.ux)
+                     + _weighted_sum(lattice_weights(a.grid, "yface"), a.uy, b.uy))
     raise FieldError("cannot pair a scalar with a vector")
 
 

@@ -16,11 +16,15 @@ GOOD = {"correct": True, "attempted": 4, "failed": 0,
         "metrics": {"run_norm_s": {"value": 0.2, "unit": "s"}}}
 
 
+SRC_LINES = {"change": 4110, "parent": 4134}
+
+
 def _bench_file(monkeypatch, result: dict, run_s: dict[str, list[float]] | None = None):
-    """The tool's module, its subprocess calls answered with ``result``.  A
-    benchmark call also writes its checkout's per-repetition result file,
-    with the raw times ``run_s[<checkout name>]`` (default 0.1, 0.3, 0.2)
-    and kernel times of a tenth of them."""
+    """The tool's module, its subprocess calls answered with ``result``
+    after a metadata line with the checkout's ``SRC_LINES``.  A benchmark
+    call also writes its checkout's per-repetition result file, with the raw
+    times ``run_s[<checkout name>]`` (default 0.1, 0.3, 0.2) and kernel
+    times of a tenth of them."""
     spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -34,7 +38,8 @@ def _bench_file(monkeypatch, result: dict, run_s: dict[str, list[float]] | None 
             out.mkdir(parents=True, exist_ok=True)
             (out / f"result-{workload}-trace0.json").write_text(
                 json.dumps({"seed": int(seed), "samples": samples}), encoding="utf-8")
-        stdout = json.dumps({"metadata": {"commit": None}}) + "\n" + json.dumps(result) + "\n"
+        metadata = {"commit": None, "src_lines": SRC_LINES.get(Path(cwd).name)}
+        stdout = json.dumps({"metadata": metadata}) + "\n" + json.dumps(result) + "\n"
         return subprocess.CompletedProcess(cmd, 0, stdout, "")
 
     monkeypatch.setattr(module.subprocess, "run", run)
@@ -84,6 +89,22 @@ def test_pairs_store_each_side_s_raw_run_and_kernel_medians(tmp_path, monkeypatc
         assert row["parent"]["kernel_s"] == 0.02 and row["change"]["kernel_s"] == 0.006
     assert stored["summary"]["raw_run_s"]["change_wins"] == 2
     assert stored["summary"]["kernel_s"]["median_gap"] == pytest.approx(0.014)
+
+
+@pytest.mark.parametrize("flag", [None, "1"])
+def test_pairs_store_each_side_s_source_lines_and_bytecode_setting(tmp_path, monkeypatch, flag):
+    if flag is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    tool = _bench_file(monkeypatch, GOOD)
+    out = tmp_path / "BENCH.json"
+    assert tool.main(_args("pairs", out)) == 0
+    stored = json.loads(out.read_text(encoding="utf-8"))["pairs"]["weak-form"]
+    want = {side: {"src_lines": SRC_LINES[side], "PYTHONDONTWRITEBYTECODE": flag is not None}
+            for side in ("parent", "change")}
+    assert [row["sources"] for row in stored["pairs"]] == [want] * 2
+    assert "src_lines" not in stored["summary"]  # not a timed metric
 
 
 def test_pairs_refuse_a_result_file_of_another_seed(tmp_path, monkeypatch):

@@ -39,7 +39,6 @@ from mmps.evolution import (
     SCHEMES,
     StepConfig,
     _Carry,
-    _spin_transport,
     advect_node,
     manufactured_forcing,
     run_simulation,
@@ -340,7 +339,7 @@ def test_diagnostics_record_is_the_separate_passes_bitwise(mode, advection, nx):
     for k in range(1, len(states)):
         prev = states[k - 1]
         want.append(_record_from_separate_passes(states[k], PARAMS, prev, traj.records[k - 1],
-                                                 _spin_transport(prev.u, prev.w, advection)))
+                                                 advect_node(prev.u, prev.w, advection)))
     for rec, ref in zip(traj.records, want, strict=True):
         assert [getattr(rec, n).hex() for n in RECORD_NAMES] == [float(ref[n]).hex() for n in RECORD_NAMES]
     assert traj.records[-1].lq_slack != 0.0 and traj.records[-1].z_l2 > 0.0

@@ -40,13 +40,14 @@ from mmps.experiments import (
 )
 from mmps.estimates import EstimateError, gronwall_budget, w_lq_audit
 from mmps.evolution import (
+    CflError,
     StepError,
     Trajectory,
     _mhd_explicit,
     _mhd_solve,
-    _spin_transport,
     _w_explicit,
     _w_update,
+    advect_node,
     run_simulation,
 )
 from mmps.fields import MODE_DIRICHLET, MODE_PERIODIC
@@ -574,8 +575,8 @@ def _spin_map_of_half_steps(f_slices, init, steps, step_cfg, params, eps):
     for k in range(steps):
         terms = _mhd_explicit(u, b, mollify(f_slices[k], eps), params, None)
         u_new, b, _ = _mhd_solve(u, b, terms, dt, plan)
-        transport = _spin_transport(u, w, step_cfg.advection)
-        w = _w_update(w, _w_explicit(w, u, params, None, transport), step_cfg, params)
+        transport = advect_node(u, w, step_cfg.advection)
+        w = _w_update(w, _w_explicit(u, params, None, transport), step_cfg, params)
         u = u_new
         out.append(w)
     return out
@@ -751,7 +752,10 @@ def test_a_parallel_study_raises_the_serial_loop_s_error(forks, cpus):
                     cfl_limit=5e-3, spatial_grids=(16, 24, 36))
     with pytest.raises(ExperimentError) as exc:
         convergence_study(cfg)
-    assert str(exc.value) == f"temporal run dt=0.002 failed: {_failure_of(cfg, 16, 2e-3)}"
+    failure = _failure_of(cfg, 16, 2e-3)
+    assert str(exc.value) == f"temporal run dt=0.002 failed: {failure}"
+    # the child pipes the error's cause back too, which pickle alone drops
+    assert type(exc.value.__cause__) is CflError and str(exc.value.__cause__) == failure
     assert len(forks.pids) == cpus - 1 and _reaped(forks.pids)
 
 

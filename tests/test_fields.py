@@ -5,6 +5,8 @@ consistency measured by Richardson ratios.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -484,6 +486,31 @@ def test_operators_linear_and_match_dense_assembly(mode):
 # ---------------------------------------------------------------------------
 # Duality pairings
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_l2_inner_holds_one_product_array_and_keeps_its_bits(mode):
+    # (w * a) * b through one temporary, in the order of np.sum(w * a * b)
+    g = GridSpec(128, 128, mode)
+    rng = np.random.default_rng(6)
+    pairs = [(random_scalar(g, NODE, rng), random_scalar(g, NODE, rng)),
+             (random_mac(g, rng), random_mac(g, rng))]
+    for a, b in pairs:
+        if isinstance(a, ScalarField):
+            want = np.sum(lattice_weights(g, NODE) * a.data * b.data)
+            block = a.data.nbytes
+        else:
+            want = (np.sum(lattice_weights(g, "xface") * a.ux * b.ux)
+                    + np.sum(lattice_weights(g, "yface") * a.uy * b.uy))
+            block = a.ux.nbytes
+        tracemalloc.start()
+        try:
+            got = l2_inner(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert float(got).hex() == float(want).hex()
+        assert peak <= 1.05 * block, (peak, block)
 
 
 @pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])

@@ -20,7 +20,10 @@ wall time and its five slowest tests.
 end-to-end metrics, and each side's ``correct``, ``attempted`` and ``failed``
 under ``checks``, under ``pairs.<workload>`` and, per metric, both sides'
 quartiles, the change's wins, the gap between the medians (parent - change)
-and the parent's interquartile distance.  Next to the metrics, each side of
+and the parent's interquartile distance.  Each pair also stores, under
+``sources``, each side's ``src_lines`` (from ``run.py``'s metadata line) and
+whether ``PYTHONDONTWRITEBYTECODE`` was set, which a claim of fewer lines or
+a ``peak_rss_mb`` comparison needs.  Next to the metrics, each side of
 a pair stores its repetitions' median raw ``run_s`` (as ``raw_run_s``) and
 median speed-kernel time ``kernel_s``, read from the checkout's
 ``perfbench/out/result-<workload>-trace0.json``: a change that moves the
@@ -95,19 +98,23 @@ def raw_medians(checkout: Path, workload: str, seed: int) -> dict:
 def pairs(change: Path, parent: Path, workload: str, count: int, seed: int, seconds: float) -> dict:
     """``count`` alternated pairs of end-to-end metrics and raw medians
     (:func:`raw_medians`), parent and change, with each side's ``correct``,
-    ``attempted`` and ``failed``, and per metric (all lower-better) each
+    ``attempted`` and ``failed``, its ``src_lines`` and whether
+    ``PYTHONDONTWRITEBYTECODE`` was set, and per metric (all lower-better) each
     side's median and quartiles, the change's wins and the medians' gap
     (parent - change)."""
     rows = []
     for k in range(count):
         order = (("parent", parent), ("change", change))
-        sides, checks = {}, {}
+        sides, checks, sources = {}, {}, {}
         for side, checkout in order if k % 2 == 0 else order[::-1]:
-            result = bench(checkout, workload, seed + k, seconds, 0)["result"]
+            run = bench(checkout, workload, seed + k, seconds, 0)
+            result = run["result"]
             sides[side] = {**{name: m["value"] for name, m in result["metrics"].items()},
                            **raw_medians(checkout, workload, seed + k)}
             checks[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
-        rows.append({"seed": seed + k, **sides, "checks": checks})
+            sources[side] = {"src_lines": run["metadata"]["src_lines"],
+                             "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+        rows.append({"seed": seed + k, **sides, "checks": checks, "sources": sources})
     summary = {}
     for name in rows[0]["parent"]:
         sides = {side: [r[side][name] for r in rows] for side in ("parent", "change")}
