@@ -70,10 +70,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-try:  # np.einsum's kernel without its dispatch layer, which costs about 1.5 us a call
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # NumPy < 2
-    from numpy.core.multiarray import c_einsum as _einsum
+from numpy._core.multiarray import c_einsum as _einsum  # np.einsum's kernel, without its 1.5 us dispatch
+
+# Freeing one mapped 8 MiB block raises glibc's mmap threshold (128 KiB at start-up) to 8 MiB: the
+# field temporaries of an nx >= 128 step then reuse heap pages instead of faulting in fresh maps.
+np.empty(1 << 20)
 
 MODE_DIRICHLET = "dirichlet-square"
 MODE_PERIODIC = "periodic"

@@ -17,6 +17,12 @@ symbol 1 + kappa*dt*lam, the MAC projector at each wavenumber, and an
 gradient G = (1 - e^{-i theta})/h (theta = 2 pi k/n, D G = -lam), so
 phi_hat = -(D . v_hat)/lam with the zero mode 0, and v_hat -= G phi_hat.
 Dirichlet solves stack the fields (u and b in a step) in one transform pass.
+Each transform is a ``numpy.fft`` real FFT into the plan's buffers: a DST-I
+is minus Im of the length-2n FFT of n-1 values behind one zero; a DCT-II is
+Makhoul's (IEEE TASSP 28, 1980) length-n FFT of the even samples, then the odd
+ones reversed, twiddled by e^{-i pi k/2n} to one mode per float (Re k, Im
+n - k), so a plan divides its symbols slot by slot.  With the odd samples
+negated it is the DST-II, modes reversed.
 
 The stationary Stokes saddle system (Dirichlet mode) is not separable, but
 its velocity block is: with A = -laplacian on the interior faces (inverted by
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
+from numpy.fft import irfft, irfft2, rfft, rfft2
 
 from .fields import (CELL, FieldError, GridSpec, ScalarField, VectorField, _diff, _pin, div,
                      grad, laplacian, lattice_weights)
@@ -83,31 +89,60 @@ def _finite(v: VectorField) -> bool:
     return bool(np.all(np.isfinite(v.ux)) and np.all(np.isfinite(v.uy)))
 
 
+def _makhoul(x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
+    """Write the rows (axis 0) of ``x`` into ``out`` in Makhoul's order, the
+    even ones, then the odd ones reversed; with ``inverse``, back in order."""
+    n, split = len(x), (len(x) + 1) // 2
+    for a, b in ((slice(0, n, 2), slice(None, split)), (slice(n - 1 - n % 2, None, -2), slice(split, None))):
+        out[a if inverse else b] = x[b if inverse else a]
+
+
+def _dct2(x: np.ndarray, tw: np.ndarray, out: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """Half the DCT-II along ``axis`` (-1 or -2) of Makhoul-ordered ``x``: ``out``'s half-spectrum
+    times ``tw`` = e^{-i pi k/2n} (Im: minus mode n - k); ``inverse`` undoes it, overwriting ``x``."""
+    t = tw if axis == -1 else tw[:, None]
+    if inverse:
+        x *= t.conj()
+        return irfft(x, n=out.shape[axis], axis=axis, out=out)
+    rfft(x, axis=axis, out=out)
+    out *= t
+    return out
+
+
 class SolvePlan:
     """The diagonalised solves of one grid.  Field i diffuses with
     ``coefs[i]`` (kappa*dt): its symbol ``1 + coefs[i] * lam``, the Poisson
     eigenvalues and the periodic 1-D MAC phases D and G are formed here once;
     a plan without coefficients inverts -laplacian.  A periodic field takes
     one spectral pass (module docstring); Dirichlet fields share one stacked
-    pass in the plan's work buffer, reused in place, which keeps no field data.
+    pass in buffers the plan reuses, which keep no field data.
     """
 
     def __init__(self, grid: GridSpec, coefs: Sequence[float] = ()) -> None:
-        n = grid.nx
+        n, half = grid.nx, grid.nx // 2 + 1
+        one = 1.0 if grid.periodic else n / 2  # the Dirichlet symbols carry the DST-I pair's n/2
         if grid.periodic:
             k = 2 * np.arange(n)
-            lam = _symbol(grid, k, k[: n // 2 + 1])
-            self._neg_inv = np.divide(-1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+            lam = poisson = _symbol(grid, k, k[:half])
             theta = (np.pi / n) * k  # 2 pi m / n: a column along x, the real FFT's half along y
-            thetas = (theta[:, None], theta[: n // 2 + 1])
+            thetas = (theta[:, None], theta[:half])
             self._div = [np.expm1(1j * t) / grid.h for t in thetas]
             self._grad = [-np.expm1(-1j * t) / grid.h for t in thetas]
         else:
-            lam = _symbol(grid, np.arange(1, n), np.arange(1, n + 1))
-            self.poisson = _symbol(grid, np.arange(n), np.arange(n))
+            k, m = np.arange(half), max(len(coefs), 1)
+            slots = np.stack([k, n - k], axis=1).reshape(-1)  # each float's DCT-II mode
+            # slot (k, re/im) along axis -2 by mode j at [k, 2j + re/im]: DST-II x DST-I, DCT-II x DCT-II
+            lam, poisson = (f * _symbol(grid, a, b).reshape(half, 2, -1).transpose(0, 2, 1).reshape(half, -1)
+                            for f, a, b in ((one, n - slots, np.arange(1, n)), (1.0, slots, slots)))
+            self._twiddle = np.exp(-0.5j * np.pi / n * k)
+            self._real, self._sines, self._spec = (  # faces' planes and spectra; the projection's in them
+                np.empty((2 * m, n, n)), np.empty((2 * m, n, n + 1), complex),
+                np.empty((2 * m, half, n - 1), complex))
+            self._spec_y = self._sines.reshape(-1)[: m * n * half].reshape(m, n, half)
+            self._spec_x = self._spec.reshape(-1)[: m * half * 2 * half].reshape(m, half, 2 * half)
+        self._neg_inv = np.divide(-1.0, poisson, out=np.zeros_like(poisson), where=poisson != 0.0)
         self.grid = grid
-        self.symbols = tuple(1.0 + c * lam for c in coefs) or (lam,)
-        self._work = None if grid.periodic else np.empty((2 * len(self.symbols), n - 1, n))
+        self.symbols = np.stack([one + c * lam for c in coefs] or [lam])
 
     def _periodic(self, fields: Sequence[VectorField], project: bool) -> tuple[list, np.ndarray | None]:
         """Each field's own spectral pass, projected if ``project``: the new
@@ -126,30 +161,31 @@ class SolvePlan:
                 for h, grad_k in zip(hat, self._grad):
                     h -= grad_k * phat
                 if phi is None:
-                    phi = irfft2(phat, s=(n, n), overwrite_x=True)
-            out.append(VectorField(g, *(irfft2(h, s=(n, n), overwrite_x=True) for h in hat)))
+                    phi = irfft2(phat, s=(n, n))
+            out.append(VectorField(g, *(irfft2(h, s=(n, n)) for h in hat)))
         return out, phi
 
     def faces(self, fields: Sequence[VectorField]) -> list[VectorField]:
         """New fields: field i divided by ``symbols[i]`` in the real FFT
         basis (periodic), or in the DST-I x DST-II basis of the interior
-        faces, y faces transposed, with the boundary faces pinned to zero
-        (Dirichlet)."""
+        faces, with the boundary faces pinned to zero (Dirichlet): each
+        component's plane runs along its mirror axis, then its pinned one."""
         g, m = self.grid, len(fields)
         if g.periodic:
             return self._periodic(fields, False)[0]
-        work = self._work[: 2 * m]
-        for i, v in enumerate(fields):
-            work[2 * i], work[2 * i + 1] = v.ux[1:-1, :], v.uy[:, 1:-1].T
-        hat = dst(work, type=1, axis=1, norm="ortho", overwrite_x=True)
-        hat = dst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
-        for i in range(m):
-            hat[2 * i : 2 * i + 2] /= self.symbols[i]
-        out = idst(hat, type=2, axis=2, norm="ortho", overwrite_x=True)
-        out = idst(out, type=1, axis=1, norm="ortho", overwrite_x=True)
-        solved = [VectorField.zeros(g) for _ in fields]
-        for i, v in enumerate(solved):
-            v.ux[1:-1, :], v.uy[:, 1:-1] = out[2 * i], out[2 * i + 1].T
+        n, real, sines, spec = g.nx, self._real[: 2 * m], self._sines[: 2 * m], self._spec[: 2 * m]
+        real[:, :, 0] = 0.0  # the DST-I's zero
+        for plane, a in zip(real, (a for v in fields for a in (v.ux[1:-1, :].T, v.uy[:, 1:-1]))):
+            _makhoul(a, plane[:, 1:])
+        odd = real[:, (n + 1) // 2 :, 1:]  # negated: the DCT-II of the planes is their DST-II
+        np.negative(odd, out=odd)
+        _dct2(rfft(real, n=2 * n, out=sines).imag[:, :, 1:n], self._twiddle, spec, -2)
+        spec.view(float).reshape(m, 2, *self.symbols.shape[1:])[...] /= self.symbols[:m, None]
+        _dct2(spec, self._twiddle, real[:, :, 1:], -2, inverse=True)
+        solved, out = [VectorField.zeros(g) for _ in fields], rfft(real, n=2 * n, out=sines).imag[:, :, 1:n]
+        np.negative(out[:, (n + 1) // 2 :], out=out[:, (n + 1) // 2 :])
+        for plane, a in zip(out, (a for v in solved for a in (v.ux[1:-1, :].T, v.uy[:, 1:-1]))):
+            _makhoul(plane, a, inverse=True)
         return solved
 
     def _project(self, fields: Sequence[VectorField]) -> np.ndarray:
@@ -157,26 +193,29 @@ class SolvePlan:
         potential of div grad phi = div v; wall faces must be zero.  Returns
         a copy of the first field's potential.  Dirichlet mode only: a
         periodic plan projects inside its one pass per field.  Each div(v) is
-        written into the work buffer; only interior faces take grad(phi), which
-        is 0 on the walls (even ghosts)."""
-        n, m, h = self.grid.nx, len(fields), self.grid.h
-        dct = {"type": 2, "axes": (1, 2), "norm": "ortho", "overwrite_x": True}  # in place
-        pot = self._work.reshape(-1)[: m * n * n].reshape(m, n, n)
+        written into the plan's buffers in Makhoul's order; only interior
+        faces take grad(phi), which is 0 on the walls (even ghosts)."""
+        m, h = len(fields), self.grid.h
+        pot, work, spec_y, spec_x = self._real[:m], self._real[m : 2 * m], self._spec_y[:m], self._spec_x[:m]
         for out, v in zip(pot, fields):
             _diff(v.ux, 0, h, out=out)
             out += _diff(v.uy, 1, h)
-        hat = dctn(pot, **dct)
-        np.negative(hat, out=hat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hat /= self.poisson
-        hat[:, 0, 0] = 0.0  # the constant mode: zero-mean potential
-        pot = idctn(hat, **dct)
-        if not np.all(np.isfinite(pot)):
+        x, y = (1, 0, 2), (2, 0, 1)  # each axis leading
+        _makhoul(pot.transpose(x), work.transpose(x))
+        _makhoul(work.transpose(y), pot.transpose(y))
+        _dct2(pot, self._twiddle, spec_y, -1)
+        _dct2(spec_y.view(float), self._twiddle, spec_x, -2)
+        spec_x.view(float)[...] *= self._neg_inv  # -div / lam, the constant mode 0
+        _dct2(spec_x, self._twiddle, spec_y.view(float), -2, inverse=True)
+        _dct2(spec_y, self._twiddle, work, -1, inverse=True)
+        _makhoul(work.transpose(y), pot.transpose(y), inverse=True)
+        _makhoul(pot.transpose(x), work.transpose(x), inverse=True)
+        if not np.all(np.isfinite(work)):
             raise SolverError("projection Poisson solve produced non-finite values")
-        for v, phi in zip(fields, pot):
+        for v, phi in zip(fields, work):
             v.ux[1:-1] -= _diff(phi, 0, h)
             v.uy[:, 1:-1] -= _diff(phi, 1, h)
-        return pot[0].copy()
+        return work[0].copy()
 
     def solve(self, fields: Sequence[VectorField]) -> tuple[list[VectorField], np.ndarray]:
         """:meth:`faces`, then the projection: one pass per field when

@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,8 +51,9 @@ def _args(mode: str, out: Path) -> list[str]:
     """The tool's arguments, on two checkouts next to ``out`` that each
     declare the repository's benchmark."""
     for name in ("change", "parent"):
-        (out.parent / name).mkdir(exist_ok=True)
+        (out.parent / name / "perfbench").mkdir(parents=True, exist_ok=True)
         shutil.copy(ROOT / "BENCHMARK.json", out.parent / name)
+        shutil.copy(ROOT / "perfbench" / "workloads.py", out.parent / name / "perfbench")
     common = ["--out", str(out), "--checkout", str(out.parent / "change")]
     if mode == "pairs":
         return [*common, "--pairs", "2", "--workload", "weak-form", "--against", str(out.parent / "parent")]
@@ -124,3 +126,36 @@ def test_pairs_refuse_a_result_file_of_another_seed(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="not the result of seed 0"):
         tool.main(args)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exit_code", [0, 1])
+def test_label_stores_fresh_process_medians(tmp_path, monkeypatch, exit_code):
+    # every fresh-process row is the median of FRESH_RUNS new processes, run
+    # single-threaded on the checkout's sources; a failing one writes nothing
+    tool = _bench_file(monkeypatch, GOOD)
+    stub, clock, seen = tool.subprocess.run, [0.0], []
+    seconds = {"import": 0.2, "simulate": 0.5, "audit": 0.3}
+
+    def timed(cmd, cwd, **kwargs):
+        if cmd[1:2] != ["-c"]:
+            return stub(cmd, cwd, **kwargs)
+        key = "import" if cmd[2] == "import mmps.cli" else cmd[3]
+        seen.append((key, kwargs["env"]["PYTHONPATH"], kwargs["env"]["OMP_NUM_THREADS"]))
+        clock[0] += seconds[key] * (1 + sum(k == key for k, _, _ in seen) % 5) / 3  # median: seconds
+        return subprocess.CompletedProcess(cmd, exit_code if key == "audit" else 0, "", "")
+
+    monkeypatch.setattr(tool.subprocess, "run", timed)
+    monkeypatch.setattr(tool, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    out = tmp_path / "BENCH.json"
+    if exit_code:
+        with pytest.raises(SystemExit):
+            tool.main(_args("label", out))
+        assert not out.exists()
+        return
+    assert tool.main(_args("label", out)) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["runs"]["change"]["fresh"]
+    marches = ("wall-march", "periodic-audit")
+    assert rows == {"runs": tool.FRESH_RUNS, "import_cli_s": 0.2,
+                    **{f"{k}_s.{w}": seconds[k] for w in marches for k in ("simulate", "audit")}}
+    assert len(seen) == tool.FRESH_RUNS * (1 + 2 * len(marches))
+    assert {(src, threads) for _, src, threads in seen} == {(str(tmp_path / "change" / "src"), "1")}

@@ -6,7 +6,9 @@ errors, and trajectory bookkeeping.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import platform
 import tracemalloc
 from dataclasses import replace
 
@@ -55,6 +57,8 @@ from mmps.fields import (
 from mmps.recipes import (RecipeError, State, _trig1_factors, _trig1_tables, initial_state, mms_forcing,
                           mms_state)
 from mmps.stokes import helmholtz_solve, leray_project
+
+from helpers import fresh_interpreter
 
 PARAMS = FluidParams(mu=0.04, chi=0.02, nu=0.01)
 
@@ -968,6 +972,25 @@ def test_run_simulation_is_deterministic_bitwise():
     assert np.array_equal(a.w.data, b.w.data)
     assert np.array_equal(a.b.ux, b.b.ux) and np.array_equal(a.b.uy, b.b.uy)
     assert t1.records == t2.records
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or importlib.util.find_spec("resource") is None,
+                    reason="the page-fault count of glibc's allocator")
+def test_nx128_steps_reuse_their_memory_after_warm_up():
+    # Without the one 8 MiB free at import (mmps.fields), glibc maps the
+    # larger temporaries of a step afresh and trims the heap behind them, so
+    # steps keep faulting pages in: steps 11-30 of this march took 908-1687
+    # minor faults, against 33 with it.  (Steps 3-10 read 225 with it and
+    # 387-845 without, depending on the heap's first growth: too close.)
+    code = """
+import resource
+from mmps import FluidParams, GridSpec, StepConfig, initial_state, march
+params, cfg = FluidParams(mu=0.04, chi=0.02, nu=0.01), StepConfig(dt=5e-4)
+faults = [resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+          for _ in march(initial_state("rough-h1", GridSpec(128, 128), params), 30 * cfg.dt, cfg, params)]
+print(faults[29] - faults[9])
+"""
+    assert int(fresh_interpreter(code)) < 300
 
 
 def test_stepped_states_discretely_solenoidal_and_pinned():

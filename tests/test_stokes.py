@@ -14,12 +14,13 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.fft import dctn, dst, idctn, idst, irfft2, rfft2
+from scipy.fft import dct, dctn, dst, idctn, idst
 from scipy.sparse.linalg import spsolve
 
 import mmps
 import mmps.evolution as evolution_module
 import mmps.stokes as stokes_module
+from mmps.stokes import _dct2, _makhoul, _symbol
 
 from mmps.fields import (
     CELL,
@@ -330,6 +331,13 @@ def test_solves_leave_module_state_bounded():
         assert not any(isinstance(obj, SolvePlan) for obj in vars(module).values())
 
 
+def _dst1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The plan's DST-I: minus half of it along the last axis of ``x``, whose
+    first sample is 0, as minus Im of the length-2n real FFT."""
+    n = x.shape[-1]
+    return np.fft.rfft(x, n=2 * n, out=out).imag[..., 1:n]
+
+
 @pytest.mark.parametrize("mode", ["dirichlet-square", MODE_PERIODIC])
 @pytest.mark.parametrize("nx", [8, 9, 16, 33])
 def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
@@ -364,44 +372,107 @@ def test_stacked_solve_is_the_one_field_solves_bitwise(mode, nx):
                 pairs.append((phi, want_phi.data))
             for a, b in pairs:
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-    # and the stacked faces pass is the plane-at-a-time transform pair
-    for v, coef, out in zip(fields, coefs, plan.faces(fields)):
-        sym = 1.0 + coef * SolvePlan(grid).symbols[0]  # 1 + coef * lam
+    # and the stacked faces pass is the plane-at-a-time transform pair;
+    # Dirichlet planes also match SciPy's DST-I x DST-II pair to roundoff
+    n, half = nx, nx // 2 + 1
+    lam = _symbol(grid, np.arange(1, n), np.arange(1, n + 1))
+    for v, coef, sym, out in zip(fields, coefs, plan.symbols, plan.faces(fields)):
         if grid.periodic:
-            planes = ((out.ux, v.ux), (out.uy, v.uy))
-            wants = [irfft2(rfft2(a) / sym, s=a.shape) for _, a in planes]
-        else:
-            planes = ((out.ux[1:-1, :], v.ux[1:-1, :]), (out.uy[:, 1:-1].T, v.uy[:, 1:-1].T))
-            wants = []
-            for _, a in planes:
-                hat = dst(dst(a, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
-                hat /= sym
-                want = idst(hat, type=2, axis=1, norm="ortho")
-                wants.append(idst(want, type=1, axis=0, norm="ortho"))
-        for (got, _), want in zip(planes, wants):
+            for got, a in ((out.ux, v.ux), (out.uy, v.uy)):
+                want = np.fft.irfft2(np.fft.rfft2(a) / sym, s=a.shape)
+                assert got.tobytes() == want.tobytes()
+            continue
+        twiddle = plan._twiddle
+        for got, a in ((out.ux[1:-1, :].T, v.ux[1:-1, :].T), (out.uy[:, 1:-1], v.uy[:, 1:-1])):
+            plane, sines = np.zeros((n, n)), np.empty((n, n + 1), complex)
+            spec = np.empty((half, n - 1), complex)
+            _makhoul(a, plane[:, 1:])
+            np.negative(plane[(n + 1) // 2 :], out=plane[(n + 1) // 2 :])
+            _dct2(_dst1(plane, sines), twiddle, spec, -2).view(float)[...] /= sym
+            _dct2(spec, twiddle, plane[:, 1:], -2, inverse=True)
+            want, out = np.empty_like(a), _dst1(plane, sines)
+            np.negative(out[(n + 1) // 2 :], out=out[(n + 1) // 2 :])
+            _makhoul(out, want, inverse=True)
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            hat = dst(dst(a.T, type=1, axis=0, norm="ortho"), type=2, axis=1, norm="ortho")
+            scipy_want = idst(idst(hat / (1.0 + coef * lam), type=2, axis=1, norm="ortho"), type=1, axis=0,
+                              norm="ortho")
+            assert np.max(np.abs(got.T - scipy_want)) <= 1e-13 * np.max(np.abs(scipy_want))
 
 
 @pytest.mark.parametrize("nx", [24, 128])
 def test_plan_projection_is_the_div_grad_form_bitwise(nx):
-    # nx = 24: the differences divide by h; nx = 128: they multiply by 1/h = 2^7
-    g = GridSpec(nx, nx)
+    # nx = 24: the differences divide by h; nx = 128: they multiply by 1/h = 2^7.
+    # The stacked projection is the plane-at-a-time DCT-II pair on div(v),
+    # bit for bit, and SciPy's DCT-II pair to roundoff.
+    g, n, half = GridSpec(nx, nx), nx, nx // 2 + 1
     rng = np.random.default_rng(nx)
     fields = [_random_mac(g, rng) for _ in range(2)]
     plan = SolvePlan(g, (1e-3, 2e-3))
     got = [v.copy() for v in fields]
     phi = plan._project(got)
-    dct = {"type": 2, "axes": (1, 2), "norm": "ortho"}
-    hat = -dctn(np.stack([div(v).data for v in fields]), **dct)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hat /= plan.poisson
-    hat[:, 0, 0] = 0.0
-    pots = idctn(hat, **dct)
-    assert phi.tobytes() == pots[0].tobytes()
-    for v, pot, out in zip(fields, pots, got):
+    t = plan._twiddle
+    poisson = _symbol(g, np.arange(n), np.arange(n))
+    for k, (v, out) in enumerate(zip(fields, got)):
+        d, rows, ordered = div(v).data, np.empty((n, n)), np.empty((n, n))
+        _makhoul(d, rows)
+        _makhoul(rows.T, ordered.T)
+        spec_y = _dct2(ordered, t, np.empty((n, half), complex), -1)
+        spec = _dct2(spec_y.view(float), t, np.empty((half, 2 * half), complex), -2)
+        spec.view(float)[...] *= plan._neg_inv
+        _dct2(spec, t, spec_y.view(float), -2, inverse=True)
+        _dct2(spec_y, t, ordered, -1, inverse=True)
+        pot = np.empty((n, n))
+        _makhoul(ordered.T, rows.T, inverse=True)
+        _makhoul(rows, pot, inverse=True)
+        if k == 0:
+            assert phi.tobytes() == pot.tobytes()
         gphi = grad(ScalarField(g, CELL, pot))
         assert out.ux.tobytes() == (v.ux - gphi.ux).tobytes()
         assert out.uy.tobytes() == (v.uy - gphi.uy).tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hat = -dctn(d, type=2, norm="ortho") / poisson
+        hat[0, 0] = 0.0
+        scipy_pot = idctn(hat, type=2, norm="ortho")
+        assert np.max(np.abs(pot - scipy_pot)) <= 1e-13 * np.max(np.abs(scipy_pot))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 128])
+def test_transform_helpers_match_scipy(n):
+    # each forward/inverse pair against SciPy, to the 1e-13 relative roundoff
+    # of the solves that moved onto them, along each axis the plan uses
+    rng = np.random.default_rng(n)
+    x, half = rng.standard_normal((3, n)), n // 2 + 1
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    padded = np.zeros((3, n))
+    padded[:, 1:] = x[:, 1:]  # the DST-I's n - 1 samples behind one zero
+    sines = _dst1(padded, np.empty((3, n + 1), complex))
+    assert close(-2.0 * sines, dst(x[:, 1:], type=1))
+    twice = np.zeros((3, n))
+    twice[:, 1:] = sines
+    assert close(_dst1(twice, np.empty((3, n + 1), complex)) * (2.0 / n), x[:, 1:])
+    # the DCT-II mode of each float of the twiddled half-spectrum: Re k, Im -(n - k)
+    modes = np.stack([np.arange(half), n - np.arange(half)], axis=1).reshape(-1)
+    sign, t = np.tile([1.0, -1.0], half), np.exp(-0.5j * np.pi / n * np.arange(half))
+    for odd_sign, forward in ((1.0, dct), (-1.0, dst)):
+        ordered = np.empty_like(x)
+        _makhoul(x.T, ordered.T)
+        ordered[:, (n + 1) // 2 :] *= odd_sign  # negated odd samples: the DST-II
+        # DST-II mode j (SciPy's index j - 1) is the DCT-II mode n - j
+        coeffs = forward(x, type=2)[:, :: int(odd_sign)]
+        slots = sign * np.concatenate([coeffs, np.zeros((3, 1))], axis=1)[:, modes] / 2.0
+        oracle = np.ascontiguousarray(slots).view(complex)  # SciPy's modes, slotted
+        for axis in (-1, -2):
+            data, want = (ordered, oracle) if axis == -1 else (ordered.T, oracle.T.copy())
+            assert close(_dct2(data, t, np.empty_like(want), axis), want)
+            assert close(_dct2(want.copy(), t, np.empty_like(data), axis, inverse=True), data)  # overwrites
+        ordered[:, (n + 1) // 2 :] *= odd_sign
+        natural = np.empty_like(x)
+        _makhoul(ordered.T, natural.T, inverse=True)
+        assert np.array_equal(natural, x)
 
 
 def test_periodic_solves_take_no_physical_space_stencil(monkeypatch):

@@ -9,10 +9,11 @@ Usage (from the repository root):
 
 A labelled run measures one checkout: ``perfbench/run.py --trace 0`` on every
 workload that ``BENCHMARK.json`` declares, one ``--trace 1`` run of the first
-workload, and the tier-1 suite with ``--durations=5``.  It stores, under
-``runs.<label>``, each run's metadata and result lines as ``run.py`` prints
-them, whether ``PYTHONDONTWRITEBYTECODE`` was set, the tier-1 summary, its
-wall time and its five slowest tests.
+workload, the tier-1 suite with ``--durations=5``, and fresh-process wall
+times (:func:`fresh`).  It stores, under ``runs.<label>``, each run's metadata
+and result lines as ``run.py`` prints them, whether ``PYTHONDONTWRITEBYTECODE``
+was set, the tier-1 summary, its wall time and its five slowest tests, and
+the fresh-process medians under ``fresh``.
 
 ``--pairs N`` instead alternates ``--trace 0`` runs of one workload on
 ``--checkout`` (the change) and ``--against`` (the parent), seeds ``--seed``,
@@ -42,16 +43,20 @@ updated in place: other labels and workloads are kept.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Each fresh-process row is the median wall time of this many new processes.
+FRESH_RUNS = 5
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -81,6 +86,41 @@ def tier1(checkout: Path) -> dict:
     summary = next((line.strip("= ") for line in reversed(out) if " in " in line), "")
     return {"exit_code": done.returncode, "summary": summary, "wall_s": round(wall_s, 2),
             "slowest": slowest[:5]}
+
+
+def fresh(checkout: Path) -> dict:
+    """Wall seconds of new single-threaded processes of the checkout, each the
+    median of FRESH_RUNS: ``import mmps.cli`` (``import_cli_s``), and per march
+    workload of ``perfbench/workloads.py`` (seed 0), ``mmps simulate`` on its
+    config then ``mmps audit`` on that output (``simulate_s.<workload>``,
+    ``audit_s.<workload>``).  Exits when a process fails."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", checkout / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass needs it there
+    spec.loader.exec_module(workloads)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               **{name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    cli = "import sys; from mmps.cli import main; sys.exit(main())"
+
+    def median_s(args: list[str]) -> float:
+        times = []
+        for _ in range(FRESH_RUNS):
+            start = time.perf_counter()
+            done = subprocess.run([sys.executable, *args], cwd=checkout, env=env, capture_output=True,
+                                  text=True, check=False)
+            times.append(time.perf_counter() - start)
+            if done.returncode != 0:
+                raise SystemExit(f"{args} failed in {checkout}:\n{done.stdout}{done.stderr}")
+        return round(statistics.median(times), 4)
+
+    rows = {"runs": FRESH_RUNS, "import_cli_s": median_s(["-c", "import mmps.cli"])}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.MARCHES:
+            config = Path(tmp) / f"{name}.cfg"
+            config.write_text(workloads.config_texts(name, workloads.DEFAULT_SEED)[0], encoding="utf-8")
+            args = ["--config", str(config), "--out", str(Path(tmp) / name)]
+            rows[f"simulate_s.{name}"] = median_s(["-c", cli, "simulate", *args])
+            rows[f"audit_s.{name}"] = median_s(["-c", cli, "audit", *args])
+    return rows
 
 
 def raw_medians(checkout: Path, workload: str, seed: int) -> dict:
@@ -158,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
             "workloads": {name: bench(checkout, name, args.seed, seconds, 0) for name in names},
             "traced": {names[0]: bench(checkout, names[0], args.seed, seconds, 1)},
             "tier1": tier1(checkout),
+            "fresh": fresh(checkout),
         }
     else:
         parser.error("give --label or --pairs")
