@@ -17,7 +17,8 @@ re-imposes the no-slip boundary values), with ``p = phi / dt`` recovered
 from the projection potential.  Both fields go through one solve of a
 :class:`mmps.stokes.SolvePlan` that the first step of a march builds, and
 each state is checked once (finiteness and CFL speed from one max and min
-per array): the check of a step's result is the next step's input check.
+per array): the check of a step's result is the next step's input check,
+and the march's only finiteness guard (the solves check none).
 
 Advection is in conservative flux form.  For the velocity and magnetic
 components the fluxes use arithmetic face means, which makes the advection
@@ -71,7 +72,8 @@ from .fields import (
     l2_inner,
     perp_grad,
 )
-from .stokes import SolvePlan, helmholtz_solve, leray_project  # noqa: F401  (bound here too)
+# helmholtz_solve is unused here: perfbench's test_tracer_wraps_caller_bindings_and_restores_them reads it
+from .stokes import SolvePlan, helmholtz_solve  # noqa: F401
 
 __all__ = [
     "StepError",
@@ -221,29 +223,21 @@ def advect_mac(advecting: VectorField, a: VectorField, *, pair: bool = False) ->
 
 
 def _dual_face_speeds(u: VectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Normal velocities through the dual-cell faces of the node lattice.
-
-    Interior faces average the four surrounding face samples; faces in the
-    wall rows/columns (half-length) average the two available ones.  The
-    periodic ghost rules wrap each component, so all of its faces are interior.
-    """
-    g, n = u.grid, u.grid.nx
-    ux, uy = u.ux, u.uy
-    if g.periodic:
-        ux, uy = _to_node(g, _to_cell(g, ux, 0), 1), _to_node(g, _to_cell(g, uy, 1), 0)
-    inner_x = 0.25 * (ux[:-1, :-1] + ux[1:, :-1] + ux[:-1, 1:] + ux[1:, 1:])
-    inner_y = 0.25 * (uy[:-1, :-1] + uy[:-1, 1:] + uy[1:, :-1] + uy[1:, 1:])
-    if g.periodic:
-        return inner_x, inner_y
-    hx = np.empty((n, n + 1))
-    hx[:, 1:-1] = inner_x
-    hx[:, 0] = 0.5 * (ux[:-1, 0] + ux[1:, 0])
-    hx[:, -1] = 0.5 * (ux[:-1, -1] + ux[1:, -1])
-    hy = np.empty((n + 1, n))
-    hy[1:-1, :] = inner_y
-    hy[0, :] = 0.5 * (uy[0, :-1] + uy[0, 1:])
-    hy[-1, :] = 0.5 * (uy[-1, :-1] + uy[-1, 1:])
-    return hx, hy
+    """Normal velocities through the dual-cell faces of the node lattice: the
+    mean of the four face samples around each, summed along the component's
+    own axis first, over its ghost-rule extension.  Periodic ghosts wrap; the
+    even Dirichlet wall ghost makes a half-length wall face the mean of its
+    two adjacent faces (to roundoff)."""
+    g, speeds = u.grid, []
+    for k, comp in enumerate((u.ux, u.uy)):
+        lo, hi = _pairs(_to_node(g, _to_cell(g, comp, k), 1 - k), 1 - k)
+        (a, b), (c, d) = _pairs(lo, k), _pairs(hi, k)
+        s = a + b
+        s += c
+        s += d
+        s *= 0.25  # summed in place: one array per component, not four
+        speeds.append(s)
+    return tuple(speeds)
 
 
 def _face_values_upwind(

@@ -122,8 +122,8 @@ class GridSpec:
         return self.mode == MODE_PERIODIC
 
     def lattice_shape(self, lattice: str) -> tuple[int, int]:
-        x, y = (False, False) if self.periodic else _node_like(lattice)
-        return (self.nx + x, self.nx + y)
+        x, y = _node_like(lattice)  # checks the name in both modes
+        return (self.nx + (x and not self.periodic), self.nx + (y and not self.periodic))
 
     def lattice_origin(self, lattice: str) -> tuple[float, float]:
         return tuple(0.0 if node else 0.5 * self.h for node in _node_like(lattice))

@@ -63,9 +63,9 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Raised when a linear solve cannot be set up or produces non-finite
-    values; soft accuracy failures are reported through result flags instead.
-    """
+    """Raised when a solve cannot be set up (a negative Helmholtz coefficient)
+    or a stationary Stokes solve produces non-finite values; soft accuracy
+    failures are reported through result flags instead."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +83,6 @@ def _symbol(g: GridSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     """
     lx, ly = ((4.0 / g.h**2) * np.sin(np.pi * k / (2 * g.nx)) ** 2 for k in (kx, ky))
     return lx[:, None] + ly[None, :]
-
-
-def _finite(v: VectorField) -> bool:
-    return bool(np.all(np.isfinite(v.ux)) and np.all(np.isfinite(v.uy)))
 
 
 def _makhoul(x: np.ndarray, out: np.ndarray, inverse: bool = False) -> None:
@@ -156,8 +152,6 @@ class SolvePlan:
             if project:
                 phat = self._div[0] * hat[0] + self._div[1] * hat[1]
                 phat *= self._neg_inv  # -(D . v_hat) / lam, the zero mode 0
-                if not np.all(np.isfinite(phat)):
-                    raise SolverError("projection Poisson solve produced non-finite values")
                 for h, grad_k in zip(hat, self._grad):
                     h -= grad_k * phat
                 if phi is None:
@@ -210,8 +204,6 @@ class SolvePlan:
         _dct2(spec_y, self._twiddle, work, -1, inverse=True)
         _makhoul(work.transpose(y), pot.transpose(y), inverse=True)
         _makhoul(pot.transpose(x), work.transpose(x), inverse=True)
-        if not np.all(np.isfinite(work)):
-            raise SolverError("projection Poisson solve produced non-finite values")
         for v, phi in zip(fields, work):
             v.ux[1:-1] -= _diff(phi, 0, h)
             v.uy[:, 1:-1] -= _diff(phi, 1, h)
@@ -219,17 +211,12 @@ class SolvePlan:
 
     def solve(self, fields: Sequence[VectorField]) -> tuple[list[VectorField], np.ndarray]:
         """:meth:`faces`, then the projection: one pass per field when
-        periodic.  A failure raises SolverError in the order of one field at
-        a time: Helmholtz of field 0 (Dirichlet only), its projection,
-        Helmholtz of field 1, and so on."""
+        periodic.  Unchecked for finiteness: a march's step check names a
+        non-finite result (``mmps.evolution.NonFiniteError``)."""
         if self.grid.periodic:
             return self._periodic(fields, True)
         solved = self.faces(fields)
-        ok = next((i for i, v in enumerate(solved) if not _finite(v)), len(solved))
-        phi = self._project(solved[:ok]) if ok else None
-        if ok < len(solved):
-            raise SolverError("helmholtz solve produced non-finite values")
-        return solved, phi
+        return solved, self._project(solved)
 
 
 def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
@@ -255,15 +242,14 @@ def leray_project(u: VectorField) -> tuple[VectorField, ScalarField]:
 def helmholtz_solve(v: VectorField, coef: float) -> VectorField:
     """Solve (I - coef * laplacian) out = v componentwise on MAC faces with
     the no-slip closures (pinned boundary faces, mirror ghosts).  ``coef``
-    is kappa * dt >= 0.  A one-field :meth:`SolvePlan.faces`.
+    is kappa * dt >= 0 (SolverError otherwise).  A one-field
+    :meth:`SolvePlan.faces`, like it unchecked for finiteness.
     """
     if coef < 0:
         raise SolverError(f"helmholtz coefficient must be >= 0, got {coef}")
     if coef == 0.0:
         return v.copy()
     (out,) = SolvePlan(v.grid, (coef,)).faces([v])
-    if not (v.grid.periodic or _finite(out)):
-        raise SolverError("helmholtz solve produced non-finite values")
     return out
 
 

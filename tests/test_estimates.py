@@ -511,6 +511,8 @@ def test_w_lq_audit_rejects_bad_exponents_and_strides():
     with pytest.raises(EstimateError, match="stride 1"):
         w_lq_audit(strided, 8.0, PARAMS)
     assert len(w_lq_audit(strided, 4.0, PARAMS).times) == 4  # q = 4 folds the records
+    with pytest.raises(EstimateError, match="lq audit needs at least one step"):
+        w_lq_audit(_smooth_traj(nx=16, t_end=0.0, dt=1e-3), 4.0, PARAMS)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -801,6 +803,8 @@ def test_weak_form_residual_validates_inputs():
     traj = _smooth_traj(nx=16, t_end=2e-3, dt=1e-3)
     with pytest.raises(EstimateError):
         weak_form_residual(traj, 0, PARAMS)
+    with pytest.raises(EstimateError, match="weak-form audit needs at least one step"):
+        weak_form_residual(_smooth_traj(nx=16, t_end=0.0, dt=1e-3), 2, PARAMS)
 
 
 def test_bump_derivatives_match_high_precision_oracle():
@@ -867,5 +871,6 @@ def test_refinement_order_known_sequences():
     assert refinement_order([1.0, 0.25, 0.0625]) == pytest.approx(2.0, rel=1e-12)
     assert refinement_order([1.0, 0.5]) == pytest.approx(1.0, rel=1e-12)
     assert refinement_order([1e-3, 0.0]) == math.inf
+    assert refinement_order([0.0, 1e-3]) == -math.inf  # a zero coarse error
     with pytest.raises(EstimateError):
         refinement_order([1.0])

@@ -26,6 +26,7 @@ from mmps.evolution import (
     StepError,
     Trajectory,
     _Carry,
+    _dual_face_speeds,
     _mhd_explicit,
     advect_mac,
     advect_node,
@@ -279,6 +280,34 @@ def test_advect_node_rejects_unknown_method():
     g = GridSpec(16, 16)
     with pytest.raises((FieldError, StepError, ValueError)):
         advect_node(VectorField.zeros(g), ScalarField.zeros(g, NODE), "weno9")
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_dual_face_speeds_are_four_face_means_closed_by_the_ghost_rules(mode, n):
+    # speed[i, j] through the dual face between nodes (i, j) and (i + 1, j) is
+    # the mean of ux on x faces i, i + 1 in cell rows j - 1, j (summed along x
+    # first), and its y twin; periodic indices wrap, and a Dirichlet wall
+    # half-face is the mean of the two faces beside it, to a few ulp
+    g = GridSpec(n, n, mode)
+    rng = np.random.default_rng(n)
+    u = VectorField(g, rng.standard_normal(g.lattice_shape("xface")),
+                    rng.standard_normal(g.lattice_shape("yface")))
+    (sx, sy), ux, uy = _dual_face_speeds(u), u.ux, u.uy
+    assert sx.shape == g.lattice_shape("yface") and sy.shape == g.lattice_shape("xface")
+    if g.periodic:
+        right, up = np.roll(ux, -1, 0), np.roll(uy, -1, 1)
+        want_x = 0.25 * (np.roll(ux, 1, 1) + np.roll(right, 1, 1) + ux + right)
+        want_y = 0.25 * (np.roll(uy, 1, 0) + np.roll(up, 1, 0) + uy + up)
+        assert np.array_equal(sx, want_x) and np.array_equal(sy, want_y)
+        return
+    inner_x = 0.25 * (ux[:-1, :-1] + ux[1:, :-1] + ux[:-1, 1:] + ux[1:, 1:])
+    inner_y = 0.25 * (uy[:-1, :-1] + uy[:-1, 1:] + uy[1:, :-1] + uy[1:, 1:])
+    assert np.array_equal(sx[:, 1:-1], inner_x) and np.array_equal(sy[1:-1, :], inner_y)
+    walls = [(sx[:, j], ux[:-1, j], ux[1:, j]) for j in (0, -1)]
+    walls += [(sy[i, :], uy[i, :-1], uy[i, 1:]) for i in (0, -1)]
+    for got, a, b in walls:
+        assert np.all(np.abs(got - 0.5 * (a + b)) <= 4 * np.spacing(np.abs(a) + np.abs(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +680,28 @@ def test_half_steps_date_their_guards_by_the_step_time(monkeypatch, half):
         with pytest.raises(NonFiniteError) as exc:
             step(initial_state("smooth-1", g, PARAMS), spin_force)
         assert str(exc.value) == f"non-finite value in {label} at t=0.04, first at index (3, 4)"
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_a_non_finite_solve_is_the_run_s_recorded_failure(mode):
+    # a NaN velocity forcing from the second step on passes through the
+    # solves unchecked; the step's own check names it, in both modes alike
+    g = GridSpec(16, 16, mode)
+    zero = State.zeros(g)
+    bad = VectorField.zeros(g)
+    bad.ux[3, 4] = np.nan
+
+    def forcing(t):
+        return (bad if t > 0.0 else zero.u), zero.w, zero.b
+
+    cfg = StepConfig(dt=1e-3, forcing=forcing)
+    init = initial_state("smooth-1", g, PARAMS)
+    traj = run_simulation(init, 5 * cfg.dt, cfg, PARAMS)
+    message = "non-finite value in velocity at t=0.002, first at index"
+    assert len(traj.records) == 2 and traj.failure.startswith(message)
+    with pytest.raises(NonFiniteError, match=message):
+        for _ in march(init, 5 * cfg.dt, cfg, PARAMS):
+            pass
 
 
 def test_march_checks_the_cfl_limit_on_the_carried_speed():

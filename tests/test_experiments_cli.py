@@ -148,6 +148,7 @@ def test_parse_config_defaults_and_none_forcing():
         "params.mu = -0.1",              # negative viscosity
         "params.chi = -0.01",            # negative coupling
         "time.dt = 0",                   # zero step
+        "time.t_end = -1",               # negative horizon
         "init.recipe = vortex",          # unknown recipe
         "init.seed = -1",                # negative seed
         "scheme.stepper = rk4",          # unknown stepper

@@ -21,6 +21,7 @@ from mmps.fields import (
     FluidParams,
     GridSpec,
     ScalarField,
+    State,
     VectorField,
     curl2,
     div,
@@ -71,6 +72,14 @@ def test_gridspec_validation():
     assert g.h == pytest.approx(1 / 16)
 
 
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_an_unknown_lattice_is_refused_in_both_modes(mode):
+    g = GridSpec(16, 16, mode)
+    for lookup in (g.lattice_shape, g.lattice_origin, lambda name: lattice_weights(g, name)):
+        with pytest.raises(FieldError, match="unknown lattice 'bogus'"):
+            lookup("bogus")
+
+
 def test_fluidparams_validation():
     with pytest.raises(FieldError):
         FluidParams(mu=0.0, chi=0.1, nu=0.1)
@@ -93,6 +102,8 @@ def test_placement_mismatch_raises():
     g = GridSpec(8, 8)
     with pytest.raises(FieldError):
         ScalarField(g, CELL, np.zeros(g.lattice_shape("node")))
+    with pytest.raises(FieldError, match="unknown scalar placement 'xface'"):
+        ScalarField(g, "xface", np.zeros(g.lattice_shape("xface")))
     with pytest.raises(FieldError):
         perp_grad(ScalarField.zeros(g, CELL))
     with pytest.raises(FieldError):
@@ -101,6 +112,34 @@ def test_placement_mismatch_raises():
         grad(ScalarField.zeros(g, NODE))
     with pytest.raises(FieldError):
         VectorField(g, np.zeros(g.lattice_shape("cell")), np.zeros(g.lattice_shape("yface")))
+
+
+@pytest.mark.parametrize("mode", [MODE_DIRICHLET, MODE_PERIODIC])
+def test_state_refuses_mixed_grids_and_wrong_lattices(mode):
+    g, other = GridSpec(8, 8, mode), GridSpec(16, 16, mode)
+    zero = State.zeros(g)
+    for bad, match in (
+        ({"b": VectorField.zeros(other)}, "share one grid"),
+        ({"w": ScalarField.zeros(other, NODE)}, "share one grid"),
+        ({"w": ScalarField.zeros(g, CELL)}, "w must be node-placed"),
+        ({"p": ScalarField.zeros(g, NODE)}, "p must be cell-centered"),
+    ):
+        fields = {"u": zero.u, "w": zero.w, "b": zero.b, "p": zero.p, **bad}
+        with pytest.raises(FieldError, match=match):
+            State(t=0.0, **fields)
+
+
+def test_l2_inner_refuses_mismatched_pairs():
+    g, other = GridSpec(8, 8), GridSpec(16, 16)
+    for a, b, match in (
+        (ScalarField.zeros(g, CELL), ScalarField.zeros(g, NODE), "matching scalar placements"),
+        (ScalarField.zeros(g, CELL), ScalarField.zeros(other, CELL), "matching scalar placements"),
+        (VectorField.zeros(g), VectorField.zeros(other), "vector fields on one grid"),
+        (ScalarField.zeros(g, CELL), VectorField.zeros(g), "cannot pair a scalar with a vector"),
+        (VectorField.zeros(g), ScalarField.zeros(g, NODE), "cannot pair a scalar with a vector"),
+    ):
+        with pytest.raises(FieldError, match=match):
+            l2_inner(a, b)
 
 
 # ---------------------------------------------------------------------------

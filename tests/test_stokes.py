@@ -44,7 +44,8 @@ from mmps.fields import (
 from mmps.estimates import stokes_regularity_probe
 from mmps.evolution import StepConfig, march
 from mmps.recipes import initial_state, probe_scalar
-from mmps.stokes import SolvePlan, StokesSolution, helmholtz_solve, leray_project, solve_stationary_stokes
+from mmps.stokes import (SolvePlan, SolverError, StokesSolution, helmholtz_solve, leray_project,
+                         solve_stationary_stokes)
 
 
 def _random_mac(grid: GridSpec, rng, interior_only=True) -> VectorField:
@@ -154,6 +155,13 @@ def test_stokes_rejects_periodic_and_bad_placement():
         solve_stationary_stokes(VectorField(g, np.zeros((16, 16)), np.zeros((16, 16))))
 
 
+def test_stokes_raises_a_non_finite_solve():
+    f = _random_mac(GridSpec(16, 16), np.random.default_rng(3))
+    f.ux[5, 6] = np.nan
+    with pytest.raises(SolverError, match="stationary Stokes solve produced non-finite values"):
+        solve_stationary_stokes(f)
+
+
 # ---------------------------------------------------------------------------
 # Leray projection
 # ---------------------------------------------------------------------------
@@ -225,6 +233,11 @@ def test_helmholtz_zero_coef_is_identity():
     v = _random_mac(grid, np.random.default_rng(17), interior_only=False)
     out = helmholtz_solve(v, 0.0)
     assert np.array_equal(out.ux, v.ux) and np.array_equal(out.uy, v.uy)
+
+
+def test_helmholtz_refuses_a_negative_coefficient():
+    with pytest.raises(SolverError, match="helmholtz coefficient must be >= 0, got -0.001"):
+        helmholtz_solve(VectorField.zeros(GridSpec(16, 16)), -1e-3)
 
 
 # ---------------------------------------------------------------------------
