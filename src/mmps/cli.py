@@ -1,15 +1,15 @@
-"""Command-line surface.
+"""Command-line surface: ``mmps <command> [--config PATH] [--out DIR] [--seed N]``.
 
-Subcommands: simulate, schauder, uniqueness, convergence, stokes-selftest,
-gn-probe, audit.  Each accepts --config PATH, --out DIR and an optional
---seed N (overriding the config's seed).  Exit status: 0 on success, 1 when
-a run or audit fails its checks, 2 on usage errors.
+Commands: simulate, schauder, uniqueness, convergence, stokes-selftest,
+gn-probe, audit; all but the last two need --config.  :func:`_parse` reads
+this fixed surface in one pass (``--opt=value`` too, the last occurrence
+winning; no prefixes such as ``--conf``), so a command imports no argparse.
+Exit status: 0 on success and for -h/--help, 1 when a run or audit fails its
+checks, 2 on a usage error or unreadable input.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -18,17 +18,8 @@ from .config import ConfigError, RunConfig, config_items, load_config, with_seed
 from .estimates import (EstimateError, energy_audit, gn_probe, gronwall_budget, stokes_regularity_probe,
                         w_lq_audit)
 from .evolution import StepError, Trajectory, _off_grid, _step_count, _stored
-from .experiments import (
-    ExperimentError,
-    convergence_study,
-    grid_of,
-    params_of,
-    read_diagnostics_csv,
-    schauder_fixed_point,
-    simulate_run,
-    step_config_of,
-    uniqueness_probe,
-)
+from .experiments import (ExperimentError, convergence_study, grid_of, params_of, read_diagnostics_csv,
+                          schauder_fixed_point, simulate_run, step_config_of, uniqueness_probe)
 from .fields import FieldError, GridSpec, VectorField, perp_grad
 from .recipes import RecipeError, probe_scalar
 from .snapshots import SnapshotError, read_snapshot
@@ -37,42 +28,11 @@ from .stokes import SolverError, solve_stationary_stokes
 __all__ = ["main"]
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first call (parsing leaves it as it was)."""
-    parser = argparse.ArgumentParser(
-        prog="mmps",
-        description="Micropolar-MHD simulator and estimate-audit harness.",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name, needs_config in (
-        ("simulate", True),
-        ("schauder", True),
-        ("uniqueness", True),
-        ("convergence", True),
-        ("stokes-selftest", False),
-        ("gn-probe", False),
-        ("audit", True),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="path to a run config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override init.seed")
-    return parser
-
-
-def _load(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    return with_seed(cfg, args.seed)
-
-
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
     traj = simulate_run(cfg, out)
     last = traj.records[-1]
-    print(
-        f"simulate: {len(traj.records) - 1} steps to t={last.t:g}, "
-        f"|u|={last.u_l2:.6g} |w|={last.w_l2:.6g} |b|={last.b_l2:.6g}"
-    )
+    print(f"simulate: {len(traj.records) - 1} steps to t={last.t:g}, "
+          f"|u|={last.u_l2:.6g} |w|={last.w_l2:.6g} |b|={last.b_l2:.6g}")
     if traj.failure is not None:
         print(f"simulate: aborted early: {traj.failure}")
         return 1
@@ -101,11 +61,8 @@ def _cmd_schauder(cfg: RunConfig, out: Path) -> int:
 def _cmd_uniqueness(cfg: RunConfig, out: Path) -> int:
     report = uniqueness_probe(cfg, cfg.delta)
     out.mkdir(parents=True, exist_ok=True)
-    rows = ["t,d_delta,d_half,ratio"]
-    for t, d1, d2, r in zip(
-        report["times"], report["d_delta"], report["d_half"], report["ratios"]
-    ):
-        rows.append(f"{t!r},{d1!r},{d2!r},{r!r}")
+    series = zip(report["times"], report["d_delta"], report["d_half"], report["ratios"])
+    rows = ["t,d_delta,d_half,ratio", *(f"{t!r},{d1!r},{d2!r},{r!r}" for t, d1, d2, r in series)]
     (out / "uniqueness.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(
         f"uniqueness: delta={report['delta']:g} rate={report['rate_delta']:.6g} "
@@ -289,33 +246,68 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+_USAGE = "usage: mmps {" + ",".join(_COMMANDS) + "} [--config PATH] [--out DIR] [--seed N]"
+_HELP = (f"{_USAGE}\n\nMicropolar-MHD simulator and estimate-audit harness.  --config names a run\n"
+         "config, --out the output directory (default .); --seed N overrides init.seed.\n"
+         "Exit status: 0 success, 1 a run or audit failed its checks, 2 a usage error or bad input.")
+
+
+class _Usage(Exception):
+    """The command line is outside the fixed surface."""
+
+
+def _parse(argv: list[str]) -> tuple[str, str | None, Path, int | None]:
+    """The command, config path, output directory and seed of ``<command>
+    [--opt value | --opt=value]...``, the last occurrence of an option winning."""
+    command, *rest = argv
+    if command not in _COMMANDS:
+        raise _Usage(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    opts, tokens = {}, iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name not in ("--config", "--out", "--seed"):
+            raise _Usage(f"unrecognized argument {token!r}")
+        if not eq:  # the next token, unless it is an option (a negative int is a value)
+            value = next(tokens, "-")
+            if value.startswith("-") and not value[1:].isdigit():
+                raise _Usage(f"argument {name}: expected one value")
+        opts[name] = value
+    if "--config" not in opts and command not in ("stokes-selftest", "gn-probe"):
+        raise _Usage(f"{command} needs --config PATH")
+    out, seed = Path(opts.get("--out", ".")), opts.get("--seed")
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)  # what mkdir would meet
+    if not nearest.is_dir():
+        raise _Usage(f"argument --out: {out} is not a directory")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    if args.command is None:
-        parser.print_usage()
+        return command, opts.get("--config"), out, None if seed is None else int(seed)
+    except ValueError:
+        raise _Usage(f"argument --seed: invalid int value: {seed!r}") from None
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP)
+        return 0
+    if not argv:
+        print(_USAGE)
         return 2
     try:
-        cfg = _load(args)
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        command, config, out, seed = _parse(argv)
+    except _Usage as exc:
+        print(_USAGE, f"mmps: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    try:
+        cfg = load_config(config) if config is not None else RunConfig()
+        return _COMMANDS[command](with_seed(cfg, seed), out)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"mmps: {exc}", file=sys.stderr)
         return 2
-    except (
-        ExperimentError,
-        EstimateError,
-        StepError,
-        SolverError,
-        SnapshotError,
-        RecipeError,
-        FieldError,
-    ) as exc:
+    except (ExperimentError, EstimateError, StepError, SolverError, SnapshotError, RecipeError,
+            FieldError) as exc:
         print(f"mmps: {exc}", file=sys.stderr)
         return 1
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via the console script
+if __name__ == "__main__":
     sys.exit(main())

@@ -181,8 +181,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the file at ``path``; one that cannot be read as UTF-8 text raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {os.fspath(path)}: {exc}") from exc
+    return parse_config(text)
 
 
 def with_seed(cfg: RunConfig, seed: int | None) -> RunConfig:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -362,11 +362,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT, _POOL_SIZE = 16, 4
 
 
-@dataclass(frozen=True)
 class _StateWords(ISeedSequence):
     """Four uint64 state words as a seed sequence, for ``PCG64`` to seed from."""
 
-    words: np.ndarray
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         return self.words
@@ -389,9 +391,10 @@ def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
 
     The SeedSequence entropy mix and ``generate_state(4, uint64)`` run once,
     in wrapping uint32 array arithmetic over the (k, m) lattice; the hash
-    constants are the same for every mode, so they stay Python ints.  Each
-    mode's four state words seed a ``PCG64`` through :class:`_StateWords`,
-    which then draws with NumPy's own ziggurat.
+    constants are the same for every mode, so they stay Python ints.  Then
+    each mode's row of four state words seeds one ``PCG64`` through the
+    slotted :class:`_StateWords`, which draws once with NumPy's own ziggurat;
+    ``np.fromiter`` walks the rows in C order, with no per-mode indexing.
     """
     shape = (kmax, kmax)
     ks = np.arange(1, kmax + 1, dtype=np.uint32)
@@ -432,10 +435,9 @@ def _mode_normals(prefix: Sequence[int], kmax: int) -> np.ndarray:
         words[..., i] = value ^ (value >> _XSHIFT)
     words = words.view("<u8").astype(np.uint64, copy=False)  # native, contiguous rows
 
-    out = np.empty(shape)
-    for k, m in np.ndindex(shape):
-        out[k, m] = Generator(PCG64(_StateWords(words[k, m]))).standard_normal()
-    return out
+    rows = words.reshape(-1, 4)
+    return np.fromiter((Generator(PCG64(_StateWords(row))).standard_normal() for row in rows),
+                       float, len(rows)).reshape(shape)
 
 
 def _decay(kmax: int, power: float) -> np.ndarray:

@@ -67,15 +67,20 @@ def sobolev_norms(f: ScalarField | VectorField) -> dict[str, float]:
     }
 
 
-def fresh_interpreter(code: str, **extra_env: str) -> str:
-    """Standard output of ``code`` run in a new interpreter that imports
-    this checkout's mmps, with ``extra_env`` added to the environment."""
+def fresh_process(*args: str, **extra_env: str) -> subprocess.CompletedProcess:
+    """``python *args`` run in a new interpreter that imports this checkout's
+    mmps, with ``extra_env`` added to the environment; output captured."""
     src = os.path.dirname(os.path.dirname(mmps.__file__))
     env = {**os.environ, **extra_env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_interpreter(code: str, **extra_env: str) -> str:
+    """Standard output of ``code`` run as :func:`fresh_process` runs it; a
+    non-zero exit raises ``CalledProcessError``."""
+    out = fresh_process("-c", code, **extra_env)
+    out.check_returncode()
     return out.stdout.strip()
 
 

@@ -63,7 +63,7 @@ from mmps.snapshots import (
     read_snapshot,
     write_snapshot,
 )
-from helpers import fresh_interpreter, snapshot_trailer
+from helpers import fresh_interpreter, fresh_process, snapshot_trailer
 
 SMALL = RunConfig(nx=16, dt=1e-3, t_end=3e-3, recipe="smooth-1", chi=0.02)
 
@@ -796,17 +796,60 @@ def _write_cfg(tmp_path, text=SMALL_TEXT, name="run.cfg"):
     return str(path)
 
 
-def test_cli_without_command_prints_usage(capsys):
-    assert main([]) == 2
-    assert "usage" in capsys.readouterr().out.lower()
+_USAGE_TABLE = [
+    # (argv, exit code, stream, text); {cfg} is a valid config, {rough} a rough-h1 one
+    ([], 2, "out", "usage: mmps {simulate,"),
+    (["-h"], 0, "out", "Exit status: 0 success, 1"),
+    (["--help"], 0, "out", "usage: mmps"),
+    (["simulate", "--config", "{cfg}", "--out", "first", "-h"], 0, "out", "usage: mmps"),
+    (["bogus", "--config", "{cfg}"], 2, "err", "mmps: invalid command 'bogus'"),
+    (["--config", "{cfg}", "simulate"], 2, "err", "mmps: invalid command '--config'"),
+    (["simulate", "--config", "{cfg}", "--bogus", "1"], 2, "err", "unrecognized argument '--bogus'"),
+    (["simulate", "--conf", "{cfg}"], 2, "err", "unrecognized argument '--conf'"),
+    (["simulate", "--config", "{cfg}", "extra"], 2, "err", "unrecognized argument 'extra'"),
+    (["simulate", "--config"], 2, "err", "argument --config: expected one value"),
+    (["simulate", "--config", "{cfg}", "--out"], 2, "err", "argument --out: expected one value"),
+    (["simulate", "--config", "--out", "first"], 2, "err", "argument --config: expected one value"),
+    (["simulate", "--config=missing.cfg", "--config={rough}", "--out=first", "--out", "last",
+      "--seed=-1", "--seed", "7"], 0, "out", "simulate: 3 steps to t=0.003"),
+    (["simulate", "--out", "first"], 2, "err", "mmps: simulate needs --config PATH"),
+    (["audit", "--seed", "1"], 2, "err", "mmps: audit needs --config PATH"),
+    (["stokes-selftest", "--seed", "1"], 0, "out", "stokes-selftest: max saddle residual"),
+    (["gn-probe", "--out", "last"], 0, "out", "gn-probe: growth"),
+    (["simulate", "--config", "{cfg}", "--seed", "x"], 2, "err", "argument --seed: invalid int value: 'x'"),
+    (["simulate", "--config", "{cfg}", "--seed=1.5"], 2, "err", "invalid int value: '1.5'"),
+    (["simulate", "--config", "{cfg}", "--seed", "-1"], 2, "err", "mmps: init.seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, text", _USAGE_TABLE,
+                         ids=[" ".join(row[0]) or "(none)" for row in _USAGE_TABLE])
+def test_cli_usage_table(tmp_path, monkeypatch, capsys, argv, code, stream, text):
+    # the fixed surface <command> [--config PATH] [--out DIR] [--seed N]: a
+    # usage error names itself on stderr after the usage line and exits 2
+    # before anything is written; the last occurrence of an option wins
+    paths = {"cfg": _write_cfg(tmp_path),
+             "rough": _write_cfg(tmp_path, SMALL_TEXT.replace("smooth-1", "rough-h1"), "rough.cfg")}
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    printed = capsys.readouterr()
+    assert text in getattr(printed, stream)
+    if code == 2 and stream == "err":
+        assert printed.out == "" and printed.err.splitlines()[-1].startswith("mmps: ")
+    assert not (tmp_path / "first").exists()
+    assert (tmp_path / "last" / "run.json").exists() == text.startswith("simulate:")
+
+
+def test_cli_module_runs_as_a_script():
+    # python -m mmps.cli reaches main through its __main__ guard
+    bare, helped = fresh_process("-m", "mmps.cli"), fresh_process("-m", "mmps.cli", "--help")
+    assert (bare.returncode, bare.stderr) == (2, "") and bare.stdout.startswith("usage: mmps {")
+    assert (helped.returncode, helped.stderr) == (0, "") and "Exit status" in helped.stdout
 
 
 def test_cli_parses_with_one_parser_and_each_call_reads_afresh(tmp_path, monkeypatch, capsys):
-    # main builds its parser once per process; a call after a usage error
-    # and after a call that set every option reads as in a process of its own
-    from mmps import cli
-
-    assert cli._build_parser() is cli._build_parser()
+    # a call after a usage error and after a call that set every option
+    # reads as in a process of its own
     cfg_path = _write_cfg(tmp_path, SMALL_TEXT.replace("smooth-1", "rough-h1"))
     monkeypatch.chdir(tmp_path)
     assert main(["simulate", "--config", cfg_path, "--seed", "x"]) == 2
@@ -1255,6 +1298,31 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert main(["simulate", "--config", bad]) == 2
     err = capsys.readouterr().err
     assert "unknown key" in err
+
+
+def test_cli_exits_2_on_a_config_that_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"mmps: cannot read config {tmp_path}: [Errno 21]")
+    assert not out.exists()
+
+
+def test_cli_exits_2_on_a_config_that_is_not_utf8(tmp_path, capsys):
+    path, out = tmp_path / "latin1.cfg", tmp_path / "out"
+    path.write_bytes(SMALL_TEXT.replace("minimal", "r\xe9sum\xe9").encode("latin-1"))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"mmps: cannot read config {path}: 'utf-8' codec")
+    assert not out.exists()
+
+
+def test_cli_exits_2_on_an_out_that_is_a_file(tmp_path, capsys):
+    cfg_path, out = _write_cfg(tmp_path), tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    for argv in (["simulate", "--out", str(out)], ["simulate", "--out", str(out / "below")],
+                 ["schauder", "--out", str(out)]):
+        assert main([*argv, "--config", cfg_path]) == 2
+        assert capsys.readouterr().err.endswith(f"mmps: argument --out: {argv[-1]} is not a directory\n")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_cli_seed_override_changes_output(tmp_path):

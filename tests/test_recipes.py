@@ -309,14 +309,15 @@ def test_trig1_closed_forms_match_symbolic_oracle():
 def test_import_leaves_symbolic_and_optional_scipy_modules_unloaded(tmp_path):
     # each would add to every command's start-up time: no SciPy module at
     # all loads on importing the package or its command line, nor during a
-    # short simulate in either mode (only mollify imports scipy.ndimage)
+    # short simulate in either mode (only mollify imports scipy.ndimage);
+    # nor does argparse or gettext, since the command line parses itself
     config = "grid.nx = 16\ngrid.mode = {}\ntime.dt = 1e-3\ntime.t_end = 2e-3\n"
     for mode in ("dirichlet-square", "periodic"):
         (tmp_path / f"{mode}.txt").write_text(config.format(mode), encoding="utf-8")
     code = f"""
 import contextlib, io, pathlib, sys
 def loaded():
-    return [m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy')]
+    return [m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy', 'argparse', 'gettext')]
 import mmps; a = loaded()
 from mmps import cli; b = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
